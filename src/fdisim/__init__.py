@@ -3,11 +3,11 @@ Kalman-filtered LTI control loop with chi-square detection and reactive
 mitigation.
 
 The package splits into layers: `numerics` (probability kernels, seeded
-streams), `lti` (plant, filter, error recursion), `defense` (detector and
-mitigation), `attack` (injection plans), `mdp` (discretized decision
-process and value iteration), `evaluation` (Monte-Carlo rollouts and cost
-reports), `voltage` (the voltage-regulation instantiation), and
-`config`/`artifact`/`cli` (experiment plumbing).
+streams), `lti` (plant, filter, setpoint law, error recursion), `defense`
+(detector and mitigation), `attack` (injection plans), `mdp` (discretized
+decision process and value iteration), `evaluation` (batched Monte-Carlo
+rollouts and cost reports), `voltage` (the voltage-regulation
+instantiation), and `config`/`artifact`/`cli` (experiment plumbing).
 """
 
 from .attack import AttackError, AttackPlan, attack_at, clip_to_norm
@@ -19,19 +19,16 @@ from .defense import (
     detect,
     g_statistic,
     oracle_detect,
-    residual,
 )
 from .evaluation import (
     BatchRollout,
     CostReport,
     EvaluationError,
     PairedCost,
-    Trajectory,
     compare_attacks,
     empirical_cost,
     fp_cost,
     md_cost,
-    rollout,
     rollout_batch,
 )
 from .lti import (
@@ -56,10 +53,7 @@ from .mdp import (
 from .numerics import NumericsError, RngStream, solve_dare
 from .voltage import (
     TraceSet,
-    VoltageConfig,
     VoltageError,
-    build_voltage_model,
-    default_voltage_config,
     estimate_B,
     load_traces,
     voltage_attack_experiment,
@@ -88,18 +82,14 @@ __all__ = [
     "SteadyState",
     "SystemModel",
     "TraceSet",
-    "Trajectory",
     "TransitionModel",
     "TruncationWarning",
-    "VoltageConfig",
     "VoltageError",
     "attack_at",
     "build_grid",
     "build_transition_model",
-    "build_voltage_model",
     "clip_to_norm",
     "compare_attacks",
-    "default_voltage_config",
     "derive_steady_state",
     "detect",
     "detection_prob",
@@ -113,9 +103,7 @@ __all__ = [
     "oracle_detect",
     "policy_lookup",
     "preset",
-    "residual",
     "resolve_config",
-    "rollout",
     "rollout_batch",
     "solve_dare",
     "uniform_actions",

@@ -48,13 +48,8 @@ from .evaluation import EvaluationError, compare_attacks, fp_cost, md_cost
 from .lti import ModelError, derive_steady_state
 from .mdp import build_transition_model, immediate_reward_curve, value_iteration
 from .numerics import NumericsError, RngStream
-from .voltage import (
-    VoltageConfig,
-    VoltageError,
-    estimate_B,
-    load_traces,
-    voltage_attack_experiment,
-)
+from .voltage import (VoltageError, estimate_B, load_traces,
+                      voltage_attack_experiment)
 
 _USER_ERRORS = (ArtifactError, AttackError, ConfigError, DefenseError,
                 EvaluationError, ModelError, NumericsError, VoltageError)
@@ -201,8 +196,7 @@ def cmd_fpmd(args) -> int:
 
 def cmd_voltage(args) -> int:
     cfg = _load(args)
-    ctrl = cfg.data["controller"]
-    if ctrl is None:
+    if cfg.data["controller"] is None:
         raise ConfigError("the voltage command needs a controller section "
                           "(start from --preset voltage)")
     model = cfg.system_model()
@@ -211,16 +205,15 @@ def cmd_voltage(args) -> int:
             and np.array_equal(model.C, np.eye(n))):
         raise ConfigError("the voltage loop assumes A = I and C = I; fix "
                           "the model section")
-    vcfg = VoltageConfig(x0=ctrl["x0"], alpha=ctrl["alpha"],
-                         B=cfg.data["model"]["B"], Q=cfg.data["model"]["Q"],
-                         R=cfg.data["model"]["R"], init=cfg.x_hat0())
+    ss = derive_steady_state(model)
     out = _out_dir(args, cfg)
     policy, _ = load_policy(_policy_path(args, cfg, out), cfg.digest())
     plans = _plans_for(cfg, policy)
     stream = RngStream(cfg.seed, _STREAM_VOLTAGE)
     mean_rows, freq_rows = [], []
     for kind, plan in plans.items():
-        run = voltage_attack_experiment(vcfg, plan, cfg.eta,
+        run = voltage_attack_experiment(model, ss, cfg.controller(),
+                                        cfg.x_hat0(), plan, cfg.eta,
                                         cfg.mitigation(), cfg.eval_horizon,
                                         cfg.runs, stream,
                                         digest=cfg.digest())

@@ -4,7 +4,8 @@ A configuration is a nested mapping with these sections and defaults
 (the `benchmark` preset is exactly the defaults):
 
     model:       A [[1]], B [[1]], C [[1]], Q [[1]], R [[10]]
-    controller:  null, or {x0: [..], alpha: 0.5, init: [..] (default x0)}
+    controller:  null, or {x0: [..], alpha: 0.5, init: [..] (default x0)};
+                 needs a square, invertible model.B and x0, init of length n
     detector:    eta 10.0
     mitigation:  kind "perfect" ("perfect" | "noisy" | "off"), sigma_mit 0.0
     attack:      kind "policy" ("policy" | "constant" | "ramp" | "none"),
@@ -193,6 +194,19 @@ class RunConfig:
             _require(0.0 < ctrl["alpha"] < 1.0,
                      f"controller.alpha must lie in (0, 1), "
                      f"got {ctrl['alpha']}")
+            # the setpoint law u = alpha B^-1 (x0 - x_hat) inverts B
+            n = np.atleast_2d(np.asarray(data["model"]["A"], float)).shape[0]
+            B = np.atleast_2d(np.asarray(data["model"]["B"], float))
+            _require(B.shape == (n, n), f"a controller needs a square {n}x{n} "
+                                        f"model.B, got {B.shape}")
+            _require(np.linalg.matrix_rank(B) == n,
+                     "model.B is singular; the setpoint controller cannot "
+                     "invert it")
+            for key in ("x0", "init"):
+                shape = np.shape(ctrl[key])
+                _require(ctrl[key] is None or shape == (n,),
+                         f"controller.{key} must have length {n}, "
+                         f"got shape {shape}")
 
     # -- section accessors -------------------------------------------------
 

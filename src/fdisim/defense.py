@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import SteadyState, SystemModel, _vector
-from .numerics import RngStream
+from .lti import SteadyState
 
 
 class DefenseError(ValueError):
@@ -71,16 +70,6 @@ class MitigationStrategy:
         return cls("off")
 
 
-def residual(model: SystemModel, ss: SteadyState, x_hat_prev: np.ndarray,
-             u_prev: np.ndarray, y_attacked: np.ndarray) -> np.ndarray:
-    """Innovation r = y_a - C (A x_hat + B u) against the one-step prediction."""
-    x_hat_prev = _vector("x_hat_prev", x_hat_prev, model.n)
-    u_prev = _vector("u_prev", u_prev, model.p)
-    y_attacked = _vector("y_attacked", y_attacked, model.m)
-    pred = model.A @ x_hat_prev + model.B @ u_prev
-    return y_attacked - model.C @ pred
-
-
 def g_statistic(ss: SteadyState, r) -> np.ndarray:
     """Quadratic detection statistic r' P_r^-1 r; vectorized over leading axes."""
     r = np.asarray(r, dtype=float)
@@ -101,27 +90,21 @@ def oracle_detect(a_true) -> np.ndarray:
     return present.astype(np.int64)
 
 
-def mitigation_signal(strategy: MitigationStrategy, a_true: np.ndarray,
-                      stream: RngStream) -> np.ndarray:
-    """Correction delta computed from the true injection under the strategy.
+def mitigate(strategy: MitigationStrategy, y_a: np.ndarray, a: np.ndarray,
+             alarm, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Correction delta and defended measurement y_f = y_a - alarm * delta.
 
-    The noisy variant draws its perturbation from `stream` on every call,
-    whether or not an alarm will consume the result, which keeps paired
-    experiments aligned on common random numbers.
+    delta is computed from the true injection a: a itself ('perfect'), zero
+    ('off'), or a + sigma_mit * b ('noisy') with b a pre-drawn standard
+    normal block shaped like a. The noise block is an input, so it is
+    consumed whether or not an alarm fires, which keeps paired experiments
+    aligned on common random numbers. Rows of (W, m) blocks pair with a
+    (W,) alarm vector.
     """
-    a_true = np.atleast_1d(np.asarray(a_true, dtype=float))
-    if strategy.kind == "off":
-        return np.zeros_like(a_true)
     if strategy.kind == "perfect":
-        return a_true.copy()
-    noise = stream.generator().standard_normal(a_true.shape)
-    return a_true + strategy.sigma_mit * noise
-
-
-def apply_mitigation(y_attacked: np.ndarray, alarm, delta: np.ndarray) -> np.ndarray:
-    """Defended measurement y_f = y_a - alarm * delta."""
-    y_attacked = np.asarray(y_attacked, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    alarm = np.asarray(alarm)
-    return y_attacked - np.expand_dims(alarm, -1) * delta if alarm.ndim else \
-        y_attacked - int(alarm) * delta
+        delta = np.array(a, dtype=float)
+    elif strategy.kind == "noisy":
+        delta = a + strategy.sigma_mit * b
+    else:
+        delta = np.zeros_like(a, dtype=float)
+    return delta, y_a - np.asarray(alarm)[..., None] * delta

@@ -35,8 +35,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .attack import AttackPlan, attack_at
-from .defense import DetectorConfig, MitigationStrategy, detect, g_statistic, oracle_detect
-from .lti import ModelError, SetpointController, SteadyState, SystemModel
+from .defense import (DetectorConfig, MitigationStrategy, detect, g_statistic,
+                      mitigate, oracle_detect)
+from .lti import SetpointController, SteadyState, SystemModel, setpoint_control
 from .numerics import RngStream, psd_factor
 
 __all__ = [
@@ -44,12 +45,10 @@ __all__ = [
     "CostReport",
     "EvaluationError",
     "PairedCost",
-    "Trajectory",
     "compare_attacks",
     "empirical_cost",
     "fp_cost",
     "md_cost",
-    "rollout",
     "rollout_batch",
 ]
 
@@ -59,37 +58,14 @@ class EvaluationError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One simulated run; every array is indexed by t = 0..T.
+class BatchRollout:
+    """W simulated runs; every array is indexed [run, t] for t = 0..T.
 
     Measurement-channel signals (y, y_a, y_f, a, delta, g, i) and the
     arrival-indexed noises (w, v) are zero at t = 0: no measurement is
-    processed there, the filter starts at its steady state.  u[t] is the
-    control computed from x_hat[t] (applied during the step to t+1).
+    processed there, the filter starts at its steady state.  u[:, t] is
+    the control computed from x_hat[:, t] (applied during the step to t+1).
     """
-
-    x: np.ndarray
-    x_hat: np.ndarray
-    e: np.ndarray
-    y: np.ndarray
-    y_a: np.ndarray
-    y_f: np.ndarray
-    a: np.ndarray
-    delta: np.ndarray
-    g: np.ndarray
-    i: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
-    v: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return self.x.shape[0] - 1
-
-
-@dataclass(frozen=True, eq=False)
-class BatchRollout:
-    """W runs stacked on the leading axis; same per-t layout as Trajectory."""
 
     x: np.ndarray
     x_hat: np.ndarray
@@ -112,10 +88,6 @@ class BatchRollout:
     @property
     def horizon(self) -> int:
         return self.x.shape[1] - 1
-
-    def single(self, run: int) -> Trajectory:
-        return Trajectory(**{name: getattr(self, name)[run]
-                             for name in Trajectory.__dataclass_fields__})
 
     def detection_frequency(self) -> np.ndarray:
         """Fraction of runs alarming at each t (zero at t = 0)."""
@@ -158,20 +130,6 @@ def _check_plan_horizon(plan: AttackPlan, horizon: int) -> None:
         raise EvaluationError(
             f"sequence covers {plan.values.shape[0]} steps but the rollout "
             f"horizon is {horizon}")
-
-
-def _batch_control(model: SystemModel, controller: SetpointController | None,
-                   x_hat: np.ndarray) -> np.ndarray:
-    """Per-run control inputs for a (W, n) block of estimates."""
-    if controller is None:
-        return np.zeros((x_hat.shape[0], model.p))
-    if not 0.0 < controller.alpha < 1.0:
-        raise ModelError(f"alpha must lie in (0, 1), got {controller.alpha}")
-    if model.B.shape[0] != model.B.shape[1]:
-        raise ModelError(
-            f"setpoint control needs square B, got {model.B.shape}")
-    x0 = np.broadcast_to(np.asarray(controller.x0, dtype=float), x_hat.shape)
-    return controller.alpha * np.linalg.solve(model.B, (x0 - x_hat).T).T
 
 
 def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
@@ -229,7 +187,7 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
 
     A_T, B_T, C_T, K_T = model.A.T, model.B.T, model.C.T, ss.K.T
     for t in range(1, T + 1):
-        u_prev = _batch_control(model, controller, x_hat[:, t - 1])
+        u_prev = setpoint_control(model, controller, x_hat[:, t - 1])
         u[:, t - 1] = u_prev
         x[:, t] = x[:, t - 1] @ A_T + u_prev @ B_T + w[:, t]
         y[:, t] = x[:, t] @ C_T + v[:, t]
@@ -239,30 +197,14 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
         r = y_a[:, t] - x_pred @ C_T
         g[:, t] = g_statistic(ss, r)
         i[:, t] = oracle_detect(a[:, t]) if oracle else detect(detector, g[:, t])
-        if strategy.kind == "perfect":
-            delta[:, t] = a[:, t]
-        elif strategy.kind == "noisy":
-            delta[:, t] = a[:, t] + strategy.sigma_mit * b[:, t]
-        y_f[:, t] = y_a[:, t] - i[:, t, None] * delta[:, t]
+        delta[:, t], y_f[:, t] = mitigate(strategy, y_a[:, t], a[:, t],
+                                          i[:, t], b[:, t])
         x_hat[:, t] = x_pred + (y_f[:, t] - x_pred @ C_T) @ K_T
         e[:, t] = x[:, t] - x_hat[:, t]
-    u[:, T] = _batch_control(model, controller, x_hat[:, T])
+    u[:, T] = setpoint_control(model, controller, x_hat[:, T])
 
     return BatchRollout(x=x, x_hat=x_hat, e=e, y=y, y_a=y_a, y_f=y_f, a=a,
                         delta=delta, g=g, i=i, u=u, w=w, v=v)
-
-
-def rollout(model: SystemModel, ss: SteadyState, plan: AttackPlan,
-            detector: DetectorConfig, strategy: MitigationStrategy,
-            T: int, stream: RngStream,
-            controller: SetpointController | None = None,
-            x_hat0: np.ndarray | None = None,
-            oracle: bool = False) -> Trajectory:
-    """Single run; identical to run 0 of a one-run batch on the same stream."""
-    batch = rollout_batch(model, ss, plan, detector, strategy, T, stream,
-                          runs=1, controller=controller, x_hat0=x_hat0,
-                          oracle=oracle)
-    return batch.single(0)
 
 
 def _inner_sums(batch: BatchRollout) -> np.ndarray:
@@ -272,21 +214,8 @@ def _inner_sums(batch: BatchRollout) -> np.ndarray:
     return np.cumsum(sq, axis=1)
 
 
-def _stack_trajectories(trajectories: Sequence[Trajectory]) -> BatchRollout:
-    if len(trajectories) == 0:
-        raise EvaluationError("empirical cost needs at least one run")
-    horizons = {tr.horizon for tr in trajectories}
-    if len(horizons) != 1:
-        raise EvaluationError(f"runs disagree on the horizon: {sorted(horizons)}")
-    return BatchRollout(**{
-        name: np.stack([getattr(tr, name) for tr in trajectories])
-        for name in Trajectory.__dataclass_fields__})
-
-
-def empirical_cost(runs: BatchRollout | Sequence[Trajectory],
-                   digest: str = "") -> CostReport:
+def empirical_cost(batch: BatchRollout, digest: str = "") -> CostReport:
     """Average cumulative cost curve with across-run standard errors."""
-    batch = runs if isinstance(runs, BatchRollout) else _stack_trajectories(runs)
     sums = _inner_sums(batch)
     W = sums.shape[0]
     cost = sums.mean(axis=0)

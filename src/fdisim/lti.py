@@ -10,6 +10,9 @@ with A_K = A - K C A and W_K = I - K C, where a is the sensor injection, i
 the alarm indicator and d the mitigation correction applied to the
 measurement. The control input cancels from this recursion, which is what
 lets the attack problem be posed on the error alone.
+
+This module holds the model, the steady-state filter, the batched setpoint
+law and the error recursion; evaluation.rollout_batch simulates the loop.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericsError, RngStream, solve_dare
+from .numerics import NumericsError, solve_dare
 
 
 class ModelError(ValueError):
@@ -159,58 +162,25 @@ class SetpointController:
     alpha: float
 
 
-def setpoint_control(model: SystemModel, x_hat: np.ndarray, x0: np.ndarray,
-                     alpha: float) -> np.ndarray:
-    if not 0.0 < alpha < 1.0:
-        raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
-    if model.B.shape[0] != model.B.shape[1]:
-        raise ModelError(f"setpoint control needs square B, got {model.B.shape}")
-    x0 = _vector("x0", x0, model.n)
-    x_hat = _vector("x_hat", x_hat, model.n)
-    return alpha * np.linalg.solve(model.B, x0 - x_hat)
-
-
-def control_input(model: SystemModel, controller: SetpointController | None,
-                  x_hat: np.ndarray) -> np.ndarray:
-    """Evaluate the configured controller; None means zero control."""
+def setpoint_control(model: SystemModel, controller: SetpointController | None,
+                     x_hat) -> np.ndarray:
+    """Control inputs for an (n,) estimate or a (W, n) block of them; None
+    means zero control."""
+    x_hat = np.asarray(x_hat, dtype=float)
     if controller is None:
-        return np.zeros(model.p)
-    return setpoint_control(model, x_hat, controller.x0, controller.alpha)
+        return np.zeros(x_hat.shape[:-1] + (model.p,))
+    if not 0.0 < controller.alpha < 1.0:
+        raise ModelError(f"alpha must lie in (0, 1), got {controller.alpha}")
+    if model.B.shape[0] != model.B.shape[1]:
+        raise ModelError(
+            f"setpoint control needs square B, got {model.B.shape}")
+    x0 = np.broadcast_to(np.asarray(controller.x0, dtype=float), x_hat.shape)
+    return controller.alpha * np.linalg.solve(model.B, (x0 - x_hat).T).T
 
 
 # ---------------------------------------------------------------------------
-# Elementary steps
+# Error recursion
 # ---------------------------------------------------------------------------
-
-
-def _noise(cov: np.ndarray, stream: RngStream) -> np.ndarray:
-    gen = stream.generator()
-    vals, vecs = np.linalg.eigh(cov)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ gen.standard_normal(cov.shape[0])
-
-
-def plant_step(model: SystemModel, x: np.ndarray, u: np.ndarray,
-               stream: RngStream) -> np.ndarray:
-    """x[t+1] = A x + B u + w, with w drawn from the stream."""
-    x = _vector("x", x, model.n)
-    u = _vector("u", u, model.p)
-    return model.A @ x + model.B @ u + _noise(model.Q, stream)
-
-
-def observe(model: SystemModel, x: np.ndarray, stream: RngStream) -> np.ndarray:
-    """y = C x + v, with v drawn from the stream."""
-    x = _vector("x", x, model.n)
-    return model.C @ x + _noise(model.R, stream)
-
-
-def kf_update(model: SystemModel, ss: SteadyState, x_hat: np.ndarray,
-              u: np.ndarray, y_f: np.ndarray) -> np.ndarray:
-    """One steady-state filter step on the defended measurement y_f."""
-    x_hat = _vector("x_hat", x_hat, model.n)
-    u = _vector("u", u, model.p)
-    y_f = _vector("y_f", y_f, model.m)
-    pred = model.A @ x_hat + model.B @ u
-    return pred + ss.K @ (y_f - model.C @ pred)
 
 
 def error_step(model: SystemModel, ss: SteadyState, e: np.ndarray, w: np.ndarray,
@@ -226,28 +196,3 @@ def error_step(model: SystemModel, ss: SteadyState, e: np.ndarray, w: np.ndarray
     delta = _vector("delta", delta, model.m)
     return (ss.A_K @ e + ss.W_K @ w - ss.K @ (a - int(alarm) * delta)
             - ss.K @ v)
-
-
-@dataclass(frozen=True, eq=False)
-class LoopState:
-    t: int
-    x: np.ndarray
-    x_hat: np.ndarray
-
-
-def closed_loop_step(model: SystemModel, ss: SteadyState, state: LoopState,
-                     controller: SetpointController | None, stream: RngStream,
-                     measure=None) -> LoopState:
-    """Advance plant and filter by one step.
-
-    The defended measurement depends on the new plant state, so the sensor
-    pipeline is supplied as a callable `measure(y, t) -> y_f` (identity when
-    None) rather than as a precomputed vector. Process noise comes from
-    stream.child(0) and measurement noise from stream.child(1).
-    """
-    u = control_input(model, controller, state.x_hat)
-    x_next = plant_step(model, state.x, u, stream.child(0))
-    y = observe(model, x_next, stream.child(1))
-    y_f = y if measure is None else measure(y, state.t + 1)
-    x_hat_next = kf_update(model, ss, state.x_hat, u, y_f)
-    return LoopState(t=state.t + 1, x=x_next, x_hat=x_hat_next)

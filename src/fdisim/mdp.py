@@ -33,7 +33,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .lti import ModelError, SteadyState, SystemModel
-from .numerics import NumericsError, Rect, RngStream, bvn_cdf, psd_factor
+from .numerics import (GaussianSpec, NumericsError, Rect, RngStream, bvn_cdf,
+                       bvn_rect, gchi2_tail_prob, psd_factor)
 
 _ROW_CHUNK = 4096
 _DELTA_RULES = ("perfect", "off")
@@ -166,35 +167,68 @@ def _is_scalar(model: SystemModel) -> bool:
     return model.n == 1 and model.m == 1
 
 
+@dataclass(frozen=True)
+class _ScalarLaw:
+    """The scalar alarm/next-error pair at threshold eta.
+
+    Given (e, a) the residual is N(CA e + a, s1^2) and alarms outside
+    [-theta, theta]; the next error is N(error_mean, s2^2) before the
+    mitigation shift K delta on alarm; rho correlates the two.
+    """
+
+    CA: float
+    K: float
+    A_K: float
+    s1: float
+    s2: float
+    rho: float
+    theta: float
+
+    def alarm_band(self, e, a):
+        """Standardized no-alarm band (lower, upper) of the residual."""
+        y1 = self.CA * e + a
+        return (-self.theta - y1) / self.s1, (self.theta - y1) / self.s1
+
+    def error_mean(self, e, a):
+        return self.A_K * e - self.K * a
+
+
+def _scalar_law(model: SystemModel, ss: SteadyState, eta: float) -> _ScalarLaw:
+    S11, S12, S22 = _joint_noise_cov(model, ss)
+    s1 = math.sqrt(S11[0, 0])
+    s2 = math.sqrt(S22[0, 0])
+    return _ScalarLaw(
+        CA=model.C[0, 0] * model.A[0, 0], K=ss.K[0, 0], A_K=ss.A_K[0, 0],
+        s1=s1, s2=s2, rho=min(1.0, max(-1.0, S12[0, 0] / (s1 * s2))),
+        theta=math.sqrt(eta * ss.P_r[0, 0]) if math.isfinite(eta)
+        else math.inf)
+
+
 # ---------------------------------------------------------------------------
 # Detection probability
 # ---------------------------------------------------------------------------
 
 
 def detection_prob(model: SystemModel, ss: SteadyState, eta: float, e, a,
-                   delta_assumed=None, stream: RngStream | None = None,
+                   stream: RngStream | None = None,
                    samples: int = 100_000) -> float:
     """P(alarm | e, a) one step ahead.
 
     Exact in the scalar case; seeded generalized-chi-square sampling
-    otherwise (stream required). delta_assumed is accepted for signature
-    parity with cell_transition_prob; the alarm cannot depend on it.
+    otherwise (stream required).
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if eta < 0.0:
         raise ModelError(f"eta must be >= 0, got {eta}")
-    mean = model.C @ model.A @ e + a
     if _is_scalar(model):
-        s1 = math.sqrt(model.C[0, 0] ** 2 * model.Q[0, 0] + model.R[0, 0])
-        theta = math.sqrt(eta * ss.P_r[0, 0]) if math.isfinite(eta) else math.inf
-        lo = (-theta - mean[0]) / s1
-        hi = (theta - mean[0]) / s1
+        law = _scalar_law(model, ss, eta)
+        lo, hi = law.alarm_band(e[0], a[0])
         return float(ndtr(lo) + 1.0 - ndtr(hi))
-    from .numerics import GaussianSpec, gchi2_tail_prob
     if stream is None:
         raise NumericsError("detection_prob needs an RngStream for "
                             "non-scalar systems")
+    mean = model.C @ model.A @ e + a
     S11 = model.C @ model.Q @ model.C.T + model.R
     p, _ = gchi2_tail_prob(GaussianSpec(mean, S11), ss.P_r_inv, eta, stream,
                            samples=samples)
@@ -230,25 +264,16 @@ def _scalar_rows(model: SystemModel, ss: SteadyState, eta: float, grid: Grid,
     exactly 1, interior_mass is the pre-fold probability inside the finite
     grid span.
     """
-    A = model.A[0, 0]
-    C = model.C[0, 0]
-    K = ss.K[0, 0]
-    A_K = ss.A_K[0, 0]
-    S11, S12, S22 = _joint_noise_cov(model, ss)
-    s1 = math.sqrt(S11[0, 0])
-    s2 = math.sqrt(S22[0, 0])
-    rho = min(1.0, max(-1.0, S12[0, 0] / (s1 * s2)))
-    theta = math.sqrt(eta * ss.P_r[0, 0]) if math.isfinite(eta) else math.inf
+    law = _scalar_law(model, ss, eta)
+    s2, rho = law.s2, law.rho
 
     ax = grid.axes[0]
     half = 0.5 * grid.step[0]
     edges = np.concatenate([[ax[0] - half], ax + half])  # N+1 finite edges
 
-    y1 = C * A * e_arr + a_arr
-    y2 = A_K * e_arr - K * a_arr
-    shift = K * delta_arr
-    l1 = (-theta - y1) / s1
-    u1 = (theta - y1) / s1
+    y2 = law.error_mean(e_arr, a_arr)
+    shift = law.K * delta_arr
+    l1, u1 = law.alarm_band(e_arr, a_arr)
     band = ndtr(u1) - ndtr(l1)
     det = 1.0 - band
 
@@ -296,24 +321,14 @@ def cell_transition_prob(model: SystemModel, ss: SteadyState, eta: float,
         raise ModelError(f"target cell has dimension {target.dim}, state has "
                          f"{model.n}")
     if _is_scalar(model):
-        from .numerics import bvn_rect
-        A = model.A[0, 0]
-        C = model.C[0, 0]
-        K = ss.K[0, 0]
-        A_K = ss.A_K[0, 0]
-        S11, S12, S22 = _joint_noise_cov(model, ss)
-        s1, s2 = math.sqrt(S11[0, 0]), math.sqrt(S22[0, 0])
-        rho = min(1.0, max(-1.0, S12[0, 0] / (s1 * s2)))
-        theta = math.sqrt(eta * ss.P_r[0, 0]) if math.isfinite(eta) else math.inf
-        y1 = C * A * e[0] + a[0]
-        y2 = A_K * e[0] - K * a[0]
+        law = _scalar_law(model, ss, eta)
+        y2 = law.error_mean(e[0], a[0])
+        l1, u1 = law.alarm_band(e[0], a[0])
         lo, hi = target.lower[0], target.upper[0]
-        l1, u1 = (-theta - y1) / s1, (theta - y1) / s1
-        p_band = bvn_rect(l1, u1, (lo - y2) / s2, (hi - y2) / s2, rho)
-        y2d = y2 + K * delta[0]
-        p_tails = (bvn_rect(-np.inf, l1, (lo - y2d) / s2, (hi - y2d) / s2, rho)
-                   + bvn_rect(u1, np.inf, (lo - y2d) / s2, (hi - y2d) / s2, rho))
-        return float(p_band + p_tails)
+        p_band = bvn_rect(l1, u1, (lo - y2) / law.s2, (hi - y2) / law.s2,
+                          law.rho)
+        return float(p_band + alarm_cell_mass(model, ss, eta, e, a, delta,
+                                              target))
     if stream is None:
         raise NumericsError("cell_transition_prob needs an RngStream for "
                             "non-scalar systems")
@@ -334,21 +349,13 @@ def alarm_cell_mass(model: SystemModel, ss: SteadyState, eta: float, e, a,
     e = np.atleast_1d(np.asarray(e, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    from .numerics import bvn_rect
-    A = model.A[0, 0]
-    C = model.C[0, 0]
-    K = ss.K[0, 0]
-    A_K = ss.A_K[0, 0]
-    S11, S12, S22 = _joint_noise_cov(model, ss)
-    s1, s2 = math.sqrt(S11[0, 0]), math.sqrt(S22[0, 0])
-    rho = min(1.0, max(-1.0, S12[0, 0] / (s1 * s2)))
-    theta = math.sqrt(eta * ss.P_r[0, 0]) if math.isfinite(eta) else math.inf
-    y1 = C * A * e[0] + a[0]
-    y2d = A_K * e[0] - K * a[0] + K * delta[0]
-    lo, hi = target.lower[0], target.upper[0]
-    l1, u1 = (-theta - y1) / s1, (theta - y1) / s1
-    return float(bvn_rect(-np.inf, l1, (lo - y2d) / s2, (hi - y2d) / s2, rho)
-                 + bvn_rect(u1, np.inf, (lo - y2d) / s2, (hi - y2d) / s2, rho))
+    law = _scalar_law(model, ss, eta)
+    y2d = law.error_mean(e[0], a[0]) + law.K * delta[0]
+    l1, u1 = law.alarm_band(e[0], a[0])
+    lo = (target.lower[0] - y2d) / law.s2
+    hi = (target.upper[0] - y2d) / law.s2
+    return float(bvn_rect(-np.inf, l1, lo, hi, law.rho)
+                 + bvn_rect(u1, np.inf, lo, hi, law.rho))
 
 
 def _sample_one_step(model, ss, eta, e, a, stream, samples):

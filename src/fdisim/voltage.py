@@ -4,8 +4,8 @@ The plant state is the vector of pilot-bus voltages in per-unit; the
 control input is the vector of generator setpoint increments.  Voltages
 respond through an unknown gain matrix B which is estimated from recorded
 traces of voltage increments x[t+1] - x[t] against the applied inputs by
-least squares.  The default scalar benchmark regulates one bus from 1.0 pu
-to a setpoint of 0.835 pu; its noise covariances reuse the abstract
+least squares.  The `voltage` configuration preset regulates one bus from
+1.0 pu to a setpoint of 0.835 pu; its noise covariances reuse the abstract
 benchmark values scaled into per-unit (0.01 pu per abstract unit), which
 keeps the chi-square detector's operating point identical because the g
 statistic is scale-invariant.
@@ -24,18 +24,15 @@ import numpy as np
 
 from .attack import AttackPlan
 from .defense import DetectorConfig, MitigationStrategy
-from .evaluation import BatchRollout, CostReport, empirical_cost, rollout_batch
-from .lti import SetpointController, SystemModel, derive_steady_state
+from .evaluation import CostReport, empirical_cost, rollout_batch
+from .lti import SetpointController, SteadyState, SystemModel
 from .numerics import RngStream, psd_factor
 
 __all__ = [
     "BEstimate",
     "TraceSet",
-    "VoltageConfig",
     "VoltageError",
     "VoltageRun",
-    "build_voltage_model",
-    "default_voltage_config",
     "estimate_B",
     "load_traces",
     "save_traces",
@@ -43,11 +40,8 @@ __all__ = [
     "voltage_attack_experiment",
 ]
 
-PER_UNIT_SCALE = 0.01  # abstract benchmark unit -> per-unit voltage
-
-
 class VoltageError(ValueError):
-    """Raised on malformed traces or invalid voltage configurations."""
+    """Raised on malformed traces or unidentifiable gains."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,61 +177,6 @@ def save_traces(path, traces: TraceSet) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class VoltageConfig:
-    """Scalar or multi-bus voltage regulation parameters (per-unit)."""
-
-    x0: np.ndarray
-    alpha: float
-    B: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    init: np.ndarray | None = None
-
-    def __post_init__(self):
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        n = x0.shape[0]
-        if B.shape != (n, n):
-            raise VoltageError(
-                f"setpoint control needs a square {n}x{n} gain, got {B.shape}")
-        if abs(np.linalg.det(B)) < 1e-12:
-            raise VoltageError("gain matrix B is singular; the setpoint "
-                               "control law cannot invert it")
-        init = self.init
-        init = np.ones(n) if init is None \
-            else np.atleast_1d(np.asarray(init, dtype=float))
-        if init.shape != (n,):
-            raise VoltageError(f"init must be an {n}-vector, got {init.shape}")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, dtype=float)))
-        object.__setattr__(self, "R", np.atleast_2d(np.asarray(self.R, dtype=float)))
-        object.__setattr__(self, "init", init)
-
-    @property
-    def n(self) -> int:
-        return self.x0.shape[0]
-
-
-def default_voltage_config() -> VoltageConfig:
-    """Scalar benchmark: setpoint 0.835 pu from 1.0 pu, abstract noise
-    covariances scaled into per-unit."""
-    s2 = PER_UNIT_SCALE ** 2
-    return VoltageConfig(x0=[0.835], alpha=0.5, B=[[1.0]],
-                         Q=[[1.0 * s2]], R=[[10.0 * s2]], init=[1.0])
-
-
-def build_voltage_model(cfg: VoltageConfig) -> tuple[SystemModel, SetpointController]:
-    """Identity-dynamics plant with full state measurement, plus the
-    proportional setpoint controller bound to (x0, alpha)."""
-    n = cfg.n
-    eye = np.eye(n)
-    model = SystemModel(A=eye, B=cfg.B, C=eye, Q=cfg.Q, R=cfg.R)
-    controller = SetpointController(x0=cfg.x0, alpha=cfg.alpha)
-    return model, controller
-
-
-@dataclass(frozen=True, eq=False)
 class VoltageRun:
     """Rollout aggregate for one attack plan on the voltage loop.
 
@@ -257,21 +196,16 @@ class VoltageRun:
     detect_frequency: np.ndarray
 
 
-def voltage_attack_experiment(cfg: VoltageConfig, plan: AttackPlan,
+def voltage_attack_experiment(model: SystemModel, ss: SteadyState,
+                              controller: SetpointController,
+                              x_hat0: np.ndarray | None, plan: AttackPlan,
                               eta: float, strategy: MitigationStrategy,
                               T: int, runs: int, stream: RngStream,
                               digest: str = "") -> VoltageRun:
-    """Roll out the voltage loop under one plan and aggregate the curves."""
-    model, controller = build_voltage_model(cfg)
-    ss = derive_steady_state(model)
+    """Roll out the voltage loop under one plan and aggregate the curves;
+    deviations are measured from the controller's setpoint x0."""
     batch = rollout_batch(model, ss, plan, DetectorConfig(eta), strategy, T,
-                          stream, runs, controller=controller,
-                          x_hat0=cfg.init)
-    return summarize_voltage_batch(cfg, batch, digest=digest)
-
-
-def summarize_voltage_batch(cfg: VoltageConfig, batch: BatchRollout,
-                            digest: str = "") -> VoltageRun:
+                          stream, runs, controller=controller, x_hat0=x_hat0)
     W = batch.runs
 
     def _std_err(arr):
@@ -279,8 +213,9 @@ def summarize_voltage_batch(cfg: VoltageConfig, batch: BatchRollout,
             return arr.std(axis=0, ddof=1) / np.sqrt(W)
         return np.zeros_like(arr[0])
 
-    dev = np.linalg.norm(batch.x - cfg.x0, axis=2)
-    est_dev = np.linalg.norm(batch.x_hat - cfg.x0, axis=2)
+    x0 = np.asarray(controller.x0, dtype=float)
+    dev = np.linalg.norm(batch.x - x0, axis=2)
+    est_dev = np.linalg.norm(batch.x_hat - x0, axis=2)
     return VoltageRun(
         report=empirical_cost(batch, digest=digest),
         mean_voltage=batch.x.mean(axis=0),

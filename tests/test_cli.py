@@ -1,9 +1,12 @@
 """Configuration, artifact, and command-line tests.
 
 What is proven here:
+  * Every name in fdisim.__all__ resolves on the package.
   * Presets validate; the shipped YAML files in configs/ equal the
     built-in presets field for field; unknown keys are rejected with
     their path; seed and file overrides layer correctly.
+  * A controller over a singular model.B, or with an x0 of the wrong
+    length, exits with code 2 and an error line instead of a traceback.
   * The digest changes exactly when a policy-determining field changes.
   * Policy artifacts round-trip bit-exactly, refuse wrong magic/version,
     and refuse digest mismatches.
@@ -20,11 +23,11 @@ What is proven here:
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
 
+import fdisim
 from fdisim import cli
 from fdisim.artifact import ArtifactError, load_policy, save_policy
 from fdisim.config import (
@@ -45,6 +48,12 @@ REPO = __import__("pathlib").Path(__file__).resolve().parents[1]
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
+
+
+def test_package_exports_resolve():
+    missing = [name for name in fdisim.__all__ if not hasattr(fdisim, name)]
+    assert missing == []
+    assert len(set(fdisim.__all__)) == len(fdisim.__all__)
 
 
 def test_presets_and_shipped_files_agree():
@@ -300,6 +309,22 @@ def test_estimate_b_command(tmp_path, capsys):
                                           u_scale=0.0))
     assert _run(["estimate-b", "--traces", zero_u]) == 2
     assert "unidentifiable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, message", [
+    # controllable and observable, but the setpoint law cannot invert B
+    ("model: {A: [[0.0, 1.0], [0.0, 0.0]], B: [[0.0, 0.0], [0.0, 1.0]],\n"
+     "        C: [[1.0, 0.0], [0.0, 1.0]], Q: [[1.0, 0.0], [0.0, 1.0]],\n"
+     "        R: [[1.0, 0.0], [0.0, 1.0]]}\n"
+     "controller: {x0: [0.0, 0.0]}\n", "model.B is singular"),
+    ("controller: {x0: [0.8, 0.9]}\n", "controller.x0 must have length 1"),
+])
+def test_bad_controller_is_a_config_error(tmp_path, capsys, body, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(body, encoding="utf-8")
+    assert _run(["evaluate", "--config", cfg, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_missing_traces_is_a_config_error(capsys):

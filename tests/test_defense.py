@@ -1,17 +1,18 @@
 """Detector and mitigation tests.
 
 What is proven here:
-  * residual and g_statistic implement r = y_a - C(A x_hat + B u) and
-    r' P_r^-1 r (frozen scalar example g(r=10) = 100/13.7015...).
+  * g_statistic implements r' P_r^-1 r (frozen scalar example
+    g(r=10) = 100/13.7015...), and rollout_batch logs it on the innovation
+    r = y_a - C(A x_hat + B u) against the one-step prediction.
   * detect alarms strictly above eta (boundary silent), handles eta = 0 and
     eta = inf, and vectorizes.
   * The no-attack alarm rate matches the closed form 2 Phi(-sqrt(eta))
     within 3 binomial std-errors at 1e5 steady-state draws.
-  * mitigation_signal: perfect returns the injection exactly, off returns
-    zero, noisy adds N(0, sigma^2 I) reproducibly per stream and reduces to
-    perfect at sigma = 0.
-  * apply_mitigation subtracts delta only on alarm; oracle_detect alarms
-    exactly on nonzero injections.
+  * mitigate: perfect returns the injection exactly, off returns zero,
+    noisy adds sigma times the pre-drawn noise block and reduces to perfect
+    at sigma = 0; the noisy correction is formed whether or not an alarm
+    fires, and is subtracted from the measurement only on alarm.
+  * oracle_detect alarms exactly on nonzero injections.
   * Configuration contracts (negative eta, unknown kinds, stray sigma)
     raise.
 """
@@ -21,18 +22,18 @@ import math
 import numpy as np
 import pytest
 
+from fdisim.attack import AttackPlan
 from fdisim.defense import (
     DefenseError,
     DetectorConfig,
     MitigationStrategy,
-    apply_mitigation,
     detect,
     g_statistic,
-    mitigation_signal,
+    mitigate,
     oracle_detect,
-    residual,
 )
-from fdisim.lti import SystemModel, derive_steady_state
+from fdisim.evaluation import rollout_batch
+from fdisim.lti import SetpointController, SystemModel, derive_steady_state
 from fdisim.numerics import RngStream, std_normal_cdf
 
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
@@ -45,9 +46,18 @@ def bench():
 
 
 def test_residual_formula(bench):
+    # the logged statistic is r^2 / P_r with r = y_a - (x_hat + u) here
+    # (A = B = C = 1), the innovation against the one-step prediction
     model, ss = bench
-    r = residual(model, ss, x_hat_prev=[2.0], u_prev=[0.5], y_attacked=[7.0])
-    assert r[0] == pytest.approx(7.0 - (2.0 + 0.5), abs=1e-12)
+    batch = rollout_batch(model, ss, AttackPlan.constant([4.0], a_max=20.0),
+                          DetectorConfig(10.0), MitigationStrategy.perfect(),
+                          T=5, stream=RngStream(9), runs=3,
+                          controller=SetpointController([0.5], 0.5),
+                          x_hat0=[2.0])
+    r = batch.y_a[:, 1:, 0] - (batch.x_hat[:, :-1, 0] + batch.u[:, :-1, 0])
+    assert np.allclose(batch.g[:, 1:], r ** 2 / (P_INF + 10.0),
+                       rtol=1e-12, atol=0)
+    assert np.any(batch.u[:, :-1] != 0.0)  # the control term is exercised
 
 
 def test_g_statistic_frozen_example(bench):
@@ -89,31 +99,36 @@ def test_no_attack_alarm_rate_matches_closed_form(bench):
 
 def test_mitigation_signal_kinds():
     a = np.array([3.0, -4.0])
-    stream = RngStream(7, 0)
-    assert np.array_equal(mitigation_signal(MitigationStrategy.perfect(), a, stream), a)
-    assert np.array_equal(mitigation_signal(MitigationStrategy.off(), a, stream),
-                          np.zeros(2))
-    assert np.array_equal(
-        mitigation_signal(MitigationStrategy.noisy(0.0), a, stream), a)
-    d1 = mitigation_signal(MitigationStrategy.noisy(15.0), a, stream)
-    d2 = mitigation_signal(MitigationStrategy.noisy(15.0), a, stream)
-    assert np.array_equal(d1, d2)  # reproducible per stream
-    assert not np.array_equal(d1, a)
-    draws = np.array([mitigation_signal(MitigationStrategy.noisy(15.0), a,
-                                        RngStream(7, i)) for i in range(20_000)])
-    assert np.max(np.abs(draws.mean(axis=0) - a)) < 0.35
-    assert np.max(np.abs(draws.std(axis=0, ddof=1) - 15.0)) < 0.3
+    y_a = np.array([5.0, 6.0])
+    b = np.array([0.7, -1.3])  # a pre-drawn standard normal block
+    for alarm in (0, 1):
+        delta, _ = mitigate(MitigationStrategy.perfect(), y_a, a, alarm, b)
+        assert np.array_equal(delta, a)
+        delta, _ = mitigate(MitigationStrategy.off(), y_a, a, alarm, b)
+        assert np.array_equal(delta, np.zeros(2))
+        delta, _ = mitigate(MitigationStrategy.noisy(0.0), y_a, a, alarm, b)
+        assert np.array_equal(delta, a)
+        # the noisy correction draws on its block whether or not the alarm
+        # fires, so paired systems stay on common random numbers
+        delta, _ = mitigate(MitigationStrategy.noisy(15.0), y_a, a, alarm, b)
+        assert np.array_equal(delta, a + 15.0 * b)
+    perfect, _ = mitigate(MitigationStrategy.perfect(), y_a, a, 1, b)
+    assert perfect is not a  # the logged correction is not an alias
 
 
 def test_apply_mitigation():
     y = np.array([5.0, 6.0])
     d = np.array([1.0, 2.0])
-    assert np.array_equal(apply_mitigation(y, 0, d), y)
-    assert np.array_equal(apply_mitigation(y, 1, d), np.array([4.0, 4.0]))
+    b = np.zeros(2)
+    perfect = MitigationStrategy.perfect()
+    assert np.array_equal(mitigate(perfect, y, d, 0, b)[1], y)
+    assert np.array_equal(mitigate(perfect, y, d, 1, b)[1],
+                          np.array([4.0, 4.0]))
     # batched alarms broadcast rowwise
     ys = np.tile(y, (3, 1))
     alarms = np.array([0, 1, 0])
-    out = apply_mitigation(ys, alarms, np.tile(d, (3, 1)))
+    _, out = mitigate(perfect, ys, np.tile(d, (3, 1)), alarms,
+                      np.zeros((3, 2)))
     assert np.array_equal(out[0], y) and np.array_equal(out[2], y)
     assert np.array_equal(out[1], np.array([4.0, 4.0]))
 

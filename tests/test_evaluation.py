@@ -1,9 +1,9 @@
 """Rollout and cost-report tests.
 
 What is proven here:
-  * Rollouts are bit-identical when replayed on the same stream, and a
-    single rollout equals run 0 of a one-run batch.
-  * Trajectory invariants: e = x - x_hat and y_f = y_a - i*delta exactly;
+  * Rollouts are bit-identical when replayed on the same stream and differ
+    on another stream.
+  * Rollout invariants: e = x - x_hat and y_f = y_a - i*delta exactly;
     each logged e[t] is reproduced by error_step from the logged inputs
     (the loop really implements the stated error recursion).
   * With no attack and the detector disabled, the cost curve grows at
@@ -12,6 +12,8 @@ What is proven here:
     W=1 gives zero standard errors, zero error gives a zero curve.
   * Comparing a plan with itself under common random numbers gives
     bit-identical reports.
+  * Noisy mitigation draws its N(0, sigma^2) corrections on every step,
+    alarm or not, so detector settings share every random input.
   * Perfect mitigation at eta=0 cancels a constant attack exactly: the
     attacked trajectory equals the unattacked one path by path.
   * fp_cost is exactly zero under perfect mitigation and at eta=inf;
@@ -34,7 +36,6 @@ from fdisim.evaluation import (
     empirical_cost,
     fp_cost,
     md_cost,
-    rollout,
     rollout_batch,
 )
 from fdisim.lti import SetpointController, SystemModel, derive_steady_state, error_step
@@ -55,30 +56,32 @@ def test_rollout_reproducible_and_matches_batch(bench):
     model, ss = bench
     args = (model, ss, AttackPlan.constant([4.0], a_max=20.0),
             DetectorConfig(10.0), MitigationStrategy.noisy(5.0), 8)
-    tr1 = rollout(*args, RngStream(7, 3))
-    tr2 = rollout(*args, RngStream(7, 3))
-    batch = rollout_batch(*args, RngStream(7, 3), runs=1)
+    tr1 = rollout_batch(*args, RngStream(7, 3), runs=1)
+    tr2 = rollout_batch(*args, RngStream(7, 3), runs=1)
     for name in ("x", "x_hat", "e", "y", "y_a", "y_f", "a", "delta", "g",
                  "i", "u", "w", "v"):
         assert np.array_equal(getattr(tr1, name), getattr(tr2, name)), name
-        assert np.array_equal(getattr(tr1, name), getattr(batch, name)[0]), name
-    tr3 = rollout(*args, RngStream(8, 3))
+    tr3 = rollout_batch(*args, RngStream(8, 3), runs=1)
     assert not np.array_equal(tr1.e, tr3.e)
 
 
 def test_trajectory_invariants_and_error_recursion(bench):
     model, ss = bench
-    tr = rollout(model, ss, AttackPlan.ramp([1.0], a_max=20.0),
-                 DetectorConfig(2.0), MitigationStrategy.noisy(3.0), 12,
-                 RngStream(42))
-    assert np.array_equal(tr.e, tr.x - tr.x_hat)
-    assert np.array_equal(tr.y_f, tr.y_a - tr.i[:, None] * tr.delta)
-    assert tr.horizon == 12
-    assert np.all(tr.y[0] == 0.0) and np.all(tr.g[0] == 0.0) and tr.i[0] == 0
+    batch = rollout_batch(model, ss, AttackPlan.ramp([1.0], a_max=20.0),
+                          DetectorConfig(2.0), MitigationStrategy.noisy(3.0),
+                          12, RngStream(42), runs=1)
+    assert batch.runs == 1 and batch.horizon == 12
+    assert np.array_equal(batch.e, batch.x - batch.x_hat)
+    assert np.array_equal(batch.y_f,
+                          batch.y_a - batch.i[:, :, None] * batch.delta)
+    tr = {name: getattr(batch, name)[0] for name in
+          ("y", "g", "i", "e", "w", "v", "a", "delta")}
+    assert np.all(tr["y"][0] == 0.0) and np.all(tr["g"][0] == 0.0)
+    assert tr["i"][0] == 0
     for t in range(1, 13):
-        e_step = error_step(model, ss, tr.e[t - 1], tr.w[t], tr.v[t],
-                            tr.a[t], int(tr.i[t]), tr.delta[t])
-        assert np.max(np.abs(e_step - tr.e[t])) < 1e-10, t
+        e_step = error_step(model, ss, tr["e"][t - 1], tr["w"][t], tr["v"][t],
+                            tr["a"][t], int(tr["i"][t]), tr["delta"][t])
+        assert np.max(np.abs(e_step - tr["e"][t])) < 1e-10, t
 
 
 def test_no_attack_cost_slope_matches_stationary_error(bench):
@@ -109,11 +112,13 @@ def test_empirical_cost_arithmetic(bench):
     assert report.horizon == 5
     assert report.terminal_cost == report.cost_per_t[-1]
 
-    single = empirical_cost([batch.single(0)])
-    assert np.array_equal(single.cost_per_t, sums[0])
-    assert np.all(single.std_err_per_t == 0.0)
-    with pytest.raises(EvaluationError):
-        empirical_cost([])
+    one = rollout_batch(*(*bench, AttackPlan.constant([6.0], a_max=20.0),
+                          DetectorConfig(5.0), MitigationStrategy.perfect()),
+                        T=5, stream=RngStream(3), runs=1)
+    single = empirical_cost(one)
+    assert np.array_equal(single.cost_per_t,
+                          np.cumsum(np.sum(one.e[0, 1:] ** 2, axis=1)))
+    assert single.runs == 1 and np.all(single.std_err_per_t == 0.0)
 
 
 def test_compare_attacks_common_random_numbers(bench):
@@ -164,6 +169,13 @@ def test_noisy_mitigation_draws_consumed_every_step(bench):
     assert np.array_equal(loose.y, tight.y)
     assert np.all(loose.i[:, 1:] == 0) and np.all(tight.i[:, 1:] == 1)
     assert np.array_equal(loose.delta, tight.delta)  # same pre-drawn block
+    # the corrections are the injection plus N(0, sigma^2) noise
+    wide = rollout_batch(model, ss, plan, DetectorConfig(np.inf),
+                         MitigationStrategy.noisy(15.0), T=5, runs=4_000,
+                         stream=RngStream(7))
+    noise = (wide.delta - wide.a)[:, 1:, 0].ravel()  # 20,000 draws
+    assert abs(noise.mean()) < 0.35
+    assert abs(noise.std(ddof=1) - 15.0) < 0.3
 
 
 def test_fp_cost_zero_cases(bench):
@@ -235,16 +247,17 @@ def test_short_policy_plan_rejected(bench, small_policy):
 
 
 def test_controller_batch_matches_scalar_path(bench):
-    from fdisim.lti import control_input
     model, ss = bench
     ctrl = SetpointController(x0=[0.835], alpha=0.5)
     batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(5.0),
                           MitigationStrategy.perfect(), T=4,
                           stream=RngStream(77), runs=6, controller=ctrl,
                           x_hat0=[1.0])
+    # u = alpha B^-1 (x0 - x_hat), logged at every t = 0..T
+    B_inv = np.linalg.inv(model.B)
     for run in range(6):
         for t in range(5):
-            u_ref = control_input(model, ctrl, batch.x_hat[run, t])
+            u_ref = 0.5 * B_inv @ (np.array([0.835]) - batch.x_hat[run, t])
             assert np.allclose(batch.u[run, t], u_ref, atol=1e-14)
     # the mean estimate contracts towards the setpoint
     d0 = abs(batch.x_hat[:, 0, 0].mean() - 0.835)

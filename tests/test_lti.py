@@ -9,10 +9,11 @@ What is proven here:
     (e, w, v, a, delta) at fixed alarm, and agrees to 1e-10 with the error
     implied by one full plant/attack/mitigation/filter step, for random
     systems and random controls (the control input cancels).
-  * closed_loop_step is exactly the composition of plant_step, observe and
-    kf_update on its child streams, and is reproducible per stream.
   * setpoint control contracts |x - x0| geometrically at rate (1 - alpha)
-    in the noise-free loop and enforces its domain contracts.
+    in the noise-free loop, gives zero control without a controller, acts
+    row by row on a batch of estimates, and enforces its domain contracts.
+  * rollout_batch's logged process and measurement noises have the
+    model's covariances Q and R.
   * SystemModel rejects non-square A, uncontrollable (A, B), unobservable
     (C, A), indefinite covariances, and mismatched shapes.
 """
@@ -23,18 +24,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fdisim.attack import AttackPlan
+from fdisim.defense import DetectorConfig, MitigationStrategy
+from fdisim.evaluation import rollout_batch
 from fdisim.lti import (
-    LoopState,
     ModelError,
     SetpointController,
     SystemModel,
-    closed_loop_step,
-    control_input,
     derive_steady_state,
     error_step,
-    kf_update,
-    observe,
-    plant_step,
     setpoint_control,
 )
 from fdisim.numerics import RngStream
@@ -122,36 +120,11 @@ def test_error_step_consistent_with_full_loop(alarm):
         x_next = model.A @ x + model.B @ u.ravel() + w
         y_attacked = model.C @ x_next + v + a
         y_f = y_attacked - alarm * delta
-        x_hat_next = kf_update(model, ss, x_hat, u, y_f)
+        pred = model.A @ x_hat + model.B @ u
+        x_hat_next = pred + ss.K @ (y_f - model.C @ pred)
         direct = x_next - x_hat_next
         via_recursion = error_step(model, ss, x - x_hat, w, v, a, alarm, delta)
         assert np.max(np.abs(direct - via_recursion)) < 1e-10
-
-
-def test_closed_loop_step_is_composition_of_parts():
-    model = SystemModel(A=np.eye(2), B=[[2.0, 0.0], [0.0, 4.0]], C=np.eye(2),
-                        Q=[[0.3, 0.1], [0.1, 0.4]], R=np.eye(2))
-    ss = derive_steady_state(model)
-    stream = RngStream(17, 2)
-    state = LoopState(t=3, x=np.array([1.0, -0.5]), x_hat=np.array([0.8, -0.4]))
-    ctrl = SetpointController(x0=np.array([0.0, 0.0]), alpha=0.3)
-
-    nxt = closed_loop_step(model, ss, state, ctrl, stream)
-    u = control_input(model, ctrl, state.x_hat)
-    x_manual = plant_step(model, state.x, u, stream.child(0))
-    y_manual = observe(model, x_manual, stream.child(1))
-    xh_manual = kf_update(model, ss, state.x_hat, u, y_manual)
-    assert nxt.t == 4
-    assert np.array_equal(nxt.x, x_manual)
-    assert np.array_equal(nxt.x_hat, xh_manual)
-
-    again = closed_loop_step(model, ss, state, ctrl, stream)
-    assert np.array_equal(nxt.x, again.x) and np.array_equal(nxt.x_hat, again.x_hat)
-
-    tampered = closed_loop_step(model, ss, state, ctrl, stream,
-                                measure=lambda y, t: y + 100.0)
-    assert not np.array_equal(tampered.x_hat, nxt.x_hat)
-    assert np.array_equal(tampered.x, nxt.x)  # plant unaffected by sensors
 
 
 def test_setpoint_control_contracts_geometrically():
@@ -159,9 +132,10 @@ def test_setpoint_control_contracts_geometrically():
                         Q=np.zeros((2, 2)), R=np.eye(2))
     x0 = np.array([0.835, 0.9])
     alpha = 0.5
+    ctrl = SetpointController(x0=x0, alpha=alpha)
     x = np.array([1.0, 1.0])
     for _ in range(12):
-        u = setpoint_control(model, x, x0, alpha)  # exact state knowledge
+        u = setpoint_control(model, ctrl, x)  # exact state knowledge
         x_next = model.A @ x + model.B @ u
         assert np.max(np.abs(x_next - x0)) == pytest.approx(
             (1.0 - alpha) * np.max(np.abs(x - x0)), rel=1e-9)
@@ -171,18 +145,31 @@ def test_setpoint_control_contracts_geometrically():
 
 def test_setpoint_control_contracts_enforced():
     model = scalar_benchmark()
-    with pytest.raises(ModelError):
-        setpoint_control(model, [0.0], [1.0], alpha=0.0)
-    with pytest.raises(ModelError):
-        setpoint_control(model, [0.0], [1.0], alpha=1.0)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ModelError):
+            setpoint_control(model, SetpointController([1.0], alpha), [0.0])
     rect = two_dim_model()  # B is 2x1, not square
     with pytest.raises(ModelError):
-        setpoint_control(rect, [0.0, 0.0], [1.0, 1.0], alpha=0.5)
+        setpoint_control(rect, SetpointController([1.0, 1.0], 0.5), [0.0, 0.0])
 
 
 def test_control_input_zero_when_unconfigured():
     model = two_dim_model()
-    assert np.array_equal(control_input(model, None, np.ones(2)), np.zeros(1))
+    assert np.array_equal(setpoint_control(model, None, np.ones(2)),
+                          np.zeros(1))
+    assert np.array_equal(setpoint_control(model, None, np.ones((3, 2))),
+                          np.zeros((3, 1)))
+    # a batch of estimates is controlled row by row
+    square = SystemModel(A=np.eye(2), B=[[2.0, 0.0], [0.0, 4.0]],
+                         C=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    ctrl = SetpointController(x0=[0.5, -1.0], alpha=0.3)
+    x_hat = np.array([[1.0, 1.0], [0.5, -1.0], [-2.0, 3.0]])
+    batch = setpoint_control(square, ctrl, x_hat)
+    assert batch.shape == (3, 2)
+    for row in range(3):
+        assert np.allclose(batch[row], setpoint_control(square, ctrl,
+                                                         x_hat[row]),
+                           rtol=0, atol=1e-15)
 
 
 def test_model_validation():
@@ -205,9 +192,12 @@ def test_model_validation():
 
 def test_noise_covariances_respected():
     model = two_dim_model()
-    draws = np.array([plant_step(model, np.zeros(2), np.zeros(1), RngStream(5, i))
-                      for i in range(40_000)])
-    assert np.max(np.abs(np.cov(draws.T) - model.Q)) < 0.02
-    meas = np.array([observe(model, np.zeros(2), RngStream(6, i))
-                     for i in range(40_000)])
-    assert abs(np.var(meas.ravel(), ddof=1) - model.R[0, 0]) < 0.05
+    ss = derive_steady_state(model)
+    batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(1.0),
+                          MitigationStrategy.off(), T=4,
+                          stream=RngStream(5), runs=10_000)
+    w = batch.w[:, 1:].reshape(-1, 2)  # 40,000 draws; t = 0 carries none
+    assert np.max(np.abs(np.cov(w.T) - model.Q)) < 0.02
+    v = batch.v[:, 1:].ravel()
+    assert abs(np.var(v, ddof=1) - model.R[0, 0]) < 0.05
+    assert np.all(batch.w[:, 0] == 0.0) and np.all(batch.v[:, 0] == 0.0)

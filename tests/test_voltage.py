@@ -1,9 +1,11 @@
 """Voltage-case tests.
 
 What is proven here:
-  * The bound setpoint controller drives a noiseless scalar plant from
-    1.0 pu to 0.835 pu geometrically at rate (1 - alpha), and holds the
-    setpoint once there.
+  * The voltage preset's setpoint controller drives a noiseless scalar
+    plant from 1.0 pu to 0.835 pu geometrically at rate (1 - alpha), and
+    holds the setpoint once there.
+  * A controller section is refused with a ConfigError when model.B is
+    singular or when controller.x0 or controller.init has the wrong length.
   * estimate_B recovers a known gain exactly from noiseless traces, to
     < 1% relative error from 10^4 noisy samples, with error shrinking as
     the sample count grows; zero excitation raises a rank error.
@@ -19,18 +21,15 @@ What is proven here:
     plant deviates (mean |x_hat[T] - x0| < mean |x[T] - x0|).
 """
 
-import math
-import warnings
-
 import numpy as np
 import pytest
 
 from fdisim.attack import AttackPlan
+from fdisim.config import ConfigError, from_mapping, preset
 from fdisim.defense import DetectorConfig, MitigationStrategy
 from fdisim.evaluation import rollout_batch
-from fdisim.lti import control_input, derive_steady_state
+from fdisim.lti import derive_steady_state, setpoint_control
 from fdisim.mdp import (
-    TruncationWarning,
     build_grid,
     build_transition_model,
     uniform_actions,
@@ -39,10 +38,7 @@ from fdisim.mdp import (
 from fdisim.numerics import RngStream
 from fdisim.voltage import (
     TraceSet,
-    VoltageConfig,
     VoltageError,
-    build_voltage_model,
-    default_voltage_config,
     estimate_B,
     load_traces,
     save_traces,
@@ -52,11 +48,18 @@ from fdisim.voltage import (
 
 
 @pytest.fixture(scope="module")
-def voltage_policy():
-    """Policy solved on the per-unit error lattice of the default config."""
-    cfg = default_voltage_config()
-    model, _ = build_voltage_model(cfg)
-    ss = derive_steady_state(model)
+def loop():
+    """The voltage preset's model, steady state, controller and initial
+    estimate (1.0 pu)."""
+    cfg = preset("voltage")
+    model = cfg.system_model()
+    return model, derive_steady_state(model), cfg.controller(), cfg.x_hat0()
+
+
+@pytest.fixture(scope="module")
+def voltage_policy(loop):
+    """Policy solved on the per-unit error lattice of the voltage preset."""
+    model, ss, _, _ = loop
     grid = build_grid([(-0.3, 0.3)], [0.0025])
     tm = build_transition_model(model, ss, eta=5.0, grid=grid,
                                 actions=uniform_actions(0.2, 81))
@@ -68,13 +71,12 @@ def voltage_policy():
 # ---------------------------------------------------------------------------
 
 
-def test_noiseless_convergence_to_setpoint():
-    cfg = default_voltage_config()
-    model, controller = build_voltage_model(cfg)
+def test_noiseless_convergence_to_setpoint(loop):
+    model, _, controller, _ = loop
     x = np.array([1.0])
     gaps = []
     for _ in range(60):
-        u = control_input(model, controller, x)
+        u = setpoint_control(model, controller, x)
         x = model.A @ x + model.B @ u
         gaps.append(abs(x[0] - 0.835))
     assert gaps[-1] < 1e-9
@@ -82,19 +84,21 @@ def test_noiseless_convergence_to_setpoint():
     assert np.allclose(ratios, 0.5, atol=1e-12)  # contraction rate 1 - alpha
     # equilibrium: starting at the setpoint stays there
     x = np.array([0.835])
-    u = control_input(model, controller, x)
+    u = setpoint_control(model, controller, x)
     assert np.allclose(model.A @ x + model.B @ u, x, atol=1e-15)
 
 
 def test_voltage_config_validation():
-    with pytest.raises(VoltageError):
-        VoltageConfig(x0=[0.8], alpha=0.5, B=[[0.0]], Q=[[1e-4]], R=[[1e-3]])
-    with pytest.raises(VoltageError):
-        VoltageConfig(x0=[0.8, 0.9], alpha=0.5, B=[[1.0]], Q=np.eye(2) * 1e-4,
-                      R=np.eye(2) * 1e-3)
-    with pytest.raises(VoltageError):
-        VoltageConfig(x0=[0.8], alpha=0.5, B=[[1.0]], Q=[[1e-4]], R=[[1e-3]],
-                      init=[1.0, 1.0])
+    model = {"Q": [[1e-4]], "R": [[1e-3]]}
+    with pytest.raises(ConfigError, match="singular"):
+        from_mapping({"model": {**model, "B": [[0.0]]},
+                      "controller": {"x0": [0.8], "alpha": 0.5}})
+    with pytest.raises(ConfigError, match="controller.x0"):
+        from_mapping({"model": model,
+                      "controller": {"x0": [0.8, 0.9], "alpha": 0.5}})
+    with pytest.raises(ConfigError, match="controller.init"):
+        from_mapping({"model": model, "controller": {
+            "x0": [0.8], "alpha": 0.5, "init": [1.0, 1.0]}})
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +189,23 @@ def test_trace_minimal_and_malformed(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_error_process_is_controller_independent():
-    cfg = default_voltage_config()
-    model, controller = build_voltage_model(cfg)
-    ss = derive_steady_state(model)
+def test_error_process_is_controller_independent(loop):
+    model, ss, controller, x_hat0 = loop
     plan = AttackPlan.constant([0.1], a_max=0.2)
     kwargs = dict(T=15, runs=64)
     on = rollout_batch(model, ss, plan, DetectorConfig(5.0),
                        MitigationStrategy.perfect(), stream=RngStream(90),
-                       controller=controller, x_hat0=cfg.init, **kwargs)
+                       controller=controller, x_hat0=x_hat0, **kwargs)
     off = rollout_batch(model, ss, plan, DetectorConfig(5.0),
                         MitigationStrategy.perfect(), stream=RngStream(90),
-                        controller=None, x_hat0=cfg.init, **kwargs)
+                        controller=None, x_hat0=x_hat0, **kwargs)
     assert np.max(np.abs(on.e - off.e)) < 1e-10
     assert np.array_equal(on.i, off.i)
     assert not np.allclose(on.x, off.x)  # the plant paths do differ
 
 
-def test_no_attack_settles_at_setpoint():
-    cfg = default_voltage_config()
-    run = voltage_attack_experiment(cfg, AttackPlan.none(), eta=5.0,
+def test_no_attack_settles_at_setpoint(loop):
+    run = voltage_attack_experiment(*loop, AttackPlan.none(), eta=5.0,
                                     strategy=MitigationStrategy.perfect(),
                                     T=30, runs=2_000, stream=RngStream(91))
     final = run.mean_voltage[-1, 0]
@@ -213,9 +214,8 @@ def test_no_attack_settles_at_setpoint():
     assert run.mean_voltage[0, 0] > 0.9  # starts near 1.0 pu
 
 
-def test_ramp_detection_frequency_increases():
-    cfg = default_voltage_config()
-    run = voltage_attack_experiment(cfg, AttackPlan.ramp([0.01], a_max=0.2),
+def test_ramp_detection_frequency_increases(loop):
+    run = voltage_attack_experiment(*loop, AttackPlan.ramp([0.01], a_max=0.2),
                                     eta=5.0,
                                     strategy=MitigationStrategy.perfect(),
                                     T=30, runs=2_000, stream=RngStream(92))
@@ -227,15 +227,14 @@ def test_ramp_detection_frequency_increases():
     assert freq[-1] > 0.5
 
 
-def test_policy_attack_hides_in_the_estimate(voltage_policy):
-    cfg = default_voltage_config()
+def test_policy_attack_hides_in_the_estimate(loop, voltage_policy):
     plan = AttackPlan.from_policy(voltage_policy)
-    run = voltage_attack_experiment(cfg, plan, eta=5.0,
+    run = voltage_attack_experiment(*loop, plan, eta=5.0,
                                     strategy=MitigationStrategy.perfect(),
                                     T=30, runs=2_000, stream=RngStream(93))
     assert run.mean_est_abs_deviation[-1] < run.mean_abs_deviation[-1]
     # the attack moved the plant: deviation well above the no-attack level
-    clean = voltage_attack_experiment(cfg, AttackPlan.none(), eta=5.0,
+    clean = voltage_attack_experiment(*loop, AttackPlan.none(), eta=5.0,
                                       strategy=MitigationStrategy.perfect(),
                                       T=30, runs=2_000, stream=RngStream(93))
     assert run.mean_abs_deviation[-1] > 3.0 * clean.mean_abs_deviation[-1]
