@@ -31,6 +31,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +155,11 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _number(value, path: str, rule: str, ok) -> None:
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool)
+             and ok(value), f"{path} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """Validated configuration; accessors build the domain objects."""
@@ -162,9 +168,19 @@ class RunConfig:
 
     def __post_init__(self):
         data = self.data
-        det_eta = data["detector"]["eta"]
-        _require(isinstance(det_eta, (int, float)) and det_eta >= 0,
-                 f"detector.eta must be a nonnegative number, got {det_eta}")
+        for key, value in data["model"].items():
+            try:
+                np.asarray(value, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"model.{key} must be a rectangular array "
+                                  f"of numbers: {exc}") from None
+        # type before range, so that a string is an error, not a TypeError
+        for path, low in (("detector.eta", 0), ("mdp.action_count", 2),
+                          ("mdp.horizon", 1), ("eval.runs", 1),
+                          ("eval.horizon", 1), ("eval.seed", 0)):
+            section, key = path.split(".")
+            _number(data[section][key], path, f"a number >= {low}",
+                    lambda v: v >= low)
         mit = data["mitigation"]
         _require(mit["kind"] in ("perfect", "noisy", "off"),
                  f"mitigation.kind must be perfect|noisy|off, "
@@ -173,27 +189,16 @@ class RunConfig:
         _require(atk["kind"] in ("policy", "constant", "ramp", "none"),
                  f"attack.kind must be policy|constant|ramp|none, "
                  f"got {atk['kind']!r}")
-        _require(atk["a_max"] > 0, f"attack.a_max must be positive, "
-                                   f"got {atk['a_max']}")
+        _number(atk["a_max"], "attack.a_max", "a number > 0", lambda v: v > 0)
         mdp = data["mdp"]
         _require(len(mdp["bounds"]) == len(mdp["step"]),
                  "mdp.bounds and mdp.step must have the same length")
-        _require(mdp["action_count"] >= 2,
-                 f"mdp.action_count must be >= 2, got {mdp['action_count']}")
-        _require(mdp["horizon"] >= 1,
-                 f"mdp.horizon must be >= 1, got {mdp['horizon']}")
-        ev = data["eval"]
-        _require(ev["runs"] >= 1, f"eval.runs must be >= 1, got {ev['runs']}")
-        _require(ev["horizon"] >= 1,
-                 f"eval.horizon must be >= 1, got {ev['horizon']}")
-        _require(ev["seed"] >= 0, f"eval.seed must be >= 0, got {ev['seed']}")
         ctrl = data["controller"]
         if ctrl is not None:
             _require(ctrl["x0"] is not None,
                      "controller.x0 is required when a controller is set")
-            _require(0.0 < ctrl["alpha"] < 1.0,
-                     f"controller.alpha must lie in (0, 1), "
-                     f"got {ctrl['alpha']}")
+            _number(ctrl["alpha"], "controller.alpha", "a number in (0, 1)",
+                    lambda v: 0.0 < v < 1.0)
             # the setpoint law u = alpha B^-1 (x0 - x_hat) inverts B
             n = np.atleast_2d(np.asarray(data["model"]["A"], float)).shape[0]
             B = np.atleast_2d(np.asarray(data["model"]["B"], float))

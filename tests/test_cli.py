@@ -6,7 +6,8 @@ What is proven here:
     built-in presets field for field; unknown keys are rejected with
     their path; seed and file overrides layer correctly.
   * A controller over a singular model.B, or with an x0 of the wrong
-    length, exits with code 2 and an error line instead of a traceback.
+    length, exits with code 2 and an error line instead of a traceback;
+    so does a word where a number belongs or a ragged model matrix.
   * The digest changes exactly when a policy-determining field changes.
   * Policy artifacts round-trip bit-exactly, refuse wrong magic/version,
     and refuse digest mismatches.
@@ -320,6 +321,21 @@ def test_estimate_b_command(tmp_path, capsys):
     ("controller: {x0: [0.8, 0.9]}\n", "controller.x0 must have length 1"),
 ])
 def test_bad_controller_is_a_config_error(tmp_path, capsys, body, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(body, encoding="utf-8")
+    assert _run(["evaluate", "--config", cfg, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("body, message", [
+    ("eval: {runs: many}\n", "eval.runs must be a number >= 1, got 'many'"),
+    ("controller: {x0: [0.8], alpha: half}\n",
+     "controller.alpha must be a number in (0, 1), got 'half'"),
+    ("model: {A: [[1.0, 2.0], [3.0]]}\n",
+     "model.A must be a rectangular array of numbers"),
+])
+def test_mistyped_config_is_a_config_error(tmp_path, capsys, body, message):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(body, encoding="utf-8")
     assert _run(["evaluate", "--config", cfg, "--out", tmp_path]) == 2

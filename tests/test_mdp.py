@@ -16,6 +16,9 @@ What is proven here:
     keep >= 0.99 mass inside the benchmark grid, warn on a grid that
     truncates, and the zero-injection row reproduces the stationary
     next-error variance W_K^2 Q + K^2 R.
+  * The bivariate kernel's saturation past 10 sigma moves the benchmark
+    rows by at most 1e-15 and leaves detection, interior mass and the
+    solved policy (actions and values) bit-identical.
   * The sampled (simulation) path agrees with the exact scalar path within
     Monte-Carlo error on a small lattice.
   * value_iteration: values nonnegative, even in the state, nondecreasing
@@ -30,6 +33,7 @@ import math
 import numpy as np
 import pytest
 
+from fdisim import numerics
 from fdisim.lti import ModelError, SystemModel, derive_steady_state
 from fdisim.mdp import (
     Grid,
@@ -269,6 +273,21 @@ def test_transition_model_matches_row_of_cell_transitions(bench, bench_tm):
         direct = cell_transition_prob(model, ss, 10.0, e, a, a,
                                       cell(tm.grid, j))
         assert tm.rows[i, k, j] == pytest.approx(direct, abs=1e-10)
+
+
+def test_kernel_saturation_leaves_rows_and_policy(bench, bench_tm,
+                                                  monkeypatch):
+    model, ss = bench
+    monkeypatch.setattr(numerics, "_SAT", math.inf)
+    full = build_transition_model(model, ss, eta=10.0, grid=bench_tm.grid,
+                                  actions=bench_tm.actions)
+    assert np.max(np.abs(bench_tm.rows - full.rows)) <= 1e-15
+    assert np.array_equal(bench_tm.detection, full.detection)
+    assert np.array_equal(bench_tm.interior_mass, full.interior_mass)
+    sat_pol = value_iteration(bench_tm, horizon=10)
+    full_pol = value_iteration(full, horizon=10)
+    assert np.array_equal(sat_pol.action_table, full_pol.action_table)
+    assert np.array_equal(sat_pol.values, full_pol.values)
 
 
 def test_truncation_warning_on_small_grid(bench):

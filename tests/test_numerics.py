@@ -7,6 +7,12 @@ What is proven here:
     computed at epsabs 1e-13) on both quadrature branches, satisfies the
     closed-form orthant identity 1/4 + asin(rho)/(2*pi), and its cell
     probabilities over any rectangular partition of the plane sum to 1.
+  * Past |h| or |k| = 10 the kernel returns the one-dimensional limit
+    exactly; on a [-40, 40]^2 mesh at nine correlations it stays within
+    Phi(-10) = 7.6e-24 of the unsaturated kernel (one ulp, 1.1e-16, on the
+    rho <= -0.925 branch), saturated values match 40-digit mpmath
+    integrals to within ndtr's few ulp, and +-inf entries and scalar
+    inputs give exact limits and plain floats.
   * mvn_rect_prob is exact in d=1, matches the d=2 kernel, collapses
     degenerate dimensions to point masses, and its d>=3 sampling path agrees
     with deterministic routes within 3 reported std-errors.
@@ -25,6 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, linalg
 
+from fdisim import numerics
 from fdisim.numerics import (
     GaussianSpec,
     NumericsError,
@@ -89,10 +96,57 @@ def test_bvn_infinite_faces_reduce_to_univariate():
     assert bvn_upper(np.inf, 0.0, 0.5) == 0.0
     assert bvn_upper(0.0, np.inf, 0.5) == 0.0
     assert bvn_upper(-np.inf, -np.inf, 0.5) == 1.0
-    assert bvn_upper(-np.inf, 1.2, -0.7) == pytest.approx(
-        float(std_normal_cdf(-1.2)), abs=1e-14)
+    assert bvn_upper(-np.inf, 1.2, -0.7) == float(std_normal_cdf(-1.2))
+    assert bvn_upper(0.4, -np.inf, 0.99) == float(std_normal_cdf(-0.4))
+    assert bvn_cdf(np.inf, -0.4, -1.0) == float(std_normal_cdf(-0.4))
+    for h, k in [(np.inf, 0.0), (-np.inf, 1.2), (3.0, -11.0), (0.1, 0.2)]:
+        assert type(bvn_upper(h, k, 0.3)) is float
     assert bvn_rect(-np.inf, np.inf, -1.0, 1.0, 0.8) == pytest.approx(
         float(std_normal_cdf(1.0) - std_normal_cdf(-1.0)), abs=1e-12)
+
+
+# h, k on [-40, 40] plus the cutoff itself, just inside it, and +-inf
+SAT_AXIS = np.concatenate([np.linspace(-40.0, 40.0, 801),
+                           [10.0, -10.0, 10.0 - 1e-6, -(10.0 - 1e-6),
+                            np.inf, -np.inf]])
+PHI_M10 = float(std_normal_cdf(-10.0))  # 7.6e-24
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.99, -0.93, -0.53, 0.0, 0.5, 0.93,
+                                 0.99, 1.0])
+def test_bvn_saturation_matches_unsaturated_kernel(monkeypatch, rho):
+    h, k = np.meshgrid(SAT_AXIS, SAT_AXIS, indexing="ij")
+    sat = bvn_upper(h, k, rho)
+    monkeypatch.setattr(numerics, "_SAT", math.inf)
+    full = bvn_upper(h, k, rho)
+    # off the rho <= -0.925 branch the gap is the neglected tail, at most
+    # Phi(-10); on it the unsaturated kernel forms a band as a difference of
+    # two ndtr values, which costs it one ulp
+    tol = 2.3e-16 if rho <= -0.925 else PHI_M10 * (1.0 + 1e-9)
+    assert np.max(np.abs(sat - full)) <= tol
+    zero = (h >= 10.0) | (k >= 10.0)
+    h_low = (h <= -10.0) & ~zero
+    k_low = (k <= -10.0) & ~zero & ~h_low
+    inside = ~(zero | h_low | k_low)
+    assert np.all(sat[zero] == 0.0)
+    assert np.array_equal(sat[h_low], std_normal_cdf(-k[h_low]))
+    assert np.array_equal(sat[k_low], std_normal_cdf(-h[k_low]))
+    # the mesh holds 10 - 1e-6: entries inside the cutoff run the kernel
+    assert inside.sum() > 0 and np.array_equal(sat[inside], full[inside])
+
+
+@pytest.mark.parametrize("h,k,rho", [(-0.1, -40.0, -0.99), (-0.1, -40.0, 0.5),
+                                     (3.0, -10.0, -0.53), (-12.0, 1.5, 0.93)])
+def test_bvn_saturated_values_against_mpmath(h, k, rho):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s = mpmath.sqrt(1 - mpmath.mpf(rho) ** 2)
+        # P(X > h, Y > k) = int_h^inf phi(x) P(Y > k | X = x) dx
+        ref = float(mpmath.quad(
+            lambda x: mpmath.npdf(x) * mpmath.ncdf((rho * x - k) / s),
+            [h, 0, 10, mpmath.inf]))
+    # the limit is an ndtr value, good to a few ulp (6 at -3, 1 at 0.1)
+    assert abs(bvn_upper(h, k, rho) - ref) <= 8 * math.ulp(ref)
 
 
 def test_bvn_vectorized_matches_scalar():
