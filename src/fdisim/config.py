@@ -160,6 +160,13 @@ def _number(value, path: str, rule: str, ok) -> None:
              and ok(value), f"{path} must be {rule}, got {value!r}")
 
 
+def _numbers(values, path: str, rule: str, ok) -> None:
+    _require(isinstance(values, (list, tuple)),
+             f"{path} must be a list, got {values!r}")
+    for i, value in enumerate(values):
+        _number(value, f"{path}[{i}]", rule, ok)
+
+
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """Validated configuration; accessors build the domain objects."""
@@ -185,14 +192,30 @@ class RunConfig:
         _require(mit["kind"] in ("perfect", "noisy", "off"),
                  f"mitigation.kind must be perfect|noisy|off, "
                  f"got {mit['kind']!r}")
+        _number(mit["sigma_mit"], "mitigation.sigma_mit", "a number >= 0",
+                lambda v: v >= 0)
         atk = data["attack"]
         _require(atk["kind"] in ("policy", "constant", "ramp", "none"),
                  f"attack.kind must be policy|constant|ramp|none, "
                  f"got {atk['kind']!r}")
         _number(atk["a_max"], "attack.a_max", "a number > 0", lambda v: v > 0)
+        for key in ("constant_value", "ramp_slope"):  # a vector or a scalar
+            check = _numbers if isinstance(atk[key], (list, tuple)) else _number
+            check(atk[key], f"attack.{key}", "a number", lambda v: True)
         mdp = data["mdp"]
+        _require(isinstance(mdp["bounds"], (list, tuple)),
+                 f"mdp.bounds must be a list of [lo, hi] pairs, "
+                 f"got {mdp['bounds']!r}")
+        for i, pair in enumerate(mdp["bounds"]):
+            _require(isinstance(pair, (list, tuple)) and len(pair) == 2,
+                     f"mdp.bounds[{i}] must be a [lo, hi] pair, got {pair!r}")
+            _numbers(pair, f"mdp.bounds[{i}]", "a number", lambda v: True)
+        _numbers(mdp["step"], "mdp.step", "a number > 0", lambda v: v > 0)
         _require(len(mdp["bounds"]) == len(mdp["step"]),
                  "mdp.bounds and mdp.step must have the same length")
+        for key in ("etas", "sigmas"):
+            _numbers(data["fpmd"][key], f"fpmd.{key}", "a number >= 0",
+                     lambda v: v >= 0)
         ctrl = data["controller"]
         if ctrl is not None:
             _require(ctrl["x0"] is not None,

@@ -60,16 +60,13 @@ def _sym_psd(name: str, mat: np.ndarray, strict: bool = False) -> None:
 @dataclass(frozen=True, eq=False)
 class SystemModel:
     """Plant matrices and noise covariances; dimensions n states, p inputs,
-    m measurements. X0 is the initial-state covariance (kept for model
-    completeness; steady-state experiments start the error at its stationary
-    distribution instead)."""
+    m measurements."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     Q: np.ndarray
     R: np.ndarray
-    X0: np.ndarray | None = None
 
     def __post_init__(self):
         A = _matrix("A", self.A)
@@ -83,8 +80,6 @@ class SystemModel:
         R = _matrix("R", self.R, rows=m, cols=m)
         _sym_psd("Q", Q)
         _sym_psd("R", R, strict=True)
-        X0 = np.eye(n) if self.X0 is None else _matrix("X0", self.X0, rows=n, cols=n)
-        _sym_psd("X0", X0)
 
         ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
         if np.linalg.matrix_rank(ctrb) < n:
@@ -95,7 +90,7 @@ class SystemModel:
             raise ModelError(f"(C, A) is not observable (rank "
                              f"{np.linalg.matrix_rank(obsv)} < {n})")
 
-        for name, val in (("A", A), ("B", B), ("C", C), ("Q", Q), ("R", R), ("X0", X0)):
+        for name, val in (("A", A), ("B", B), ("C", C), ("Q", Q), ("R", R)):
             object.__setattr__(self, name, val)
 
     @property

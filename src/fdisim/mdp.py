@@ -33,8 +33,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .lti import ModelError, SteadyState, SystemModel
-from .numerics import (GaussianSpec, NumericsError, Rect, RngStream, bvn_cdf,
-                       bvn_rect, gchi2_tail_prob, psd_factor)
+from .numerics import (NumericsError, Rect, RngStream, bvn_cdf, bvn_rect,
+                       psd_factor)
 
 _ROW_CHUNK = 4096
 _DELTA_RULES = ("perfect", "off")
@@ -214,8 +214,8 @@ def detection_prob(model: SystemModel, ss: SteadyState, eta: float, e, a,
                    samples: int = 100_000) -> float:
     """P(alarm | e, a) one step ahead.
 
-    Exact in the scalar case; seeded generalized-chi-square sampling
-    otherwise (stream required).
+    Exact in the scalar case; otherwise the alarm rate of the seeded
+    one-step sampler (stream required).
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -228,11 +228,9 @@ def detection_prob(model: SystemModel, ss: SteadyState, eta: float, e, a,
     if stream is None:
         raise NumericsError("detection_prob needs an RngStream for "
                             "non-scalar systems")
-    mean = model.C @ model.A @ e + a
-    S11 = model.C @ model.Q @ model.C.T + model.R
-    p, _ = gchi2_tail_prob(GaussianSpec(mean, S11), ss.P_r_inv, eta, stream,
-                           samples=samples)
-    return p
+    # delta (here a) moves only e', never the alarm
+    alarm, _ = _sample_one_step(model, ss, eta, e, a, a, stream, samples)
+    return float(alarm.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +330,7 @@ def cell_transition_prob(model: SystemModel, ss: SteadyState, eta: float,
     if stream is None:
         raise NumericsError("cell_transition_prob needs an RngStream for "
                             "non-scalar systems")
-    w, v, alarm = _sample_one_step(model, ss, eta, e, a, stream, samples)
-    e_next = (e @ ss.A_K.T + w @ ss.W_K.T - v @ ss.K.T
-              - (a - alarm[:, None] * delta) @ ss.K.T)
+    _, e_next = _sample_one_step(model, ss, eta, e, a, delta, stream, samples)
     inside = np.all((e_next >= target.lower) & (e_next <= target.upper), axis=1)
     return float(inside.mean())
 
@@ -358,13 +354,18 @@ def alarm_cell_mass(model: SystemModel, ss: SteadyState, eta: float, e, a,
                  + bvn_rect(u1, np.inf, lo, hi, law.rho))
 
 
-def _sample_one_step(model, ss, eta, e, a, stream, samples):
+def _sample_one_step(model, ss, eta, e, a, delta, stream, samples):
+    """Seeded draws of (alarm, e') from (e, a), mitigation delta on alarm.
+
+    The only non-scalar sampler: draws the w block, then the v block."""
     gen = stream.generator()
     w = gen.standard_normal((samples, model.n)) @ psd_factor(model.Q).T
     v = gen.standard_normal((samples, model.m)) @ psd_factor(model.R).T
     r = v + w @ model.C.T + (model.C @ model.A @ e + a)
-    g = np.einsum("ij,jk,ik->i", r, ss.P_r_inv, r)
-    return w, v, g > eta
+    alarm = np.einsum("ij,jk,ik->i", r, ss.P_r_inv, r) > eta
+    e_next = (e @ ss.A_K.T + w @ ss.W_K.T - v @ ss.K.T
+              - (a - alarm[:, None] * delta) @ ss.K.T)
+    return alarm, e_next
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +404,9 @@ def _sampled_rows_block(args):
         i, k = divmod(rid, n_actions)
         e = grid.points[i]
         a = actions[k]
-        delta = _delta_of(delta_rule, a)
-        w, v, alarm = _sample_one_step(model, ss, eta, e, a,
-                                       stream.child(rid), samples)
-        e_next = (e @ ss.A_K.T + w @ ss.W_K.T - v @ ss.K.T
-                  - (a - alarm[:, None] * delta) @ ss.K.T)
+        alarm, e_next = _sample_one_step(model, ss, eta, e, a,
+                                         _delta_of(delta_rule, a),
+                                         stream.child(rid), samples)
         flat = nearest_index(grid, e_next)
         rows[out_pos] = np.bincount(flat, minlength=n_cells) / samples
         det[out_pos] = alarm.mean()

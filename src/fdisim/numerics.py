@@ -1,21 +1,20 @@
 """Shared numerical kernels.
 
-Seeded RNG streams, Gaussian rectangle probabilities, generalized chi-square
-tail estimates, and the fixed-point Riccati solver used to derive the
-steady-state filter. Everything is deterministic given its inputs; routines
-that need randomness take an explicit :class:`RngStream` and never touch
-global RNG state.
+Seeded RNG streams, the saturating bivariate-normal orthant kernel behind
+the exact scalar transition rows, a PSD factor for sampling correlated
+noise, and the fixed-point Riccati solver used to derive the steady-state
+filter. Everything is deterministic given its inputs; routines that need
+randomness take an explicit :class:`RngStream` and never touch global RNG
+state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
+from scipy.special import ndtr
 
 
 class NumericsError(ValueError):
@@ -50,7 +49,7 @@ class RngStream:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian specifications and rectangles
+# Covariances and rectangles
 # ---------------------------------------------------------------------------
 
 
@@ -69,29 +68,11 @@ def _check_psd(name: str, mat: np.ndarray) -> None:
                             f"min eigenvalue {eigs[0]:.3e}")
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianSpec:
-    """Mean vector and covariance of a (possibly degenerate) Gaussian."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if mean.ndim != 1:
-            raise NumericsError(f"mean must be a vector, got shape {mean.shape}")
-        if cov.shape != (mean.size, mean.size):
-            raise NumericsError(f"cov shape {cov.shape} does not match mean "
-                                f"dimension {mean.size}")
-        _check_symmetric("cov", cov)
-        _check_psd("cov", cov)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
+def psd_factor(cov: np.ndarray) -> np.ndarray:
+    """Symmetric-eigendecomposition factor L with L L' = cov (PSD safe)."""
+    vals, vecs = np.linalg.eigh(cov)
+    vals = np.clip(vals, 0.0, None)
+    return vecs * np.sqrt(vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,19 +98,9 @@ class Rect:
         return self.lower.size
 
 
-class RectProbability(NamedTuple):
-    value: float
-    std_error: float
-
-
 # ---------------------------------------------------------------------------
-# Standard normal CDF and the bivariate rectangle kernel
+# Bivariate rectangle kernel
 # ---------------------------------------------------------------------------
-
-
-def std_normal_cdf(x):
-    """Phi(x), elementwise; accepts scalars or arrays, handles +-inf."""
-    return ndtr(x)
 
 
 # Gauss-Legendre half-rules; the node count trades against how sharply the
@@ -255,114 +226,6 @@ def bvn_rect(xl, xu, yl, yu, rho: float):
 
 
 # ---------------------------------------------------------------------------
-# General rectangle probabilities
-# ---------------------------------------------------------------------------
-
-
-def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Symmetric-eigendecomposition factor L with L L' = cov (PSD safe)."""
-    vals, vecs = np.linalg.eigh(cov)
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)
-
-
-def _qmc_rect_prob(gauss: GaussianSpec, rect: Rect, stream: RngStream,
-                   samples: int) -> RectProbability:
-    gen = stream.generator()
-    L = psd_factor(gauss.cov)
-    replicates = 16
-    m = max(6, int(math.log2(max(2, samples // replicates))))
-    means = np.empty(replicates)
-    for rep in range(replicates):
-        sob = qmc.Sobol(gauss.dim, scramble=True, seed=gen)
-        u = sob.random_base2(m)
-        z = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
-        pts = gauss.mean + z @ L.T
-        inside = np.all((pts >= rect.lower) & (pts <= rect.upper), axis=1)
-        means[rep] = inside.mean()
-    value = float(means.mean())
-    std_error = float(means.std(ddof=1) / math.sqrt(replicates))
-    return RectProbability(value, std_error)
-
-
-def mvn_rect_prob(gauss: GaussianSpec, rect: Rect, stream: RngStream | None = None,
-                  samples: int = 2 ** 17) -> RectProbability:
-    """Probability that a Gaussian vector lands in an axis-aligned box.
-
-    Dimensions 1 and 2 are computed deterministically (normal CDF and the
-    Gauss-Legendre bivariate kernel; std_error is reported as 0.0). Higher
-    dimensions use scrambled-Sobol sampling on `stream` and report the
-    replicate std-error. Zero-variance dimensions collapse to point masses.
-    """
-    if rect.dim != gauss.dim:
-        raise NumericsError(f"rect dimension {rect.dim} does not match "
-                            f"Gaussian dimension {gauss.dim}")
-    var = np.diag(gauss.cov).copy()
-    degenerate = var <= 0.0
-    if np.any(degenerate):
-        mu = gauss.mean[degenerate]
-        if np.any((mu < rect.lower[degenerate]) | (mu > rect.upper[degenerate])):
-            return RectProbability(0.0, 0.0)
-        live = ~degenerate
-        if not np.any(live):
-            return RectProbability(1.0, 0.0)
-        gauss = GaussianSpec(gauss.mean[live], gauss.cov[np.ix_(live, live)])
-        rect = Rect(rect.lower[live], rect.upper[live])
-
-    d = gauss.dim
-    if d == 1:
-        sd = math.sqrt(gauss.cov[0, 0])
-        zl = (rect.lower[0] - gauss.mean[0]) / sd
-        zu = (rect.upper[0] - gauss.mean[0]) / sd
-        return RectProbability(float(max(0.0, ndtr(zu) - ndtr(zl))), 0.0)
-    if d == 2:
-        s0, s1 = math.sqrt(gauss.cov[0, 0]), math.sqrt(gauss.cov[1, 1])
-        rho = gauss.cov[0, 1] / (s0 * s1)
-        rho = min(1.0, max(-1.0, rho))
-        p = bvn_rect((rect.lower[0] - gauss.mean[0]) / s0,
-                     (rect.upper[0] - gauss.mean[0]) / s0,
-                     (rect.lower[1] - gauss.mean[1]) / s1,
-                     (rect.upper[1] - gauss.mean[1]) / s1, rho)
-        return RectProbability(float(p), 0.0)
-    if stream is None:
-        raise NumericsError("mvn_rect_prob needs an RngStream for dimension >= 3")
-    return _qmc_rect_prob(gauss, rect, stream, samples)
-
-
-# ---------------------------------------------------------------------------
-# Generalized chi-square tail
-# ---------------------------------------------------------------------------
-
-
-def gchi2_tail_prob(gauss: GaussianSpec, weight: np.ndarray, threshold: float,
-                    stream: RngStream, samples: int = 100_000) -> tuple[float, float]:
-    """P(x' W x > threshold) for x ~ gauss, by seeded Monte Carlo.
-
-    Returns (estimate, std_error). `weight` must be symmetric positive
-    definite. threshold = +inf gives probability 0 exactly.
-    """
-    weight = np.atleast_2d(np.asarray(weight, dtype=float))
-    if weight.shape != (gauss.dim, gauss.dim):
-        raise NumericsError(f"weight shape {weight.shape} does not match "
-                            f"dimension {gauss.dim}")
-    _check_symmetric("weight", weight)
-    try:
-        np.linalg.cholesky(weight)
-    except np.linalg.LinAlgError as err:
-        raise NumericsError("weight matrix is not positive definite") from err
-    if samples < 2:
-        raise NumericsError("gchi2_tail_prob needs at least 2 samples")
-    if math.isinf(threshold) and threshold > 0:
-        return 0.0, 0.0
-    x = sample_gaussian(gauss, stream, size=samples)
-    q = np.einsum("ij,jk,ik->i", x, weight, x)
-    hits = q > threshold
-    p = float(hits.mean())
-    std_error = math.sqrt(p * (1.0 - p) / samples)
-    return p, std_error
-
-
-# ---------------------------------------------------------------------------
 # Riccati fixed point
 # ---------------------------------------------------------------------------
 
@@ -415,23 +278,3 @@ def solve_dare(A: np.ndarray, C: np.ndarray, Q: np.ndarray, R: np.ndarray,
                             f"{bound:.3e} after {iteration} iterations")
     return P
 
-
-# ---------------------------------------------------------------------------
-# Gaussian sampling
-# ---------------------------------------------------------------------------
-
-
-def sample_gaussian(gauss: GaussianSpec, stream: RngStream,
-                    size: int | None = None) -> np.ndarray:
-    """Draw from gauss on the given stream; shape (d,) or (size, d).
-
-    Degenerate covariances are handled through the PSD eigen-factorization,
-    so a zero-covariance spec returns the mean exactly.
-    """
-    gen = stream.generator()
-    L = psd_factor(gauss.cov)
-    if size is None:
-        z = gen.standard_normal(gauss.dim)
-        return gauss.mean + L @ z
-    z = gen.standard_normal((size, gauss.dim))
-    return gauss.mean + z @ L.T

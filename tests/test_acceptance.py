@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from fdisim.attack import AttackPlan
 from fdisim.cli import main as cli_main
@@ -29,8 +30,7 @@ from fdisim.mdp import (
     uniform_actions,
     value_iteration,
 )
-from fdisim.numerics import GaussianSpec, Rect, mvn_rect_prob, solve_dare, std_normal_cdf
-from fdisim.numerics import RngStream
+from fdisim.numerics import RngStream, bvn_rect, solve_dare
 from fdisim.voltage import synthesize_traces, save_traces
 
 P_INF_CLOSED = (1.0 + math.sqrt(41.0)) / 2.0
@@ -362,18 +362,20 @@ def test_criterion_7_numerical_kernels():
         problems.append(f"dare fixed point {p_inf!r} vs closed form")
 
     xs = np.linspace(-8.0, 8.0, 1000)
-    worst = max(abs(float(std_normal_cdf(x)) - _phi_quadrature(float(x)))
+    worst = max(abs(float(ndtr(x)) - _phi_quadrature(float(x)))
                 for x in xs)
     if worst > 1e-10:
         problems.append(f"Phi off by {worst:.2e}")
 
-    gauss = GaussianSpec(mean=[0.3, -0.7], cov=[[2.0, 0.6], [0.6, 1.2]])
-    xs_edges = [-math.inf, -1.0, 0.5, 2.0, math.inf]
-    ys_edges = [-math.inf, -0.8, 1.1, math.inf]
+    # N((0.3, -0.7), [[2.0, 0.6], [0.6, 1.2]]) on standardized edges
+    s0, s1 = math.sqrt(2.0), math.sqrt(1.2)
+    rho = 0.6 / (s0 * s1)
+    xs_edges = [(x - 0.3) / s0 for x in (-math.inf, -1.0, 0.5, 2.0, math.inf)]
+    ys_edges = [(y + 0.7) / s1 for y in (-math.inf, -0.8, 1.1, math.inf)]
     total = 0.0
     for xl, xu in zip(xs_edges, xs_edges[1:]):
         for yl, yu in zip(ys_edges, ys_edges[1:]):
-            total += mvn_rect_prob(gauss, Rect([xl, yl], [xu, yu])).value
+            total += float(bvn_rect(xl, xu, yl, yu, rho))
     if abs(total - 1.0) > 1e-6:
         problems.append(f"partition sums to {total!r}")
     elapsed = time.perf_counter() - started

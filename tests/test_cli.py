@@ -1,13 +1,15 @@
 """Configuration, artifact, and command-line tests.
 
 What is proven here:
-  * Every name in fdisim.__all__ resolves on the package.
+  * Every name in fdisim.__all__ resolves on the package, and importing it
+    does not load scipy.stats (a start-up cost every command would pay).
   * Presets validate; the shipped YAML files in configs/ equal the
     built-in presets field for field; unknown keys are rejected with
     their path; seed and file overrides layer correctly.
   * A controller over a singular model.B, or with an x0 of the wrong
     length, exits with code 2 and an error line instead of a traceback;
-    so does a word where a number belongs or a ragged model matrix.
+    so does a word where a number belongs, a scalar where a list belongs,
+    or a ragged model matrix.
   * The digest changes exactly when a policy-determining field changes.
   * Policy artifacts round-trip bit-exactly, refuse wrong magic/version,
     and refuse digest mismatches.
@@ -24,6 +26,9 @@ What is proven here:
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +60,17 @@ def test_package_exports_resolve():
     missing = [name for name in fdisim.__all__ if not hasattr(fdisim, name)]
     assert missing == []
     assert len(set(fdisim.__all__)) == len(fdisim.__all__)
+
+
+def test_import_does_not_load_scipy_stats():
+    src = str(__import__("pathlib").Path(fdisim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import fdisim, sys; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_presets_and_shipped_files_agree():
@@ -334,6 +350,13 @@ def test_bad_controller_is_a_config_error(tmp_path, capsys, body, message):
      "controller.alpha must be a number in (0, 1), got 'half'"),
     ("model: {A: [[1.0, 2.0], [3.0]]}\n",
      "model.A must be a rectangular array of numbers"),
+    ("mdp: {step: 0.25}\n", "mdp.step must be a list, got 0.25"),
+    ("mitigation: {kind: noisy, sigma_mit: lots}\n",
+     "mitigation.sigma_mit must be a number >= 0, got 'lots'"),
+    ("attack: {constant_value: ten}\n",
+     "attack.constant_value must be a number, got 'ten'"),
+    ("fpmd: {etas: [zero]}\n",
+     "fpmd.etas[0] must be a number >= 0, got 'zero'"),
 ])
 def test_mistyped_config_is_a_config_error(tmp_path, capsys, body, message):
     cfg = tmp_path / "cfg.yaml"

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from fdisim.attack import AttackPlan
 from fdisim.defense import (
@@ -34,7 +35,7 @@ from fdisim.defense import (
 )
 from fdisim.evaluation import rollout_batch
 from fdisim.lti import SetpointController, SystemModel, derive_steady_state
-from fdisim.numerics import RngStream, std_normal_cdf
+from fdisim.numerics import RngStream
 
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
 
@@ -92,7 +93,7 @@ def test_no_attack_alarm_rate_matches_closed_form(bench):
     g = g_statistic(ss, r)
     for eta in (1.0, 2.5):
         rate = float(np.mean(detect(DetectorConfig(eta), g)))
-        exact = float(2.0 * std_normal_cdf(-math.sqrt(eta)))
+        exact = float(2.0 * ndtr(-math.sqrt(eta)))
         se = math.sqrt(exact * (1.0 - exact) / n)
         assert abs(rate - exact) < 3.0 * se, (eta, rate, exact)
 

@@ -187,7 +187,6 @@ def test_model_validation():
         SystemModel(A=[[1.0]], B=[[1.0], [1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]])
     model = scalar_benchmark()
     assert (model.n, model.p, model.m) == (1, 1, 1)
-    assert np.array_equal(model.X0, np.eye(1))
 
 
 def test_noise_covariances_respected():

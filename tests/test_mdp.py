@@ -8,6 +8,10 @@ What is proven here:
     (e=0, a=10, eta=10), is 1 at eta=0 and 0 at eta=inf, is symmetric under
     (e, a) -> (-e, -a), and agrees with direct Monte-Carlo simulation of the
     one-step recursion within 4 std-errors.
+  * Off the scalar path, detection_prob is the alarm rate of the one-step
+    sampler: within 4 std-errors of the noncentral chi-square closed form
+    on an isotropic 2-D model, 0 at eta=inf, and equal to the sampled
+    transition model's detection entry on the same child stream.
   * cell_transition_prob agrees with the same Monte-Carlo oracle cell-wise,
     reduces to a univariate normal when eta = inf, and its band + alarm
     decomposition (alarm_cell_mass) is consistent; alarm masses over a
@@ -20,7 +24,8 @@ What is proven here:
     rows by at most 1e-15 and leaves detection, interior mass and the
     solved policy (actions and values) bit-identical.
   * The sampled (simulation) path agrees with the exact scalar path within
-    Monte-Carlo error on a small lattice.
+    Monte-Carlo error on a small lattice, and a two-worker process pool
+    gives the same arrays as one worker.
   * value_iteration: values nonnegative, even in the state, nondecreasing
     in stage; argmax ties break to the smallest action index; stage-1
     values equal the best immediate reward; local refinement only improves
@@ -32,6 +37,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
+from scipy.stats import ncx2
 
 from fdisim import numerics
 from fdisim.lti import ModelError, SystemModel, derive_steady_state
@@ -50,7 +57,7 @@ from fdisim.mdp import (
     uniform_actions,
     value_iteration,
 )
-from fdisim.numerics import Rect, RngStream, std_normal_cdf
+from fdisim.numerics import Rect, RngStream
 
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
 K_GAIN = P_INF / (P_INF + 10.0)
@@ -69,6 +76,14 @@ def bench_tm(bench):
     grid = build_grid([(-30.0, 30.0)], [0.25])
     return build_transition_model(model, ss, eta=10.0, grid=grid,
                                   actions=uniform_actions(20.0, 81))
+
+
+@pytest.fixture(scope="module")
+def iso2():
+    """A = B = C = Q = I, R = 10 I: residual covariance 11 I, P_r = p I."""
+    model = SystemModel(A=np.eye(2), B=np.eye(2), C=np.eye(2), Q=np.eye(2),
+                        R=10.0 * np.eye(2))
+    return model, derive_steady_state(model)
 
 
 def mc_one_step(model, ss, eta, e, a, delta, n, seed):
@@ -149,8 +164,8 @@ def test_detection_prob_frozen_value(bench):
     # explicit closed form route
     theta = math.sqrt(10.0 * ss.P_r[0, 0])
     s1 = math.sqrt(11.0)
-    exact = float(std_normal_cdf((-theta - 10.0) / s1)
-                  + 1.0 - std_normal_cdf((theta - 10.0) / s1))
+    exact = float(ndtr((-theta - 10.0) / s1)
+                  + 1.0 - ndtr((theta - 10.0) / s1))
     assert p == pytest.approx(exact, abs=1e-15)
 
 
@@ -172,6 +187,45 @@ def test_detection_prob_against_mc_oracle(bench):
         p = detection_prob(model, ss, 10.0, [e], [a])
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(p - p_hat) < 4.0 * se + 1e-4, (e, a, p, p_hat)
+
+
+def test_nonscalar_detection_prob_against_ncx2(iso2):
+    # g = |r|^2 / p with r ~ N(CAe + a, 11 I): P(g > eta) is the
+    # noncentral chi-square tail at eta p / 11 with noncentrality |CAe + a|^2 / 11
+    model, ss = iso2
+    p_r = ss.P_r[0, 0]
+    assert np.allclose(ss.P_r, p_r * np.eye(2))
+    n = 100_000
+    for i, (e, a) in enumerate([((0.0, 0.0), (0.0, 0.0)),
+                                ((1.0, -2.0), (3.0, 4.0))]):
+        mean = np.asarray(e) + np.asarray(a)
+        for j, eta in enumerate((1.0, 5.0, 10.0)):
+            exact = float(ncx2.sf(eta * p_r / 11.0, 2, mean @ mean / 11.0))
+            p = detection_prob(model, ss, eta, e, a,
+                               stream=RngStream(31, 10 * i + j), samples=n)
+            se = math.sqrt(exact * (1.0 - exact) / n)
+            assert abs(p - exact) < 4.0 * se, (e, a, eta, p, exact)
+    assert detection_prob(model, ss, np.inf, (1.0, -2.0), (3.0, 4.0),
+                          stream=RngStream(31, 0), samples=n) == 0.0
+    with pytest.raises(numerics.NumericsError):
+        detection_prob(model, ss, 5.0, (0.0, 0.0), (0.0, 0.0))
+
+
+@pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
+def test_nonscalar_detection_prob_matches_sampled_model(iso2):
+    model, ss = iso2
+    grid = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [1.0, 1.0])
+    acts = uniform_actions(3.0, 3, m=2)
+    stream = RngStream(8, 2)
+    tm = build_transition_model(model, ss, eta=5.0, grid=grid, actions=acts,
+                                method="sample", stream=stream, samples=2000)
+    n_actions = acts.shape[0]
+    for i, e in enumerate(grid.points):
+        for k, a in enumerate(acts):
+            p = detection_prob(model, ss, 5.0, e, a,
+                               stream=stream.child(i * n_actions + k),
+                               samples=2000)
+            assert p == tm.detection[i, k], (i, k)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +255,8 @@ def test_cell_transition_never_detect_reduces_to_univariate(bench):
     mean = ss.A_K[0, 0] * e - ss.K[0, 0] * a
     target = Rect([-1.0], [2.0])
     p = cell_transition_prob(model, ss, np.inf, [e], [a], [a], target)
-    exact = float(std_normal_cdf((2.0 - mean) / s2)
-                  - std_normal_cdf((-1.0 - mean) / s2))
+    exact = float(ndtr((2.0 - mean) / s2)
+                  - ndtr((-1.0 - mean) / s2))
     assert p == pytest.approx(exact, abs=1e-12)
     assert cell_transition_prob(model, ss, np.inf, [e], [a], [a],
                                 Rect([-np.inf], [np.inf])) == pytest.approx(1.0)
@@ -312,6 +366,21 @@ def test_sampled_path_matches_exact_path(bench):
     assert np.all(np.abs(sampled.rows - exact.rows) < 4.0 * se_rows + 2e-4)
     se_det = np.sqrt(np.maximum(exact.detection * (1 - exact.detection), 1e-12) / n)
     assert np.all(np.abs(sampled.detection - exact.detection) < 4.0 * se_det + 2e-4)
+
+
+@pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
+def test_sampled_rows_with_two_workers_match_one(bench):
+    # 33 x 9 = 297 rows: more than one 256-row block, so the pool runs both
+    model, ss = bench
+    grid = build_grid([(-8.0, 8.0)], [0.5])
+    acts = uniform_actions(20.0, 9)
+    assert grid.n_states * acts.shape[0] > 256
+    kw = dict(eta=10.0, grid=grid, actions=acts, method="sample",
+              stream=RngStream(5, 1), samples=1000)
+    one = build_transition_model(model, ss, workers=1, **kw)
+    two = build_transition_model(model, ss, workers=2, **kw)
+    for name in ("rows", "detection", "interior_mass"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
 
 
 # ---------------------------------------------------------------------------

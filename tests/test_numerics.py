@@ -1,8 +1,9 @@
 """Numerical kernel tests.
 
 What is proven here:
-  * std_normal_cdf matches adaptive quadrature of the normal density to 1e-12
-    and handles infinite arguments.
+  * The standard normal CDF every kernel calls (scipy.special.ndtr) matches
+    adaptive quadrature of the normal density to 1e-12 and handles infinite
+    arguments.
   * The bivariate rectangle kernel reproduces dblquad oracles (frozen values
     computed at epsabs 1e-13) on both quadrature branches, satisfies the
     closed-form orthant identity 1/4 + asin(rho)/(2*pi), and its cell
@@ -13,11 +14,7 @@ What is proven here:
     rho <= -0.925 branch), saturated values match 40-digit mpmath
     integrals to within ndtr's few ulp, and +-inf entries and scalar
     inputs give exact limits and plain floats.
-  * mvn_rect_prob is exact in d=1, matches the d=2 kernel, collapses
-    degenerate dimensions to point masses, and its d>=3 sampling path agrees
-    with deterministic routes within 3 reported std-errors.
-  * gchi2_tail_prob reproduces the scalar chi-square closed form within 3
-    std-errors and is exact for an infinite threshold.
+  * Rect rejects inverted bounds.
   * solve_dare hits the scalar closed form (1+sqrt(41))/2 to 1e-9, agrees
     with an independent QZ solver in 2-D, and enforces its input contracts.
   * RngStream reproduces sequences per (seed, stream, path) id and children
@@ -30,21 +27,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, linalg
+from scipy.special import ndtr
 
 from fdisim import numerics
 from fdisim.numerics import (
-    GaussianSpec,
     NumericsError,
     Rect,
     RngStream,
     bvn_cdf,
     bvn_rect,
     bvn_upper,
-    gchi2_tail_prob,
-    mvn_rect_prob,
-    sample_gaussian,
     solve_dare,
-    std_normal_cdf,
 )
 
 # Scalar benchmark steady state, closed form: P^2 = Q*P + Q*R at A=C=Q=1, R=10.
@@ -57,15 +50,15 @@ def test_std_normal_cdf_against_quadrature():
         ref, err = integrate.quad(
             lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi),
             -40.0, x, epsabs=1e-14, limit=200)
-        assert abs(std_normal_cdf(x) - ref) < 1e-12, x
+        assert abs(ndtr(x) - ref) < 1e-12, x
 
 
 def test_std_normal_cdf_limits_and_monotonicity():
-    assert std_normal_cdf(-np.inf) == 0.0
-    assert std_normal_cdf(np.inf) == 1.0
-    assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+    assert ndtr(-np.inf) == 0.0
+    assert ndtr(np.inf) == 1.0
+    assert ndtr(0.0) == pytest.approx(0.5, abs=1e-15)
     xs = np.linspace(-10, 10, 101)
-    vals = std_normal_cdf(xs)
+    vals = ndtr(xs)
     assert np.all(np.diff(vals) >= 0.0)
 
 
@@ -96,20 +89,20 @@ def test_bvn_infinite_faces_reduce_to_univariate():
     assert bvn_upper(np.inf, 0.0, 0.5) == 0.0
     assert bvn_upper(0.0, np.inf, 0.5) == 0.0
     assert bvn_upper(-np.inf, -np.inf, 0.5) == 1.0
-    assert bvn_upper(-np.inf, 1.2, -0.7) == float(std_normal_cdf(-1.2))
-    assert bvn_upper(0.4, -np.inf, 0.99) == float(std_normal_cdf(-0.4))
-    assert bvn_cdf(np.inf, -0.4, -1.0) == float(std_normal_cdf(-0.4))
+    assert bvn_upper(-np.inf, 1.2, -0.7) == float(ndtr(-1.2))
+    assert bvn_upper(0.4, -np.inf, 0.99) == float(ndtr(-0.4))
+    assert bvn_cdf(np.inf, -0.4, -1.0) == float(ndtr(-0.4))
     for h, k in [(np.inf, 0.0), (-np.inf, 1.2), (3.0, -11.0), (0.1, 0.2)]:
         assert type(bvn_upper(h, k, 0.3)) is float
     assert bvn_rect(-np.inf, np.inf, -1.0, 1.0, 0.8) == pytest.approx(
-        float(std_normal_cdf(1.0) - std_normal_cdf(-1.0)), abs=1e-12)
+        float(ndtr(1.0) - ndtr(-1.0)), abs=1e-12)
 
 
 # h, k on [-40, 40] plus the cutoff itself, just inside it, and +-inf
 SAT_AXIS = np.concatenate([np.linspace(-40.0, 40.0, 801),
                            [10.0, -10.0, 10.0 - 1e-6, -(10.0 - 1e-6),
                             np.inf, -np.inf]])
-PHI_M10 = float(std_normal_cdf(-10.0))  # 7.6e-24
+PHI_M10 = float(ndtr(-10.0))  # 7.6e-24
 
 
 @pytest.mark.parametrize("rho", [-1.0, -0.99, -0.93, -0.53, 0.0, 0.5, 0.93,
@@ -129,8 +122,8 @@ def test_bvn_saturation_matches_unsaturated_kernel(monkeypatch, rho):
     k_low = (k <= -10.0) & ~zero & ~h_low
     inside = ~(zero | h_low | k_low)
     assert np.all(sat[zero] == 0.0)
-    assert np.array_equal(sat[h_low], std_normal_cdf(-k[h_low]))
-    assert np.array_equal(sat[k_low], std_normal_cdf(-h[k_low]))
+    assert np.array_equal(sat[h_low], ndtr(-k[h_low]))
+    assert np.array_equal(sat[k_low], ndtr(-h[k_low]))
     # the mesh holds 10 - 1e-6: entries inside the cutoff run the kernel
     assert inside.sum() > 0 and np.array_equal(sat[inside], full[inside])
 
@@ -185,108 +178,9 @@ def test_bvn_rect_monotone_in_enlargement(rho, xl, yl, grow):
     assert bigger >= base - 1e-12
 
 
-def test_mvn_rect_prob_univariate_exact():
-    g = GaussianSpec(np.array([1.0]), np.array([[4.0]]))
-    r = Rect(np.array([-1.0]), np.array([3.0]))
-    p = mvn_rect_prob(g, r)
-    exact = float(std_normal_cdf(1.0) - std_normal_cdf(-1.0))
-    assert p.value == pytest.approx(exact, abs=1e-14)
-    assert p.std_error == 0.0
-
-
-def test_mvn_rect_prob_bivariate_matches_kernel():
-    cov = np.array([[2.0, -0.8], [-0.8, 1.5]])
-    mean = np.array([0.3, -0.2])
-    g = GaussianSpec(mean, cov)
-    r = Rect(np.array([-1.0, -2.0]), np.array([2.0, 1.0]))
-    p = mvn_rect_prob(g, r)
-    s0, s1 = math.sqrt(2.0), math.sqrt(1.5)
-    rho = -0.8 / (s0 * s1)
-    direct = float(bvn_rect((-1.0 - 0.3) / s0, (2.0 - 0.3) / s0,
-                            (-2.0 + 0.2) / s1, (1.0 + 0.2) / s1, rho))
-    assert p.value == pytest.approx(direct, abs=1e-14)
-
-
-def test_mvn_rect_prob_degenerate_dims_are_point_masses():
-    g = GaussianSpec(np.array([0.5, 1.0]), np.array([[0.0, 0.0], [0.0, 2.0]]))
-    inside = mvn_rect_prob(g, Rect(np.array([0.0, -1.0]), np.array([1.0, 1.0])))
-    outside = mvn_rect_prob(g, Rect(np.array([0.6, -1.0]), np.array([1.0, 1.0])))
-    exact = float(std_normal_cdf(0.0) - std_normal_cdf(-2.0 / math.sqrt(2.0)))
-    assert inside.value == pytest.approx(exact, abs=1e-14)
-    assert outside.value == 0.0
-
-
-def test_mvn_rect_prob_qmc_matches_product_form():
-    cov = np.diag([1.0, 2.0, 0.5])
-    g = GaussianSpec(np.zeros(3), cov)
-    r = Rect(np.array([-1.0, -2.0, -0.5]), np.array([1.5, 0.5, 1.0]))
-    p = mvn_rect_prob(g, r, stream=RngStream(2024, 0), samples=2 ** 16)
-    exact = 1.0
-    for i in range(3):
-        sd = math.sqrt(cov[i, i])
-        exact *= float(std_normal_cdf(r.upper[i] / sd) - std_normal_cdf(r.lower[i] / sd))
-    assert p.std_error > 0.0
-    assert abs(p.value - exact) < max(3.0 * p.std_error, 1e-4)
-
-
-def test_mvn_rect_prob_qmc_matches_bivariate_route():
-    # block-diagonal: correlated pair x independent scalar, so the exact value
-    # comes from the deterministic d=2 kernel times a univariate factor
-    cov = np.array([[1.0, 0.6, 0.0], [0.6, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    g = GaussianSpec(np.zeros(3), cov)
-    r = Rect(np.array([-0.5, -0.5, -1.0]), np.array([1.0, 1.5, 2.0]))
-    p2 = float(bvn_rect(-0.5, 1.0, -0.5, 1.5, 0.6))
-    p1 = float(std_normal_cdf(2.0) - std_normal_cdf(-1.0))
-    p = mvn_rect_prob(g, r, stream=RngStream(55, 3), samples=2 ** 16)
-    assert abs(p.value - p2 * p1) < max(3.0 * p.std_error, 1e-4)
-
-
-def test_mvn_rect_prob_requires_stream_in_high_dim():
-    g = GaussianSpec(np.zeros(3), np.eye(3))
-    r = Rect(-np.ones(3), np.ones(3))
-    with pytest.raises(NumericsError):
-        mvn_rect_prob(g, r)
-
-
-def test_mvn_rect_prob_dimension_mismatch():
-    g = GaussianSpec(np.zeros(2), np.eye(2))
-    with pytest.raises(NumericsError):
-        mvn_rect_prob(g, Rect(-np.ones(3), np.ones(3)))
-
-
-def test_gaussian_spec_rejects_bad_covariance():
-    with pytest.raises(NumericsError):
-        GaussianSpec(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
-    with pytest.raises(NumericsError):
-        GaussianSpec(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
 def test_rect_rejects_inverted_bounds():
     with pytest.raises(NumericsError):
         Rect(np.array([1.0]), np.array([0.0]))
-
-
-def test_gchi2_tail_prob_scalar_closed_form():
-    # g = x'Wx with x ~ N(0, P_r), W = 1/P_r: P(g > eta) = 2 Phi(-sqrt(eta))
-    p_r = P_INF + 10.0
-    g = GaussianSpec(np.zeros(1), np.array([[p_r]]))
-    w = np.array([[1.0 / p_r]])
-    for eta, exact in ((1.0, 2 * std_normal_cdf(-1.0)),
-                       (10.0, 2 * std_normal_cdf(-math.sqrt(10.0)))):
-        p, se = gchi2_tail_prob(g, w, eta, RngStream(11, 0), samples=200_000)
-        assert se > 0.0
-        assert abs(p - exact) < 3.0 * se + 1e-4, (eta, p, exact, se)
-
-
-def test_gchi2_tail_prob_infinite_threshold():
-    g = GaussianSpec(np.zeros(2), np.eye(2))
-    assert gchi2_tail_prob(g, np.eye(2), np.inf, RngStream(1, 0)) == (0.0, 0.0)
-
-
-def test_gchi2_tail_prob_rejects_indefinite_weight():
-    g = GaussianSpec(np.zeros(2), np.eye(2))
-    with pytest.raises(NumericsError):
-        gchi2_tail_prob(g, np.array([[1.0, 0.0], [0.0, -1.0]]), 1.0, RngStream(1, 0))
 
 
 def test_solve_dare_scalar_closed_form():
@@ -330,16 +224,3 @@ def test_rng_stream_reproducible_and_children_independent():
     assert not np.array_equal(child_before,
                               parent.child(1).generator().standard_normal(4))
 
-
-def test_sample_gaussian_moments_and_degenerate():
-    cov = np.array([[2.0, 0.7], [0.7, 1.0]])
-    g = GaussianSpec(np.array([1.0, -2.0]), cov)
-    x = sample_gaussian(g, RngStream(99, 0), size=200_000)
-    assert np.max(np.abs(x.mean(axis=0) - g.mean)) < 0.02
-    assert np.max(np.abs(np.cov(x.T) - cov)) < 0.03
-    point = GaussianSpec(np.array([3.0, 4.0]), np.zeros((2, 2)))
-    y = sample_gaussian(point, RngStream(0, 0), size=5)
-    assert np.array_equal(y, np.tile([3.0, 4.0], (5, 1)))
-    single = sample_gaussian(g, RngStream(99, 1))
-    assert single.shape == (2,)
-    assert np.array_equal(single, sample_gaussian(g, RngStream(99, 1)))
