@@ -186,8 +186,10 @@ class RunConfig:
                           ("mdp.horizon", 1), ("eval.runs", 1),
                           ("eval.horizon", 1), ("eval.seed", 0)):
             section, key = path.split(".")
-            _number(data[section][key], path, f"a number >= {low}",
-                    lambda v: v >= low)
+            value = data[section][key]
+            _number(value, path, f"a number >= {low}", lambda v: v >= low)
+            _number(value, path, "an integer", lambda v: path == "detector.eta"
+                    or isinstance(v, numbers.Integral))
         mit = data["mitigation"]
         _require(mit["kind"] in ("perfect", "noisy", "off"),
                  f"mitigation.kind must be perfect|noisy|off, "
@@ -213,6 +215,13 @@ class RunConfig:
         _numbers(mdp["step"], "mdp.step", "a number > 0", lambda v: v > 0)
         _require(len(mdp["bounds"]) == len(mdp["step"]),
                  "mdp.bounds and mdp.step must have the same length")
+        _require(isinstance(mdp["refine"], bool),
+                 f"mdp.refine must be true or false, got {mdp['refine']!r}")
+        _number(mdp["gamma"], "mdp.gamma", "a number in (0, 1]",
+                lambda v: 0.0 < v <= 1.0)
+        for key, value in data["paths"].items():
+            _require(isinstance(value, str) or (key, value) == ("traces", None),
+                     f"paths.{key} must be a string, got {value!r}")
         for key in ("etas", "sigmas"):
             _numbers(data["fpmd"][key], f"fpmd.{key}", "a number >= 0",
                      lambda v: v >= 0)
@@ -231,10 +240,11 @@ class RunConfig:
                      "model.B is singular; the setpoint controller cannot "
                      "invert it")
             for key in ("x0", "init"):
-                shape = np.shape(ctrl[key])
-                _require(ctrl[key] is None or shape == (n,),
-                         f"controller.{key} must have length {n}, "
-                         f"got shape {shape}")
+                if ctrl[key] is not None:
+                    _numbers(ctrl[key], f"controller.{key}", "a number",
+                             lambda v: True)
+                    _require(len(ctrl[key]) == n, f"controller.{key} must "
+                             f"have length {n}, got {len(ctrl[key])}")
 
     # -- section accessors -------------------------------------------------
 
@@ -353,10 +363,7 @@ def from_mapping(mapping: dict | None) -> RunConfig:
 
 
 def preset(name: str) -> RunConfig:
-    if name not in _PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; available: "
-                          f"{', '.join(preset_names())}")
-    return from_mapping(_PRESETS[name])
+    return resolve_config(name)
 
 
 def _load_yaml(path) -> dict:

@@ -124,6 +124,7 @@ _GL_RULES = {
 
 # Past |h| or |k| = _SAT, bvn_upper returns the one-dimensional limit.
 _SAT = 10.0
+_BLOCK = 32768  # entries per quadrature block; its temporaries fit in cache
 
 
 def _gl_rule(rho: float):
@@ -141,10 +142,12 @@ def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
         hk = h * k
         hs = 0.5 * (h * h + k * k)
         asr = 0.5 * math.asin(rho)
-        acc = np.zeros_like(h)
-        for wi, xi in zip(w, x):
+        acc, t = np.zeros_like(h), np.empty_like(h)
+        for wi, xi in zip(w, x):  # acc += wi * exp((sn*hk - hs) / (1 - sn^2))
             sn = math.sin(asr * xi)
-            acc += wi * np.exp((sn * hk - hs) / (1.0 - sn * sn))
+            np.subtract(np.multiply(sn, hk, out=t), hs, out=t)
+            t /= 1.0 - sn * sn
+            acc += np.multiply(wi, np.exp(t, out=t), out=t)
         return acc * asr / tp + ndtr(-h) * ndtr(-k)
 
     # |rho| close to 1: Genz's tail expansion around the singular direction.
@@ -184,6 +187,13 @@ def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
     return np.where(h >= k, 0.0, band) - bvn
 
 
+def _phi_neg(x: np.ndarray, where: np.ndarray, shape) -> np.ndarray:
+    """Phi(-x) at where in x broadcast to shape; ndtr on x if that is less."""
+    if x.size < np.count_nonzero(where):
+        return np.broadcast_to(ndtr(-x), shape)[where]
+    return ndtr(-np.broadcast_to(x, shape)[where])
+
+
 def bvn_upper(h, k, rho: float) -> np.ndarray:
     """P(X > h, Y > k) for a standard bivariate normal with correlation rho.
 
@@ -192,24 +202,27 @@ def bvn_upper(h, k, rho: float) -> np.ndarray:
     one-dimensional limit, exactly: 0 if h >= 10 or k >= 10, else Phi(-k)
     if h <= -10, else Phi(-h) if k <= -10. That is within Phi(-10) =
     7.6e-24 absolute of the orthant probability, and exact at +-inf.
+    Saturation is decided, and a limit taken, on h and k before broadcasting
+    (one Phi(-h) per row for an (R, 1) h); the rest runs in blocks of
+    _BLOCK. Neither changes a bit of the result or the error above.
     """
     if not -1.0 <= rho <= 1.0:
         raise NumericsError(f"correlation {rho} outside [-1, 1]")
-    h, k = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
-    out = np.empty(h.shape, dtype=float)
-    h_flat, k_flat, out_flat = h.ravel(), k.ravel(), out.ravel()
-
-    zero = (h_flat >= _SAT) | (k_flat >= _SAT)
-    h_low = (h_flat <= -_SAT) & ~zero
-    k_low = (k_flat <= -_SAT) & ~zero & ~h_low
-    out_flat[zero] = 0.0
-    out_flat[h_low] = ndtr(-k_flat[h_low])
-    out_flat[k_low] = ndtr(-h_flat[k_low])
-
-    inside = ~(zero | h_low | k_low)
-    if np.any(inside):
-        out_flat[inside] = _bvn_upper_finite(h_flat[inside], k_flat[inside], rho)
-    np.clip(out_flat, 0.0, 1.0, out=out_flat)
+    h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
+    shape = np.broadcast_shapes(h.shape, k.shape)
+    out = np.zeros(shape)
+    live = ~((h >= _SAT) | (k >= _SAT))
+    for x, low in ((k, h <= -_SAT), (h, k <= -_SAT)):
+        where = low & live
+        out[where] = _phi_neg(x, where, shape)
+        live &= ~low
+    hb, kb = (np.broadcast_to(x, shape)[live] for x in (h, k))
+    vals = np.empty(hb.shape)
+    for s in range(0, vals.size, _BLOCK):
+        vals[s:s + _BLOCK] = _bvn_upper_finite(hb[s:s + _BLOCK],
+                                               kb[s:s + _BLOCK], rho)
+    out[live] = vals
+    np.clip(out, 0.0, 1.0, out=out)
     return out if out.ndim else float(out)
 
 

@@ -357,6 +357,14 @@ def test_bad_controller_is_a_config_error(tmp_path, capsys, body, message):
      "attack.constant_value must be a number, got 'ten'"),
     ("fpmd: {etas: [zero]}\n",
      "fpmd.etas[0] must be a number >= 0, got 'zero'"),
+    ("eval: {runs: 2.5}\n", "eval.runs must be an integer, got 2.5"),
+    ("mdp: {action_count: 80.5}\n",
+     "mdp.action_count must be an integer, got 80.5"),
+    ("mdp: {refine: maybe}\n", "mdp.refine must be true or false, got 'maybe'"),
+    ("controller: {x0: [zero]}\n",
+     "controller.x0[0] must be a number, got 'zero'"),
+    ("paths: {policy: 5}\n", "paths.policy must be a string, got 5"),
+    ("mdp: {gamma: lots}\n", "mdp.gamma must be a number in (0, 1], got 'lots'"),
 ])
 def test_mistyped_config_is_a_config_error(tmp_path, capsys, body, message):
     cfg = tmp_path / "cfg.yaml"

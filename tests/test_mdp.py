@@ -23,6 +23,8 @@ What is proven here:
   * The bivariate kernel's saturation past 10 sigma moves the benchmark
     rows by at most 1e-15 and leaves detection, interior mass and the
     solved policy (actions and values) bit-identical.
+  * The exact rows, detection and interior mass are bit-identical whatever
+    the row-chunk and kernel-block sizes.
   * The sampled (simulation) path agrees with the exact scalar path within
     Monte-Carlo error on a small lattice, and a two-worker process pool
     gives the same arrays as one worker.
@@ -40,7 +42,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import ncx2
 
-from fdisim import numerics
+from fdisim import mdp, numerics
 from fdisim.lti import ModelError, SystemModel, derive_steady_state
 from fdisim.mdp import (
     Grid,
@@ -342,6 +344,22 @@ def test_kernel_saturation_leaves_rows_and_policy(bench, bench_tm,
     full_pol = value_iteration(full, horizon=10)
     assert np.array_equal(sat_pol.action_table, full_pol.action_table)
     assert np.array_equal(sat_pol.values, full_pol.values)
+
+
+def test_row_build_independent_of_chunk_and_block_sizes(bench, monkeypatch):
+    # benchmark law on a coarse benchmark-shaped grid: 525 rows of 25 cells
+    model, ss = bench
+    grid = build_grid([(-30.0, 30.0)], [2.5])
+    actions = uniform_actions(20.0, 21)
+    ref = build_transition_model(model, ss, eta=10.0, grid=grid,
+                                 actions=actions)
+    monkeypatch.setattr(mdp, "_ROW_CHUNK", 37)
+    monkeypatch.setattr(numerics, "_BLOCK", 101)
+    small = build_transition_model(model, ss, eta=10.0, grid=grid,
+                                   actions=actions)
+    assert np.array_equal(ref.rows, small.rows)
+    assert np.array_equal(ref.detection, small.detection)
+    assert np.array_equal(ref.interior_mass, small.interior_mass)
 
 
 def test_truncation_warning_on_small_grid(bench):

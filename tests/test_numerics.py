@@ -14,6 +14,10 @@ What is proven here:
     rho <= -0.925 branch), saturated values match 40-digit mpmath
     integrals to within ndtr's few ulp, and +-inf entries and scalar
     inputs give exact limits and plain floats.
+  * The kernel's result does not depend on its quadrature block size or on
+    the layout of its operands: a broadcast (R, 1) column, the same column
+    made contiguous, row-by-row calls and scalar calls agree bit for bit,
+    and size-0 operands give empty results.
   * Rect rejects inverted bounds.
   * solve_dare hits the scalar closed form (1+sqrt(41))/2 to 1e-9, agrees
     with an independent QZ solver in 2-D, and enforces its input contracts.
@@ -140,6 +144,34 @@ def test_bvn_saturated_values_against_mpmath(h, k, rho):
             [h, 0, 10, mpmath.inf]))
     # the limit is an ndtr value, good to a few ulp (6 at -3, 1 at 0.1)
     assert abs(bvn_upper(h, k, rho) - ref) <= 8 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.99, -0.53, 0.0, 0.5, 0.99, 1.0])
+def test_bvn_layout_and_block_size_leave_every_bit(monkeypatch, rho):
+    # an (R, 1) x (R, M) pair as the row build passes it, with +-inf, the
+    # cutoff and entries just inside it mixed among live entries
+    rng = np.random.default_rng(11)
+    special = [np.inf, -np.inf, 10.0, -10.0, 10.0 - 1e-6, -(10.0 - 1e-6)]
+    h = rng.normal(scale=6.0, size=(24, 1))
+    k = rng.normal(scale=6.0, size=(24, 19))
+    h[:6, 0] = special
+    k[::3, :6] = special
+    k[1::5, 7:] = -11.0
+    default = bvn_upper(h, k, rho)
+    monkeypatch.setattr(numerics, "_BLOCK", 7)
+    live = np.sum((np.abs(h) < 10.0) & (np.abs(k) < 10.0), axis=1)
+    assert live.sum() > 7 and np.any(live % 7 != 0) and np.any(live > 7)
+    h_full = np.ascontiguousarray(np.broadcast_to(h, k.shape))
+    assert np.array_equal(bvn_upper(h, k, rho), default)
+    assert np.array_equal(bvn_upper(h_full, k, rho), default)
+    assert np.array_equal(
+        np.stack([bvn_upper(h[i], k[i], rho) for i in range(h.shape[0])]),
+        default)
+    for i, j in [(0, 0), (2, 5), (6, 6), (7, 3), (23, 18)]:
+        value = bvn_upper(h[i, 0], k[i, j], rho)
+        assert type(value) is float and value == default[i, j]
+    assert bvn_upper(np.empty((0, 1)), np.empty((0, 19)), rho).shape == (0, 19)
+    assert bvn_upper(h, np.empty((24, 0)), rho).shape == (24, 0)
 
 
 def test_bvn_vectorized_matches_scalar():
