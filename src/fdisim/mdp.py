@@ -32,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from . import numerics
 from .lti import ModelError, SteadyState, SystemModel
 from .numerics import (NumericsError, Rect, RngStream, bvn_cdf, bvn_rect,
                        psd_factor)
 
-_ROW_CHUNK = 4096
 _DELTA_RULES = ("perfect", "off")
 
 
@@ -279,8 +279,10 @@ def _scalar_rows(model: SystemModel, ss: SteadyState, eta: float, grid: Grid,
     n_cells = ax.size
     rows = np.empty((n_rows, n_cells))
     interior = np.empty(n_rows)
-    for start in range(0, n_rows, _ROW_CHUNK):
-        sl = slice(start, min(start + _ROW_CHUNK, n_rows))
+    # one kernel block of entries per tile keeps the temporaries small
+    tile = max(1, numerics._BLOCK // edges.size)
+    for start in range(0, n_rows, tile):
+        sl = slice(start, min(start + tile, n_rows))
         c1 = (edges[None, :] - y2[sl, None]) / s2
         c2 = (edges[None, :] - (y2[sl, None] + shift[sl, None])) / s2
         l1c = l1[sl, None]

@@ -134,8 +134,10 @@ def _gl_rule(rho: float):
     return np.concatenate([w, w]), np.concatenate([1.0 - x, 1.0 + x])
 
 
-def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
-    """P(X > h, Y > k) for standard bivariate normal, finite h, k arrays."""
+def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float,
+                      phi_h: np.ndarray | None = None) -> np.ndarray:
+    """P(X > h, Y > k) for standard bivariate normal, finite h, k arrays;
+    phi_h, if given, is Phi(-h) for the |rho| < 0.925 branch."""
     w, x = _gl_rule(rho)
     tp = 2.0 * math.pi
     if abs(rho) < 0.925:
@@ -148,7 +150,8 @@ def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
             np.subtract(np.multiply(sn, hk, out=t), hs, out=t)
             t /= 1.0 - sn * sn
             acc += np.multiply(wi, np.exp(t, out=t), out=t)
-        return acc * asr / tp + ndtr(-h) * ndtr(-k)
+        phi_h = ndtr(-h) if phi_h is None else phi_h
+        return acc * asr / tp + phi_h * ndtr(-k)
 
     # |rho| close to 1: Genz's tail expansion around the singular direction.
     if rho < 0.0:
@@ -202,9 +205,11 @@ def bvn_upper(h, k, rho: float) -> np.ndarray:
     one-dimensional limit, exactly: 0 if h >= 10 or k >= 10, else Phi(-k)
     if h <= -10, else Phi(-h) if k <= -10. That is within Phi(-10) =
     7.6e-24 absolute of the orthant probability, and exact at +-inf.
-    Saturation is decided, and a limit taken, on h and k before broadcasting
-    (one Phi(-h) per row for an (R, 1) h); the rest runs in blocks of
-    _BLOCK. Neither changes a bit of the result or the error above.
+    Saturation is decided, and a limit taken, on h and k before broadcasting;
+    a broadcast h has Phi(-h) taken once per entry (once per row for an
+    (R, 1) h), for its limits and for the quadrature alike. The rest runs
+    in blocks of _BLOCK. Neither changes a bit of the result or the error
+    above.
     """
     if not -1.0 <= rho <= 1.0:
         raise NumericsError(f"correlation {rho} outside [-1, 1]")
@@ -212,15 +217,21 @@ def bvn_upper(h, k, rho: float) -> np.ndarray:
     shape = np.broadcast_shapes(h.shape, k.shape)
     out = np.zeros(shape)
     live = ~((h >= _SAT) | (k >= _SAT))
+    # Phi(-h) once per entry of a broadcast h, for the k <= -10 limits and
+    # the quadrature's Phi(-h)Phi(-k) term; same-shape calls gather first.
+    nh = np.broadcast_to(ndtr(-h), shape) if h.size < out.size else None
     for x, low in ((k, h <= -_SAT), (h, k <= -_SAT)):
         where = low & live
-        out[where] = _phi_neg(x, where, shape)
+        out[where] = (nh[where] if x is h and nh is not None
+                      else _phi_neg(x, where, shape))
         live &= ~low
     hb, kb = (np.broadcast_to(x, shape)[live] for x in (h, k))
+    nhb = nh[live] if nh is not None and abs(rho) < 0.925 else None
     vals = np.empty(hb.shape)
     for s in range(0, vals.size, _BLOCK):
-        vals[s:s + _BLOCK] = _bvn_upper_finite(hb[s:s + _BLOCK],
-                                               kb[s:s + _BLOCK], rho)
+        b = slice(s, s + _BLOCK)
+        vals[b] = _bvn_upper_finite(hb[b], kb[b], rho,
+                                    None if nhb is None else nhb[b])
     out[live] = vals
     np.clip(out, 0.0, 1.0, out=out)
     return out if out.ndim else float(out)

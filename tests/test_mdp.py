@@ -24,7 +24,8 @@ What is proven here:
     rows by at most 1e-15 and leaves detection, interior mass and the
     solved policy (actions and values) bit-identical.
   * The exact rows, detection and interior mass are bit-identical whatever
-    the row-chunk and kernel-block sizes.
+    the kernel-block size, which also sets the row-tile size, and the
+    benchmark-shaped row build allocates at most 16 MiB beyond its outputs.
   * The sampled (simulation) path agrees with the exact scalar path within
     Monte-Carlo error on a small lattice, and a two-worker process pool
     gives the same arrays as one worker.
@@ -36,13 +37,14 @@ What is proven here:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 from scipy.stats import ncx2
 
-from fdisim import mdp, numerics
+from fdisim import numerics
 from fdisim.lti import ModelError, SystemModel, derive_steady_state
 from fdisim.mdp import (
     Grid,
@@ -347,19 +349,38 @@ def test_kernel_saturation_leaves_rows_and_policy(bench, bench_tm,
 
 
 def test_row_build_independent_of_chunk_and_block_sizes(bench, monkeypatch):
-    # benchmark law on a coarse benchmark-shaped grid: 525 rows of 25 cells
+    # benchmark law on a coarse benchmark-shaped grid: 525 rows of 25 cells,
+    # 26 edges. _BLOCK sets the row tiles too: 127 gives 4-row tiles with a
+    # ragged last one (525 = 131 * 4 + 1); 7 is less than one row, so every
+    # tile is 1 row.
     model, ss = bench
     grid = build_grid([(-30.0, 30.0)], [2.5])
     actions = uniform_actions(20.0, 21)
     ref = build_transition_model(model, ss, eta=10.0, grid=grid,
                                  actions=actions)
-    monkeypatch.setattr(mdp, "_ROW_CHUNK", 37)
-    monkeypatch.setattr(numerics, "_BLOCK", 101)
-    small = build_transition_model(model, ss, eta=10.0, grid=grid,
-                                   actions=actions)
-    assert np.array_equal(ref.rows, small.rows)
-    assert np.array_equal(ref.detection, small.detection)
-    assert np.array_equal(ref.interior_mass, small.interior_mass)
+    for block in (127, 7):
+        monkeypatch.setattr(numerics, "_BLOCK", block)
+        small = build_transition_model(model, ss, eta=10.0, grid=grid,
+                                       actions=actions)
+        assert np.array_equal(ref.rows, small.rows)
+        assert np.array_equal(ref.detection, small.detection)
+        assert np.array_equal(ref.interior_mass, small.interior_mass)
+
+
+def test_row_build_memory_beyond_its_outputs(bench, bench_tm):
+    # the benchmark-shaped build (241 states x 81 actions, 36.2 MiB of
+    # outputs) under tracemalloc: its temporaries stay tile-sized
+    model, ss = bench
+    tracemalloc.start()
+    try:
+        tm = build_transition_model(model, ss, eta=10.0, grid=bench_tm.grid,
+                                    actions=bench_tm.actions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = tm.rows.nbytes + tm.detection.nbytes + tm.interior_mass.nbytes
+    assert peak - outputs <= 16 * 2**20, (peak - outputs) / 2**20
+    assert np.array_equal(tm.rows, bench_tm.rows)
 
 
 def test_truncation_warning_on_small_grid(bench):
