@@ -61,6 +61,10 @@ class EvaluationError(ValueError):
 class BatchRollout:
     """W simulated runs; every array is indexed [run, t] for t = 0..T.
 
+    The arrays are [run, t] views of step-major (T + 1, W, ...) buffers,
+    so runs are their contiguous axis: reduce over runs on a C-ordered
+    copy where the result must add the runs in order (see _inner_sums).
+
     Measurement-channel signals (y, y_a, y_f, a, delta, g, i) and the
     arrival-indexed noises (w, v) are zero at t = 0: no measurement is
     processed there, the filter starts at its steady state.  u[:, t] is
@@ -153,65 +157,71 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
     _check_plan_horizon(plan, T)
     W, n, m, p = runs, model.n, model.m, model.p
 
+    x_hat0 = np.zeros(n) if x_hat0 is None else np.asarray(x_hat0, float)
+    if x_hat0.shape != (n,):
+        raise EvaluationError(
+            f"x_hat0 must have shape ({n},), got {x_hat0.shape}")
+
     gen = stream.generator()
     L_e = psd_factor(ss.P_e)
     L_q = psd_factor(model.Q)
     L_r = psd_factor(model.R)
-    # fixed draw order: e0 block, process block, measurement block,
-    # mitigation block; keeps streams aligned across compared systems
+    # buffers are step-major, (T + 1, W, .), so each step reads and writes
+    # contiguous (W, .) blocks; the fixed draw order (e0 block, process
+    # block, measurement block, mitigation block) and the (W, T, .) draw
+    # shapes keep streams aligned across compared systems
     e0 = gen.standard_normal((W, n)) @ L_e.T
-    w = np.zeros((W, T + 1, n))
-    w[:, 1:] = gen.standard_normal((W, T, n)) @ L_q.T
-    v = np.zeros((W, T + 1, m))
-    v[:, 1:] = gen.standard_normal((W, T, m)) @ L_r.T
-    b = np.zeros((W, T + 1, m))
-    b[:, 1:] = gen.standard_normal((W, T, m))
+    w = np.zeros((T + 1, W, n))
+    w[1:] = (gen.standard_normal((W, T, n)) @ L_q.T).swapaxes(0, 1)
+    v = np.zeros((T + 1, W, m))
+    v[1:] = (gen.standard_normal((W, T, m)) @ L_r.T).swapaxes(0, 1)
+    b = np.zeros((T + 1, W, m))
+    b[1:] = gen.standard_normal((W, T, m)).swapaxes(0, 1)
 
-    x = np.zeros((W, T + 1, n))
-    x_hat = np.zeros((W, T + 1, n))
-    e = np.zeros((W, T + 1, n))
-    y = np.zeros((W, T + 1, m))
-    y_a = np.zeros((W, T + 1, m))
-    y_f = np.zeros((W, T + 1, m))
-    a = np.zeros((W, T + 1, m))
-    delta = np.zeros((W, T + 1, m))
-    g = np.zeros((W, T + 1))
-    i = np.zeros((W, T + 1), dtype=np.int64)
-    u = np.zeros((W, T + 1, p))
+    x = np.zeros((T + 1, W, n))
+    x_hat = np.zeros((T + 1, W, n))
+    e = np.zeros((T + 1, W, n))
+    y = np.zeros((T + 1, W, m))
+    y_a = np.zeros((T + 1, W, m))
+    y_f = np.zeros((T + 1, W, m))
+    a = np.zeros((T + 1, W, m))
+    delta = np.zeros((T + 1, W, m))
+    g = np.zeros((T + 1, W))
+    i = np.zeros((T + 1, W), dtype=np.int64)
+    u = np.zeros((T + 1, W, p))
 
-    if x_hat0 is None:
-        x_hat0 = np.zeros(n)
-    x_hat[:, 0] = np.broadcast_to(np.asarray(x_hat0, dtype=float), (W, n))
-    e[:, 0] = e0
-    x[:, 0] = x_hat[:, 0] + e0
+    x_hat[0] = x_hat0
+    e[0] = e0
+    x[0] = x_hat[0] + e0
 
     A_T, B_T, C_T, K_T = model.A.T, model.B.T, model.C.T, ss.K.T
     for t in range(1, T + 1):
-        u_prev = setpoint_control(model, controller, x_hat[:, t - 1])
-        u[:, t - 1] = u_prev
-        x[:, t] = x[:, t - 1] @ A_T + u_prev @ B_T + w[:, t]
-        y[:, t] = x[:, t] @ C_T + v[:, t]
-        a[:, t] = attack_at(plan, t, e[:, t - 1], stage_remaining=T - t + 1)
-        y_a[:, t] = y[:, t] + a[:, t]
-        x_pred = x_hat[:, t - 1] @ A_T + u_prev @ B_T
-        r = y_a[:, t] - x_pred @ C_T
-        g[:, t] = g_statistic(ss, r)
-        i[:, t] = oracle_detect(a[:, t]) if oracle else detect(detector, g[:, t])
-        delta[:, t], y_f[:, t] = mitigate(strategy, y_a[:, t], a[:, t],
-                                          i[:, t], b[:, t])
-        x_hat[:, t] = x_pred + (y_f[:, t] - x_pred @ C_T) @ K_T
-        e[:, t] = x[:, t] - x_hat[:, t]
-    u[:, T] = setpoint_control(model, controller, x_hat[:, T])
+        u_prev = setpoint_control(model, controller, x_hat[t - 1])
+        u[t - 1] = u_prev
+        x[t] = x[t - 1] @ A_T + u_prev @ B_T + w[t]
+        y[t] = x[t] @ C_T + v[t]
+        a[t] = attack_at(plan, t, e[t - 1], stage_remaining=T - t + 1)
+        y_a[t] = y[t] + a[t]
+        x_pred = x_hat[t - 1] @ A_T + u_prev @ B_T
+        r = y_a[t] - x_pred @ C_T
+        g[t] = g_statistic(ss, r)
+        i[t] = oracle_detect(a[t]) if oracle else detect(detector, g[t])
+        delta[t], y_f[t] = mitigate(strategy, y_a[t], a[t], i[t], b[t])
+        x_hat[t] = x_pred + (y_f[t] - x_pred @ C_T) @ K_T
+        e[t] = x[t] - x_hat[t]
+    u[T] = setpoint_control(model, controller, x_hat[T])
 
-    return BatchRollout(x=x, x_hat=x_hat, e=e, y=y, y_a=y_a, y_f=y_f, a=a,
-                        delta=delta, g=g, i=i, u=u, w=w, v=v)
+    return BatchRollout(**{name: arr.swapaxes(0, 1) for name, arr in dict(
+        x=x, x_hat=x_hat, e=e, y=y, y_a=y_a, y_f=y_f, a=a, delta=delta, g=g,
+        i=i, u=u, w=w, v=v).items()})
 
 
 def _inner_sums(batch: BatchRollout) -> np.ndarray:
     """Per-run cumulative squared error norms, shape (W, T); column t-1
-    holds sum_{tau=1..t} ||e[tau]||^2."""
+    holds sum_{tau=1..t} ||e[tau]||^2.  C-ordered, so the cost reductions
+    over runs add them in order (numpy sums a contiguous axis pairwise)."""
     sq = np.sum(batch.e[:, 1:] ** 2, axis=2)
-    return np.cumsum(sq, axis=1)
+    return np.cumsum(sq, axis=1, out=np.empty(sq.shape))
 
 
 def empirical_cost(batch: BatchRollout, digest: str = "") -> CostReport:

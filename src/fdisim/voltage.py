@@ -214,13 +214,24 @@ def voltage_attack_experiment(model: SystemModel, ss: SteadyState,
         return np.zeros_like(arr[0])
 
     x0 = np.asarray(controller.x0, dtype=float)
-    dev = np.linalg.norm(batch.x - x0, axis=2)
-    est_dev = np.linalg.norm(batch.x_hat - x0, axis=2)
+    # reduce over runs on C-ordered copies so the runs add in order (see
+    # BatchRollout); one copy at a time, each shifted by x0 in place for
+    # the deviations, so the copies do not raise the peak memory
+    x = np.ascontiguousarray(batch.x)
+    mean_voltage, voltage_std_err = x.mean(axis=0), _std_err(x)
+    x -= x0
+    dev = np.linalg.norm(x, axis=2)
+    del x
+    x_hat = np.ascontiguousarray(batch.x_hat)
+    mean_estimate = x_hat.mean(axis=0)
+    x_hat -= x0
+    est_dev = np.linalg.norm(x_hat, axis=2)
+    del x_hat
     return VoltageRun(
         report=empirical_cost(batch, digest=digest),
-        mean_voltage=batch.x.mean(axis=0),
-        voltage_std_err=_std_err(batch.x),
-        mean_estimate=batch.x_hat.mean(axis=0),
+        mean_voltage=mean_voltage,
+        voltage_std_err=voltage_std_err,
+        mean_estimate=mean_estimate,
         mean_abs_deviation=dev.mean(axis=0),
         abs_deviation_std_err=_std_err(dev),
         mean_est_abs_deviation=est_dev.mean(axis=0),

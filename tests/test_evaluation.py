@@ -20,7 +20,15 @@ What is proven here:
     md_cost is exactly zero at eta=0 under an always-injecting plan (a
     constant or a policy's nominal sequence) and rejects the no-attack plan.
   * A policy plan shorter than the horizon is rejected unless stationary;
-    so is a sequence plan.
+    so is a sequence plan.  An initial estimate whose shape is not (n,)
+    is rejected.
+  * A two-state loop (non-diagonal A and C, correlated Q and R, setpoint
+    controller, ramp attack, noisy mitigation) keeps every [run, t] slice
+    consistent: the pre-drawn noise blocks in their (run, t) order, the
+    same invariants, zero noise at t = 0, the control law and the error
+    recursion, so the run and time axes cannot be mixed up.
+  * empirical_cost adds the runs in order: at 257 runs it equals the
+    reductions taken on C-ordered copies of the batch, bit for bit.
 """
 
 import math
@@ -38,8 +46,9 @@ from fdisim.evaluation import (
     md_cost,
     rollout_batch,
 )
-from fdisim.lti import SetpointController, SystemModel, derive_steady_state, error_step
-from fdisim.numerics import RngStream
+from fdisim.lti import (SetpointController, SystemModel, derive_steady_state,
+                        error_step, setpoint_control)
+from fdisim.numerics import RngStream, psd_factor
 
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
 K_GAIN = P_INF / (P_INF + 10.0)
@@ -49,6 +58,15 @@ TRACE_P_E = P_INF * (1.0 - K_GAIN)  # = 2.7015621187164243
 @pytest.fixture(scope="module")
 def bench():
     model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[10.0]])
+    return model, derive_steady_state(model)
+
+
+@pytest.fixture(scope="module")
+def two_state():
+    """n = m = p = 2 with coupled dynamics and sensors, correlated noises."""
+    model = SystemModel(A=[[0.9, 0.2], [-0.1, 0.8]], B=[[1.0, 0.3], [0.0, 1.0]],
+                        C=[[1.0, 0.5], [0.2, 1.0]], Q=[[1.0, 0.3], [0.3, 0.5]],
+                        R=[[2.0, 0.6], [0.6, 1.0]])
     return model, derive_steady_state(model)
 
 
@@ -82,6 +100,55 @@ def test_trajectory_invariants_and_error_recursion(bench):
         e_step = error_step(model, ss, tr["e"][t - 1], tr["w"][t], tr["v"][t],
                             tr["a"][t], int(tr["i"][t]), tr["delta"][t])
         assert np.max(np.abs(e_step - tr["e"][t])) < 1e-10, t
+
+
+def test_two_state_rollout_slices_are_consistent(two_state):
+    model, ss = two_state
+    ctrl = SetpointController(x0=[0.5, -0.5], alpha=0.5)
+    T, runs = 8, 5
+    batch = rollout_batch(model, ss, AttackPlan.ramp([0.4, -0.3], a_max=20.0),
+                          DetectorConfig(3.0), MitigationStrategy.noisy(2.0),
+                          T, RngStream(5), runs, controller=ctrl,
+                          x_hat0=[1.0, 2.0])
+    assert batch.runs == runs and batch.horizon == T
+    assert batch.x.shape == (runs, T + 1, 2) and batch.g.shape == (runs, T + 1)
+    alarms = batch.i[:, 1:]
+    assert 0 < alarms.sum() < alarms.size  # both recursion branches run
+    # the noise of run w at step t is the draw at [w, t - 1] of each block
+    gen = RngStream(5).generator()
+    assert np.array_equal(batch.e[:, 0], gen.standard_normal((runs, 2))
+                          @ psd_factor(ss.P_e).T)
+    assert np.array_equal(batch.w[:, 1:], gen.standard_normal((runs, T, 2))
+                          @ psd_factor(model.Q).T)
+    assert np.array_equal(batch.v[:, 1:], gen.standard_normal((runs, T, 2))
+                          @ psd_factor(model.R).T)
+    for run in range(runs):
+        assert np.array_equal(batch.x_hat[run, 0], [1.0, 2.0])
+        for name in ("w", "v", "y", "y_a", "a", "delta", "g", "i"):
+            assert np.all(getattr(batch, name)[run, 0] == 0), name
+        # x[0] = x_hat[0] + e[0] is rounded, so e[0] = x[0] - x_hat[0]
+        # holds to the rounding of x[0]
+        assert np.allclose(batch.e[run, 0],
+                           batch.x[run, 0] - batch.x_hat[run, 0],
+                           rtol=0.0, atol=1e-15 * np.max(np.abs(batch.x[run, 0])))
+        for t in range(T + 1):
+            assert np.array_equal(
+                batch.y_f[run, t],
+                batch.y_a[run, t] - batch.i[run, t] * batch.delta[run, t])
+            assert np.array_equal(batch.u[run, t], setpoint_control(
+                model, ctrl, batch.x_hat[run, t]))
+            if t == 0:
+                continue
+            assert np.array_equal(batch.e[run, t],
+                                  batch.x[run, t] - batch.x_hat[run, t])
+            assert np.allclose(batch.a[run, t], [0.4 * t, -0.3 * t],
+                               rtol=1e-15, atol=0.0)
+            e_step = error_step(model, ss, batch.e[run, t - 1],
+                                batch.w[run, t], batch.v[run, t],
+                                batch.a[run, t], int(batch.i[run, t]),
+                                batch.delta[run, t])
+            scale = 1.0 + np.max(np.abs(batch.e[run, t]))
+            assert np.max(np.abs(e_step - batch.e[run, t])) < 1e-12 * scale
 
 
 def test_no_attack_cost_slope_matches_stationary_error(bench):
@@ -119,6 +186,22 @@ def test_empirical_cost_arithmetic(bench):
     assert np.array_equal(single.cost_per_t,
                           np.cumsum(np.sum(one.e[0, 1:] ** 2, axis=1)))
     assert single.runs == 1 and np.all(single.std_err_per_t == 0.0)
+
+
+def test_empirical_cost_adds_runs_in_order(bench):
+    # numpy sums a contiguous axis pairwise, which from 8 runs up can differ
+    # in the last bits from adding the runs one after another
+    runs = 257
+    batch = rollout_batch(*bench, AttackPlan.ramp([1.0], a_max=20.0),
+                          DetectorConfig(5.0), MitigationStrategy.noisy(3.0),
+                          T=12, stream=RngStream(13), runs=runs)
+    report = empirical_cost(batch)
+    e = np.ascontiguousarray(batch.e)
+    sums = np.cumsum(np.sum(e[:, 1:] ** 2, axis=2), axis=1)
+    assert sums.flags.c_contiguous
+    assert np.array_equal(report.cost_per_t, sums.mean(axis=0))
+    assert np.array_equal(report.std_err_per_t,
+                          sums.std(axis=0, ddof=1) / np.sqrt(runs))
 
 
 def test_compare_attacks_common_random_numbers(bench):
@@ -215,7 +298,7 @@ def test_md_cost_zero_at_eta_zero(bench, small_policy):
                 plan=AttackPlan.none(), T=8, runs=10, stream=RngStream(43))
 
 
-def test_rollout_contract_checks(bench):
+def test_rollout_contract_checks(bench, two_state):
     model, ss = bench
     good = (AttackPlan.none(), DetectorConfig(1.0), MitigationStrategy.off())
     with pytest.raises(EvaluationError):
@@ -226,6 +309,13 @@ def test_rollout_contract_checks(bench):
         rollout_batch(model, ss, AttackPlan.none(dim=2), DetectorConfig(1.0),
                       MitigationStrategy.off(), T=5, stream=RngStream(1),
                       runs=5)
+    with pytest.raises(EvaluationError, match="x_hat0"):
+        rollout_batch(model, ss, *good, T=5, stream=RngStream(1), runs=5,
+                      x_hat0=[1.0, 2.0])
+    model2, ss2 = two_state
+    with pytest.raises(EvaluationError, match="x_hat0"):
+        rollout_batch(model2, ss2, AttackPlan.none(dim=2), *good[1:], T=5,
+                      stream=RngStream(1), runs=5, x_hat0=[5.0])
 
 
 def test_short_policy_plan_rejected(bench, small_policy):

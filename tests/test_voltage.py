@@ -19,6 +19,8 @@ What is proven here:
     the horizon.
   * Under the policy attack the estimate hugs the setpoint while the
     plant deviates (mean |x_hat[T] - x0| < mean |x[T] - x0|).
+  * The experiment's curves add the runs in order: at 257 runs they equal
+    the reductions taken on C-ordered copies of the batch, bit for bit.
 """
 
 import numpy as np
@@ -202,6 +204,35 @@ def test_error_process_is_controller_independent(loop):
     assert np.max(np.abs(on.e - off.e)) < 1e-10
     assert np.array_equal(on.i, off.i)
     assert not np.allclose(on.x, off.x)  # the plant paths do differ
+
+
+def test_curves_add_runs_in_order(loop):
+    # numpy sums a contiguous axis pairwise, which from 8 runs up can differ
+    # in the last bits from adding the runs one after another
+    model, ss, controller, x_hat0 = loop
+    plan = AttackPlan.ramp([0.01], a_max=0.2)
+    strategy = MitigationStrategy.noisy(0.05)
+    runs, T = 257, 12
+    run = voltage_attack_experiment(*loop, plan, eta=5.0, strategy=strategy,
+                                    T=T, runs=runs, stream=RngStream(94))
+    batch = rollout_batch(model, ss, plan, DetectorConfig(5.0), strategy, T,
+                          RngStream(94), runs, controller=controller,
+                          x_hat0=x_hat0)
+    x = np.ascontiguousarray(batch.x)
+    x_hat = np.ascontiguousarray(batch.x_hat)
+    dev = np.linalg.norm(x - controller.x0, axis=2)
+    est_dev = np.linalg.norm(x_hat - controller.x0, axis=2)
+    expected = {
+        "mean_voltage": x.mean(axis=0),
+        "voltage_std_err": x.std(axis=0, ddof=1) / np.sqrt(runs),
+        "mean_estimate": x_hat.mean(axis=0),
+        "mean_abs_deviation": dev.mean(axis=0),
+        "abs_deviation_std_err": dev.std(axis=0, ddof=1) / np.sqrt(runs),
+        "mean_est_abs_deviation": est_dev.mean(axis=0),
+        "detect_frequency": np.ascontiguousarray(batch.i).mean(axis=0),
+    }
+    for name, curve in expected.items():
+        assert np.array_equal(getattr(run, name), curve), name
 
 
 def test_no_attack_settles_at_setpoint(loop):
