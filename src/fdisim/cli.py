@@ -86,13 +86,13 @@ def _load(args) -> RunConfig:
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
-    out = Path(args.out) if args.out else Path(cfg.data["paths"]["out"])
+    out = Path(args.out) if args.out else Path(cfg.get("paths.out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _policy_path(args, cfg: RunConfig, out: Path) -> Path:
-    raw = Path(args.policy) if args.policy else Path(cfg.data["paths"]["policy"])
+    raw = Path(args.policy) if args.policy else Path(cfg.get("paths.policy"))
     return raw if raw.is_absolute() else out / raw
 
 
@@ -196,7 +196,7 @@ def cmd_fpmd(args) -> int:
 
 def cmd_voltage(args) -> int:
     cfg = _load(args)
-    if cfg.data["controller"] is None:
+    if cfg.get("controller") is None:
         raise ConfigError("the voltage command needs a controller section "
                           "(start from --preset voltage)")
     model = cfg.system_model()
@@ -248,7 +248,7 @@ def cmd_voltage(args) -> int:
 
 def cmd_estimate_b(args) -> int:
     cfg = _load(args)
-    traces_path = args.traces or cfg.data["paths"]["traces"]
+    traces_path = args.traces or cfg.get("paths.traces")
     if traces_path is None:
         raise ConfigError("no trace file: pass --traces or set paths.traces")
     est = estimate_B(load_traces(traces_path))

@@ -32,6 +32,8 @@ def _matrix(name: str, value, rows: int | None = None, cols: int | None = None):
     mat = np.atleast_2d(np.asarray(value, dtype=float))
     if mat.ndim != 2:
         raise ModelError(f"{name} must be a matrix, got ndim {mat.ndim}")
+    if not np.all(np.isfinite(mat)):
+        raise ModelError(f"{name} must have finite entries, got {mat.tolist()}")
     if rows is not None and mat.shape[0] != rows:
         raise ModelError(f"{name} has {mat.shape[0]} rows, expected {rows}")
     if cols is not None and mat.shape[1] != cols:

@@ -3,13 +3,15 @@
 What is proven here:
   * Every name in fdisim.__all__ resolves on the package, and importing it
     does not load scipy.stats (a start-up cost every command would pay).
-  * Presets validate; the shipped YAML files in configs/ equal the
-    built-in presets field for field; unknown keys are rejected with
-    their path; seed and file overrides layer correctly.
+  * The presets are exactly the YAML files in fdisim/presets, and their
+    digests are pinned to full hex values (so a 10 that became 10.0 would
+    show); unknown keys are rejected with their path; seed and file
+    overrides layer correctly.
   * A controller over a singular model.B, or with an x0 of the wrong
     length, exits with code 2 and an error line instead of a traceback;
     so does a word where a number belongs, a scalar where a list belongs,
-    or a ragged model matrix.
+    a ragged model matrix, a matrix entry that YAML read as a string
+    (1e-4) or a bool, and a NaN or infinity where none is allowed.
   * The digest changes exactly when a policy-determining field changes.
   * Policy artifacts round-trip bit-exactly, refuse wrong magic/version,
     and refuse digest mismatches.
@@ -48,8 +50,6 @@ from fdisim.mdp import build_grid, build_transition_model, uniform_actions, valu
 from fdisim.numerics import RngStream
 from fdisim.voltage import synthesize_traces, save_traces
 
-REPO = __import__("pathlib").Path(__file__).resolve().parents[1]
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -73,12 +73,13 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
-def test_presets_and_shipped_files_agree():
-    assert preset_names() == ["benchmark", "voltage"]
-    for name in preset_names():
-        built_in = preset(name)
-        from_file = load_config(REPO / "configs" / f"{name}.yaml")
-        assert from_file.data == built_in.data, name
+def test_preset_files_and_digests_are_pinned():
+    shipped = __import__("pathlib").Path(fdisim.__file__).parent / "presets"
+    assert preset_names() == sorted(p.stem for p in shipped.glob("*.yaml"))
+    assert preset("benchmark").digest() == (
+        "0d5be23028b74f43b1d60456dc0028460402c6fcae5ffe1026c3738325f51311")
+    assert preset("voltage").digest() == (
+        "49ff1abb5094f17b51ae20fcf5728419255c609178384ffafa15cad98e2b949e")
 
 
 def test_unknown_keys_rejected_with_path(tmp_path):
@@ -365,6 +366,14 @@ def test_bad_controller_is_a_config_error(tmp_path, capsys, body, message):
      "controller.x0[0] must be a number, got 'zero'"),
     ("paths: {policy: 5}\n", "paths.policy must be a string, got 5"),
     ("mdp: {gamma: lots}\n", "mdp.gamma must be a number in (0, 1], got 'lots'"),
+    ("mdp: {bounds: [[.nan, 30.0]]}\n",
+     "mdp.bounds[0][0] must be a number, got nan"),
+    ("attack: {a_max: .inf}\n", "attack.a_max must be a number > 0, got inf"),
+    ("mdp: {step: [.inf]}\n", "mdp.step[0] must be a number > 0, got inf"),
+    ("model: {Q: [[.nan]]}\n", "model.Q[0][0] must be a number, got nan"),
+    ("model: {Q: [[1e-4]], R: [[1e-3]]}\n",
+     "model.Q[0][0] must be a number, got '1e-4'"),
+    ("model: {A: true}\n", "model.A must be a number, got True"),
 ])
 def test_mistyped_config_is_a_config_error(tmp_path, capsys, body, message):
     cfg = tmp_path / "cfg.yaml"

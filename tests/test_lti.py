@@ -15,7 +15,8 @@ What is proven here:
   * rollout_batch's logged process and measurement noises have the
     model's covariances Q and R.
   * SystemModel rejects non-square A, uncontrollable (A, B), unobservable
-    (C, A), indefinite covariances, and mismatched shapes.
+    (C, A), indefinite covariances, mismatched shapes, and non-finite
+    entries (a NaN Q would otherwise spin the Riccati iteration).
 """
 
 import math
@@ -185,6 +186,8 @@ def test_model_validation():
         SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[0.0]])
     with pytest.raises(ModelError, match="shape|rows|columns"):
         SystemModel(A=[[1.0]], B=[[1.0], [1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]])
+    with pytest.raises(ModelError, match="Q must have finite entries"):
+        SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[np.nan]], R=[[1.0]])
     model = scalar_benchmark()
     assert (model.n, model.p, model.m) == (1, 1, 1)
 
