@@ -273,10 +273,16 @@ def _merge(defaults, override, path: str):
     return merged
 
 
+# libyaml's parser resolves the same YAML 1.1 tags as the pure-Python one
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def _load_yaml(file) -> dict:
     """The top-level mapping of a YAML file (a path or a package resource)."""
     try:
-        raw = yaml.safe_load(file.read_text(encoding="utf-8"))
+        raw = yaml.load(file.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+    except OSError as exc:
+        raise ConfigError(f"{file}: {exc.strerror or exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{file}: {exc}") from None
     if raw is None:

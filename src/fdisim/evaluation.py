@@ -11,7 +11,11 @@ block, mitigation block), so two batches built from the same stream share
 every random input no matter which plan, detector or mitigation they use.
 That makes cost comparisons and the paired false-positive / misdetection
 differences common-random-number estimates rather than differences of
-independent estimates.
+independent estimates.  The blocks are drawn once per stream (and run
+count, horizon and noise covariances) and shared read-only by every batch
+on it, so a batch's w and v cannot be written; the mitigation block is
+drawn only for noisy mitigation, and only the latest stream's blocks are
+kept.
 
 The misdetection and false-positive costs compare the chi-square system
 against a reference system whose detector is an oracle: it alarms exactly
@@ -69,6 +73,11 @@ class BatchRollout:
     arrival-indexed noises (w, v) are zero at t = 0: no measurement is
     processed there, the filter starts at its steady state.  u[:, t] is
     the control computed from x_hat[:, t] (applied during the step to t+1).
+
+    w and v are read-only views of the stream's pre-drawn noise, shared
+    with every other batch drawn from the same stream, run count and
+    horizon under the same noise covariances; the other arrays belong to
+    this batch.
     """
 
     x: np.ndarray
@@ -136,13 +145,59 @@ def _check_plan_horizon(plan: AttackPlan, horizon: int) -> None:
             f"horizon is {horizon}")
 
 
+# at most one stream's noise: key -> [generator, e0, w, v, b or None]
+_noise_cache: dict = {}
+
+
+def _step_major(gen: np.random.Generator, W: int, T: int, k: int,
+                L: np.ndarray | None = None) -> np.ndarray:
+    """A (W, T, k) draw, times L' if given, as a read-only (T + 1, W, k)
+    buffer that is zero at t = 0.  The buffer is allocated before the
+    draw's temporaries, so freeing those leaves no hole below it."""
+    buf = np.zeros((T + 1, W, k))
+    block = gen.standard_normal((W, T, k))
+    buf[1:] = (block if L is None else block @ L.T).swapaxes(0, 1)
+    buf.flags.writeable = False
+    return buf
+
+
+def _noise(stream: RngStream, W: int, T: int, L_e: np.ndarray,
+           L_q: np.ndarray, L_r: np.ndarray, noisy: bool) -> tuple:
+    """(e0, w, v, b) of a batch: the stream's blocks drawn in a fixed order
+    (e0 block, process block, measurement block, mitigation block) with
+    (W, T, .) draw shapes, so streams stay aligned across compared systems.
+
+    The blocks are drawn once and shared read-only by every later batch
+    with the same key; the entry is cleared before another key is drawn.
+    b is None unless `noisy`.  Being the last block, it is drawn from the
+    kept generator when a noisy batch first asks, so e0, w and v do not
+    depend on the strategy.
+    """
+    key = (stream, W, T) + tuple((L.shape, L.tobytes())
+                                 for L in (L_e, L_q, L_r))
+    if key not in _noise_cache:
+        _noise_cache.clear()
+        gen = stream.generator()
+        e0 = gen.standard_normal((W, L_e.shape[0])) @ L_e.T
+        e0.flags.writeable = False
+        w = _step_major(gen, W, T, L_q.shape[0], L_q)
+        v = _step_major(gen, W, T, L_r.shape[0], L_r)
+        _noise_cache[key] = [gen, e0, w, v, None]
+    entry = _noise_cache[key]
+    if noisy and entry[4] is None:
+        entry[4] = _step_major(entry[0], W, T, L_r.shape[0])
+    _, e0, w, v, b = entry
+    return e0, w, v, b if noisy else None
+
+
 def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
                   detector: DetectorConfig, strategy: MitigationStrategy,
                   T: int, stream: RngStream, runs: int,
                   controller: SetpointController | None = None,
                   x_hat0: np.ndarray | None = None,
                   oracle: bool = False) -> BatchRollout:
-    """Simulate `runs` independent loops of length T with shared noise order.
+    """Simulate `runs` independent loops of length T on the stream's
+    shared pre-drawn noise.
 
     With `oracle=True` the detector is replaced by the reference oracle
     (alarm exactly when a[t] != 0); g is still logged for inspection.
@@ -162,22 +217,11 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
         raise EvaluationError(
             f"x_hat0 must have shape ({n},), got {x_hat0.shape}")
 
-    gen = stream.generator()
-    L_e = psd_factor(ss.P_e)
-    L_q = psd_factor(model.Q)
-    L_r = psd_factor(model.R)
+    e0, w, v, b = _noise(stream, W, T, psd_factor(ss.P_e),
+                         psd_factor(model.Q), psd_factor(model.R),
+                         strategy.kind == "noisy")
     # buffers are step-major, (T + 1, W, .), so each step reads and writes
-    # contiguous (W, .) blocks; the fixed draw order (e0 block, process
-    # block, measurement block, mitigation block) and the (W, T, .) draw
-    # shapes keep streams aligned across compared systems
-    e0 = gen.standard_normal((W, n)) @ L_e.T
-    w = np.zeros((T + 1, W, n))
-    w[1:] = (gen.standard_normal((W, T, n)) @ L_q.T).swapaxes(0, 1)
-    v = np.zeros((T + 1, W, m))
-    v[1:] = (gen.standard_normal((W, T, m)) @ L_r.T).swapaxes(0, 1)
-    b = np.zeros((T + 1, W, m))
-    b[1:] = gen.standard_normal((W, T, m)).swapaxes(0, 1)
-
+    # contiguous (W, .) blocks
     x = np.zeros((T + 1, W, n))
     x_hat = np.zeros((T + 1, W, n))
     e = np.zeros((T + 1, W, n))
@@ -198,16 +242,18 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
     for t in range(1, T + 1):
         u_prev = setpoint_control(model, controller, x_hat[t - 1])
         u[t - 1] = u_prev
-        x[t] = x[t - 1] @ A_T + u_prev @ B_T + w[t]
+        Bu = u_prev @ B_T
+        x[t] = x[t - 1] @ A_T + Bu + w[t]
         y[t] = x[t] @ C_T + v[t]
         a[t] = attack_at(plan, t, e[t - 1], stage_remaining=T - t + 1)
         y_a[t] = y[t] + a[t]
-        x_pred = x_hat[t - 1] @ A_T + u_prev @ B_T
-        r = y_a[t] - x_pred @ C_T
-        g[t] = g_statistic(ss, r)
+        x_pred = x_hat[t - 1] @ A_T + Bu
+        y_pred = x_pred @ C_T
+        g[t] = g_statistic(ss, y_a[t] - y_pred)
         i[t] = oracle_detect(a[t]) if oracle else detect(detector, g[t])
-        delta[t], y_f[t] = mitigate(strategy, y_a[t], a[t], i[t], b[t])
-        x_hat[t] = x_pred + (y_f[t] - x_pred @ C_T) @ K_T
+        delta[t], y_f[t] = mitigate(strategy, y_a[t], a[t], i[t],
+                                    None if b is None else b[t])
+        x_hat[t] = x_pred + (y_f[t] - y_pred) @ K_T
         e[t] = x[t] - x_hat[t]
     u[T] = setpoint_control(model, controller, x_hat[T])
 

@@ -131,7 +131,11 @@ def _trace_header(n: int, p: int) -> list[str]:
 
 def load_traces(path) -> TraceSet:
     """Parse a trace CSV; every complaint carries its 1-based line number."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise VoltageError(f"{path}: {exc.strerror or exc}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

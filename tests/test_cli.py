@@ -6,12 +6,14 @@ What is proven here:
   * The presets are exactly the YAML files in fdisim/presets, and their
     digests are pinned to full hex values (so a 10 that became 10.0 would
     show); unknown keys are rejected with their path; seed and file
-    overrides layer correctly.
+    overrides layer correctly.  Each preset file loads to the same values
+    and types as yaml.safe_load gives, whichever parser is in use.
   * A controller over a singular model.B, or with an x0 of the wrong
     length, exits with code 2 and an error line instead of a traceback;
     so does a word where a number belongs, a scalar where a list belongs,
     a ragged model matrix, a matrix entry that YAML read as a string
-    (1e-4) or a bool, and a NaN or infinity where none is allowed.
+    (1e-4) or a bool, and a NaN or infinity where none is allowed; so
+    does a config or trace file that does not exist.
   * The digest changes exactly when a policy-determining field changes.
   * Policy artifacts round-trip bit-exactly, refuse wrong magic/version,
     and refuse digest mismatches.
@@ -34,12 +36,14 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 import fdisim
 from fdisim import cli
 from fdisim.artifact import ArtifactError, load_policy, save_policy
 from fdisim.config import (
     ConfigError,
+    _load_yaml,
     load_config,
     preset,
     preset_names,
@@ -80,6 +84,15 @@ def test_preset_files_and_digests_are_pinned():
         "0d5be23028b74f43b1d60456dc0028460402c6fcae5ffe1026c3738325f51311")
     assert preset("voltage").digest() == (
         "49ff1abb5094f17b51ae20fcf5728419255c609178384ffafa15cad98e2b949e")
+
+
+def test_presets_parse_like_safe_load():
+    # the loader may be libyaml's; it must give the same values and types
+    shipped = __import__("pathlib").Path(fdisim.__file__).parent / "presets"
+    for path in sorted(shipped.glob("*.yaml")):
+        ours = _load_yaml(path)
+        theirs = yaml.safe_load(path.read_text(encoding="utf-8"))
+        assert ours == theirs and repr(ours) == repr(theirs), path.name
 
 
 def test_unknown_keys_rejected_with_path(tmp_path):
@@ -318,7 +331,6 @@ def test_estimate_b_command(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "B estimate" in printed
     fragment = (out / "estimate_b.yaml").read_text(encoding="utf-8")
-    import yaml
     loaded = yaml.safe_load(fragment)
     assert abs(loaded["model"]["B"][0][0] - 1.2) < 0.05
 
@@ -386,3 +398,13 @@ def test_mistyped_config_is_a_config_error(tmp_path, capsys, body, message):
 def test_missing_traces_is_a_config_error(capsys):
     assert _run(["estimate-b", "--preset", "benchmark"]) == 2
     assert "paths.traces" in capsys.readouterr().err
+
+
+def test_missing_files_are_error_lines(tmp_path, capsys):
+    assert _run(["evaluate", "--config", tmp_path / "missing.yaml",
+                 "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.yaml" in err
+    assert _run(["estimate-b", "--traces", tmp_path / "missing.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.csv" in err

@@ -29,13 +29,22 @@ What is proven here:
     recursion, so the run and time axes cannot be mixed up.
   * empirical_cost adds the runs in order: at 257 runs it equals the
     reductions taken on C-ordered copies of the batch, bit for bit.
+  * A stream's noise is drawn once and shared read-only: two batches on
+    one stream share their w and v memory, writing to them raises, and
+    the blocks of an earlier stream are freed once another is drawn.  A
+    perfect and a noisy batch share e[0], w and v.  Batches run in an
+    interleaved order over streams, run counts, horizons, models and
+    strategies equal the same batches run each on a cleared cache.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from fdisim import evaluation
 from fdisim.attack import AttackPlan
 from fdisim.defense import DetectorConfig, MitigationStrategy
 from fdisim.evaluation import (
@@ -53,6 +62,8 @@ from fdisim.numerics import RngStream, psd_factor
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
 K_GAIN = P_INF / (P_INF + 10.0)
 TRACE_P_E = P_INF * (1.0 - K_GAIN)  # = 2.7015621187164243
+FIELDS = ("x", "x_hat", "e", "y", "y_a", "y_f", "a", "delta", "g", "i", "u",
+          "w", "v")
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +87,7 @@ def test_rollout_reproducible_and_matches_batch(bench):
             DetectorConfig(10.0), MitigationStrategy.noisy(5.0), 8)
     tr1 = rollout_batch(*args, RngStream(7, 3), runs=1)
     tr2 = rollout_batch(*args, RngStream(7, 3), runs=1)
-    for name in ("x", "x_hat", "e", "y", "y_a", "y_f", "a", "delta", "g",
-                 "i", "u", "w", "v"):
+    for name in FIELDS:
         assert np.array_equal(getattr(tr1, name), getattr(tr2, name)), name
     tr3 = rollout_batch(*args, RngStream(8, 3), runs=1)
     assert not np.array_equal(tr1.e, tr3.e)
@@ -353,3 +363,81 @@ def test_controller_batch_matches_scalar_path(bench):
     d0 = abs(batch.x_hat[:, 0, 0].mean() - 0.835)
     dT = abs(batch.x_hat[:, 4, 0].mean() - 0.835)
     assert dT < d0
+
+
+def test_stream_noise_is_drawn_once_and_shared_read_only(bench):
+    model, ss = bench
+    args = (model, ss, AttackPlan.constant([4.0], a_max=20.0),
+            DetectorConfig(3.0), MitigationStrategy.perfect(), 6)
+    first = rollout_batch(*args, RngStream(61), runs=5)
+    second = rollout_batch(*args, RngStream(61), runs=5)
+    assert np.shares_memory(first.w, second.w)
+    assert np.shares_memory(first.v, second.v)
+    with pytest.raises(ValueError):
+        first.w[0, 1] = 0.0
+    with pytest.raises(ValueError):
+        second.v[0, 1] = 0.0
+    # drawing another stream frees the blocks no batch still holds
+    buffers = [weakref.ref(first.w.base), weakref.ref(first.v.base)]
+    del first, second
+    rollout_batch(*args, RngStream(62), runs=5)
+    gc.collect()
+    assert [ref() for ref in buffers] == [None, None]
+
+
+def test_perfect_and_noisy_batches_share_the_leading_blocks(bench):
+    model, ss = bench
+    plan = AttackPlan.constant([4.0], a_max=20.0)
+    for order in (("perfect", "noisy"), ("noisy", "perfect")):
+        evaluation._noise_cache.clear()
+        batches = [rollout_batch(model, ss, plan, DetectorConfig(3.0),
+                                 MitigationStrategy(kind, 5.0 * (
+                                     kind == "noisy")),
+                                 6, RngStream(67), runs=5)
+                   for kind in order]
+        for name in ("w", "v"):
+            assert np.shares_memory(getattr(batches[0], name),
+                                    getattr(batches[1], name)), name
+        assert np.array_equal(batches[0].e[:, 0], batches[1].e[:, 0])
+
+
+def test_interleaved_batches_equal_batches_on_a_cleared_cache(bench,
+                                                              two_state):
+    model, ss = bench
+    # each of these differs from bench in one noise factor only: the
+    # steady state is passed as is, so P_e moves alone in the first
+    other_ss = derive_steady_state(SystemModel(A=[[0.5]], B=[[1.0]],
+                                               C=[[1.0]], Q=[[1.0]],
+                                               R=[[10.0]]))
+    other_q = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[2.0]],
+                          R=[[10.0]])
+    other_r = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]],
+                          R=[[20.0]])
+    one = AttackPlan.constant([4.0], a_max=20.0)
+    two = AttackPlan.constant([0.4, -0.3], a_max=20.0)
+    perfect, noisy = MitigationStrategy.perfect(), MitigationStrategy.noisy(5.0)
+    cases = [  # (model, steady state, plan, strategy, T, stream, runs)
+        (model, ss, one, perfect, 6, RngStream(71), 5),
+        (model, ss, one, noisy, 6, RngStream(71), 5),
+        (model, ss, one, noisy, 6, RngStream(71), 7),
+        (model, ss, one, perfect, 4, RngStream(71), 5),
+        (model, ss, one, noisy, 6, RngStream(71, 1), 5),
+        (model, other_ss, one, noisy, 6, RngStream(71), 5),
+        (other_q, ss, one, perfect, 6, RngStream(71), 5),
+        (other_r, ss, one, noisy, 6, RngStream(71), 5),
+        (*two_state, two, noisy, 6, RngStream(71), 5),
+    ]
+
+    def run(case):
+        m, s, plan, strategy, T, stream, runs = case
+        return rollout_batch(m, s, plan, DetectorConfig(3.0), strategy, T,
+                             stream, runs)
+
+    order = [0, 1, 2, 0, 3, 1, 4, 0, 5, 0, 6, 0, 7, 0, 8, 1, 8, 3]
+    interleaved = [run(cases[k]) for k in order]
+    for k, batch in zip(order, interleaved):
+        evaluation._noise_cache.clear()
+        alone = run(cases[k])
+        for name in FIELDS:
+            assert np.array_equal(getattr(batch, name),
+                                  getattr(alone, name)), (k, name)
