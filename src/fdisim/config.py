@@ -283,7 +283,7 @@ def _load_yaml(file) -> dict:
         raw = yaml.load(file.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"{file}: {exc.strerror or exc}") from None
-    except yaml.YAMLError as exc:
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"{file}: {exc}") from None
     if raw is None:
         raw = {}

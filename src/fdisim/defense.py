@@ -92,7 +92,7 @@ def oracle_detect(a_true) -> np.ndarray:
 
 def mitigate(strategy: MitigationStrategy, y_a: np.ndarray, a: np.ndarray,
              alarm, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Correction delta and defended measurement y_f = y_a - alarm * delta.
+    """Correction delta and defended signal y_f = y_a - alarm * delta.
 
     delta is computed from the true injection a: a itself ('perfect'), zero
     ('off'), or a + sigma_mit * b ('noisy') with b a pre-drawn standard

@@ -1,11 +1,14 @@
 """Seeded Monte-Carlo rollouts of the detection-mitigation loop.
 
-A rollout starts with the filter at its steady state: e[0] ~ N(0, P_e) and
-x[0] = x_hat[0] + e[0].  For t = 1..T the loop applies the configured
-controller, advances the plant, lets the attacker inject a[t] computed from
-e[t-1] (the state of the error decision process before the step), runs the
-chi-square test on the residual, applies the mitigation on alarms, and
-updates the filter.  All noise for a batch of runs is pre-drawn from a
+A rollout starts with the filter at its steady state: e[0] ~ N(0, P_e).
+For t = 1..T the loop advances the estimation error e, which the control
+input does not enter: the attacker injects a[t] computed from e[t-1] (the
+state of the error decision process before the step), the chi-square test
+runs on the innovation r = CA e[t-1] + C w[t] + v[t] + a[t], and
+e[t] = A e[t-1] + w[t] - K (r - i[t] delta[t]) takes the mitigation's
+correction on alarms.  e never passes through x - x_hat, so no setpoint
+offset costs it digits; with a controller the loop also advances x_hat and
+forms x = x_hat + e.  All noise for a batch of runs is pre-drawn from a
 single stream in a fixed order (e[0] block, process block, measurement
 block, mitigation block), so two batches built from the same stream share
 every random input no matter which plan, detector or mitigation they use.
@@ -69,10 +72,12 @@ class BatchRollout:
     so runs are their contiguous axis: reduce over runs on a C-ordered
     copy where the result must add the runs in order (see _inner_sums).
 
-    Measurement-channel signals (y, y_a, y_f, a, delta, g, i) and the
-    arrival-indexed noises (w, v) are zero at t = 0: no measurement is
-    processed there, the filter starts at its steady state.  u[:, t] is
-    the control computed from x_hat[:, t] (applied during the step to t+1).
+    The measurement-channel signals (a, g, i) and the arrival-indexed
+    noises (w, v) are zero at t = 0: no measurement is processed there,
+    the filter starts at its steady state.  x, x_hat and u exist only for
+    a rollout with a controller and are None without one; u[:, t] is the
+    control computed from x_hat[:, t] (applied during the step to t+1),
+    and x = x_hat + e.
 
     w and v are read-only views of the stream's pre-drawn noise, shared
     with every other batch drawn from the same stream, run count and
@@ -80,27 +85,23 @@ class BatchRollout:
     this batch.
     """
 
-    x: np.ndarray
-    x_hat: np.ndarray
     e: np.ndarray
-    y: np.ndarray
-    y_a: np.ndarray
-    y_f: np.ndarray
     a: np.ndarray
-    delta: np.ndarray
     g: np.ndarray
     i: np.ndarray
-    u: np.ndarray
     w: np.ndarray
     v: np.ndarray
+    x: np.ndarray | None = None
+    x_hat: np.ndarray | None = None
+    u: np.ndarray | None = None
 
     @property
     def runs(self) -> int:
-        return self.x.shape[0]
+        return self.e.shape[0]
 
     @property
     def horizon(self) -> int:
-        return self.x.shape[1] - 1
+        return self.e.shape[1] - 1
 
     def detection_frequency(self) -> np.ndarray:
         """Fraction of runs alarming at each t (zero at t = 0)."""
@@ -199,6 +200,8 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
     """Simulate `runs` independent loops of length T on the stream's
     shared pre-drawn noise.
 
+    The loop advances e; with a controller it also advances x_hat from
+    `x_hat0` (zero if None) and fills x, x_hat and u (None without one).
     With `oracle=True` the detector is replaced by the reference oracle
     (alarm exactly when a[t] != 0); g is still logged for inspection.
     """
@@ -222,44 +225,34 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
                          strategy.kind == "noisy")
     # buffers are step-major, (T + 1, W, .), so each step reads and writes
     # contiguous (W, .) blocks
-    x = np.zeros((T + 1, W, n))
-    x_hat = np.zeros((T + 1, W, n))
-    e = np.zeros((T + 1, W, n))
-    y = np.zeros((T + 1, W, m))
-    y_a = np.zeros((T + 1, W, m))
-    y_f = np.zeros((T + 1, W, m))
-    a = np.zeros((T + 1, W, m))
-    delta = np.zeros((T + 1, W, m))
-    g = np.zeros((T + 1, W))
-    i = np.zeros((T + 1, W), dtype=np.int64)
-    u = np.zeros((T + 1, W, p))
-
-    x_hat[0] = x_hat0
+    out = dict(e=np.zeros((T + 1, W, n)), a=np.zeros((T + 1, W, m)),
+               g=np.zeros((T + 1, W)),
+               i=np.zeros((T + 1, W), dtype=np.int64), w=w, v=v)
+    e, a, g, i = out["e"], out["a"], out["g"], out["i"]
     e[0] = e0
-    x[0] = x_hat[0] + e0
+    if controller is not None:
+        x_hat = out["x_hat"] = np.zeros((T + 1, W, n))
+        u = out["u"] = np.zeros((T + 1, W, p))
+        x_hat[0] = x_hat0
 
     A_T, B_T, C_T, K_T = model.A.T, model.B.T, model.C.T, ss.K.T
+    CA_T = (model.C @ model.A).T
     for t in range(1, T + 1):
-        u_prev = setpoint_control(model, controller, x_hat[t - 1])
-        u[t - 1] = u_prev
-        Bu = u_prev @ B_T
-        x[t] = x[t - 1] @ A_T + Bu + w[t]
-        y[t] = x[t] @ C_T + v[t]
         a[t] = attack_at(plan, t, e[t - 1], stage_remaining=T - t + 1)
-        y_a[t] = y[t] + a[t]
-        x_pred = x_hat[t - 1] @ A_T + Bu
-        y_pred = x_pred @ C_T
-        g[t] = g_statistic(ss, y_a[t] - y_pred)
+        r = e[t - 1] @ CA_T + w[t] @ C_T + v[t] + a[t]
+        g[t] = g_statistic(ss, r)
         i[t] = oracle_detect(a[t]) if oracle else detect(detector, g[t])
-        delta[t], y_f[t] = mitigate(strategy, y_a[t], a[t], i[t],
-                                    None if b is None else b[t])
-        x_hat[t] = x_pred + (y_f[t] - y_pred) @ K_T
-        e[t] = x[t] - x_hat[t]
-    u[T] = setpoint_control(model, controller, x_hat[T])
+        _, r_f = mitigate(strategy, r, a[t], i[t], None if b is None else b[t])
+        corr = r_f @ K_T
+        e[t] = e[t - 1] @ A_T + w[t] - corr
+        if controller is not None:
+            u[t - 1] = setpoint_control(model, controller, x_hat[t - 1])
+            x_hat[t] = x_hat[t - 1] @ A_T + u[t - 1] @ B_T + corr
+    if controller is not None:
+        u[T] = setpoint_control(model, controller, x_hat[T])
+        out["x"] = x_hat + e
 
-    return BatchRollout(**{name: arr.swapaxes(0, 1) for name, arr in dict(
-        x=x, x_hat=x_hat, e=e, y=y, y_a=y_a, y_f=y_f, a=a, delta=delta, g=g,
-        i=i, u=u, w=w, v=v).items()})
+    return BatchRollout(**{k: arr.swapaxes(0, 1) for k, arr in out.items()})
 
 
 def _inner_sums(batch: BatchRollout) -> np.ndarray:

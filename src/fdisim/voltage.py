@@ -17,6 +17,7 @@ step; dimensions are inferred from the header.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -132,37 +133,39 @@ def _trace_header(n: int, p: int) -> list[str]:
 def load_traces(path) -> TraceSet:
     """Parse a trace CSV; every complaint carries its 1-based line number."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise VoltageError(f"{path}: {exc.strerror or exc}") from None
-    with fh:
-        reader = csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise VoltageError(f"{path}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise VoltageError(f"{path}: empty file") from None
+    header = [col.strip() for col in header]
+    if not header or header[0] != "t":
+        raise VoltageError(
+            f"{path}:1: header must start with 't', got {header[:1]}")
+    n = sum(1 for col in header if col.startswith("x_"))
+    p = sum(1 for col in header if col.startswith("u_"))
+    if n == 0 or p == 0 or header != _trace_header(n, p):
+        raise VoltageError(
+            f"{path}:1: header must be t,x_1..x_n,u_1..u_p, "
+            f"got {','.join(header)}")
+    xs, us = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 1 + n + p:
+            raise VoltageError(
+                f"{path}:{lineno}: expected {1 + n + p} fields, "
+                f"got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise VoltageError(f"{path}: empty file") from None
-        header = [col.strip() for col in header]
-        if not header or header[0] != "t":
-            raise VoltageError(
-                f"{path}:1: header must start with 't', got {header[:1]}")
-        n = sum(1 for col in header if col.startswith("x_"))
-        p = sum(1 for col in header if col.startswith("u_"))
-        if n == 0 or p == 0 or header != _trace_header(n, p):
-            raise VoltageError(
-                f"{path}:1: header must be t,x_1..x_n,u_1..u_p, "
-                f"got {','.join(header)}")
-        xs, us = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 1 + n + p:
-                raise VoltageError(
-                    f"{path}:{lineno}: expected {1 + n + p} fields, "
-                    f"got {len(row)}")
-            try:
-                values = [float(field) for field in row[1:]]
-            except ValueError as exc:
-                raise VoltageError(f"{path}:{lineno}: {exc}") from None
-            xs.append(values[:n])
-            us.append(values[n:])
+            values = [float(field) for field in row[1:]]
+        except ValueError as exc:
+            raise VoltageError(f"{path}:{lineno}: {exc}") from None
+        xs.append(values[:n])
+        us.append(values[n:])
     if len(xs) < n * p + 1:
         raise VoltageError(
             f"{path}: {len(xs)} data rows cannot identify an {n}x{p} gain "

@@ -408,3 +408,15 @@ def test_missing_files_are_error_lines(tmp_path, capsys):
     assert _run(["estimate-b", "--traces", tmp_path / "missing.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing.csv" in err
+    # files that are not UTF-8; the trace's first line is valid, so its
+    # error comes from decoding the rows, not the header
+    binary = bytes(range(256)) * 2
+    (tmp_path / "bin.yaml").write_bytes(binary)
+    (tmp_path / "bin.csv").write_bytes(b"t,x_1,u_1\n" + binary)
+    assert _run(["evaluate", "--config", tmp_path / "bin.yaml",
+                 "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bin.yaml" in err
+    assert _run(["estimate-b", "--traces", tmp_path / "bin.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bin.csv" in err

@@ -48,14 +48,16 @@ def bench():
 
 def test_residual_formula(bench):
     # the logged statistic is r^2 / P_r with r = y_a - (x_hat + u) here
-    # (A = B = C = 1), the innovation against the one-step prediction
+    # (A = B = C = 1), the innovation against the one-step prediction; the
+    # attacked measurement is y_a = x + v + a, with the plant x = x_hat + e
     model, ss = bench
     batch = rollout_batch(model, ss, AttackPlan.constant([4.0], a_max=20.0),
                           DetectorConfig(10.0), MitigationStrategy.perfect(),
                           T=5, stream=RngStream(9), runs=3,
                           controller=SetpointController([0.5], 0.5),
                           x_hat0=[2.0])
-    r = batch.y_a[:, 1:, 0] - (batch.x_hat[:, :-1, 0] + batch.u[:, :-1, 0])
+    y_a = batch.x[:, 1:, 0] + batch.v[:, 1:, 0] + batch.a[:, 1:, 0]
+    r = y_a - (batch.x_hat[:, :-1, 0] + batch.u[:, :-1, 0])
     assert np.allclose(batch.g[:, 1:], r ** 2 / (P_INF + 10.0),
                        rtol=1e-12, atol=0)
     assert np.any(batch.u[:, :-1] != 0.0)  # the control term is exercised

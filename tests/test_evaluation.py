@@ -3,9 +3,11 @@
 What is proven here:
   * Rollouts are bit-identical when replayed on the same stream and differ
     on another stream.
-  * Rollout invariants: e = x - x_hat and y_f = y_a - i*delta exactly;
-    each logged e[t] is reproduced by error_step from the logged inputs
-    (the loop really implements the stated error recursion).
+  * Rollout invariants: x = x_hat + e exactly, and x, x_hat and u are
+    None without a controller; each logged e[t] is reproduced by
+    error_step from the logged inputs, with delta rebuilt from a and the
+    pre-drawn mitigation block (the loop really implements the stated
+    error recursion).
   * With no attack and the detector disabled, the cost curve grows at
     slope ~ trace(P_e) = P_inf (1 - K) ~= 2.70 (5% at W=10000).
   * empirical_cost is the plain arithmetic of per-run cumulative sums,
@@ -14,8 +16,8 @@ What is proven here:
     bit-identical reports.
   * Noisy mitigation draws its N(0, sigma^2) corrections on every step,
     alarm or not, so detector settings share every random input.
-  * Perfect mitigation at eta=0 cancels a constant attack exactly: the
-    attacked trajectory equals the unattacked one path by path.
+  * Perfect mitigation at eta=0 cancels a constant attack: the attacked
+    error and estimate paths equal the unattacked ones to rounding.
   * fp_cost is exactly zero under perfect mitigation and at eta=inf;
     md_cost is exactly zero at eta=0 under an always-injecting plan (a
     constant or a policy's nominal sequence) and rejects the no-attack plan.
@@ -62,8 +64,7 @@ from fdisim.numerics import RngStream, psd_factor
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
 K_GAIN = P_INF / (P_INF + 10.0)
 TRACE_P_E = P_INF * (1.0 - K_GAIN)  # = 2.7015621187164243
-FIELDS = ("x", "x_hat", "e", "y", "y_a", "y_f", "a", "delta", "g", "i", "u",
-          "w", "v")
+FIELDS = ("e", "a", "g", "i", "w", "v", "x", "x_hat", "u")
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,14 @@ def two_state():
                         C=[[1.0, 0.5], [0.2, 1.0]], Q=[[1.0, 0.3], [0.3, 0.5]],
                         R=[[2.0, 0.6], [0.6, 1.0]])
     return model, derive_steady_state(model)
+
+
+def _mitigation_noise(model, ss, stream, runs, T):
+    """The stream's pre-drawn mitigation block b as a [run, t] view; a
+    noisy correction is delta = a + sigma_mit * b."""
+    *_, b = evaluation._noise(stream, runs, T, psd_factor(ss.P_e),
+                              psd_factor(model.Q), psd_factor(model.R), True)
+    return b.swapaxes(0, 1)
 
 
 def test_rollout_reproducible_and_matches_batch(bench):
@@ -99,13 +108,14 @@ def test_trajectory_invariants_and_error_recursion(bench):
                           DetectorConfig(2.0), MitigationStrategy.noisy(3.0),
                           12, RngStream(42), runs=1)
     assert batch.runs == 1 and batch.horizon == 12
-    assert np.array_equal(batch.e, batch.x - batch.x_hat)
-    assert np.array_equal(batch.y_f,
-                          batch.y_a - batch.i[:, :, None] * batch.delta)
-    tr = {name: getattr(batch, name)[0] for name in
-          ("y", "g", "i", "e", "w", "v", "a", "delta")}
-    assert np.all(tr["y"][0] == 0.0) and np.all(tr["g"][0] == 0.0)
+    assert batch.x is None and batch.x_hat is None and batch.u is None
+    delta = batch.a + 3.0 * _mitigation_noise(model, ss, RngStream(42), 1, 12)
+    tr = {name: getattr(batch, name)[0]
+          for name in ("g", "i", "e", "w", "v", "a")}
+    tr["delta"] = delta[0]
+    assert np.all(tr["a"][0] == 0.0) and np.all(tr["g"][0] == 0.0)
     assert tr["i"][0] == 0
+    assert 0 < tr["i"][1:].sum() < 12  # both recursion branches run
     for t in range(1, 13):
         e_step = error_step(model, ss, tr["e"][t - 1], tr["w"][t], tr["v"][t],
                             tr["a"][t], int(tr["i"][t]), tr["delta"][t])
@@ -132,31 +142,25 @@ def test_two_state_rollout_slices_are_consistent(two_state):
                           @ psd_factor(model.Q).T)
     assert np.array_equal(batch.v[:, 1:], gen.standard_normal((runs, T, 2))
                           @ psd_factor(model.R).T)
+    b = _mitigation_noise(model, ss, RngStream(5), runs, T)
+    assert np.array_equal(b[:, 1:], gen.standard_normal((runs, T, 2)))
+    delta = batch.a + 2.0 * b
+    assert np.array_equal(batch.x, batch.x_hat + batch.e)
     for run in range(runs):
         assert np.array_equal(batch.x_hat[run, 0], [1.0, 2.0])
-        for name in ("w", "v", "y", "y_a", "a", "delta", "g", "i"):
+        for name in ("w", "v", "a", "g", "i"):
             assert np.all(getattr(batch, name)[run, 0] == 0), name
-        # x[0] = x_hat[0] + e[0] is rounded, so e[0] = x[0] - x_hat[0]
-        # holds to the rounding of x[0]
-        assert np.allclose(batch.e[run, 0],
-                           batch.x[run, 0] - batch.x_hat[run, 0],
-                           rtol=0.0, atol=1e-15 * np.max(np.abs(batch.x[run, 0])))
         for t in range(T + 1):
-            assert np.array_equal(
-                batch.y_f[run, t],
-                batch.y_a[run, t] - batch.i[run, t] * batch.delta[run, t])
             assert np.array_equal(batch.u[run, t], setpoint_control(
                 model, ctrl, batch.x_hat[run, t]))
             if t == 0:
                 continue
-            assert np.array_equal(batch.e[run, t],
-                                  batch.x[run, t] - batch.x_hat[run, t])
             assert np.allclose(batch.a[run, t], [0.4 * t, -0.3 * t],
                                rtol=1e-15, atol=0.0)
             e_step = error_step(model, ss, batch.e[run, t - 1],
                                 batch.w[run, t], batch.v[run, t],
                                 batch.a[run, t], int(batch.i[run, t]),
-                                batch.delta[run, t])
+                                delta[run, t])
             scale = 1.0 + np.max(np.abs(batch.e[run, t]))
             assert np.max(np.abs(e_step - batch.e[run, t])) < 1e-12 * scale
 
@@ -231,9 +235,10 @@ def test_compare_attacks_common_random_numbers(bench):
 def test_perfect_mitigation_at_eta_zero_cancels_attack(bench):
     # eta=0 alarms on every step; delta = a subtracts the injection before
     # the filter sees it, so the attacked run matches the clean run up to
-    # the rounding of (y + a) - a.
+    # the rounding of (r + a) - a.
     model, ss = bench
-    kwargs = dict(T=10, stream=RngStream(23), runs=20)
+    kwargs = dict(T=10, stream=RngStream(23), runs=20,
+                  controller=SetpointController([0.5], 0.5), x_hat0=[2.0])
     attacked = rollout_batch(model, ss,
                              AttackPlan.constant([10.0], a_max=20.0),
                              DetectorConfig(0.0),
@@ -259,14 +264,28 @@ def test_noisy_mitigation_draws_consumed_every_step(bench):
                           stream=RngStream(31), **kwargs)
     assert np.array_equal(loose.w, tight.w)
     assert np.array_equal(loose.v, tight.v)
-    assert np.array_equal(loose.y, tight.y)
+    assert np.array_equal(loose.e[:, 0], tight.e[:, 0])
     assert np.all(loose.i[:, 1:] == 0) and np.all(tight.i[:, 1:] == 1)
-    assert np.array_equal(loose.delta, tight.delta)  # same pre-drawn block
-    # the corrections are the injection plus N(0, sigma^2) noise
-    wide = rollout_batch(model, ss, plan, DetectorConfig(np.inf),
+    # every alarmed step of the tight run subtracts delta = a + sigma * b
+    # with b the block's own entry for that run and step
+    delta = tight.a + 15.0 * _mitigation_noise(model, ss, RngStream(31), 8, 6)
+    for run in range(8):
+        for t in range(1, 7):
+            e_step = error_step(model, ss, tight.e[run, t - 1],
+                                tight.w[run, t], tight.v[run, t],
+                                tight.a[run, t], 1, delta[run, t])
+            assert abs(e_step[0] - tight.e[run, t, 0]) \
+                < 1e-12 * (1.0 + abs(tight.e[run, t, 0])), (run, t)
+    # the corrections are the injection plus N(0, sigma^2) noise: with
+    # A = C = 1 and every step alarmed, e[t] = e[t-1] + w - K (r - delta)
+    # and r = e[t-1] + w + v + a give delta back from the logged signals
+    wide = rollout_batch(model, ss, plan, DetectorConfig(0.0),
                          MitigationStrategy.noisy(15.0), T=5, runs=4_000,
                          stream=RngStream(7))
-    noise = (wide.delta - wide.a)[:, 1:, 0].ravel()  # 20,000 draws
+    e, w, v, a = (arr[:, :, 0] for arr in (wide.e, wide.w, wide.v, wide.a))
+    r = e[:, :-1] + w[:, 1:] + v[:, 1:] + a[:, 1:]
+    delta = r + (e[:, 1:] - e[:, :-1] - w[:, 1:]) / ss.K[0, 0]
+    noise = (delta - a[:, 1:]).ravel()  # 20,000 draws
     assert abs(noise.mean()) < 0.35
     assert abs(noise.std(ddof=1) - 15.0) < 0.3
 

@@ -13,7 +13,12 @@ What is proven here:
     numbers.
   * The estimation-error process does not depend on the controller:
     rollouts with the controller on and off from the same stream produce
-    the same error paths and cost curves to 1e-10.
+    bit-identical error paths and alarms; x, x_hat and u exist only with
+    the controller, and x = x_hat + e.
+  * Nor does it depend on the units' origin: shifting controller.x0,
+    controller.init (so x_hat0) by 1e6 pu leaves e, the alarms and every
+    cost curve bit-identical under each plan, and moves x and x_hat by
+    the offset to within its rounding.
   * With no attack the mean voltage settles at the setpoint within two
     standard errors, and a ramp attack's detection frequency grows over
     the horizon.
@@ -27,7 +32,7 @@ import numpy as np
 import pytest
 
 from fdisim.attack import AttackPlan
-from fdisim.config import ConfigError, from_mapping, preset
+from fdisim.config import ConfigError, from_mapping, preset, resolve_config
 from fdisim.defense import DetectorConfig, MitigationStrategy
 from fdisim.evaluation import rollout_batch
 from fdisim.lti import derive_steady_state, setpoint_control
@@ -201,9 +206,11 @@ def test_error_process_is_controller_independent(loop):
     off = rollout_batch(model, ss, plan, DetectorConfig(5.0),
                         MitigationStrategy.perfect(), stream=RngStream(90),
                         controller=None, x_hat0=x_hat0, **kwargs)
-    assert np.max(np.abs(on.e - off.e)) < 1e-10
+    assert np.array_equal(on.e, off.e)
     assert np.array_equal(on.i, off.i)
-    assert not np.allclose(on.x, off.x)  # the plant paths do differ
+    assert off.x is None and off.x_hat is None and off.u is None
+    assert np.array_equal(on.x, on.x_hat + on.e)
+    assert np.any(on.u[:, :-1] != 0.0)  # the control term is exercised
 
 
 def test_curves_add_runs_in_order(loop):
@@ -233,6 +240,48 @@ def test_curves_add_runs_in_order(loop):
     }
     for name, curve in expected.items():
         assert np.array_equal(getattr(run, name), curve), name
+
+
+def test_setpoint_offset_leaves_error_and_costs_bitwise(loop, voltage_policy,
+                                                        tmp_path):
+    offset = 1e6
+    config = tmp_path / "shifted.yaml"
+    config.write_text(f"controller: {{x0: [{0.835 + offset!r}], "
+                      f"init: [{1.0 + offset!r}]}}\n", encoding="utf-8")
+    cfg = resolve_config("voltage", path=config)
+    model, ss, controller, x_hat0 = loop
+    shifted = (model, ss, cfg.controller(), cfg.x_hat0())
+    assert np.array_equal(shifted[2].x0, np.add(controller.x0, offset))
+    assert np.array_equal(shifted[3], x_hat0 + offset)
+    # rounding of the shifted x_hat: one ulp of the offset per step, with
+    # the control law contracting the sum
+    tol = 8 * np.spacing(offset)
+    plans = (AttackPlan.none(), AttackPlan.constant([0.1], a_max=0.2),
+             AttackPlan.ramp([0.01], a_max=0.2),
+             AttackPlan.from_policy(voltage_policy))
+    for plan, strategy in zip(plans, (MitigationStrategy.perfect(),
+                                      MitigationStrategy.noisy(0.05),
+                                      MitigationStrategy.perfect(),
+                                      MitigationStrategy.perfect())):
+        kwargs = dict(eta=5.0, strategy=strategy, T=30, runs=500,
+                      stream=RngStream(95))
+        runs = [voltage_attack_experiment(*loop, plan, **kwargs),
+                voltage_attack_experiment(*shifted, plan, **kwargs)]
+        for name in ("cost_per_t", "std_err_per_t"):
+            assert np.array_equal(getattr(runs[0].report, name),
+                                  getattr(runs[1].report, name)), (plan, name)
+        assert np.array_equal(runs[0].detect_frequency,
+                              runs[1].detect_frequency), plan
+        base, moved = (rollout_batch(m, s, plan, DetectorConfig(5.0),
+                                     strategy, 30, RngStream(95), 500,
+                                     controller=c, x_hat0=x0)
+                       for m, s, c, x0 in (loop, shifted))
+        assert np.array_equal(base.e, moved.e), plan
+        assert np.array_equal(base.i, moved.i), plan
+        assert np.array_equal(moved.x, moved.x_hat + moved.e)
+        for name in ("x", "x_hat"):
+            gap = getattr(moved, name) - offset - getattr(base, name)
+            assert np.max(np.abs(gap)) <= tol, (plan, name)
 
 
 def test_no_attack_settles_at_setpoint(loop):
