@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Commands (each accepts --config, --preset, --seed, --workers, --out,
---policy; see `fdisim <command> --help`):
+Commands (each accepts --config, --preset, --seed, --out, --policy; see
+`fdisim <command> --help`):
 
-  solve         solve the injection MDP, write the policy artifact
-  sweep-action  magnitude/stealthiness tradeoff at e = 0
+  solve         solve the injection MDP (scalar systems only), write the
+                policy artifact
+  sweep-action  magnitude/stealthiness tradeoff at e = 0 (scalar only)
                 -> sweep_action.csv: a,detection_prob,expected_reward
   evaluate      Monte-Carlo cost curves for the four plans
                 -> cost_policy.csv / cost_constant.csv / cost_ramp.csv /
@@ -56,7 +57,6 @@ _USER_ERRORS = (ArtifactError, AttackError, ConfigError, DefenseError,
 
 # fixed stream ids give each command its own independent substream of the
 # configured seed
-_STREAM_SOLVE = 1
 _STREAM_EVALUATE = 2
 _STREAM_FPMD = 3
 _STREAM_VOLTAGE = 4
@@ -103,12 +103,8 @@ def cmd_solve(args) -> int:
     grid = cfg.grid()
     actions = cfg.actions()
     started = time.perf_counter()
-    tm = build_transition_model(model, ss, cfg.eta, grid, actions,
-                                stream=RngStream(cfg.seed, _STREAM_SOLVE),
-                                workers=args.workers)
-    refine_kwargs = {"model": model, "ss": ss} if cfg.refine else {}
-    policy = value_iteration(tm, cfg.mdp_horizon, gamma=cfg.gamma,
-                             refine=cfg.refine, **refine_kwargs)
+    tm = build_transition_model(model, ss, cfg.eta, grid, actions)
+    policy = value_iteration(tm, cfg.mdp_horizon, gamma=cfg.gamma)
     elapsed = time.perf_counter() - started
     out = _out_dir(args, cfg)
     path = _policy_path(args, cfg, out)
@@ -293,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="named configuration preset (default benchmark)")
     common.add_argument("--seed", type=int, metavar="U64",
                         help="override eval.seed")
-    common.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes for sampled transition rows")
     common.add_argument("--out", metavar="DIR",
                         help="output directory (default paths.out)")
     common.add_argument("--policy", metavar="PATH",

@@ -67,7 +67,6 @@ _SPECS = (
     ("mdp.bounds", "matrix", None),
     ("mdp.step", "vector", "(0, inf)"),
     ("mdp.action_count", "int", "[2, inf)"),
-    ("mdp.refine", "bool", None),
     ("mdp.horizon", "int", "[1, inf)"),
     ("mdp.gamma", "real", "(0, 1]"),
     ("eval.runs", "int", "[1, inf)"),
@@ -236,7 +235,6 @@ class RunConfig:
     eval_horizon = property(lambda self: self.get("eval.horizon"))
     mdp_horizon = property(lambda self: self.get("mdp.horizon"))
     gamma = property(lambda self: self.get("mdp.gamma"))
-    refine = property(lambda self: self.get("mdp.refine"))
     fpmd_etas = property(lambda self: self.get("fpmd.etas"))
     fpmd_sigmas = property(lambda self: self.get("fpmd.sigmas"))
 

@@ -14,19 +14,18 @@ quadratic statistic exceeds eta, and the next error is
     X2 + A_K e - K a              without an alarm
     X2 + A_K e - K (a - delta)    with one,
 
-where delta is the mitigation the attacker assumes (delta = a by default).
-The error is discretized on a regular lattice; in the scalar case each
-transition row is computed exactly from bivariate-normal rectangles (the
-no-alarm band plus the two alarm tails, the tails shifted by K delta), and
-otherwise by seeded sampling. Value iteration maximizes the expected
-cumulative squared error norm over the horizon.
+where delta is the mitigation applied on alarm. The decision problem is
+scalar (n = m = 1) and assumes perfect mitigation, delta = a: the error is
+discretized on a regular lattice and each transition row is computed
+exactly from bivariate-normal rectangles (the no-alarm band plus the two
+alarm tails, the tails shifted by K a). Value iteration maximizes the
+expected cumulative squared error norm over the horizon.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +33,10 @@ from scipy.special import ndtr
 
 from . import numerics
 from .lti import ModelError, SteadyState, SystemModel
-from .numerics import (NumericsError, Rect, RngStream, bvn_cdf, bvn_rect,
-                       psd_factor)
+from .numerics import NumericsError, Rect, bvn_cdf, bvn_rect
 
-_DELTA_RULES = ("perfect", "off")
+# rows keeping less pre-fold mass than this inside the grid span warn
+_MASS_WARNING = 0.99
 
 
 class TruncationWarning(UserWarning):
@@ -154,17 +153,10 @@ def _joint_noise_cov(model: SystemModel, ss: SteadyState):
     return S11, S12, S22
 
 
-def _delta_of(delta_rule: str, a: np.ndarray) -> np.ndarray:
-    if delta_rule == "perfect":
-        return a
-    if delta_rule == "off":
-        return np.zeros_like(a)
-    raise ModelError(f"unknown delta rule {delta_rule!r}; expected one of "
-                     f"{_DELTA_RULES}")
-
-
-def _is_scalar(model: SystemModel) -> bool:
-    return model.n == 1 and model.m == 1
+def _require_scalar(model: SystemModel) -> None:
+    if model.n != 1 or model.m != 1:
+        raise ModelError(f"the decision problem needs a scalar system "
+                         f"(n = m = 1), got n = {model.n}, m = {model.m}")
 
 
 @dataclass(frozen=True)
@@ -209,28 +201,17 @@ def _scalar_law(model: SystemModel, ss: SteadyState, eta: float) -> _ScalarLaw:
 # ---------------------------------------------------------------------------
 
 
-def detection_prob(model: SystemModel, ss: SteadyState, eta: float, e, a,
-                   stream: RngStream | None = None,
-                   samples: int = 100_000) -> float:
-    """P(alarm | e, a) one step ahead.
-
-    Exact in the scalar case; otherwise the alarm rate of the seeded
-    one-step sampler (stream required).
-    """
+def detection_prob(model: SystemModel, ss: SteadyState, eta: float, e,
+                   a) -> float:
+    """P(alarm | e, a) one step ahead, in closed form."""
+    _require_scalar(model)
     e = np.atleast_1d(np.asarray(e, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if eta < 0.0:
         raise ModelError(f"eta must be >= 0, got {eta}")
-    if _is_scalar(model):
-        law = _scalar_law(model, ss, eta)
-        lo, hi = law.alarm_band(e[0], a[0])
-        return float(ndtr(lo) + 1.0 - ndtr(hi))
-    if stream is None:
-        raise NumericsError("detection_prob needs an RngStream for "
-                            "non-scalar systems")
-    # delta (here a) moves only e', never the alarm
-    alarm, _ = _sample_one_step(model, ss, eta, e, a, a, stream, samples)
-    return float(alarm.mean())
+    law = _scalar_law(model, ss, eta)
+    lo, hi = law.alarm_band(e[0], a[0])
+    return float(ndtr(lo) + 1.0 - ndtr(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +236,8 @@ def _cells_from_cum(cum: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 
 def _scalar_rows(model: SystemModel, ss: SteadyState, eta: float, grid: Grid,
-                 e_arr: np.ndarray, a_arr: np.ndarray, delta_arr: np.ndarray):
-    """Exact transition rows for paired (e, a, delta) scalars.
+                 e_arr: np.ndarray, a_arr: np.ndarray):
+    """Exact transition rows for paired (e, a) scalars, delta = a.
 
     Returns (rows, detection, interior_mass); rows are renormalized to sum
     exactly 1, interior_mass is the pre-fold probability inside the finite
@@ -270,7 +251,7 @@ def _scalar_rows(model: SystemModel, ss: SteadyState, eta: float, grid: Grid,
     edges = np.concatenate([[ax[0] - half], ax + half])  # N+1 finite edges
 
     y2 = law.error_mean(e_arr, a_arr)
-    shift = law.K * delta_arr
+    shift = law.K * a_arr
     l1, u1 = law.alarm_band(e_arr, a_arr)
     band = ndtr(u1) - ndtr(l1)
     det = 1.0 - band
@@ -304,46 +285,31 @@ def _scalar_rows(model: SystemModel, ss: SteadyState, eta: float, grid: Grid,
 
 
 def cell_transition_prob(model: SystemModel, ss: SteadyState, eta: float,
-                         e, a, delta, target: Rect,
-                         stream: RngStream | None = None,
-                         samples: int = 100_000) -> float:
-    """P(e' in target | e, a) with mitigation delta applied on alarm.
-
-    Exact bivariate-rectangle evaluation in the scalar case; seeded
-    sampling of the one-step recursion otherwise (stream required).
-    """
-    e = np.atleast_1d(np.asarray(e, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
+                         e, a, delta, target: Rect) -> float:
+    """P(e' in target | e, a) with mitigation delta applied on alarm, by
+    exact bivariate-rectangle evaluation."""
+    _require_scalar(model)
     if eta < 0.0:
         raise ModelError(f"eta must be >= 0, got {eta}")
     if target.dim != model.n:
         raise ModelError(f"target cell has dimension {target.dim}, state has "
                          f"{model.n}")
-    if _is_scalar(model):
-        law = _scalar_law(model, ss, eta)
-        y2 = law.error_mean(e[0], a[0])
-        l1, u1 = law.alarm_band(e[0], a[0])
-        lo, hi = target.lower[0], target.upper[0]
-        p_band = bvn_rect(l1, u1, (lo - y2) / law.s2, (hi - y2) / law.s2,
-                          law.rho)
-        return float(p_band + alarm_cell_mass(model, ss, eta, e, a, delta,
-                                              target))
-    if stream is None:
-        raise NumericsError("cell_transition_prob needs an RngStream for "
-                            "non-scalar systems")
-    _, e_next = _sample_one_step(model, ss, eta, e, a, delta, stream, samples)
-    inside = np.all((e_next >= target.lower) & (e_next <= target.upper), axis=1)
-    return float(inside.mean())
+    e = np.atleast_1d(np.asarray(e, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    law = _scalar_law(model, ss, eta)
+    y2 = law.error_mean(e[0], a[0])
+    l1, u1 = law.alarm_band(e[0], a[0])
+    lo, hi = target.lower[0], target.upper[0]
+    p_band = bvn_rect(l1, u1, (lo - y2) / law.s2, (hi - y2) / law.s2, law.rho)
+    return float(p_band + alarm_cell_mass(model, ss, eta, e, a, delta, target))
 
 
 def alarm_cell_mass(model: SystemModel, ss: SteadyState, eta: float, e, a,
                     delta, target: Rect) -> float:
-    """Alarm-branch part of cell_transition_prob (scalar exact path): the
-    probability that the alarm fires and e' lands in the target cell. Summed
-    over a partition of the state space this recovers detection_prob."""
-    if not _is_scalar(model):
-        raise ModelError("alarm_cell_mass is defined for scalar systems")
+    """Alarm-branch part of cell_transition_prob: the probability that the
+    alarm fires and e' lands in the target cell. Summed over a partition of
+    the state space this recovers detection_prob."""
+    _require_scalar(model)
     e = np.atleast_1d(np.asarray(e, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
@@ -354,20 +320,6 @@ def alarm_cell_mass(model: SystemModel, ss: SteadyState, eta: float, e, a,
     hi = (target.upper[0] - y2d) / law.s2
     return float(bvn_rect(-np.inf, l1, lo, hi, law.rho)
                  + bvn_rect(u1, np.inf, lo, hi, law.rho))
-
-
-def _sample_one_step(model, ss, eta, e, a, delta, stream, samples):
-    """Seeded draws of (alarm, e') from (e, a), mitigation delta on alarm.
-
-    The only non-scalar sampler: draws the w block, then the v block."""
-    gen = stream.generator()
-    w = gen.standard_normal((samples, model.n)) @ psd_factor(model.Q).T
-    v = gen.standard_normal((samples, model.m)) @ psd_factor(model.R).T
-    r = v + w @ model.C.T + (model.C @ model.A @ e + a)
-    alarm = np.einsum("ij,jk,ik->i", r, ss.P_r_inv, r) > eta
-    e_next = (e @ ss.A_K.T + w @ ss.W_K.T - v @ ss.K.T
-              - (a - alarm[:, None] * delta) @ ss.K.T)
-    return alarm, e_next
 
 
 # ---------------------------------------------------------------------------
@@ -389,48 +341,18 @@ class TransitionModel:
     rows: np.ndarray
     detection: np.ndarray
     interior_mass: np.ndarray
-    eta: float
-    delta_rule: str
-
-
-def _sampled_rows_block(args):
-    (model, ss, eta, grid, actions, delta_rule, stream, samples, row_ids) = args
-    n_cells = grid.n_states
-    rows = np.empty((len(row_ids), n_cells))
-    det = np.empty(len(row_ids))
-    interior = np.empty(len(row_ids))
-    n_actions = actions.shape[0]
-    lo_edge = grid.bounds[:, 0] - 0.5 * grid.step
-    hi_edge = grid.bounds[:, 1] + 0.5 * grid.step
-    for out_pos, rid in enumerate(row_ids):
-        i, k = divmod(rid, n_actions)
-        e = grid.points[i]
-        a = actions[k]
-        alarm, e_next = _sample_one_step(model, ss, eta, e, a,
-                                         _delta_of(delta_rule, a),
-                                         stream.child(rid), samples)
-        flat = nearest_index(grid, e_next)
-        rows[out_pos] = np.bincount(flat, minlength=n_cells) / samples
-        det[out_pos] = alarm.mean()
-        interior[out_pos] = np.all((e_next >= lo_edge) & (e_next <= hi_edge),
-                                   axis=1).mean()
-    return rows, det, interior
 
 
 def build_transition_model(model: SystemModel, ss: SteadyState, eta: float,
-                           grid: Grid, actions: np.ndarray,
-                           delta_rule: str = "perfect", method: str = "auto",
-                           stream: RngStream | None = None,
-                           samples: int = 100_000, workers: int = 1,
-                           mass_warning: float = 0.99) -> TransitionModel:
-    """Transition law for every (lattice point, action) pair.
+                           grid: Grid, actions: np.ndarray) -> TransitionModel:
+    """Exact transition law for every (lattice point, action) pair of a
+    scalar system (n = m = 1), with perfect mitigation on alarm.
 
-    method 'exact' uses the scalar bivariate-rectangle path (n = m = 1
-    only), 'sample' the seeded one-step simulation, 'auto' picks exact when
-    available. Mass escaping the finite grid span folds into the boundary
-    cells; rows whose pre-fold interior mass drops below `mass_warning`
-    trigger a TruncationWarning suggesting wider bounds.
+    Mass escaping the finite grid span folds into the boundary cells; rows
+    whose pre-fold interior mass drops below 0.99 trigger a
+    TruncationWarning suggesting wider bounds.
     """
+    _require_scalar(model)
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     if actions.shape[1] != model.m:
         raise ModelError(f"actions have dimension {actions.shape[1]}, "
@@ -440,43 +362,18 @@ def build_transition_model(model: SystemModel, ss: SteadyState, eta: float,
                          f"dimension {model.n}")
     if eta < 0.0:
         raise ModelError(f"eta must be >= 0, got {eta}")
-    if delta_rule not in _DELTA_RULES:
-        raise ModelError(f"unknown delta rule {delta_rule!r}")
-    if method not in ("auto", "exact", "sample"):
-        raise ModelError(f"unknown method {method!r}")
-    if method == "exact" and not _is_scalar(model):
-        raise ModelError("exact transition rows exist only for scalar systems")
-    use_exact = method == "exact" or (method == "auto" and _is_scalar(model))
 
     n_states = grid.n_states
     n_actions = actions.shape[0]
-    if use_exact:
-        e_mesh = np.repeat(grid.points[:, 0], n_actions)
-        a_mesh = np.tile(actions[:, 0], n_states)
-        d_mesh = _delta_of(delta_rule, a_mesh)
-        rows, det, interior = _scalar_rows(model, ss, eta, grid,
-                                           e_mesh, a_mesh, d_mesh)
-    else:
-        if stream is None:
-            raise NumericsError("sampled transition rows need an RngStream")
-        row_ids = list(range(n_states * n_actions))
-        blocks = [row_ids[i:i + 256] for i in range(0, len(row_ids), 256)]
-        args = [(model, ss, eta, grid, actions, delta_rule, stream, samples, b)
-                for b in blocks]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_sampled_rows_block, args))
-        else:
-            parts = [_sampled_rows_block(arg) for arg in args]
-        rows = np.concatenate([p[0] for p in parts])
-        det = np.concatenate([p[1] for p in parts])
-        interior = np.concatenate([p[2] for p in parts])
+    rows, det, interior = _scalar_rows(
+        model, ss, eta, grid, np.repeat(grid.points[:, 0], n_actions),
+        np.tile(actions[:, 0], n_states))
 
-    low = interior < mass_warning
+    low = interior < _MASS_WARNING
     if np.any(low):
         warnings.warn(
             f"{int(low.sum())} of {interior.size} transition rows keep less "
-            f"than {mass_warning:.2f} probability inside the grid span "
+            f"than {_MASS_WARNING:.2f} probability inside the grid span "
             f"(worst {float(interior.min()):.4f}); consider wider bounds",
             TruncationWarning, stacklevel=2)
 
@@ -484,8 +381,7 @@ def build_transition_model(model: SystemModel, ss: SteadyState, eta: float,
     return TransitionModel(grid=grid, actions=actions,
                            rows=rows.reshape(shape + (n_states,)),
                            detection=det.reshape(shape),
-                           interior_mass=interior.reshape(shape),
-                           eta=float(eta), delta_rule=delta_rule)
+                           interior_mass=interior.reshape(shape))
 
 
 def expected_reward(tm: TransitionModel, state_index: int,
@@ -496,8 +392,7 @@ def expected_reward(tm: TransitionModel, state_index: int,
 
 
 def immediate_reward_curve(model: SystemModel, ss: SteadyState, eta: float,
-                           grid: Grid, magnitudes,
-                           delta_rule: str = "perfect"):
+                           grid: Grid, magnitudes):
     """Magnitude/stealthiness tradeoff at e = 0 for a scalar system.
 
     Returns (detection, reward) arrays over the given injection magnitudes:
@@ -505,15 +400,13 @@ def immediate_reward_curve(model: SystemModel, ss: SteadyState, eta: float,
     lattice. Only the e = 0 rows are built, so this is cheap enough for
     interactive sweeps.
     """
-    if not _is_scalar(model):
-        raise ModelError("the closed-form sweep needs a scalar system")
+    _require_scalar(model)
     if grid.dim != 1:
         raise ModelError(f"grid dimension {grid.dim} does not match a "
                          f"scalar state")
     a_arr = np.atleast_1d(np.asarray(magnitudes, dtype=float))
     e_arr = np.zeros_like(a_arr)
-    rows, det, _ = _scalar_rows(model, ss, eta, grid, e_arr, a_arr,
-                                _delta_of(delta_rule, a_arr))
+    rows, det, _ = _scalar_rows(model, ss, eta, grid, e_arr, a_arr)
     sq = grid.points[:, 0] ** 2
     return det, rows @ sq
 
@@ -544,16 +437,13 @@ class Policy:
         return self.action_table.shape[0]
 
 
-def value_iteration(tm: TransitionModel, horizon: int, gamma: float = 1.0,
-                    refine: bool = False, model: SystemModel | None = None,
-                    ss: SteadyState | None = None) -> Policy:
+def value_iteration(tm: TransitionModel, horizon: int,
+                    gamma: float = 1.0) -> Policy:
     """Backward induction over the transition model.
 
     Maximizes E[sum of ||e||^2 over the horizon] (discounted by gamma per
-    stage); argmax ties resolve to the smallest action index. With
-    refine=True (scalar exact path only; requires model and ss) each sweep
-    locally improves the incumbent action by a 3-point bracket halved over
-    4 rounds, recovering continuous-action quality between lattice points.
+    stage) over the lattice actions; argmax ties resolve to the smallest
+    action index.
     """
     if horizon < 1:
         raise ModelError(f"horizon must be >= 1, got {horizon}")
@@ -564,35 +454,14 @@ def value_iteration(tm: TransitionModel, horizon: int, gamma: float = 1.0,
     flat = tm.rows.reshape(n_states * n_actions, n_states)
     r_imm = (flat @ sq).reshape(n_states, n_actions)
     a_max = float(np.max(np.linalg.norm(tm.actions, axis=1)))
-    if refine and (model is None or ss is None or not _is_scalar(model)):
-        raise ModelError("refine needs the scalar model and steady state")
 
     values = np.zeros((horizon + 1, n_states))
     table = np.zeros((horizon, n_states, tm.actions.shape[1]))
-    spacing = float(np.min(np.diff(np.unique(tm.actions[:, 0])))) \
-        if refine else 0.0
     for s in range(1, horizon + 1):
         q = r_imm + gamma * (flat @ values[s - 1]).reshape(n_states, n_actions)
         best_idx = np.argmax(q, axis=1)
-        best_q = q[np.arange(n_states), best_idx]
-        best_a = tm.actions[best_idx].copy()
-        if refine:
-            target = sq + gamma * values[s - 1]
-            cur_a = best_a[:, 0]
-            for level in range(1, 5):
-                d = spacing / 2.0 ** level
-                for side in (-1.0, 1.0):
-                    cand = np.clip(cur_a + side * d, -a_max, a_max)
-                    rows_c, _, _ = _scalar_rows(
-                        model, ss, tm.eta, tm.grid, tm.grid.points[:, 0],
-                        cand, _delta_of(tm.delta_rule, cand))
-                    q_c = rows_c @ target
-                    better = q_c > best_q
-                    best_q = np.where(better, q_c, best_q)
-                    cur_a = np.where(better, cand, cur_a)
-            best_a = cur_a[:, None]
-        values[s] = best_q
-        table[s - 1] = best_a
+        values[s] = q[np.arange(n_states), best_idx]
+        table[s - 1] = tm.actions[best_idx]
     return Policy(grid=tm.grid, actions=tm.actions, action_table=table,
                   values=values, gamma=float(gamma), a_max=a_max)
 

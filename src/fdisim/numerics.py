@@ -30,22 +30,16 @@ class NumericsError(ValueError):
 class RngStream:
     """Named, reproducible source of randomness.
 
-    Two streams with the same (seed, stream, path) produce identical draw
-    sequences; distinct ids give statistically independent generators. Child
-    streams partition a parent without consuming its state, so concurrent
-    consumers can be seeded without coordination.
+    Two streams with the same (seed, stream) produce identical draw
+    sequences; distinct ids give statistically independent generators.
     """
 
     seed: int
     stream: int = 0
-    path: tuple = ()
 
     def generator(self) -> np.random.Generator:
-        key = (self.stream,) + tuple(self.path)
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
-
-    def child(self, index: int) -> "RngStream":
-        return RngStream(self.seed, self.stream, self.path + (index,))
+        return np.random.default_rng(
+            np.random.SeedSequence(self.seed, spawn_key=(self.stream,)))
 
 
 # ---------------------------------------------------------------------------

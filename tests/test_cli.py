@@ -81,9 +81,9 @@ def test_preset_files_and_digests_are_pinned():
     shipped = __import__("pathlib").Path(fdisim.__file__).parent / "presets"
     assert preset_names() == sorted(p.stem for p in shipped.glob("*.yaml"))
     assert preset("benchmark").digest() == (
-        "0d5be23028b74f43b1d60456dc0028460402c6fcae5ffe1026c3738325f51311")
+        "e1f647227bc4af41cf55ca22839f0c88c0bf730545800e17da79b3295b3be266")
     assert preset("voltage").digest() == (
-        "49ff1abb5094f17b51ae20fcf5728419255c609178384ffafa15cad98e2b949e")
+        "ea422633a369ef9d7c3709c378efa74a93ed5696ea30bea4dc11954419e49492")
 
 
 def test_presets_parse_like_safe_load():
@@ -357,6 +357,24 @@ def test_bad_controller_is_a_config_error(tmp_path, capsys, body, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_nonscalar_model_is_one_error_line(tmp_path, capsys):
+    # the decision problem is scalar-only; solve and sweep-action refuse a
+    # 2-state model before any transition row is built
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("model: {A: [[1.0, 0.0], [0.0, 1.0]], "
+                   "B: [[1.0, 0.0], [0.0, 1.0]],\n"
+                   "        C: [[1.0, 0.0], [0.0, 1.0]], "
+                   "Q: [[1.0, 0.0], [0.0, 1.0]],\n"
+                   "        R: [[10.0, 0.0], [0.0, 10.0]]}\n",
+                   encoding="utf-8")
+    for command in ("solve", "sweep-action"):
+        assert _run([command, "--config", cfg, "--out", tmp_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and "scalar system" in captured.err
+        assert not (tmp_path / "policy.json").exists()
+
+
 @pytest.mark.parametrize("body, message", [
     ("eval: {runs: many}\n", "eval.runs must be a number >= 1, got 'many'"),
     ("controller: {x0: [0.8], alpha: half}\n",
@@ -373,7 +391,7 @@ def test_bad_controller_is_a_config_error(tmp_path, capsys, body, message):
     ("eval: {runs: 2.5}\n", "eval.runs must be an integer, got 2.5"),
     ("mdp: {action_count: 80.5}\n",
      "mdp.action_count must be an integer, got 80.5"),
-    ("mdp: {refine: maybe}\n", "mdp.refine must be true or false, got 'maybe'"),
+    ("mdp: {refine: false}\n", "unknown configuration key 'mdp.refine'"),
     ("controller: {x0: [zero]}\n",
      "controller.x0[0] must be a number, got 'zero'"),
     ("paths: {policy: 5}\n", "paths.policy must be a string, got 5"),

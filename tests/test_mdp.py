@@ -8,10 +8,9 @@ What is proven here:
     (e=0, a=10, eta=10), is 1 at eta=0 and 0 at eta=inf, is symmetric under
     (e, a) -> (-e, -a), and agrees with direct Monte-Carlo simulation of the
     one-step recursion within 4 std-errors.
-  * Off the scalar path, detection_prob is the alarm rate of the one-step
-    sampler: within 4 std-errors of the noncentral chi-square closed form
-    on an isotropic 2-D model, 0 at eta=inf, and equal to the sampled
-    transition model's detection entry on the same child stream.
+  * The decision problem is scalar-only: on an isotropic 2-D model
+    detection_prob, cell_transition_prob, alarm_cell_mass,
+    build_transition_model and immediate_reward_curve raise ModelError.
   * cell_transition_prob agrees with the same Monte-Carlo oracle cell-wise,
     reduces to a univariate normal when eta = inf, and its band + alarm
     decomposition (alarm_cell_mass) is consistent; alarm masses over a
@@ -26,13 +25,12 @@ What is proven here:
   * The exact rows, detection and interior mass are bit-identical whatever
     the kernel-block size, which also sets the row-tile size, and the
     benchmark-shaped row build allocates at most 16 MiB beyond its outputs.
-  * The sampled (simulation) path agrees with the exact scalar path within
-    Monte-Carlo error on a small lattice, and a two-worker process pool
-    gives the same arrays as one worker.
+  * Whole exact rows and detection on a small lattice agree, within
+    Monte-Carlo error, with the independent one-step oracle's draws of e'
+    histogrammed into the lattice cells.
   * value_iteration: values nonnegative, even in the state, nondecreasing
     in stage; argmax ties break to the smallest action index; stage-1
-    values equal the best immediate reward; local refinement only improves
-    values and keeps actions inside the norm ball.
+    values equal the best immediate reward.
   * policy_lookup validates the stage range and snaps states.
 """
 
@@ -42,7 +40,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.special import ndtr
-from scipy.stats import ncx2
 
 from fdisim import numerics
 from fdisim.lti import ModelError, SystemModel, derive_steady_state
@@ -56,12 +53,13 @@ from fdisim.mdp import (
     cell_transition_prob,
     detection_prob,
     expected_reward,
+    immediate_reward_curve,
     nearest_index,
     policy_lookup,
     uniform_actions,
     value_iteration,
 )
-from fdisim.numerics import Rect, RngStream
+from fdisim.numerics import Rect
 
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
 K_GAIN = P_INF / (P_INF + 10.0)
@@ -193,43 +191,22 @@ def test_detection_prob_against_mc_oracle(bench):
         assert abs(p - p_hat) < 4.0 * se + 1e-4, (e, a, p, p_hat)
 
 
-def test_nonscalar_detection_prob_against_ncx2(iso2):
-    # g = |r|^2 / p with r ~ N(CAe + a, 11 I): P(g > eta) is the
-    # noncentral chi-square tail at eta p / 11 with noncentrality |CAe + a|^2 / 11
-    model, ss = iso2
-    p_r = ss.P_r[0, 0]
-    assert np.allclose(ss.P_r, p_r * np.eye(2))
-    n = 100_000
-    for i, (e, a) in enumerate([((0.0, 0.0), (0.0, 0.0)),
-                                ((1.0, -2.0), (3.0, 4.0))]):
-        mean = np.asarray(e) + np.asarray(a)
-        for j, eta in enumerate((1.0, 5.0, 10.0)):
-            exact = float(ncx2.sf(eta * p_r / 11.0, 2, mean @ mean / 11.0))
-            p = detection_prob(model, ss, eta, e, a,
-                               stream=RngStream(31, 10 * i + j), samples=n)
-            se = math.sqrt(exact * (1.0 - exact) / n)
-            assert abs(p - exact) < 4.0 * se, (e, a, eta, p, exact)
-    assert detection_prob(model, ss, np.inf, (1.0, -2.0), (3.0, 4.0),
-                          stream=RngStream(31, 0), samples=n) == 0.0
-    with pytest.raises(numerics.NumericsError):
-        detection_prob(model, ss, 5.0, (0.0, 0.0), (0.0, 0.0))
-
-
-@pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
-def test_nonscalar_detection_prob_matches_sampled_model(iso2):
+def test_nonscalar_model_raises_model_error(iso2):
     model, ss = iso2
     grid = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [1.0, 1.0])
-    acts = uniform_actions(3.0, 3, m=2)
-    stream = RngStream(8, 2)
-    tm = build_transition_model(model, ss, eta=5.0, grid=grid, actions=acts,
-                                method="sample", stream=stream, samples=2000)
-    n_actions = acts.shape[0]
-    for i, e in enumerate(grid.points):
-        for k, a in enumerate(acts):
-            p = detection_prob(model, ss, 5.0, e, a,
-                               stream=stream.child(i * n_actions + k),
-                               samples=2000)
-            assert p == tm.detection[i, k], (i, k)
+    e, a = (0.0, 0.0), (1.0, 0.0)
+    target = cell(grid, 4)
+    calls = [
+        lambda: detection_prob(model, ss, 5.0, e, a),
+        lambda: cell_transition_prob(model, ss, 5.0, e, a, a, target),
+        lambda: alarm_cell_mass(model, ss, 5.0, e, a, a, target),
+        lambda: build_transition_model(model, ss, 5.0, grid,
+                                       uniform_actions(3.0, 3, m=2)),
+        lambda: immediate_reward_curve(model, ss, 5.0, grid, [0.0, 1.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ModelError, match="scalar system"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -393,33 +370,28 @@ def test_truncation_warning_on_small_grid(bench):
 
 @pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
 def test_sampled_path_matches_exact_path(bench):
+    # whole exact rows and detection against the oracle's sampled one-step
+    # draws, e' histogrammed into the 13 lattice cells (outer cells open)
     model, ss = bench
     grid = build_grid([(-6.0, 6.0)], [1.0])
     acts = uniform_actions(10.0, 5)
     exact = build_transition_model(model, ss, eta=10.0, grid=grid, actions=acts)
     n = 200_000
-    sampled = build_transition_model(model, ss, eta=10.0, grid=grid,
-                                     actions=acts, method="sample",
-                                     stream=RngStream(421, 0), samples=n)
+    inner_edges = grid.axes[0][:-1] + 0.5 * grid.step[0]
+    n_actions = acts.shape[0]
+    rows = np.empty_like(exact.rows)
+    detection = np.empty_like(exact.detection)
+    for i, e in enumerate(grid.points[:, 0]):
+        for k, a in enumerate(acts[:, 0]):
+            alarm, e_next = mc_one_step(model, ss, 10.0, e, a, a, n,
+                                        seed=421 + i * n_actions + k)
+            cells = np.searchsorted(inner_edges, e_next)
+            rows[i, k] = np.bincount(cells, minlength=grid.n_states) / n
+            detection[i, k] = alarm.mean()
     se_rows = np.sqrt(np.maximum(exact.rows * (1 - exact.rows), 1e-12) / n)
-    assert np.all(np.abs(sampled.rows - exact.rows) < 4.0 * se_rows + 2e-4)
+    assert np.all(np.abs(rows - exact.rows) < 4.0 * se_rows + 2e-4)
     se_det = np.sqrt(np.maximum(exact.detection * (1 - exact.detection), 1e-12) / n)
-    assert np.all(np.abs(sampled.detection - exact.detection) < 4.0 * se_det + 2e-4)
-
-
-@pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
-def test_sampled_rows_with_two_workers_match_one(bench):
-    # 33 x 9 = 297 rows: more than one 256-row block, so the pool runs both
-    model, ss = bench
-    grid = build_grid([(-8.0, 8.0)], [0.5])
-    acts = uniform_actions(20.0, 9)
-    assert grid.n_states * acts.shape[0] > 256
-    kw = dict(eta=10.0, grid=grid, actions=acts, method="sample",
-              stream=RngStream(5, 1), samples=1000)
-    one = build_transition_model(model, ss, workers=1, **kw)
-    two = build_transition_model(model, ss, workers=2, **kw)
-    for name in ("rows", "detection", "interior_mass"):
-        assert np.array_equal(getattr(one, name), getattr(two, name)), name
+    assert np.all(np.abs(detection - exact.detection) < 4.0 * se_det + 2e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +429,6 @@ def test_value_iteration_domain_checks(bench_tm):
         value_iteration(bench_tm, horizon=3, gamma=0.0)
     with pytest.raises(ModelError):
         value_iteration(bench_tm, horizon=3, gamma=1.5)
-    with pytest.raises(ModelError):
-        value_iteration(bench_tm, horizon=3, refine=True)  # model/ss missing
-
-
-def test_refinement_only_improves(bench, bench_tm):
-    model, ss = bench
-    base = value_iteration(bench_tm, horizon=3)
-    fine = value_iteration(bench_tm, horizon=3, refine=True, model=model, ss=ss)
-    assert np.all(fine.values[3] >= base.values[3] - 1e-9)
-    assert np.any(fine.values[3] > base.values[3])
-    assert np.all(np.abs(fine.action_table) <= fine.a_max + 1e-12)
-    # refined actions stay within one lattice spacing of the coarse argmax
-    spacing = 0.5
-    assert np.max(np.abs(fine.action_table - base.action_table)) <= spacing
 
 
 def test_policy_lookup_validation_and_snapping(bench_tm):
