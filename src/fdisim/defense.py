@@ -77,8 +77,8 @@ def g_statistic(ss: SteadyState, r) -> np.ndarray:
 
 
 def detect(detector: DetectorConfig, g) -> np.ndarray:
-    """Alarm indicator: 1 where g > eta, else 0 (boundary does not alarm)."""
-    return (np.asarray(g) > detector.eta).astype(np.int64)
+    """Alarm indicator: True where g > eta (boundary does not alarm)."""
+    return np.asarray(g) > detector.eta
 
 
 def oracle_detect(a_true) -> np.ndarray:
@@ -86,8 +86,7 @@ def oracle_detect(a_true) -> np.ndarray:
     a_true = np.asarray(a_true, dtype=float)
     # any-nonzero rather than norm > 0: the squared norm of a subnormal
     # injection underflows to zero while the injection is still present
-    present = np.any(np.atleast_1d(a_true) != 0.0, axis=-1)
-    return present.astype(np.int64)
+    return np.any(np.atleast_1d(a_true) != 0.0, axis=-1)
 
 
 def mitigate(strategy: MitigationStrategy, y_a: np.ndarray, a: np.ndarray,

@@ -8,7 +8,8 @@ runs on the innovation r = CA e[t-1] + C w[t] + v[t] + a[t], and
 e[t] = A e[t-1] + w[t] - K (r - i[t] delta[t]) takes the mitigation's
 correction on alarms.  e never passes through x - x_hat, so no setpoint
 offset costs it digits; with a controller the loop also advances x_hat and
-forms x = x_hat + e.  All noise for a batch of runs is pre-drawn from a
+forms x = x_hat + e.  The injection, the test statistic and the control
+are per-step temporaries.  All noise for a batch of runs is pre-drawn from a
 single stream in a fixed order (e[0] block, process block, measurement
 block, mitigation block), so two batches built from the same stream share
 every random input no matter which plan, detector or mitigation they use.
@@ -66,18 +67,20 @@ class EvaluationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BatchRollout:
-    """W simulated runs; every array is indexed [run, t] for t = 0..T.
+    """W simulated runs; e, i, w, v, x and x_hat are [run, t] views of
+    step-major (T + 1, W, ...) buffers for t = 0..T, so runs are their
+    contiguous axis: reduce over runs on a C-ordered copy where the result
+    must add the runs in order.  cost_sums is C-ordered (W, T), and
+    cost_sums[:, t-1] = sum_{tau=1..t} ||e[:, tau]||^2 added as a cumsum.
 
-    The arrays are [run, t] views of step-major (T + 1, W, ...) buffers,
-    so runs are their contiguous axis: reduce over runs on a C-ordered
-    copy where the result must add the runs in order (see _inner_sums).
-
-    The measurement-channel signals (a, g, i) and the arrival-indexed
-    noises (w, v) are zero at t = 0: no measurement is processed there,
-    the filter starts at its steady state.  x, x_hat and u exist only for
-    a rollout with a controller and are None without one; u[:, t] is the
-    control computed from x_hat[:, t] (applied during the step to t+1),
-    and x = x_hat + e.
+    The alarms i (bool) and the arrival-indexed noises (w, v) are zero at
+    t = 0: no measurement is processed there, the filter starts at its
+    steady state.  x and x_hat exist only for a rollout with a controller
+    and are None without one; x = x_hat + e.  The injection, statistic and
+    control of step t are not kept: a = attack_at(plan, t, e[:, t-1],
+    stage_remaining=T-t+1), g = g_statistic of the innovation
+    e[:, t-1] (CA)' + w[:, t] C' + v[:, t] + a, u = setpoint_control of
+    x_hat[:, t-1].
 
     w and v are read-only views of the stream's pre-drawn noise, shared
     with every other batch drawn from the same stream, run count and
@@ -86,14 +89,12 @@ class BatchRollout:
     """
 
     e: np.ndarray
-    a: np.ndarray
-    g: np.ndarray
     i: np.ndarray
     w: np.ndarray
     v: np.ndarray
+    cost_sums: np.ndarray
     x: np.ndarray | None = None
     x_hat: np.ndarray | None = None
-    u: np.ndarray | None = None
 
     @property
     def runs(self) -> int:
@@ -200,10 +201,11 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
     """Simulate `runs` independent loops of length T on the stream's
     shared pre-drawn noise.
 
-    The loop advances e; with a controller it also advances x_hat from
-    `x_hat0` (zero if None) and fills x, x_hat and u (None without one).
-    With `oracle=True` the detector is replaced by the reference oracle
-    (alarm exactly when a[t] != 0); g is still logged for inspection.
+    The loop advances e and the cost sums; with a controller it also
+    advances x_hat from `x_hat0` (zero if None) and fills x and x_hat
+    (None without one).  With `oracle=True` the detector is replaced by
+    the reference oracle (alarm exactly when a[t] != 0), and the test
+    statistic is not computed.
     """
     if T < 1:
         raise EvaluationError(f"horizon must be >= 1, got {T}")
@@ -213,7 +215,7 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
         raise EvaluationError(
             f"plan injects {plan.dim}-vectors but the model has m={model.m}")
     _check_plan_horizon(plan, T)
-    W, n, m, p = runs, model.n, model.m, model.p
+    W, n = runs, model.n
 
     x_hat0 = np.zeros(n) if x_hat0 is None else np.asarray(x_hat0, float)
     if x_hat0.shape != (n,):
@@ -224,48 +226,43 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
                          psd_factor(model.Q), psd_factor(model.R),
                          strategy.kind == "noisy")
     # buffers are step-major, (T + 1, W, .), so each step reads and writes
-    # contiguous (W, .) blocks
-    out = dict(e=np.zeros((T + 1, W, n)), a=np.zeros((T + 1, W, m)),
-               g=np.zeros((T + 1, W)),
-               i=np.zeros((T + 1, W), dtype=np.int64), w=w, v=v)
-    e, a, g, i = out["e"], out["a"], out["g"], out["i"]
+    # contiguous (W, .) blocks; cost_sums is C-ordered (W, T) so the cost
+    # reductions over runs add them in order
+    e = np.zeros((T + 1, W, n))
+    i = np.zeros((T + 1, W), dtype=bool)
+    cost_sums = np.empty((W, T))
     e[0] = e0
     if controller is not None:
-        x_hat = out["x_hat"] = np.zeros((T + 1, W, n))
-        u = out["u"] = np.zeros((T + 1, W, p))
+        x_hat = np.zeros((T + 1, W, n))
         x_hat[0] = x_hat0
 
     A_T, B_T, C_T, K_T = model.A.T, model.B.T, model.C.T, ss.K.T
     CA_T = (model.C @ model.A).T
+    prev = 0.0
     for t in range(1, T + 1):
-        a[t] = attack_at(plan, t, e[t - 1], stage_remaining=T - t + 1)
-        r = e[t - 1] @ CA_T + w[t] @ C_T + v[t] + a[t]
-        g[t] = g_statistic(ss, r)
-        i[t] = oracle_detect(a[t]) if oracle else detect(detector, g[t])
-        _, r_f = mitigate(strategy, r, a[t], i[t], None if b is None else b[t])
+        a = attack_at(plan, t, e[t - 1], stage_remaining=T - t + 1)
+        r = e[t - 1] @ CA_T + w[t] @ C_T + v[t] + a
+        i[t] = oracle_detect(a) if oracle \
+            else detect(detector, g_statistic(ss, r))
+        _, r_f = mitigate(strategy, r, a, i[t], None if b is None else b[t])
         corr = r_f @ K_T
         e[t] = e[t - 1] @ A_T + w[t] - corr
+        prev = np.add(prev, np.sum(e[t] ** 2, axis=1),
+                      out=cost_sums[:, t - 1])
         if controller is not None:
-            u[t - 1] = setpoint_control(model, controller, x_hat[t - 1])
-            x_hat[t] = x_hat[t - 1] @ A_T + u[t - 1] @ B_T + corr
+            u = setpoint_control(model, controller, x_hat[t - 1])
+            x_hat[t] = x_hat[t - 1] @ A_T + u @ B_T + corr
+
+    out = dict(e=e, i=i, w=w, v=v)
     if controller is not None:
-        u[T] = setpoint_control(model, controller, x_hat[T])
-        out["x"] = x_hat + e
-
-    return BatchRollout(**{k: arr.swapaxes(0, 1) for k, arr in out.items()})
-
-
-def _inner_sums(batch: BatchRollout) -> np.ndarray:
-    """Per-run cumulative squared error norms, shape (W, T); column t-1
-    holds sum_{tau=1..t} ||e[tau]||^2.  C-ordered, so the cost reductions
-    over runs add them in order (numpy sums a contiguous axis pairwise)."""
-    sq = np.sum(batch.e[:, 1:] ** 2, axis=2)
-    return np.cumsum(sq, axis=1, out=np.empty(sq.shape))
+        out.update(x_hat=x_hat, x=x_hat + e)
+    return BatchRollout(cost_sums=cost_sums,
+                        **{k: arr.swapaxes(0, 1) for k, arr in out.items()})
 
 
 def empirical_cost(batch: BatchRollout, digest: str = "") -> CostReport:
     """Average cumulative cost curve with across-run standard errors."""
-    sums = _inner_sums(batch)
+    sums = batch.cost_sums
     W = sums.shape[0]
     cost = sums.mean(axis=0)
     if W > 1:
@@ -305,7 +302,7 @@ def _paired_terminal_difference(model: SystemModel, ss: SteadyState,
     reference = rollout_batch(model, ss, plan, detector, strategy, T, stream,
                               runs, controller=controller, x_hat0=x_hat0,
                               oracle=True)
-    diff = _inner_sums(tested)[:, -1] - _inner_sums(reference)[:, -1]
+    diff = tested.cost_sums[:, -1] - reference.cost_sums[:, -1]
     se = diff.std(ddof=1) / np.sqrt(runs) if runs > 1 else 0.0
     return PairedCost(float(diff.mean()), float(se))
 

@@ -2,8 +2,10 @@
 
 What is proven here:
   * g_statistic implements r' P_r^-1 r (frozen scalar example
-    g(r=10) = 100/13.7015...), and rollout_batch logs it on the innovation
-    r = y_a - C(A x_hat + B u) against the one-step prediction.
+    g(r=10) = 100/13.7015...), and rollout_batch's alarms are the detector
+    on it: the statistic of the innovation the loop forms from the error,
+    CA e + C w + v + a, equals that of r = y_a - C(A x_hat + B u) against
+    the one-step prediction.
   * detect alarms strictly above eta (boundary silent), handles eta = 0 and
     eta = inf, and vectorizes.
   * The no-attack alarm rate matches the closed form 2 Phi(-sqrt(eta))
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from fdisim.attack import AttackPlan
+from fdisim.attack import AttackPlan, attack_at
 from fdisim.defense import (
     DefenseError,
     DetectorConfig,
@@ -34,7 +36,8 @@ from fdisim.defense import (
     oracle_detect,
 )
 from fdisim.evaluation import rollout_batch
-from fdisim.lti import SetpointController, SystemModel, derive_steady_state
+from fdisim.lti import (SetpointController, SystemModel, derive_steady_state,
+                        setpoint_control)
 from fdisim.numerics import RngStream
 
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
@@ -47,20 +50,28 @@ def bench():
 
 
 def test_residual_formula(bench):
-    # the logged statistic is r^2 / P_r with r = y_a - (x_hat + u) here
+    # the tested statistic is r^2 / P_r with r = y_a - (x_hat + u) here
     # (A = B = C = 1), the innovation against the one-step prediction; the
-    # attacked measurement is y_a = x + v + a, with the plant x = x_hat + e
+    # attacked measurement is y_a = x + v + a, with the plant x = x_hat + e.
+    # The loop forms r from the error as e[t-1] + w[t] + v[t] + a[t]; a and
+    # u are rebuilt from the kept e and x_hat.
     model, ss = bench
-    batch = rollout_batch(model, ss, AttackPlan.constant([4.0], a_max=20.0),
-                          DetectorConfig(10.0), MitigationStrategy.perfect(),
-                          T=5, stream=RngStream(9), runs=3,
-                          controller=SetpointController([0.5], 0.5),
+    plan = AttackPlan.constant([4.0], a_max=20.0)
+    ctrl = SetpointController([0.5], 0.5)
+    batch = rollout_batch(model, ss, plan, DetectorConfig(10.0),
+                          MitigationStrategy.perfect(), T=5,
+                          stream=RngStream(9), runs=3, controller=ctrl,
                           x_hat0=[2.0])
-    y_a = batch.x[:, 1:, 0] + batch.v[:, 1:, 0] + batch.a[:, 1:, 0]
-    r = y_a - (batch.x_hat[:, :-1, 0] + batch.u[:, :-1, 0])
-    assert np.allclose(batch.g[:, 1:], r ** 2 / (P_INF + 10.0),
-                       rtol=1e-12, atol=0)
-    assert np.any(batch.u[:, :-1] != 0.0)  # the control term is exercised
+    for t in range(1, 6):
+        a = attack_at(plan, t, batch.e[:, t - 1])
+        u = setpoint_control(model, ctrl, batch.x_hat[:, t - 1])
+        g = g_statistic(ss, batch.e[:, t - 1] + batch.w[:, t]
+                        + batch.v[:, t] + a)
+        assert np.array_equal(batch.i[:, t], detect(DetectorConfig(10.0), g))
+        y_a = batch.x[:, t, 0] + batch.v[:, t, 0] + a[:, 0]
+        r = y_a - (batch.x_hat[:, t - 1, 0] + u[:, 0])
+        assert np.allclose(g, r ** 2 / (P_INF + 10.0), rtol=1e-12, atol=0)
+        assert np.any(u != 0.0)  # the control term is exercised
 
 
 def test_g_statistic_frozen_example(bench):

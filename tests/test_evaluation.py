@@ -3,11 +3,14 @@
 What is proven here:
   * Rollouts are bit-identical when replayed on the same stream and differ
     on another stream.
-  * Rollout invariants: x = x_hat + e exactly, and x, x_hat and u are
-    None without a controller; each logged e[t] is reproduced by
-    error_step from the logged inputs, with delta rebuilt from a and the
-    pre-drawn mitigation block (the loop really implements the stated
-    error recursion).
+  * Rollout invariants: x = x_hat + e exactly, and x and x_hat are None
+    without a controller; each logged e[t] is reproduced by error_step
+    from the kept inputs, with the injection rebuilt by attack_at from
+    e[t-1] and delta from it and the pre-drawn mitigation block (the loop
+    really implements the stated error recursion).
+  * The alarms are the detector on the rebuilt innovation's statistic,
+    and the plant follows x[t] = A x[t-1] + B u + w[t] with u rebuilt by
+    setpoint_control from x_hat[t-1].
   * With no attack and the detector disabled, the cost curve grows at
     slope ~ trace(P_e) = P_inf (1 - K) ~= 2.70 (5% at W=10000).
   * empirical_cost is the plain arithmetic of per-run cumulative sums,
@@ -31,6 +34,13 @@ What is proven here:
     recursion, so the run and time axes cannot be mixed up.
   * empirical_cost adds the runs in order: at 257 runs it equals the
     reductions taken on C-ordered copies of the batch, bit for bit.
+  * The batch's cost sums equal the cumsum over t of the squared error
+    norms bit for bit (n = 1 and n = 2, tested and oracle batches, 257
+    runs), and the bool alarms give the same detection frequency as
+    int64 ones.
+  * A batch allocates no full history beyond what it keeps: one
+    W = 10,000, T = 10 batch peaks (tracemalloc) within the kept bytes
+    plus 16 W-vectors.
   * A stream's noise is drawn once and shared read-only: two batches on
     one stream share their w and v memory, writing to them raises, and
     the blocks of an earlier stream are freed once another is drawn.  A
@@ -41,14 +51,16 @@ What is proven here:
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from fdisim import evaluation
-from fdisim.attack import AttackPlan
-from fdisim.defense import DetectorConfig, MitigationStrategy
+from fdisim.attack import AttackPlan, attack_at
+from fdisim.defense import (DetectorConfig, MitigationStrategy, detect,
+                            g_statistic)
 from fdisim.evaluation import (
     EvaluationError,
     compare_attacks,
@@ -64,7 +76,7 @@ from fdisim.numerics import RngStream, psd_factor
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
 K_GAIN = P_INF / (P_INF + 10.0)
 TRACE_P_E = P_INF * (1.0 - K_GAIN)  # = 2.7015621187164243
-FIELDS = ("e", "a", "g", "i", "w", "v", "x", "x_hat", "u")
+FIELDS = ("e", "i", "w", "v", "cost_sums", "x", "x_hat")
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +102,22 @@ def _mitigation_noise(model, ss, stream, runs, T):
     return b.swapaxes(0, 1)
 
 
+def _replay(batch, model, ss, plan):
+    """The injections a and test statistics g the loop used, as [run, t]
+    arrays that are zero at t = 0, rebuilt from the kept e, w and v."""
+    W, T = batch.runs, batch.horizon
+    a = np.zeros((W, T + 1, model.m))
+    g = np.zeros((W, T + 1))
+    CA_T = (model.C @ model.A).T
+    for t in range(1, T + 1):
+        a[:, t] = attack_at(plan, t, batch.e[:, t - 1],
+                            stage_remaining=T - t + 1)
+        r = (batch.e[:, t - 1] @ CA_T + batch.w[:, t] @ model.C.T
+             + batch.v[:, t] + a[:, t])
+        g[:, t] = g_statistic(ss, r)
+    return a, g
+
+
 def test_rollout_reproducible_and_matches_batch(bench):
     model, ss = bench
     args = (model, ss, AttackPlan.constant([4.0], a_max=20.0),
@@ -104,16 +132,17 @@ def test_rollout_reproducible_and_matches_batch(bench):
 
 def test_trajectory_invariants_and_error_recursion(bench):
     model, ss = bench
-    batch = rollout_batch(model, ss, AttackPlan.ramp([1.0], a_max=20.0),
-                          DetectorConfig(2.0), MitigationStrategy.noisy(3.0),
-                          12, RngStream(42), runs=1)
+    plan = AttackPlan.ramp([1.0], a_max=20.0)
+    batch = rollout_batch(model, ss, plan, DetectorConfig(2.0),
+                          MitigationStrategy.noisy(3.0), 12, RngStream(42),
+                          runs=1)
     assert batch.runs == 1 and batch.horizon == 12
-    assert batch.x is None and batch.x_hat is None and batch.u is None
-    delta = batch.a + 3.0 * _mitigation_noise(model, ss, RngStream(42), 1, 12)
-    tr = {name: getattr(batch, name)[0]
-          for name in ("g", "i", "e", "w", "v", "a")}
-    tr["delta"] = delta[0]
-    assert np.all(tr["a"][0] == 0.0) and np.all(tr["g"][0] == 0.0)
+    assert batch.x is None and batch.x_hat is None
+    a, g = _replay(batch, model, ss, plan)
+    assert np.array_equal(batch.i[:, 1:], detect(DetectorConfig(2.0), g[:, 1:]))
+    delta = a + 3.0 * _mitigation_noise(model, ss, RngStream(42), 1, 12)
+    tr = {name: getattr(batch, name)[0] for name in ("i", "e", "w", "v")}
+    tr["a"], tr["delta"] = a[0], delta[0]
     assert tr["i"][0] == 0
     assert 0 < tr["i"][1:].sum() < 12  # both recursion branches run
     for t in range(1, 13):
@@ -126,13 +155,16 @@ def test_two_state_rollout_slices_are_consistent(two_state):
     model, ss = two_state
     ctrl = SetpointController(x0=[0.5, -0.5], alpha=0.5)
     T, runs = 8, 5
-    batch = rollout_batch(model, ss, AttackPlan.ramp([0.4, -0.3], a_max=20.0),
-                          DetectorConfig(3.0), MitigationStrategy.noisy(2.0),
-                          T, RngStream(5), runs, controller=ctrl,
-                          x_hat0=[1.0, 2.0])
+    plan = AttackPlan.ramp([0.4, -0.3], a_max=20.0)
+    batch = rollout_batch(model, ss, plan, DetectorConfig(3.0),
+                          MitigationStrategy.noisy(2.0), T, RngStream(5),
+                          runs, controller=ctrl, x_hat0=[1.0, 2.0])
     assert batch.runs == runs and batch.horizon == T
-    assert batch.x.shape == (runs, T + 1, 2) and batch.g.shape == (runs, T + 1)
+    assert batch.x.shape == (runs, T + 1, 2) and batch.i.shape == (runs, T + 1)
+    assert batch.cost_sums.shape == (runs, T)
+    a, g = _replay(batch, model, ss, plan)
     alarms = batch.i[:, 1:]
+    assert np.array_equal(alarms, detect(DetectorConfig(3.0), g[:, 1:]))
     assert 0 < alarms.sum() < alarms.size  # both recursion branches run
     # the noise of run w at step t is the draw at [w, t - 1] of each block
     gen = RngStream(5).generator()
@@ -144,25 +176,27 @@ def test_two_state_rollout_slices_are_consistent(two_state):
                           @ psd_factor(model.R).T)
     b = _mitigation_noise(model, ss, RngStream(5), runs, T)
     assert np.array_equal(b[:, 1:], gen.standard_normal((runs, T, 2)))
-    delta = batch.a + 2.0 * b
+    delta = a + 2.0 * b
     assert np.array_equal(batch.x, batch.x_hat + batch.e)
     for run in range(runs):
         assert np.array_equal(batch.x_hat[run, 0], [1.0, 2.0])
-        for name in ("w", "v", "a", "g", "i"):
+        for name in ("w", "v", "i"):
             assert np.all(getattr(batch, name)[run, 0] == 0), name
-        for t in range(T + 1):
-            assert np.array_equal(batch.u[run, t], setpoint_control(
-                model, ctrl, batch.x_hat[run, t]))
-            if t == 0:
-                continue
-            assert np.allclose(batch.a[run, t], [0.4 * t, -0.3 * t],
+        for t in range(1, T + 1):
+            assert np.allclose(a[run, t], [0.4 * t, -0.3 * t],
                                rtol=1e-15, atol=0.0)
             e_step = error_step(model, ss, batch.e[run, t - 1],
                                 batch.w[run, t], batch.v[run, t],
-                                batch.a[run, t], int(batch.i[run, t]),
+                                a[run, t], int(batch.i[run, t]),
                                 delta[run, t])
             scale = 1.0 + np.max(np.abs(batch.e[run, t]))
             assert np.max(np.abs(e_step - batch.e[run, t])) < 1e-12 * scale
+            # the plant moved under the control law applied to x_hat[t-1]
+            u = setpoint_control(model, ctrl, batch.x_hat[run, t - 1])
+            x_step = (model.A @ batch.x[run, t - 1] + model.B @ u
+                      + batch.w[run, t])
+            scale = 1.0 + np.max(np.abs(batch.x[run, t]))
+            assert np.max(np.abs(x_step - batch.x[run, t])) < 1e-12 * scale
 
 
 def test_no_attack_cost_slope_matches_stationary_error(bench):
@@ -268,12 +302,13 @@ def test_noisy_mitigation_draws_consumed_every_step(bench):
     assert np.all(loose.i[:, 1:] == 0) and np.all(tight.i[:, 1:] == 1)
     # every alarmed step of the tight run subtracts delta = a + sigma * b
     # with b the block's own entry for that run and step
-    delta = tight.a + 15.0 * _mitigation_noise(model, ss, RngStream(31), 8, 6)
+    a, _ = _replay(tight, model, ss, plan)
+    delta = a + 15.0 * _mitigation_noise(model, ss, RngStream(31), 8, 6)
     for run in range(8):
         for t in range(1, 7):
             e_step = error_step(model, ss, tight.e[run, t - 1],
                                 tight.w[run, t], tight.v[run, t],
-                                tight.a[run, t], 1, delta[run, t])
+                                a[run, t], 1, delta[run, t])
             assert abs(e_step[0] - tight.e[run, t, 0]) \
                 < 1e-12 * (1.0 + abs(tight.e[run, t, 0])), (run, t)
     # the corrections are the injection plus N(0, sigma^2) noise: with
@@ -282,7 +317,8 @@ def test_noisy_mitigation_draws_consumed_every_step(bench):
     wide = rollout_batch(model, ss, plan, DetectorConfig(0.0),
                          MitigationStrategy.noisy(15.0), T=5, runs=4_000,
                          stream=RngStream(7))
-    e, w, v, a = (arr[:, :, 0] for arr in (wide.e, wide.w, wide.v, wide.a))
+    a, _ = _replay(wide, model, ss, plan)
+    e, w, v, a = (arr[:, :, 0] for arr in (wide.e, wide.w, wide.v, a))
     r = e[:, :-1] + w[:, 1:] + v[:, 1:] + a[:, 1:]
     delta = r + (e[:, 1:] - e[:, :-1] - w[:, 1:]) / ss.K[0, 0]
     noise = (delta - a[:, 1:]).ravel()  # 20,000 draws
@@ -372,12 +408,17 @@ def test_controller_batch_matches_scalar_path(bench):
                           MitigationStrategy.perfect(), T=4,
                           stream=RngStream(77), runs=6, controller=ctrl,
                           x_hat0=[1.0])
-    # u = alpha B^-1 (x0 - x_hat), logged at every t = 0..T
+    # u = alpha B^-1 (x0 - x_hat) at every t = 0..T, the batched control
+    # law on the (W, n) block of estimates equal to the scalar formula
     B_inv = np.linalg.inv(model.B)
-    for run in range(6):
-        for t in range(5):
+    for t in range(5):
+        u = setpoint_control(model, ctrl, batch.x_hat[:, t])
+        for run in range(6):
             u_ref = 0.5 * B_inv @ (np.array([0.835]) - batch.x_hat[run, t])
-            assert np.allclose(batch.u[run, t], u_ref, atol=1e-14)
+            assert np.allclose(u[run], u_ref, atol=1e-14)
+            if t < 4:  # and the plant moved under it
+                x_step = batch.x[run, t] + u_ref + batch.w[run, t + 1]
+                assert np.allclose(batch.x[run, t + 1], x_step, atol=1e-14)
     # the mean estimate contracts towards the setpoint
     d0 = abs(batch.x_hat[:, 0, 0].mean() - 0.835)
     dT = abs(batch.x_hat[:, 4, 0].mean() - 0.835)
@@ -460,3 +501,43 @@ def test_interleaved_batches_equal_batches_on_a_cleared_cache(bench,
         for name in FIELDS:
             assert np.array_equal(getattr(batch, name),
                                   getattr(alone, name)), (k, name)
+
+
+def test_cost_sums_are_the_cumsum_and_bool_alarms_count_alike(bench,
+                                                              two_state):
+    runs = 257
+    cases = ((*bench, AttackPlan.ramp([1.0], a_max=20.0), None),
+             (*two_state, AttackPlan.ramp([0.4, -0.3], a_max=20.0),
+              SetpointController(x0=[0.5, -0.5], alpha=0.5)))
+    for model, ss, plan, ctrl in cases:
+        for oracle in (False, True):
+            batch = rollout_batch(model, ss, plan, DetectorConfig(3.0),
+                                  MitigationStrategy.noisy(2.0), 12,
+                                  RngStream(17), runs, controller=ctrl,
+                                  oracle=oracle)
+            sums = np.cumsum(np.sum(batch.e[:, 1:] ** 2, axis=2), axis=1)
+            assert batch.cost_sums.flags.c_contiguous
+            assert np.array_equal(batch.cost_sums, sums), (model.n, oracle)
+            assert batch.i.dtype == bool
+            assert np.array_equal(batch.detection_frequency(),
+                                  batch.i.astype(np.int64).mean(axis=0))
+
+
+def test_batch_memory_is_the_kept_fields(bench):
+    # e, the bool alarms and the cost sums are all a batch keeps; a full
+    # (T + 1, W) history of anything else is 11 W-vectors, past the slack
+    model, ss = bench
+    W, T, n = 10_000, 10, model.n
+    args = (model, ss, AttackPlan.constant([10.0], a_max=20.0),
+            DetectorConfig(5.0), MitigationStrategy.noisy(5.0), T,
+            RngStream(3), W)
+    rollout_batch(*args)  # draws and keeps the stream's noise
+    tracemalloc.start()
+    try:
+        batch = rollout_batch(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = (T + 1) * W * (8 * n + 1) + W * T * 8
+    assert batch.e.nbytes + batch.i.nbytes + batch.cost_sums.nbytes == kept
+    assert peak <= kept + 16 * W * 8, (peak - kept) / (8 * W)

@@ -13,8 +13,9 @@ What is proven here:
     numbers.
   * The estimation-error process does not depend on the controller:
     rollouts with the controller on and off from the same stream produce
-    bit-identical error paths and alarms; x, x_hat and u exist only with
-    the controller, and x = x_hat + e.
+    bit-identical error paths, alarms and cost sums; x and x_hat exist
+    only with the controller, x = x_hat + e, and the control rebuilt from
+    x_hat is nonzero.
   * Nor does it depend on the units' origin: shifting controller.x0,
     controller.init (so x_hat0) by 1e6 pu leaves e, the alarms and every
     cost curve bit-identical under each plan, and moves x and x_hat by
@@ -208,9 +209,12 @@ def test_error_process_is_controller_independent(loop):
                         controller=None, x_hat0=x_hat0, **kwargs)
     assert np.array_equal(on.e, off.e)
     assert np.array_equal(on.i, off.i)
-    assert off.x is None and off.x_hat is None and off.u is None
+    assert np.array_equal(on.cost_sums, off.cost_sums)
+    assert off.x is None and off.x_hat is None
     assert np.array_equal(on.x, on.x_hat + on.e)
-    assert np.any(on.u[:, :-1] != 0.0)  # the control term is exercised
+    u = [setpoint_control(model, controller, on.x_hat[:, t])
+         for t in range(kwargs["T"])]
+    assert np.any(np.array(u) != 0.0)  # the control term is exercised
 
 
 def test_curves_add_runs_in_order(loop):
