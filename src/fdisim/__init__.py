@@ -11,7 +11,7 @@ instantiation), and `config`/`artifact`/`cli` (experiment plumbing).
 """
 
 from .attack import AttackError, AttackPlan, attack_at, clip_to_norm
-from .config import ConfigError, RunConfig, load_config, preset, resolve_config
+from .config import ConfigError, RunConfig, resolve_config
 from .defense import (
     DefenseError,
     DetectorConfig,
@@ -97,12 +97,10 @@ __all__ = [
     "estimate_B",
     "fp_cost",
     "g_statistic",
-    "load_config",
     "load_traces",
     "md_cost",
     "oracle_detect",
     "policy_lookup",
-    "preset",
     "resolve_config",
     "rollout_batch",
     "solve_dare",

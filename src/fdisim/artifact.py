@@ -1,8 +1,9 @@
 """Versioned policy artifact: JSON container tying a solved policy to the
 configuration digest it was solved under.
 
-Layout (all floats serialized with shortest round-trip representation, so
-save/load is exact):
+Layout (all floats finite and serialized with shortest round-trip
+representation, so save/load is exact; NaN and infinities are refused both
+ways):
 
     magic         "fdisim-policy"
     version       1
@@ -52,7 +53,8 @@ def save_policy(path, policy: Policy, digest: str) -> None:
         "values": policy.values.tolist(),
         "action_table": policy.action_table.tolist(),
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
         fh.write("\n")
@@ -67,7 +69,7 @@ def load_policy(path, expected_digest: str | None = None) -> tuple[Policy, str]:
     except FileNotFoundError:
         raise ArtifactError(f"policy artifact {path} does not exist; run "
                             f"the solve command first") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArtifactError(f"{path}: not a policy artifact ({exc})") from None
     if not isinstance(payload, dict) or payload.get("magic") != MAGIC:
         raise ArtifactError(f"{path}: missing magic string {MAGIC!r}")
@@ -81,12 +83,19 @@ def load_policy(path, expected_digest: str | None = None) -> tuple[Policy, str]:
             f"the active configuration has {expected_digest[:12]}...; "
             f"re-solve or fix the configuration")
     try:
-        grid = build_grid(payload["grid"]["bounds"], payload["grid"]["step"])
+        bounds = np.asarray(payload["grid"]["bounds"], dtype=float)
+        step = np.asarray(payload["grid"]["step"], dtype=float)
         actions = np.asarray(payload["actions"], dtype=float)
         values = np.asarray(payload["values"], dtype=float)
         table = np.asarray(payload["action_table"], dtype=float)
         gamma = float(payload["gamma"])
         a_max = float(payload["a_max"])
+        # json reads NaN, Infinity and overflowing literals; a NaN action
+        # would pass clip_to_norm and replay NaN injections
+        if not all(np.isfinite(arr).all() for arr in
+                   (bounds, step, actions, values, table, gamma, a_max)):
+            raise ValueError("non-finite number")
+        grid = build_grid(bounds, step)
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: malformed artifact ({exc})") from None
     horizon, n_states, m = table.shape if table.ndim == 3 else (0, 0, 0)

@@ -2,11 +2,10 @@
 
 A plan maps (time step, observed error, stages remaining) to an injection
 with norm at most a_max. Baselines are the constant and ramp schedules; the
-solved plan replays a stage-indexed MDP policy, either by stages remaining
-(default) or stationary (always the deepest stage table). A sequence plan
-injects a fixed per-step schedule whatever the error; its nominal form is a
-policy's stage actions at e = 0 in one sign orientation, the attack the
-policy commits to before seeing any error.
+solved plan replays a stage-indexed MDP policy by stages remaining. A
+sequence plan injects a fixed per-step schedule whatever the error; its
+nominal form is a policy's stage actions at e = 0 in one sign orientation,
+the attack the policy commits to before seeing any error.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class AttackPlan:
     constant_value: np.ndarray | None = None
     slope: np.ndarray | None = None
     policy: Policy | None = None
-    stationary: bool = False
     values: np.ndarray | None = None
 
     def __post_init__(self):
@@ -90,9 +88,9 @@ class AttackPlan:
                    values=values)
 
     @classmethod
-    def from_policy(cls, policy: Policy, stationary: bool = False) -> "AttackPlan":
+    def from_policy(cls, policy: Policy) -> "AttackPlan":
         return cls(kind="policy", dim=policy.actions.shape[1],
-                   a_max=policy.a_max, policy=policy, stationary=stationary)
+                   a_max=policy.a_max, policy=policy)
 
     @classmethod
     def nominal(cls, policy: Policy, horizon: int) -> "AttackPlan":
@@ -125,8 +123,8 @@ def attack_at(plan: AttackPlan, t: int, e_attacker,
     e_attacker is the error the attacker observed before the step, a single
     (n,) vector or a batch (B, n); the result has matching leading shape.
     Sequence plans need 1 <= t <= their length; policy plans need
-    stage_remaining unless stationary. The returned injection always
-    satisfies ||a|| <= a_max.
+    stage_remaining. The returned injection always satisfies
+    ||a|| <= a_max.
     """
     e_attacker = np.asarray(e_attacker, dtype=float)
     batch = e_attacker.ndim == 2
@@ -146,10 +144,9 @@ def attack_at(plan: AttackPlan, t: int, e_attacker,
                               f" got t = {t}")
         a = np.tile(plan.values[t - 1], (n_rows, 1))
     else:
-        stage = plan.policy.horizon if plan.stationary else stage_remaining
-        if stage is None:
-            raise AttackError("policy plan needs stage_remaining (or set "
-                              "stationary=True)")
-        a = np.atleast_2d(policy_lookup(plan.policy, stage, e_attacker))
+        if stage_remaining is None:
+            raise AttackError("policy plan needs stage_remaining")
+        a = np.atleast_2d(policy_lookup(plan.policy, stage_remaining,
+                                        e_attacker))
     a = np.atleast_2d(clip_to_norm(a, plan.a_max))
     return a if batch else a[0]

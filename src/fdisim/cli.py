@@ -133,7 +133,7 @@ def cmd_sweep_action(args) -> int:
 
 
 def _plans_for(cfg: RunConfig, policy) -> dict[str, object]:
-    return {kind: cfg.attack_plan(policy=policy, kind=kind)
+    return {kind: cfg.attack_plan(kind, policy=policy)
             for kind in _PLAN_KINDS}
 
 
@@ -147,9 +147,7 @@ def cmd_evaluate(args) -> int:
     reports = compare_attacks(model, ss, list(plans.values()),
                               cfg.detector(), cfg.mitigation(),
                               cfg.eval_horizon, cfg.runs,
-                              RngStream(cfg.seed, _STREAM_EVALUATE),
-                              controller=cfg.controller(),
-                              x_hat0=cfg.x_hat0(), digest=cfg.digest())
+                              RngStream(cfg.seed, _STREAM_EVALUATE))
     for kind, report in zip(plans, reports):
         path = out / f"cost_{kind}.csv"
         rows = zip(range(1, report.horizon + 1), report.cost_per_t,
@@ -176,11 +174,9 @@ def cmd_fpmd(args) -> int:
         strategy = MitigationStrategy.noisy(sigma)
         for eta in cfg.fpmd_etas:
             fp = fp_cost(model, ss, eta, strategy, cfg.eval_horizon,
-                         cfg.runs, stream, controller=cfg.controller(),
-                         x_hat0=cfg.x_hat0())
+                         cfg.runs, stream)
             md = md_cost(model, ss, eta, strategy, plan, cfg.eval_horizon,
-                         cfg.runs, stream, controller=cfg.controller(),
-                         x_hat0=cfg.x_hat0())
+                         cfg.runs, stream)
             rows.append((eta, sigma, fp.value, md.value, fp.std_error,
                          md.std_error))
     _write_csv(out / "fpmd.csv", cfg.digest(), cfg.seed,
@@ -211,8 +207,7 @@ def cmd_voltage(args) -> int:
         run = voltage_attack_experiment(model, ss, cfg.controller(),
                                         cfg.x_hat0(), plan, cfg.eta,
                                         cfg.mitigation(), cfg.eval_horizon,
-                                        cfg.runs, stream,
-                                        digest=cfg.digest())
+                                        cfg.runs, stream)
         for t in range(run.mean_voltage.shape[0]):
             mean_rows.append((t, kind, *run.mean_voltage[t],
                               *run.voltage_std_err[t],

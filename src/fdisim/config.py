@@ -35,9 +35,8 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "config_digest",
-    "load_config",
-    "preset",
     "preset_names",
+    "resolve_config",
 ]
 
 
@@ -60,7 +59,6 @@ _SPECS = (
     ("detector.eta", "real", "[0, inf]"),
     ("mitigation.kind", "choice", "perfect|noisy|off"),
     ("mitigation.sigma_mit", "real", "[0, inf)"),
-    ("attack.kind", "choice", "policy|constant|ramp|none"),
     ("attack.a_max", "real", "(0, inf)"),
     ("attack.constant_value", "matrix", None),
     ("attack.ramp_slope", "matrix", None),
@@ -211,9 +209,8 @@ class RunConfig:
                                self.get("mdp.action_count"),
                                m=self.system_model().m)
 
-    def attack_plan(self, policy: Policy | None = None,
-                    kind: str | None = None) -> AttackPlan:
-        kind = self.get("attack.kind") if kind is None else kind
+    def attack_plan(self, kind: str,
+                    policy: Policy | None = None) -> AttackPlan:
         a_max = self.get("attack.a_max")
         if kind == "none":
             return AttackPlan.none(dim=self.system_model().m, a_max=a_max)
@@ -224,8 +221,8 @@ class RunConfig:
             return AttackPlan.ramp(self.get("attack.ramp_slope"), a_max=a_max)
         if kind == "policy":
             if policy is None:
-                raise ConfigError("attack.kind 'policy' needs a solved "
-                                  "policy artifact")
+                raise ConfigError("the policy plan needs a solved policy "
+                                  "artifact")
             return AttackPlan.from_policy(policy)
         raise ConfigError(f"unknown attack kind {kind!r}")
 
@@ -308,14 +305,6 @@ def preset_names() -> list[str]:
 
 def from_mapping(mapping: dict | None) -> RunConfig:
     return RunConfig(_merge(_presets()["benchmark"], mapping or {}, ""))
-
-
-def preset(name: str) -> RunConfig:
-    return resolve_config(name)
-
-
-def load_config(path) -> RunConfig:
-    return from_mapping(_load_yaml(Path(path)))
 
 
 def resolve_config(preset_name: str | None = None, path=None,

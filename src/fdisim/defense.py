@@ -90,20 +90,20 @@ def oracle_detect(a_true) -> np.ndarray:
 
 
 def mitigate(strategy: MitigationStrategy, y_a: np.ndarray, a: np.ndarray,
-             alarm, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Correction delta and defended signal y_f = y_a - alarm * delta.
+             alarm, b: np.ndarray) -> np.ndarray:
+    """Defended signal y_f = y_a - alarm * delta.
 
-    delta is computed from the true injection a: a itself ('perfect'), zero
-    ('off'), or a + sigma_mit * b ('noisy') with b a pre-drawn standard
-    normal block shaped like a. The noise block is an input, so it is
-    consumed whether or not an alarm fires, which keeps paired experiments
-    aligned on common random numbers. Rows of (W, m) blocks pair with a
-    (W,) alarm vector.
+    The correction delta is computed from the true injection a: a itself
+    ('perfect'), zero ('off'), or a + sigma_mit * b ('noisy') with b a
+    pre-drawn standard normal block shaped like a. The noise block is an
+    input, so it is consumed whether or not an alarm fires, which keeps
+    paired experiments aligned on common random numbers. Rows of (W, m)
+    blocks pair with a (W,) alarm vector.
     """
     if strategy.kind == "perfect":
-        delta = np.array(a, dtype=float)
+        delta = np.asarray(a, dtype=float)
     elif strategy.kind == "noisy":
         delta = a + strategy.sigma_mit * b
     else:
         delta = np.zeros_like(a, dtype=float)
-    return delta, y_a - np.asarray(alarm)[..., None] * delta
+    return y_a - np.asarray(alarm)[..., None] * delta

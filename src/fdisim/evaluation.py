@@ -32,7 +32,10 @@ in one sign orientation, see AttackPlan.nominal), so every
 detector/mitigation cell of the sweep faces one fixed attack.
 
 Cost[t] averages the cumulative squared error norm over runs:
-Cost[t] = (1/W) sum_w sum_{tau=1..t} ||e_w[tau]||^2.
+Cost[t] = (1/W) sum_w sum_{tau=1..t} ||e_w[tau]||^2.  The costs and the
+paired differences read only these per-run sums, which no control input or
+initial estimate enters, so compare_attacks, fp_cost and md_cost run the
+loop without a controller; the voltage experiment is what reads x and x_hat.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "fp_cost",
     "md_cost",
     "rollout_batch",
+    "std_err_over_runs",
 ]
 
 
@@ -116,7 +120,6 @@ class CostReport:
     cost_per_t: np.ndarray
     std_err_per_t: np.ndarray
     runs: int
-    digest: str = ""
 
     @property
     def horizon(self) -> int:
@@ -135,12 +138,10 @@ class PairedCost(NamedTuple):
 
 
 def _check_plan_horizon(plan: AttackPlan, horizon: int) -> None:
-    if plan.kind == "policy" and not plan.stationary \
-            and plan.policy.horizon < horizon:
+    if plan.kind == "policy" and plan.policy.horizon < horizon:
         raise EvaluationError(
             f"policy covers {plan.policy.horizon} stages but the rollout "
-            f"horizon is {horizon}; solve with horizon >= T or use a "
-            f"stationary plan")
+            f"horizon is {horizon}; solve with horizon >= T")
     if plan.kind == "sequence" and plan.values.shape[0] < horizon:
         raise EvaluationError(
             f"sequence covers {plan.values.shape[0]} steps but the rollout "
@@ -215,6 +216,9 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
         raise EvaluationError(
             f"plan injects {plan.dim}-vectors but the model has m={model.m}")
     _check_plan_horizon(plan, T)
+    if controller is not None and model.B.shape[0] != model.B.shape[1]:
+        raise EvaluationError(
+            f"setpoint control needs square B, got {model.B.shape}")
     W, n = runs, model.n
 
     x_hat0 = np.zeros(n) if x_hat0 is None else np.asarray(x_hat0, float)
@@ -244,8 +248,8 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
         r = e[t - 1] @ CA_T + w[t] @ C_T + v[t] + a
         i[t] = oracle_detect(a) if oracle \
             else detect(detector, g_statistic(ss, r))
-        _, r_f = mitigate(strategy, r, a, i[t], None if b is None else b[t])
-        corr = r_f @ K_T
+        corr = mitigate(strategy, r, a, i[t],
+                        None if b is None else b[t]) @ K_T
         e[t] = e[t - 1] @ A_T + w[t] - corr
         prev = np.add(prev, np.sum(e[t] ** 2, axis=1),
                       out=cost_sums[:, t - 1])
@@ -260,72 +264,63 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
                         **{k: arr.swapaxes(0, 1) for k, arr in out.items()})
 
 
-def empirical_cost(batch: BatchRollout, digest: str = "") -> CostReport:
+def std_err_over_runs(values: np.ndarray) -> np.ndarray:
+    """Standard error of the mean over the leading (run) axis; zero for a
+    single run."""
+    W = values.shape[0]
+    if W > 1:
+        return values.std(axis=0, ddof=1) / np.sqrt(W)
+    return np.zeros_like(values[0])
+
+
+def empirical_cost(batch: BatchRollout) -> CostReport:
     """Average cumulative cost curve with across-run standard errors."""
     sums = batch.cost_sums
-    W = sums.shape[0]
-    cost = sums.mean(axis=0)
-    if W > 1:
-        std_err = sums.std(axis=0, ddof=1) / np.sqrt(W)
-    else:
-        std_err = np.zeros_like(cost)
-    return CostReport(cost_per_t=cost, std_err_per_t=std_err, runs=W,
-                      digest=digest)
+    return CostReport(cost_per_t=sums.mean(axis=0),
+                      std_err_per_t=std_err_over_runs(sums),
+                      runs=sums.shape[0])
 
 
 def compare_attacks(model: SystemModel, ss: SteadyState,
                     plans: Sequence[AttackPlan], detector: DetectorConfig,
                     strategy: MitigationStrategy, T: int, runs: int,
-                    stream: RngStream,
-                    controller: SetpointController | None = None,
-                    x_hat0: np.ndarray | None = None,
-                    digest: str = "") -> list[CostReport]:
+                    stream: RngStream) -> list[CostReport]:
     """One CostReport per plan, all plans sharing the same noise draws."""
     if len(plans) == 0:
         raise EvaluationError("need at least one plan to compare")
-    return [empirical_cost(
-        rollout_batch(model, ss, plan, detector, strategy, T, stream, runs,
-                      controller=controller, x_hat0=x_hat0), digest=digest)
-        for plan in plans]
+    return [empirical_cost(rollout_batch(model, ss, plan, detector, strategy,
+                                         T, stream, runs))
+            for plan in plans]
 
 
 def _paired_terminal_difference(model: SystemModel, ss: SteadyState,
                                 plan: AttackPlan, detector: DetectorConfig,
                                 strategy: MitigationStrategy, T: int,
-                                runs: int, stream: RngStream,
-                                controller: SetpointController | None,
-                                x_hat0: np.ndarray | None) -> PairedCost:
+                                runs: int, stream: RngStream) -> PairedCost:
     """Cost[T] difference: chi-square system minus oracle reference, with
     common random numbers, so the difference is computed run by run."""
     tested = rollout_batch(model, ss, plan, detector, strategy, T, stream,
-                           runs, controller=controller, x_hat0=x_hat0)
+                           runs)
     reference = rollout_batch(model, ss, plan, detector, strategy, T, stream,
-                              runs, controller=controller, x_hat0=x_hat0,
-                              oracle=True)
+                              runs, oracle=True)
     diff = tested.cost_sums[:, -1] - reference.cost_sums[:, -1]
-    se = diff.std(ddof=1) / np.sqrt(runs) if runs > 1 else 0.0
-    return PairedCost(float(diff.mean()), float(se))
+    return PairedCost(float(diff.mean()), float(std_err_over_runs(diff)))
 
 
 def fp_cost(model: SystemModel, ss: SteadyState, eta: float,
             strategy: MitigationStrategy, T: int, runs: int,
-            stream: RngStream,
-            controller: SetpointController | None = None,
-            x_hat0: np.ndarray | None = None) -> PairedCost:
+            stream: RngStream) -> PairedCost:
     """Extra cost from false alarms: no attack is injected, so every
     chi-square alarm triggers mitigation against nothing while the oracle
     reference never fires."""
     plan = AttackPlan.none(dim=model.m)
     return _paired_terminal_difference(model, ss, plan, DetectorConfig(eta),
-                                       strategy, T, runs, stream, controller,
-                                       x_hat0)
+                                       strategy, T, runs, stream)
 
 
 def md_cost(model: SystemModel, ss: SteadyState, eta: float,
             strategy: MitigationStrategy, plan: AttackPlan, T: int,
-            runs: int, stream: RngStream,
-            controller: SetpointController | None = None,
-            x_hat0: np.ndarray | None = None) -> PairedCost:
+            runs: int, stream: RngStream) -> PairedCost:
     """Extra cost from missed detections under an attack plan: the oracle
     reference alarms on every injected step, so only the injections the
     chi-square detector misses separate the two systems.  A non-adaptive
@@ -334,5 +329,4 @@ def md_cost(model: SystemModel, ss: SteadyState, eta: float,
     if plan.kind == "none":
         raise EvaluationError("misdetection cost needs an attacking plan")
     return _paired_terminal_difference(model, ss, plan, DetectorConfig(eta),
-                                       strategy, T, runs, stream, controller,
-                                       x_hat0)
+                                       strategy, T, runs, stream)

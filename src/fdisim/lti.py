@@ -158,19 +158,16 @@ class SetpointController:
     x0: np.ndarray
     alpha: float
 
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ModelError(f"alpha must lie in (0, 1), got {self.alpha}")
 
-def setpoint_control(model: SystemModel, controller: SetpointController | None,
+
+def setpoint_control(model: SystemModel, controller: SetpointController,
                      x_hat) -> np.ndarray:
-    """Control inputs for an (n,) estimate or a (W, n) block of them; None
-    means zero control."""
+    """Control inputs for an (n,) estimate or a (W, n) block of them; B
+    must be square (rollout_batch checks it once)."""
     x_hat = np.asarray(x_hat, dtype=float)
-    if controller is None:
-        return np.zeros(x_hat.shape[:-1] + (model.p,))
-    if not 0.0 < controller.alpha < 1.0:
-        raise ModelError(f"alpha must lie in (0, 1), got {controller.alpha}")
-    if model.B.shape[0] != model.B.shape[1]:
-        raise ModelError(
-            f"setpoint control needs square B, got {model.B.shape}")
     x0 = np.broadcast_to(np.asarray(controller.x0, dtype=float), x_hat.shape)
     return controller.alpha * np.linalg.solve(model.B, (x0 - x_hat).T).T
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .attack import AttackPlan
 from .defense import DetectorConfig, MitigationStrategy
-from .evaluation import CostReport, empirical_cost, rollout_batch
+from .evaluation import rollout_batch, std_err_over_runs
 from .lti import SetpointController, SteadyState, SystemModel
 from .numerics import RngStream, psd_factor
 
@@ -193,10 +193,8 @@ class VoltageRun:
     setpoint while every single run deviates.
     """
 
-    report: CostReport
     mean_voltage: np.ndarray
     voltage_std_err: np.ndarray
-    mean_estimate: np.ndarray
     mean_abs_deviation: np.ndarray
     abs_deviation_std_err: np.ndarray
     mean_est_abs_deviation: np.ndarray
@@ -207,40 +205,30 @@ def voltage_attack_experiment(model: SystemModel, ss: SteadyState,
                               controller: SetpointController,
                               x_hat0: np.ndarray | None, plan: AttackPlan,
                               eta: float, strategy: MitigationStrategy,
-                              T: int, runs: int, stream: RngStream,
-                              digest: str = "") -> VoltageRun:
+                              T: int, runs: int,
+                              stream: RngStream) -> VoltageRun:
     """Roll out the voltage loop under one plan and aggregate the curves;
     deviations are measured from the controller's setpoint x0."""
     batch = rollout_batch(model, ss, plan, DetectorConfig(eta), strategy, T,
                           stream, runs, controller=controller, x_hat0=x_hat0)
-    W = batch.runs
-
-    def _std_err(arr):
-        if W > 1:
-            return arr.std(axis=0, ddof=1) / np.sqrt(W)
-        return np.zeros_like(arr[0])
-
     x0 = np.asarray(controller.x0, dtype=float)
     # reduce over runs on C-ordered copies so the runs add in order (see
     # BatchRollout); one copy at a time, each shifted by x0 in place for
     # the deviations, so the copies do not raise the peak memory
     x = np.ascontiguousarray(batch.x)
-    mean_voltage, voltage_std_err = x.mean(axis=0), _std_err(x)
+    mean_voltage, voltage_std_err = x.mean(axis=0), std_err_over_runs(x)
     x -= x0
     dev = np.linalg.norm(x, axis=2)
     del x
     x_hat = np.ascontiguousarray(batch.x_hat)
-    mean_estimate = x_hat.mean(axis=0)
     x_hat -= x0
     est_dev = np.linalg.norm(x_hat, axis=2)
     del x_hat
     return VoltageRun(
-        report=empirical_cost(batch, digest=digest),
         mean_voltage=mean_voltage,
         voltage_std_err=voltage_std_err,
-        mean_estimate=mean_estimate,
         mean_abs_deviation=dev.mean(axis=0),
-        abs_deviation_std_err=_std_err(dev),
+        abs_deviation_std_err=std_err_over_runs(dev),
         mean_est_abs_deviation=est_dev.mean(axis=0),
         detect_frequency=batch.detection_frequency(),
     )

@@ -20,6 +20,7 @@ from fdisim.defense import DetectorConfig, MitigationStrategy
 from fdisim.evaluation import rollout_batch
 from fdisim.lti import SystemModel, derive_steady_state
 from fdisim.mdp import (
+    TruncationWarning,
     alarm_cell_mass,
     build_grid,
     build_transition_model,
@@ -455,8 +456,12 @@ def test_criterion_8_determinism(tmp_path):
             assert cli_main(argv) == 0
 
     first, second = tmp_path / "first", tmp_path / "second"
-    run_all(first)
-    run_all(second)
+    # both small lattices leak mass past their span (worst interior mass
+    # 0.98 benchmark, 0.76 voltage), and solve says so each time
+    with pytest.warns(TruncationWarning) as caught:
+        run_all(first)
+        run_all(second)
+    assert len({str(w.message) for w in caught}) == 2
     names = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
     assert names == sorted(p.relative_to(second)
                            for p in second.rglob("*") if p.is_file())

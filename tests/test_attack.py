@@ -6,8 +6,8 @@ What is proven here:
     slopes keep their direction).
   * The norm bound ||a|| <= a_max holds for every plan, time and error
     (property test).
-  * Policy plans replay the stage table, demand stage_remaining unless
-    stationary, and batch over error vectors.
+  * Policy plans replay the stage table, demand stage_remaining, and
+    batch over error vectors.
   * Sequence plans inject their step's value whatever the error, reject a
     step outside the sequence, and the nominal sequence replays a policy's
     stage actions at e = 0 in one sign orientation, so it does not depend
@@ -70,9 +70,6 @@ def test_policy_plan_stage_handling(small_policy):
     assert np.array_equal(a, small_policy.action_table[3, 12])
     with pytest.raises(AttackError):
         attack_at(plan, 1, np.array([0.0]))  # stage missing
-    stationary = AttackPlan.from_policy(small_policy, stationary=True)
-    b = attack_at(stationary, 1, np.array([0.0]))
-    assert np.array_equal(b, small_policy.action_table[3, 12])
 
 
 def test_policy_plan_batches(small_policy):

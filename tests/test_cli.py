@@ -16,7 +16,10 @@ What is proven here:
     does a config or trace file that does not exist.
   * The digest changes exactly when a policy-determining field changes.
   * Policy artifacts round-trip bit-exactly, refuse wrong magic/version,
-    and refuse digest mismatches.
+    files that are not JSON or not UTF-8, and digest mismatches.  A NaN
+    is neither written nor read: a hand-edited artifact with a NaN or
+    infinite entry is an ArtifactError, and evaluate exits with code 2 and
+    one error line instead of writing NaN costs.
   * solve writes an artifact with 241 states and the configured stages; a
     degenerate one-point grid solves to all-zero values; re-running solve
     is byte-identical.
@@ -29,6 +32,7 @@ What is proven here:
   * Identical invocations are byte-identical across every emitted file.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -44,8 +48,6 @@ from fdisim.artifact import ArtifactError, load_policy, save_policy
 from fdisim.config import (
     ConfigError,
     _load_yaml,
-    load_config,
-    preset,
     preset_names,
     resolve_config,
 )
@@ -80,9 +82,9 @@ def test_import_does_not_load_scipy_stats():
 def test_preset_files_and_digests_are_pinned():
     shipped = __import__("pathlib").Path(fdisim.__file__).parent / "presets"
     assert preset_names() == sorted(p.stem for p in shipped.glob("*.yaml"))
-    assert preset("benchmark").digest() == (
+    assert resolve_config("benchmark").digest() == (
         "e1f647227bc4af41cf55ca22839f0c88c0bf730545800e17da79b3295b3be266")
-    assert preset("voltage").digest() == (
+    assert resolve_config("voltage").digest() == (
         "ea422633a369ef9d7c3709c378efa74a93ed5696ea30bea4dc11954419e49492")
 
 
@@ -99,7 +101,7 @@ def test_unknown_keys_rejected_with_path(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("detector:\n  etaa: 3.0\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="detector.etaa"):
-        load_config(bad)
+        resolve_config(path=bad)
     with pytest.raises(ConfigError, match="nosuch"):
         resolve_config("nosuch")
 
@@ -117,7 +119,7 @@ def test_config_layering_and_seed_override(tmp_path):
 def test_config_validation_messages():
     with pytest.raises(ConfigError, match="mitigation.kind"):
         resolve_config(path=None, preset_name=None).__class__(
-            {**preset("benchmark").data,
+            {**resolve_config("benchmark").data,
              "mitigation": {"kind": "magic", "sigma_mit": 0.0}})
     with pytest.raises(ConfigError, match="alpha"):
         from fdisim.config import from_mapping
@@ -125,7 +127,7 @@ def test_config_validation_messages():
 
 
 def test_digest_tracks_policy_fields():
-    base = preset("benchmark")
+    base = resolve_config("benchmark")
     same = resolve_config("benchmark", seed=123)  # seed not in the digest
     assert base.digest() == same.digest()
     changed = base.__class__({**base.data, "detector": {"eta": 5.0}})
@@ -136,7 +138,7 @@ def test_digest_tracks_policy_fields():
 
 
 def test_domain_object_accessors():
-    cfg = preset("voltage")
+    cfg = resolve_config("voltage")
     model = cfg.system_model()
     assert model.n == 1 and model.Q[0, 0] == 1e-4
     ctrl = cfg.controller()
@@ -208,6 +210,36 @@ def test_artifact_refusals(tmp_path, tiny_policy):
     (tmp_path / "junk.json").write_text("not json")
     with pytest.raises(ArtifactError):
         load_policy(tmp_path / "junk.json")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")  # not UTF-8
+    with pytest.raises(ArtifactError, match="not a policy artifact"):
+        load_policy(tmp_path / "binary.json")
+
+
+def test_artifact_refuses_non_finite_numbers(tmp_path, tiny_policy):
+    path = tmp_path / "pol.json"
+    save_policy(path, tiny_policy, digest="d" * 64)
+    finite = path.read_bytes()
+    for key, index, token in (("action_table", (1, 12, 0), "NaN"),
+                              ("values", (2, 3), "-Infinity"),
+                              ("a_max", (), "1e999")):
+        edited = json.loads(finite)
+        if index:
+            entry = edited[key]
+            for i in index[:-1]:
+                entry = entry[i]
+            entry[index[-1]] = "TOKEN"
+        else:
+            edited[key] = "TOKEN"
+        bad = tmp_path / f"{key}.json"
+        bad.write_text(json.dumps(edited).replace('"TOKEN"', token))
+        with pytest.raises(ArtifactError, match="non-finite"):
+            load_policy(bad)
+    nan_policy = dataclasses.replace(
+        tiny_policy, values=np.where(tiny_policy.values == 0.0, np.nan,
+                                     tiny_policy.values))
+    with pytest.raises(ValueError):
+        save_policy(tmp_path / "nan.json", nan_policy, digest="d" * 64)
+    assert not (tmp_path / "nan.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +308,22 @@ def test_commands_are_byte_deterministic(tmp_path, small_cfg):
         a = (outs[0] / rel).read_bytes()
         b = (outs[1] / rel).read_bytes()
         assert a == b, rel
+
+
+@pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
+def test_evaluate_refuses_a_nan_policy(tmp_path, small_cfg, capsys):
+    out = tmp_path / "out"
+    assert _run(["solve", "--config", small_cfg, "--out", out]) == 0
+    path = out / "policy.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["action_table"][3][12][0] = float("nan")
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert _run(["evaluate", "--config", small_cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite" in err
+    assert not (out / "cost_policy.csv").exists()
 
 
 def test_sweep_action_benchmark_curve(tmp_path):
@@ -392,6 +440,7 @@ def test_nonscalar_model_is_one_error_line(tmp_path, capsys):
     ("mdp: {action_count: 80.5}\n",
      "mdp.action_count must be an integer, got 80.5"),
     ("mdp: {refine: false}\n", "unknown configuration key 'mdp.refine'"),
+    ("attack: {kind: policy}\n", "unknown configuration key 'attack.kind'"),
     ("controller: {x0: [zero]}\n",
      "controller.x0[0] must be a number, got 'zero'"),
     ("paths: {policy: 5}\n", "paths.policy must be a string, got 5"),

@@ -10,10 +10,10 @@ What is proven here:
     eta = inf, and vectorizes.
   * The no-attack alarm rate matches the closed form 2 Phi(-sqrt(eta))
     within 3 binomial std-errors at 1e5 steady-state draws.
-  * mitigate: perfect returns the injection exactly, off returns zero,
-    noisy adds sigma times the pre-drawn noise block and reduces to perfect
-    at sigma = 0; the noisy correction is formed whether or not an alarm
-    fires, and is subtracted from the measurement only on alarm.
+  * mitigate, read through the defended signal y_f: on alarm, perfect
+    subtracts the injection exactly, off nothing, and noisy the injection
+    plus sigma times the pre-drawn noise block (perfect at sigma = 0);
+    without an alarm every kind leaves the measurement as it is.
   * oracle_detect alarms exactly on nonzero injections.
   * Configuration contracts (negative eta, unknown kinds, stray sigma)
     raise.
@@ -115,19 +115,14 @@ def test_mitigation_signal_kinds():
     a = np.array([3.0, -4.0])
     y_a = np.array([5.0, 6.0])
     b = np.array([0.7, -1.3])  # a pre-drawn standard normal block
-    for alarm in (0, 1):
-        delta, _ = mitigate(MitigationStrategy.perfect(), y_a, a, alarm, b)
-        assert np.array_equal(delta, a)
-        delta, _ = mitigate(MitigationStrategy.off(), y_a, a, alarm, b)
-        assert np.array_equal(delta, np.zeros(2))
-        delta, _ = mitigate(MitigationStrategy.noisy(0.0), y_a, a, alarm, b)
-        assert np.array_equal(delta, a)
-        # the noisy correction draws on its block whether or not the alarm
-        # fires, so paired systems stay on common random numbers
-        delta, _ = mitigate(MitigationStrategy.noisy(15.0), y_a, a, alarm, b)
-        assert np.array_equal(delta, a + 15.0 * b)
-    perfect, _ = mitigate(MitigationStrategy.perfect(), y_a, a, 1, b)
-    assert perfect is not a  # the logged correction is not an alias
+    zero = np.zeros(2)  # on alarm y_f = 0 - delta = -delta exactly
+    deltas = {MitigationStrategy.perfect(): a,
+              MitigationStrategy.off(): zero,
+              MitigationStrategy.noisy(0.0): a,
+              MitigationStrategy.noisy(15.0): a + 15.0 * b}
+    for strategy, delta in deltas.items():
+        assert np.array_equal(mitigate(strategy, zero, a, 1, b), -delta)
+        assert np.array_equal(mitigate(strategy, y_a, a, 0, b), y_a)
 
 
 def test_apply_mitigation():
@@ -135,14 +130,13 @@ def test_apply_mitigation():
     d = np.array([1.0, 2.0])
     b = np.zeros(2)
     perfect = MitigationStrategy.perfect()
-    assert np.array_equal(mitigate(perfect, y, d, 0, b)[1], y)
-    assert np.array_equal(mitigate(perfect, y, d, 1, b)[1],
+    assert np.array_equal(mitigate(perfect, y, d, 0, b), y)
+    assert np.array_equal(mitigate(perfect, y, d, 1, b),
                           np.array([4.0, 4.0]))
     # batched alarms broadcast rowwise
     ys = np.tile(y, (3, 1))
     alarms = np.array([0, 1, 0])
-    _, out = mitigate(perfect, ys, np.tile(d, (3, 1)), alarms,
-                      np.zeros((3, 2)))
+    out = mitigate(perfect, ys, np.tile(d, (3, 1)), alarms, np.zeros((3, 2)))
     assert np.array_equal(out[0], y) and np.array_equal(out[2], y)
     assert np.array_equal(out[1], np.array([4.0, 4.0]))
 

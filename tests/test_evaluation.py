@@ -24,9 +24,8 @@ What is proven here:
   * fp_cost is exactly zero under perfect mitigation and at eta=inf;
     md_cost is exactly zero at eta=0 under an always-injecting plan (a
     constant or a policy's nominal sequence) and rejects the no-attack plan.
-  * A policy plan shorter than the horizon is rejected unless stationary;
-    so is a sequence plan.  An initial estimate whose shape is not (n,)
-    is rejected.
+  * A policy plan shorter than the horizon is rejected; so is a sequence
+    plan.  An initial estimate whose shape is not (n,) is rejected.
   * A two-state loop (non-diagonal A and C, correlated Q and R, setpoint
     controller, ramp attack, noisy mitigation) keeps every [run, t] slice
     consistent: the pre-drawn noise blocks in their (run, t) order, the
@@ -218,12 +217,11 @@ def test_empirical_cost_arithmetic(bench):
     batch = rollout_batch(*(*bench, AttackPlan.constant([6.0], a_max=20.0),
                             DetectorConfig(5.0), MitigationStrategy.perfect()),
                           T=5, stream=RngStream(3), runs=4)
-    report = empirical_cost(batch, digest="abc123")
+    report = empirical_cost(batch)
     sums = np.cumsum(np.sum(batch.e[:, 1:] ** 2, axis=2), axis=1)
     assert np.allclose(report.cost_per_t, sums.mean(axis=0), rtol=0, atol=0)
     assert np.allclose(report.std_err_per_t,
                        sums.std(axis=0, ddof=1) / 2.0, rtol=0, atol=0)
-    assert report.digest == "abc123"
     assert report.horizon == 5
     assert report.terminal_cost == report.cost_per_t[-1]
 
@@ -394,11 +392,10 @@ def test_short_policy_plan_rejected(bench, small_policy):
         rollout_batch(model, ss, AttackPlan.nominal(small_policy, 4),
                       DetectorConfig(10.0), MitigationStrategy.perfect(),
                       T=5, stream=RngStream(2), runs=3)
-    stationary = AttackPlan.from_policy(small_policy, stationary=True)
-    batch = rollout_batch(model, ss, stationary, DetectorConfig(10.0),
-                          MitigationStrategy.perfect(), T=5,
+    batch = rollout_batch(model, ss, plan, DetectorConfig(10.0),
+                          MitigationStrategy.perfect(), T=4,
                           stream=RngStream(2), runs=3)
-    assert batch.horizon == 5
+    assert batch.horizon == 4
 
 
 def test_controller_batch_matches_scalar_path(bench):

@@ -10,8 +10,9 @@ What is proven here:
     implied by one full plant/attack/mitigation/filter step, for random
     systems and random controls (the control input cancels).
   * setpoint control contracts |x - x0| geometrically at rate (1 - alpha)
-    in the noise-free loop, gives zero control without a controller, acts
-    row by row on a batch of estimates, and enforces its domain contracts.
+    in the noise-free loop and acts row by row on a batch of estimates;
+    a controller refuses alpha outside (0, 1), and rollout_batch refuses
+    a controller over a non-square B.
   * rollout_batch's logged process and measurement noises have the
     model's covariances Q and R.
   * SystemModel rejects non-square A, uncontrollable (A, B), unobservable
@@ -27,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdisim.attack import AttackPlan
 from fdisim.defense import DetectorConfig, MitigationStrategy
-from fdisim.evaluation import rollout_batch
+from fdisim.evaluation import EvaluationError, rollout_batch
 from fdisim.lti import (
     ModelError,
     SetpointController,
@@ -145,22 +146,18 @@ def test_setpoint_control_contracts_geometrically():
 
 
 def test_setpoint_control_contracts_enforced():
-    model = scalar_benchmark()
-    for alpha in (0.0, 1.0):
-        with pytest.raises(ModelError):
-            setpoint_control(model, SetpointController([1.0], alpha), [0.0])
+    for alpha in (0.0, 1.0, float("nan")):
+        with pytest.raises(ModelError, match="alpha"):
+            SetpointController([1.0], alpha)
     rect = two_dim_model()  # B is 2x1, not square
-    with pytest.raises(ModelError):
-        setpoint_control(rect, SetpointController([1.0, 1.0], 0.5), [0.0, 0.0])
+    with pytest.raises(EvaluationError, match="square B"):
+        rollout_batch(rect, derive_steady_state(rect), AttackPlan.none(),
+                      DetectorConfig(1.0), MitigationStrategy.off(), T=2,
+                      stream=RngStream(1), runs=2,
+                      controller=SetpointController([1.0, 1.0], 0.5))
 
 
-def test_control_input_zero_when_unconfigured():
-    model = two_dim_model()
-    assert np.array_equal(setpoint_control(model, None, np.ones(2)),
-                          np.zeros(1))
-    assert np.array_equal(setpoint_control(model, None, np.ones((3, 2))),
-                          np.zeros((3, 1)))
-    # a batch of estimates is controlled row by row
+def test_setpoint_control_acts_row_by_row():
     square = SystemModel(A=np.eye(2), B=[[2.0, 0.0], [0.0, 4.0]],
                          C=np.eye(2), Q=np.eye(2), R=np.eye(2))
     ctrl = SetpointController(x0=[0.5, -1.0], alpha=0.3)
