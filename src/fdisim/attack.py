@@ -124,29 +124,29 @@ def attack_at(plan: AttackPlan, t: int, e_attacker,
     (n,) vector or a batch (B, n); the result has matching leading shape.
     Sequence plans need 1 <= t <= their length; policy plans need
     stage_remaining. The returned injection always satisfies
-    ||a|| <= a_max.
+    ||a|| <= a_max. Every plan but a policy gives all rows the same
+    injection, so that one row is clipped, then tiled.
     """
     e_attacker = np.asarray(e_attacker, dtype=float)
-    batch = e_attacker.ndim == 2
-    n_rows = e_attacker.shape[0] if batch else 1
-
+    if plan.kind == "policy":
+        if stage_remaining is None:
+            raise AttackError("policy plan needs stage_remaining")
+        return clip_to_norm(policy_lookup(plan.policy, stage_remaining,
+                                          e_attacker), plan.a_max)
     if plan.kind == "none":
-        a = np.zeros((n_rows, plan.dim))
+        row = np.zeros(plan.dim)
     elif plan.kind == "constant":
-        a = np.tile(plan.constant_value, (n_rows, 1))
+        row = plan.constant_value
     elif plan.kind == "ramp":
         if t < 0:
             raise AttackError(f"ramp needs t >= 0, got {t}")
-        a = np.tile(float(t) * plan.slope, (n_rows, 1))
-    elif plan.kind == "sequence":
+        row = float(t) * plan.slope
+    else:
         if not 1 <= t <= plan.values.shape[0]:
             raise AttackError(f"sequence covers steps 1..{plan.values.shape[0]},"
                               f" got t = {t}")
-        a = np.tile(plan.values[t - 1], (n_rows, 1))
-    else:
-        if stage_remaining is None:
-            raise AttackError("policy plan needs stage_remaining")
-        a = np.atleast_2d(policy_lookup(plan.policy, stage_remaining,
-                                        e_attacker))
-    a = np.atleast_2d(clip_to_norm(a, plan.a_max))
-    return a if batch else a[0]
+        row = plan.values[t - 1]
+    row = clip_to_norm(row, plan.a_max)
+    if e_attacker.ndim == 2:
+        return np.tile(row, (e_attacker.shape[0], 1))
+    return row.copy()

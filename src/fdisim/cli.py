@@ -64,20 +64,29 @@ _STREAM_VOLTAGE = 4
 _PLAN_KINDS = ("policy", "constant", "ramp", "none")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
+def _spec(kind: type) -> str:
+    """Format of one CSV value of this type: strings as they are, integers
+    in full, anything else as a float with 17 significant digits."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.17g"
 
 
 def _write_csv(path: Path, digest: str, seed: int, columns, rows) -> None:
+    # one format string per row, built once per combination of value types
+    formats: dict[tuple, str] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# digest={digest} seed={seed}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                fmt = formats[kinds] = ",".join(map(_spec, kinds)) + "\n"
+            fh.write(fmt % row)
 
 
 def _load(args) -> RunConfig:

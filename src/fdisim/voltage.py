@@ -197,7 +197,6 @@ class VoltageRun:
     voltage_std_err: np.ndarray
     mean_abs_deviation: np.ndarray
     abs_deviation_std_err: np.ndarray
-    mean_est_abs_deviation: np.ndarray
     detect_frequency: np.ndarray
 
 
@@ -212,23 +211,16 @@ def voltage_attack_experiment(model: SystemModel, ss: SteadyState,
     batch = rollout_batch(model, ss, plan, DetectorConfig(eta), strategy, T,
                           stream, runs, controller=controller, x_hat0=x_hat0)
     x0 = np.asarray(controller.x0, dtype=float)
-    # reduce over runs on C-ordered copies so the runs add in order (see
-    # BatchRollout); one copy at a time, each shifted by x0 in place for
-    # the deviations, so the copies do not raise the peak memory
+    # reduce over runs on a C-ordered copy so the runs add in order (see
+    # BatchRollout), shifted by x0 in place for the deviations
     x = np.ascontiguousarray(batch.x)
     mean_voltage, voltage_std_err = x.mean(axis=0), std_err_over_runs(x)
     x -= x0
     dev = np.linalg.norm(x, axis=2)
-    del x
-    x_hat = np.ascontiguousarray(batch.x_hat)
-    x_hat -= x0
-    est_dev = np.linalg.norm(x_hat, axis=2)
-    del x_hat
     return VoltageRun(
         mean_voltage=mean_voltage,
         voltage_std_err=voltage_std_err,
         mean_abs_deviation=dev.mean(axis=0),
         abs_deviation_std_err=std_err_over_runs(dev),
-        mean_est_abs_deviation=est_dev.mean(axis=0),
         detect_frequency=batch.detection_frequency(),
     )

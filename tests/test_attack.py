@@ -12,6 +12,11 @@ What is proven here:
     step outside the sequence, and the nominal sequence replays a policy's
     stage actions at e = 0 in one sign orientation, so it does not depend
     on which of a tied +-a pair the argmax kept.
+  * Non-policy plans clip their one row before tiling it, with the bits
+    of clipping every tiled row: for over-long constant, ramp and sequence
+    rows in one and two dimensions, single and batched, attack_at equals
+    clip_to_norm of the tiled rows exactly, and the result never aliases
+    the plan's own arrays.
   * Malformed plans raise.
 """
 
@@ -91,6 +96,34 @@ def test_sequence_plan_ignores_error():
     for t in (0, 4):
         with pytest.raises(AttackError):
             attack_at(plan, t, np.zeros(1))
+
+
+@pytest.mark.parametrize("row", [[23.7], [-0.3], [3.7, -11.3], [0.1, 0.2]])
+def test_run_invariant_rows_clip_once(row):
+    a_max = 5.3
+    row = np.array(row)
+    plans = {"constant": (AttackPlan.constant(row, a_max=a_max), 1, row),
+             "ramp": (AttackPlan.ramp(row, a_max=a_max), 7, 7.0 * row),
+             "sequence": (AttackPlan.sequence([0.5 * row, row, -row],
+                                              a_max=a_max), 3, -row)}
+    for kind, (plan, t, raw) in plans.items():
+        for runs in (1, 4, 257):
+            errs = np.linspace(-9.0, 9.0, runs * row.size).reshape(runs, -1)
+            got = attack_at(plan, t, errs)
+            want = clip_to_norm(np.tile(raw, (runs, 1)), a_max)
+            assert got.shape == (runs, row.size), kind
+            assert np.array_equal(got, want), (kind, runs)
+        single = attack_at(plan, t, np.zeros(row.size))
+        assert np.array_equal(single, clip_to_norm(raw[None], a_max)[0]), kind
+        single += 1.0  # a fresh array, not a view of the plan
+    assert np.array_equal(plans["constant"][0].constant_value, row)
+    assert np.array_equal(plans["sequence"][0].values[1], row)
+    with pytest.raises(AttackError, match=r"ramp needs t >= 0, got -1"):
+        attack_at(plans["ramp"][0], -1, np.zeros((3, row.size)))
+    for t in (0, 4):
+        with pytest.raises(AttackError, match=rf"sequence covers steps "
+                                              rf"1\.\.3, got t = {t}"):
+            attack_at(plans["sequence"][0], t, np.zeros((3, row.size)))
 
 
 def test_nominal_sequence(small_policy):

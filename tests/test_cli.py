@@ -30,6 +30,11 @@ What is proven here:
   * estimate-b prints the gain and writes a loadable config fragment;
     rank-deficient traces exit nonzero.
   * Identical invocations are byte-identical across every emitted file.
+  * A CSV row written with one format string per row gives the bytes of
+    formatting each value on its own (strings as they are, bools and
+    integers as integers, everything else with 17 significant digits),
+    -0.0, 1e-300, 0.1, nan and inf included, also when one column changes
+    type between rows.
 """
 
 import dataclasses
@@ -308,6 +313,36 @@ def test_commands_are_byte_deterministic(tmp_path, small_cfg):
         a = (outs[0] / rel).read_bytes()
         b = (outs[1] / rel).read_bytes()
         assert a == b, rel
+
+
+def _fmt_value(value) -> str:
+    # the per-value formatting the CSV writer must reproduce
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def test_csv_rows_format_like_each_value(tmp_path):
+    rows = [
+        ("policy", True, 3, np.int64(-7), 0.1, np.float64(-0.0)),
+        ("none", False, 0, np.int64(2**62), 1e-300, np.float64("nan")),
+        # the same columns with other types: the format follows each row
+        (np.int64(4), 2.5, "x", 1, np.float64("inf"), -np.inf),
+        (1.0, np.float64(1 / 3), np.bool_(True), np.uint8(255), 7, "z"),
+        ("policy", True, 3, np.int64(-7), 0.1, np.float64(-0.0)),
+    ]
+    path = tmp_path / "mixed.csv"
+    cli._write_csv(path, "d" * 64, 5, list("abcdef"), iter(rows))
+    want = "".join(",".join(map(_fmt_value, row)) + "\n" for row in rows)
+    assert path.read_bytes() == (f"# digest={'d' * 64} seed=5\na,b,c,d,e,f\n"
+                                 + want).encode("utf-8")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2] == "policy,1,3,-7,0.10000000000000001,-0"
+    assert lines[3] == "none,0,0,4611686018427387904,1e-300,nan"
+    assert lines[4] == "4,2.5,x,1,inf,-inf"
+    assert lines[5] == "1,0.33333333333333331,1,255,7,z"
 
 
 @pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
