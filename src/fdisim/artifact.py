@@ -8,8 +8,8 @@ ways):
     magic         "fdisim-policy"
     version       1
     digest        SHA-256 hex of the solving configuration
-    grid          {bounds: [[lo, hi]...], step: [h...]}
-    actions       action lattice, one row per action
+    grid          {bounds: [[lo, hi]], step: [h]}: the scalar lattice
+    actions       action lattice, one one-entry row per action
     gamma         per-stage discount
     a_max         injection norm bound
     values        (horizon + 1) x states, stage-major, values[0] = 0
@@ -44,8 +44,8 @@ def save_policy(path, policy: Policy, digest: str) -> None:
         "version": VERSION,
         "digest": digest,
         "grid": {
-            "bounds": policy.grid.bounds.tolist(),
-            "step": policy.grid.step.tolist(),
+            "bounds": [[policy.grid.lo, policy.grid.hi]],
+            "step": [policy.grid.step],
         },
         "actions": policy.actions.tolist(),
         "gamma": policy.gamma,
@@ -98,9 +98,13 @@ def load_policy(path, expected_digest: str | None = None) -> tuple[Policy, str]:
         grid = build_grid(bounds, step)
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: malformed artifact ({exc})") from None
+    if actions.ndim != 2 or actions.shape[1] != 1:
+        raise ArtifactError(f"{path}: actions must be rows of one entry (the "
+                            f"decision problem is scalar), got shape "
+                            f"{actions.shape}")
     horizon, n_states, m = table.shape if table.ndim == 3 else (0, 0, 0)
     if n_states != grid.n_states or values.shape != (horizon + 1, n_states) \
-            or actions.ndim != 2 or actions.shape[1] != m:
+            or m != 1:
         raise ArtifactError(
             f"{path}: inconsistent table shapes (grid {grid.n_states} "
             f"states, actions {actions.shape}, values {values.shape}, "

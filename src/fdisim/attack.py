@@ -4,8 +4,8 @@ A plan maps (time step, observed error, stages remaining) to an injection
 with norm at most a_max. Baselines are the constant and ramp schedules; the
 solved plan replays a stage-indexed MDP policy by stages remaining. A
 sequence plan injects a fixed per-step schedule whatever the error; its
-nominal form is a policy's stage actions at e = 0 in one sign orientation,
-the attack the policy commits to before seeing any error.
+nominal form is a policy's stage actions at e = 0, made nonnegative, the
+attack the policy commits to before seeing any error.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class AttackPlan:
     @classmethod
     def nominal(cls, policy: Policy, horizon: int) -> "AttackPlan":
         """Sequence plan of the policy's stage actions at e = 0: step t of
-        `horizon` injects policy_lookup(policy, horizon - t + 1, 0), negated
-        where needed so its first nonzero component is positive.
+        `horizon` injects |policy_lookup(policy, horizon - t + 1, 0)|, a
+        one-column (horizon, 1) sequence.
 
         With zero-mean noise and a quadratic detector the problem is
         symmetric under (e, a) -> (-e, -a), so at e = 0 an action and its
@@ -108,12 +108,9 @@ class AttackPlan:
         if horizon > policy.horizon:
             raise AttackError(f"policy covers {policy.horizon} stages, too "
                               f"few for a nominal sequence of {horizon} steps")
-        zero = np.zeros(policy.grid.dim)
-        values = np.array([policy_lookup(policy, horizon - t + 1, zero)
+        values = np.array([policy_lookup(policy, horizon - t + 1, [0.0])
                            for t in range(1, horizon + 1)])
-        lead = values[np.arange(horizon), np.argmax(values != 0.0, axis=1)]
-        return cls.sequence(np.where(lead[:, None] < 0.0, -values, values),
-                            a_max=policy.a_max)
+        return cls.sequence(np.abs(values), a_max=policy.a_max)
 
 
 def attack_at(plan: AttackPlan, t: int, e_attacker,

@@ -232,15 +232,11 @@ def cmd_voltage(args) -> int:
                mean_rows)
     _write_csv(out / "detection_frequency.csv", cfg.digest(), cfg.seed,
                ("t", "plan", "frequency"), freq_rows)
-    state_cols = [f"state_{j}" for j in range(1, policy.grid.dim + 1)]
-    action_cols = [f"action_{j}" for j in range(1, policy.actions.shape[1] + 1)]
-    table_rows = []
-    for stage in range(1, policy.horizon + 1):
-        for i in range(policy.grid.n_states):
-            table_rows.append((stage, *policy.grid.points[i],
-                               *policy.action_table[stage - 1, i]))
+    table_rows = [(stage, e, a) for stage in range(1, policy.horizon + 1)
+                  for e, a in zip(policy.grid.points[:, 0],
+                                  policy.action_table[stage - 1, :, 0])]
     _write_csv(out / "policy_table.csv", cfg.digest(), cfg.seed,
-               ("stage", *state_cols, *action_cols), table_rows)
+               ("stage", "state_1", "action_1"), table_rows)
     print(f"wrote {out / 'voltage_mean.csv'}, "
           f"{out / 'detection_frequency.csv'}, {out / 'policy_table.csv'}")
     return 0

@@ -135,9 +135,9 @@ def _check(data: dict) -> None:
         if data[section] is not None:  # only the controller may be null
             _check_leaf(data[section][key], path, kind, rng)
     bounds, step = data["mdp"]["bounds"], data["mdp"]["step"]
-    if np.shape(bounds) != (len(step), 2):
-        _fail("mdp.bounds", "a list of [lo, hi] pairs, one per mdp.step "
-              "entry", bounds)
+    if np.shape(bounds) != (1, 2) or len(step) != 1:
+        _fail("mdp.bounds", f"one [lo, hi] pair with a one-entry mdp.step "
+              f"(the decision lattice is scalar; mdp.step is {step})", bounds)
     ctrl = data["controller"]
     if ctrl is None:
         return
@@ -206,8 +206,7 @@ class RunConfig:
 
     def actions(self) -> np.ndarray:
         return uniform_actions(self.get("attack.a_max"),
-                               self.get("mdp.action_count"),
-                               m=self.system_model().m)
+                               self.get("mdp.action_count"))
 
     def attack_plan(self, kind: str,
                     policy: Policy | None = None) -> AttackPlan:

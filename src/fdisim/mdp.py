@@ -29,11 +29,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import numerics
 from .lti import ModelError, SteadyState, SystemModel
-from .numerics import NumericsError, Rect, bvn_cdf, bvn_rect
+from .numerics import NumericsError, Rect, bvn_cdf, bvn_rect, ndtr
 
 # rows keeping less pre-fold mass than this inside the grid span warn
 _MASS_WARNING = 0.99
@@ -50,94 +49,71 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Regular lattice over a box. points is (N, n) in C order (last axis
-    fastest); cells are the nearest-neighbor boxes, with the outermost cells
-    extended to infinity."""
+    """Regular lattice of the scalar estimation error over [lo, hi]. points
+    is (N, 1), ascending in steps of `step`; cells are the nearest-neighbor
+    intervals, with the two outermost extended to infinity."""
 
-    axes: tuple
-    step: np.ndarray
-    bounds: np.ndarray
+    lo: float
+    hi: float
+    step: float
     points: np.ndarray
-    shape: tuple
 
     @property
     def n_states(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
 
 def build_grid(bounds, step) -> Grid:
-    """Lattice covering each [lo, hi] with the given per-dimension spacing.
+    """Lattice covering one [lo, hi] pair at the given spacing, in the
+    config and policy.json form: bounds [[lo, hi]], step [h].
 
     (hi - lo) must be an integer multiple of the spacing (to 1e-9 relative)
     so the lattice lands exactly on the bounds.
     """
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    step = np.atleast_1d(np.asarray(step, dtype=float))
-    if bounds.ndim != 2 or bounds.shape[1] != 2:
-        raise ModelError(f"bounds must be (n, 2), got {bounds.shape}")
-    if step.shape != (bounds.shape[0],):
-        raise ModelError(f"step must have one entry per dimension, got "
-                         f"{step.shape} for {bounds.shape[0]} dims")
-    if np.any(step <= 0.0) or np.any(bounds[:, 0] > bounds[:, 1]):
-        raise ModelError("need step > 0 and lo <= hi in every dimension")
-    axes = []
-    for (lo, hi), h in zip(bounds, step):
-        # lo == hi gives a single-point axis (the degenerate lattice)
-        count = int(math.floor((hi - lo) / h + 0.5)) + 1
-        if abs(lo + (count - 1) * h - hi) > 1e-9 * h:
-            raise ModelError(f"span [{lo}, {hi}] is not a multiple of step {h}")
-        axes.append(np.linspace(lo, hi, count))
-    shape = tuple(ax.size for ax in axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    return Grid(axes=tuple(axes), step=step, bounds=bounds, points=points,
-                shape=shape)
+    bounds = np.asarray(bounds, dtype=float)
+    step = np.asarray(step, dtype=float)
+    if bounds.shape != (1, 2) or step.shape != (1,):
+        raise ModelError(f"the decision lattice is scalar: need bounds "
+                         f"[[lo, hi]] and step [h], got shapes "
+                         f"{bounds.shape} and {step.shape}")
+    (lo, hi), h = bounds[0].tolist(), float(step[0])
+    if h <= 0.0 or lo > hi:
+        raise ModelError("need step > 0 and lo <= hi")
+    # lo == hi gives a single-point lattice (the degenerate one)
+    count = int(math.floor((hi - lo) / h + 0.5)) + 1
+    if abs(lo + (count - 1) * h - hi) > 1e-9 * h:
+        raise ModelError(f"span [{lo}, {hi}] is not a multiple of step {h}")
+    return Grid(lo=lo, hi=hi, step=h,
+                points=np.linspace(lo, hi, count)[:, None])
 
 
 def nearest_index(grid: Grid, e) -> np.ndarray:
-    """Flat index of the nearest lattice point; distance ties resolve toward
-    the lower index. Accepts a single point (n,) or a batch (B, n)."""
+    """Index of the nearest lattice point; distance ties resolve toward the
+    lower index. Accepts a single error (1,) or a batch (B, 1)."""
     e = np.asarray(e, dtype=float)
-    single = e.ndim == 1
-    pts = np.atleast_2d(e)
-    if pts.shape[1] != grid.dim:
-        raise ModelError(f"points have dimension {pts.shape[1]}, grid has "
-                         f"{grid.dim}")
-    idx = []
-    for d in range(grid.dim):
-        rel = (pts[:, d] - grid.bounds[d, 0]) / grid.step[d]
-        k = np.ceil(rel - 0.5).astype(np.int64)
-        idx.append(np.clip(k, 0, grid.shape[d] - 1))
-    flat = np.ravel_multi_index(tuple(idx), grid.shape)
-    return int(flat[0]) if single else flat
+    if e.shape[-1:] != (1,):
+        raise ModelError(f"errors must have shape (1,) or (B, 1) on the "
+                         f"scalar lattice, got {e.shape}")
+    k = np.ceil((e[..., 0] - grid.lo) / grid.step - 0.5).astype(np.int64)
+    idx = np.clip(k, 0, grid.n_states - 1)
+    return int(idx) if e.ndim == 1 else idx
 
 
 def cell(grid: Grid, index: int) -> Rect:
-    """Voronoi cell of a lattice point; outermost cells reach to infinity."""
-    multi = np.unravel_index(int(index), grid.shape)
-    lower = np.empty(grid.dim)
-    upper = np.empty(grid.dim)
-    for d, k in enumerate(multi):
-        half = 0.5 * grid.step[d]
-        lower[d] = -np.inf if k == 0 else grid.axes[d][k] - half
-        upper[d] = np.inf if k == grid.shape[d] - 1 else grid.axes[d][k] + half
-    return Rect(lower, upper)
+    """Interval of one lattice point; the outermost cells reach to infinity."""
+    x, half = grid.points[index, 0], 0.5 * grid.step
+    lower = -np.inf if index == 0 else x - half
+    upper = np.inf if index == grid.n_states - 1 else x + half
+    return Rect(np.array([lower]), np.array([upper]))
 
 
-def uniform_actions(a_max: float, count: int, m: int = 1) -> np.ndarray:
-    """Per-axis lattice of `count` injections over [-a_max, a_max], filtered
-    to the closed norm ball (so every action is admissible for m >= 2)."""
+def uniform_actions(a_max: float, count: int) -> np.ndarray:
+    """`count` evenly spaced scalar injections over [-a_max, a_max], as a
+    (count, 1) column."""
     if a_max < 0.0 or count < 1:
         raise ModelError(f"need a_max >= 0 and count >= 1, got {a_max}, {count}")
     axis = np.linspace(-a_max, a_max, count) if count > 1 else np.zeros(1)
-    mesh = np.meshgrid(*([axis] * m), indexing="ij")
-    acts = np.stack([g.ravel() for g in mesh], axis=1)
-    keep = np.linalg.norm(acts, axis=1) <= a_max + 1e-12
-    return acts[keep]
+    return axis[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +222,9 @@ def _scalar_rows(model: SystemModel, ss: SteadyState, eta: float, grid: Grid,
     law = _scalar_law(model, ss, eta)
     s2, rho = law.s2, law.rho
 
-    ax = grid.axes[0]
-    half = 0.5 * grid.step[0]
-    edges = np.concatenate([[ax[0] - half], ax + half])  # N+1 finite edges
+    pts = grid.points[:, 0]
+    half = 0.5 * grid.step
+    edges = np.concatenate([[pts[0] - half], pts + half])  # N+1 finite edges
 
     y2 = law.error_mean(e_arr, a_arr)
     shift = law.K * a_arr
@@ -257,7 +233,7 @@ def _scalar_rows(model: SystemModel, ss: SteadyState, eta: float, grid: Grid,
     det = 1.0 - band
 
     n_rows = e_arr.size
-    n_cells = ax.size
+    n_cells = pts.size
     rows = np.empty((n_rows, n_cells))
     interior = np.empty(n_rows)
     # one kernel block of entries per tile keeps the temporaries small
@@ -357,9 +333,6 @@ def build_transition_model(model: SystemModel, ss: SteadyState, eta: float,
     if actions.shape[1] != model.m:
         raise ModelError(f"actions have dimension {actions.shape[1]}, "
                          f"measurements have {model.m}")
-    if grid.dim != model.n:
-        raise ModelError(f"grid dimension {grid.dim} does not match state "
-                         f"dimension {model.n}")
     if eta < 0.0:
         raise ModelError(f"eta must be >= 0, got {eta}")
 
@@ -386,8 +359,8 @@ def build_transition_model(model: SystemModel, ss: SteadyState, eta: float,
 
 def expected_reward(tm: TransitionModel, state_index: int,
                     action_index: int) -> float:
-    """Expected squared error norm after one step from the given pair."""
-    sq = np.einsum("ij,ij->i", tm.grid.points, tm.grid.points)
+    """Expected squared error after one step from the given pair."""
+    sq = tm.grid.points[:, 0] ** 2
     return float(tm.rows[state_index, action_index] @ sq)
 
 
@@ -401,9 +374,6 @@ def immediate_reward_curve(model: SystemModel, ss: SteadyState, eta: float,
     interactive sweeps.
     """
     _require_scalar(model)
-    if grid.dim != 1:
-        raise ModelError(f"grid dimension {grid.dim} does not match a "
-                         f"scalar state")
     a_arr = np.atleast_1d(np.asarray(magnitudes, dtype=float))
     e_arr = np.zeros_like(a_arr)
     rows, det, _ = _scalar_rows(model, ss, eta, grid, e_arr, a_arr)
@@ -422,7 +392,7 @@ class Policy:
 
     action_table[s - 1, i] is the injection at lattice point i with s stages
     remaining; values[s, i] the corresponding optimal expected cumulative
-    squared error norm (values[0] = 0). Actions satisfy ||a|| <= a_max.
+    squared error (values[0] = 0). Actions satisfy |a| <= a_max.
     """
 
     grid: Grid
@@ -441,7 +411,7 @@ def value_iteration(tm: TransitionModel, horizon: int,
                     gamma: float = 1.0) -> Policy:
     """Backward induction over the transition model.
 
-    Maximizes E[sum of ||e||^2 over the horizon] (discounted by gamma per
+    Maximizes E[sum of e^2 over the horizon] (discounted by gamma per
     stage) over the lattice actions; argmax ties resolve to the smallest
     action index.
     """
@@ -450,10 +420,10 @@ def value_iteration(tm: TransitionModel, horizon: int,
     if not 0.0 < gamma <= 1.0:
         raise ModelError(f"gamma must lie in (0, 1], got {gamma}")
     n_states, n_actions, _ = tm.rows.shape
-    sq = np.einsum("ij,ij->i", tm.grid.points, tm.grid.points)
+    sq = tm.grid.points[:, 0] ** 2
     flat = tm.rows.reshape(n_states * n_actions, n_states)
     r_imm = (flat @ sq).reshape(n_states, n_actions)
-    a_max = float(np.max(np.linalg.norm(tm.actions, axis=1)))
+    a_max = float(np.max(np.abs(tm.actions)))
 
     values = np.zeros((horizon + 1, n_states))
     table = np.zeros((horizon, n_states, tm.actions.shape[1]))
@@ -470,7 +440,7 @@ def policy_lookup(policy: Policy, stage_remaining: int, e) -> np.ndarray:
     """Injection at error e with the given number of stages to go.
 
     e snaps to the nearest lattice point (ties to the lower index). Accepts
-    a single error vector or a batch (B, n).
+    a single error (1,) or a batch (B, 1); the injection is (1,) or (B, 1).
     """
     if not 1 <= stage_remaining <= policy.horizon:
         raise ModelError(f"stage_remaining {stage_remaining} outside "

@@ -10,11 +10,11 @@ state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 
 class NumericsError(ValueError):
@@ -95,6 +95,20 @@ class Rect:
 # ---------------------------------------------------------------------------
 # Bivariate rectangle kernel
 # ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _special():
+    # imported on first use: the rollout commands never evaluate a normal
+    # CDF, so they start without scipy
+    import scipy.special
+
+    return scipy.special
+
+
+def ndtr(x):
+    """Standard normal CDF, elementwise (scipy.special.ndtr)."""
+    return _special().ndtr(x)
 
 
 # Gauss-Legendre half-rules; the node count trades against how sharply the

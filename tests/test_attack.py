@@ -27,7 +27,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdisim.attack import AttackError, AttackPlan, attack_at, clip_to_norm
-from fdisim.mdp import Policy, build_grid
 
 
 def test_none_and_constant():
@@ -143,14 +142,6 @@ def test_nominal_sequence(small_policy):
         table[np.array(flip, dtype=bool), 12] *= -1.0
         flipped = dataclasses.replace(small_policy, action_table=table)
         assert np.array_equal(AttackPlan.nominal(flipped, 4).values, base)
-    # vectors: each stage turned so that its first nonzero component is > 0
-    grid = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [1.0, 1.0])  # 4 is e = 0
-    table = np.zeros((3, grid.n_states, 2))
-    table[:, 4] = [[0.0, -3.0], [-1.0, 2.0], [2.0, -1.0]]
-    policy = Policy(grid=grid, actions=np.zeros((1, 2)), action_table=table,
-                    values=np.zeros((4, grid.n_states)), gamma=1.0, a_max=5.0)
-    assert np.array_equal(AttackPlan.nominal(policy, 3).values,
-                          [[2.0, -1.0], [1.0, -2.0], [0.0, 3.0]])
 
 
 def test_malformed_plans_raise():

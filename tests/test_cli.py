@@ -2,7 +2,9 @@
 
 What is proven here:
   * Every name in fdisim.__all__ resolves on the package, and importing it
-    does not load scipy.stats (a start-up cost every command would pay).
+    does not load scipy.stats (a start-up cost every command would pay);
+    evaluate and fpmd, run through cli.main in a fresh process, load no
+    scipy module at all.
   * The presets are exactly the YAML files in fdisim/presets, and their
     digests are pinned to full hex values (so a 10 that became 10.0 would
     show); unknown keys are rejected with their path; seed and file
@@ -19,7 +21,10 @@ What is proven here:
     files that are not JSON or not UTF-8, and digest mismatches.  A NaN
     is neither written nor read: a hand-edited artifact with a NaN or
     infinite entry is an ArtifactError, and evaluate exits with code 2 and
-    one error line instead of writing NaN costs.
+    one error line instead of writing NaN costs.  The decision lattice is
+    scalar: an artifact with two [lo, hi] pairs or two-entry action rows,
+    and a config whose mdp.bounds is not one pair with a one-entry
+    mdp.step, are one error line with exit code 2.
   * solve writes an artifact with 241 states and the configured stages; a
     degenerate one-point grid solves to all-zero values; re-running solve
     is byte-identical.
@@ -299,6 +304,54 @@ def test_solve_evaluate_round_trip(tmp_path, small_cfg, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
+def test_rollout_commands_start_without_scipy(tmp_path, small_cfg):
+    # scipy.special is imported only where a normal CDF is evaluated, which
+    # no rollout command does
+    out = tmp_path / "out"
+    assert _run(["solve", "--config", small_cfg, "--out", out]) == 0
+    src = str(__import__("pathlib").Path(fdisim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys\n"
+              "from fdisim.cli import main\n"
+              "for command in ('evaluate', 'fpmd'):\n"
+              "    assert main([command, '--config', sys.argv[1], '--out',"
+              " sys.argv[2]]) == 0\n"
+              "print(sorted(m for m in sys.modules"
+              " if m.split('.')[0] == 'scipy'))\n")
+    result = subprocess.run([sys.executable, "-c", script, str(small_cfg),
+                             str(out)], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (out / "cost_policy.csv").exists() and (out / "fpmd.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
+def test_non_scalar_artifact_is_one_error_line(tmp_path, small_cfg, capsys):
+    # the decision lattice is scalar: two [lo, hi] pairs, or actions with
+    # two entries, are refused before any rollout
+    out = tmp_path / "out"
+    assert _run(["solve", "--config", small_cfg, "--out", out]) == 0
+    path = out / "policy.json"
+    solved = json.loads(path.read_text(encoding="utf-8"))
+    two_dim_grid = dict(solved, grid={"bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+                                      "step": [1.0, 1.0]})
+    two_entry_actions = dict(solved, actions=[[a[0], 0.0]
+                                              for a in solved["actions"]])
+    for payload, message in ((two_dim_grid, "scalar"),
+                             (two_entry_actions, "rows of one entry")):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ArtifactError, match=message):
+            load_policy(path)
+        capsys.readouterr()
+        assert _run(["evaluate", "--config", small_cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (out / "cost_policy.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
 def test_commands_are_byte_deterministic(tmp_path, small_cfg):
     outs = []
     for name in ("a", "b"):
@@ -488,6 +541,11 @@ def test_nonscalar_model_is_one_error_line(tmp_path, capsys):
     ("model: {Q: [[1e-4]], R: [[1e-3]]}\n",
      "model.Q[0][0] must be a number, got '1e-4'"),
     ("model: {A: true}\n", "model.A must be a number, got True"),
+    # the decision lattice is scalar
+    ("mdp: {bounds: [[-1.0, 1.0], [-1.0, 1.0]], step: [1.0, 1.0]}\n",
+     "mdp.bounds must be one [lo, hi] pair"),
+    ("mdp: {step: [0.25, 0.25]}\n", "mdp.bounds must be one [lo, hi] pair"),
+    ("mdp: {bounds: [-30.0, 30.0]}\n", "mdp.bounds must be one [lo, hi] pair"),
 ])
 def test_mistyped_config_is_a_config_error(tmp_path, capsys, body, message):
     cfg = tmp_path / "cfg.yaml"

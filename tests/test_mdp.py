@@ -3,7 +3,9 @@
 What is proven here:
   * build_grid reproduces the 241-point benchmark lattice, rejects spans
     that are not step multiples, and nearest_index snaps with ties to the
-    lower index.
+    lower index. The lattice is scalar: build_grid refuses anything but
+    one [lo, hi] pair with one step, nearest_index refuses two-entry
+    errors, and cells are the nearest-neighbor intervals.
   * detection_prob matches its frozen closed-form value 0.30356... at
     (e=0, a=10, eta=10), is 1 at eta=0 and 0 at eta=inf, is symmetric under
     (e, a) -> (-e, -a), and agrees with direct Monte-Carlo simulation of the
@@ -131,27 +133,29 @@ def test_nearest_index_snapping_and_ties():
     assert batch.tolist() == [2, 2, 4]
 
 
-def test_two_dim_grid_order_and_cells():
-    grid = build_grid([(-1.0, 1.0), (0.0, 2.0)], [1.0, 1.0])
-    assert grid.shape == (3, 3) and grid.n_states == 9
-    # C order: second axis fastest
-    assert np.array_equal(grid.points[0], [-1.0, 0.0])
-    assert np.array_equal(grid.points[1], [-1.0, 1.0])
-    assert np.array_equal(grid.points[3], [0.0, 0.0])
-    c = cell(grid, 0)
-    assert c.lower[0] == -np.inf and c.upper[0] == -0.5
-    c_mid = cell(grid, 4)
-    assert np.array_equal(c_mid.lower, [-0.5, 0.5])
-    assert np.array_equal(c_mid.upper, [0.5, 1.5])
+def test_lattice_is_scalar():
+    grid = build_grid([(-2.0, 2.0)], [1.0])
+    assert (grid.lo, grid.hi, grid.step) == (-2.0, 2.0, 1.0)
+    assert grid.points.shape == (5, 1)
+    # nearest-neighbor intervals; the outermost reach to infinity
+    for index, (lower, upper) in ((0, (-np.inf, -1.5)), (2, (-0.5, 0.5)),
+                                  (4, (1.5, np.inf))):
+        c = cell(grid, index)
+        assert (c.lower.tolist(), c.upper.tolist()) == ([lower], [upper])
+    for bounds, step in (([(-1.0, 1.0), (0.0, 2.0)], [1.0, 1.0]),
+                         ([(-1.0, 1.0)], [1.0, 1.0]),
+                         ((-1.0, 1.0), [1.0]),
+                         ([(-1.0, 1.0)], 1.0)):
+        with pytest.raises(ModelError, match="scalar"):
+            build_grid(bounds, step)
+    with pytest.raises(ModelError, match="scalar"):
+        nearest_index(grid, [[0.0, 0.0]])
 
 
-def test_uniform_actions_lattice_and_ball_filter():
+def test_uniform_actions_lattice():
     acts = uniform_actions(20.0, 81)
     assert acts.shape == (81, 1)
     assert 10.0 in acts[:, 0] and -10.0 in acts[:, 0] and 0.0 in acts[:, 0]
-    acts2 = uniform_actions(5.0, 11, m=2)
-    assert np.all(np.linalg.norm(acts2, axis=1) <= 5.0 + 1e-9)
-    assert acts2.shape[0] < 121  # corners filtered out
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +197,15 @@ def test_detection_prob_against_mc_oracle(bench):
 
 def test_nonscalar_model_raises_model_error(iso2):
     model, ss = iso2
-    grid = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [1.0, 1.0])
+    grid = build_grid([(-1.0, 1.0)], [1.0])
     e, a = (0.0, 0.0), (1.0, 0.0)
-    target = cell(grid, 4)
+    target = cell(grid, 1)
     calls = [
         lambda: detection_prob(model, ss, 5.0, e, a),
         lambda: cell_transition_prob(model, ss, 5.0, e, a, a, target),
         lambda: alarm_cell_mass(model, ss, 5.0, e, a, a, target),
         lambda: build_transition_model(model, ss, 5.0, grid,
-                                       uniform_actions(3.0, 3, m=2)),
+                                       uniform_actions(3.0, 3)),
         lambda: immediate_reward_curve(model, ss, 5.0, grid, [0.0, 1.0]),
     ]
     for call in calls:
@@ -377,7 +381,7 @@ def test_sampled_path_matches_exact_path(bench):
     acts = uniform_actions(10.0, 5)
     exact = build_transition_model(model, ss, eta=10.0, grid=grid, actions=acts)
     n = 200_000
-    inner_edges = grid.axes[0][:-1] + 0.5 * grid.step[0]
+    inner_edges = grid.points[:-1, 0] + 0.5 * grid.step
     n_actions = acts.shape[0]
     rows = np.empty_like(exact.rows)
     detection = np.empty_like(exact.detection)
