@@ -34,7 +34,6 @@ from .mdp import Grid, Policy, build_grid, uniform_actions
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "config_digest",
     "preset_names",
     "resolve_config",
 ]
@@ -106,8 +105,6 @@ def _check_leaf(value, path: str, kind: str, rng: str | None) -> None:
         _number(value, path, rng)  # type and range before integrality
         if kind == "int" and not isinstance(value, numbers.Integral):
             _fail(path, "an integer", value)
-    elif kind == "bool" and not isinstance(value, bool):
-        _fail(path, "true or false", value)
     elif kind == "str" and not isinstance(value, str):
         _fail(path, "a string", value)
     elif kind == "choice" and value not in rng.split("|"):
@@ -235,19 +232,15 @@ class RunConfig:
     fpmd_sigmas = property(lambda self: self.get("fpmd.sigmas"))
 
     def digest(self) -> str:
-        return config_digest(self)
-
-
-def config_digest(cfg: RunConfig) -> str:
-    """SHA-256 over the canonical JSON of the policy-determining fields."""
-    payload = {
-        "model": cfg.data["model"],
-        "eta": cfg.data["detector"]["eta"],
-        "mdp": cfg.data["mdp"],
-        "a_max": cfg.data["attack"]["a_max"],
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        """SHA-256 over the canonical JSON of the policy-determining fields."""
+        payload = {
+            "model": self.data["model"],
+            "eta": self.data["detector"]["eta"],
+            "mdp": self.data["mdp"],
+            "a_max": self.data["attack"]["a_max"],
+        }
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _merge(defaults, override, path: str):

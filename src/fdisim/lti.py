@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericsError, solve_dare
+from .numerics import NumericsError, check_covariance, solve_dare
 
 
 class ModelError(ValueError):
@@ -48,21 +48,12 @@ def _vector(name: str, value, size: int):
     return vec
 
 
-def _sym_psd(name: str, mat: np.ndarray, strict: bool = False) -> None:
-    scale = 1.0 + float(np.max(np.abs(mat), initial=0.0))
-    if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-8 * scale:
-        raise ModelError(f"{name} must be symmetric")
-    eigs = np.linalg.eigvalsh(mat)
-    if strict and eigs[0] <= 0.0:
-        raise ModelError(f"{name} must be positive definite, min eig {eigs[0]:.3e}")
-    if not strict and eigs[0] < -1e-8 * scale:
-        raise ModelError(f"{name} must be positive semidefinite, min eig {eigs[0]:.3e}")
-
-
 @dataclass(frozen=True, eq=False)
 class SystemModel:
     """Plant matrices and noise covariances; dimensions n states, p inputs,
-    m measurements."""
+    m measurements. Entries must be finite, Q and R must pass
+    numerics.check_covariance (R positive definite; both checks are
+    unit-free), and (A, B) controllable, (C, A) observable."""
 
     A: np.ndarray
     B: np.ndarray
@@ -80,8 +71,8 @@ class SystemModel:
         m = C.shape[0]
         Q = _matrix("Q", self.Q, rows=n, cols=n)
         R = _matrix("R", self.R, rows=m, cols=m)
-        _sym_psd("Q", Q)
-        _sym_psd("R", R, strict=True)
+        check_covariance("Q", Q, ModelError)
+        check_covariance("R", R, ModelError, definite=True)
 
         ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
         if np.linalg.matrix_rank(ctrb) < n:

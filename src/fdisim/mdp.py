@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
+from .defense import DetectorConfig
 from .lti import ModelError, SteadyState, SystemModel
 from .numerics import NumericsError, Rect, bvn_cdf, bvn_rect, ndtr
 
@@ -129,12 +130,6 @@ def _joint_noise_cov(model: SystemModel, ss: SteadyState):
     return S11, S12, S22
 
 
-def _require_scalar(model: SystemModel) -> None:
-    if model.n != 1 or model.m != 1:
-        raise ModelError(f"the decision problem needs a scalar system "
-                         f"(n = m = 1), got n = {model.n}, m = {model.m}")
-
-
 @dataclass(frozen=True)
 class _ScalarLaw:
     """The scalar alarm/next-error pair at threshold eta.
@@ -162,14 +157,21 @@ class _ScalarLaw:
 
 
 def _scalar_law(model: SystemModel, ss: SteadyState, eta: float) -> _ScalarLaw:
+    """The law at threshold eta, and the one check of the decision
+    problem's inputs: a scalar system (n = m = 1, else ModelError), then
+    eta through DetectorConfig (NaN or negative raise DefenseError;
+    inf never alarms)."""
+    if model.n != 1 or model.m != 1:
+        raise ModelError(f"the decision problem needs a scalar system "
+                         f"(n = m = 1), got n = {model.n}, m = {model.m}")
+    eta = DetectorConfig(eta).eta
     S11, S12, S22 = _joint_noise_cov(model, ss)
     s1 = math.sqrt(S11[0, 0])
     s2 = math.sqrt(S22[0, 0])
     return _ScalarLaw(
         CA=model.C[0, 0] * model.A[0, 0], K=ss.K[0, 0], A_K=ss.A_K[0, 0],
         s1=s1, s2=s2, rho=min(1.0, max(-1.0, S12[0, 0] / (s1 * s2))),
-        theta=math.sqrt(eta * ss.P_r[0, 0]) if math.isfinite(eta)
-        else math.inf)
+        theta=math.sqrt(eta * ss.P_r[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +182,9 @@ def _scalar_law(model: SystemModel, ss: SteadyState, eta: float) -> _ScalarLaw:
 def detection_prob(model: SystemModel, ss: SteadyState, eta: float, e,
                    a) -> float:
     """P(alarm | e, a) one step ahead, in closed form."""
-    _require_scalar(model)
+    law = _scalar_law(model, ss, eta)
     e = np.atleast_1d(np.asarray(e, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    if eta < 0.0:
-        raise ModelError(f"eta must be >= 0, got {eta}")
-    law = _scalar_law(model, ss, eta)
     lo, hi = law.alarm_band(e[0], a[0])
     return float(ndtr(lo) + 1.0 - ndtr(hi))
 
@@ -211,15 +210,14 @@ def _cells_from_cum(cum: np.ndarray, total: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scalar_rows(model: SystemModel, ss: SteadyState, eta: float, grid: Grid,
-                 e_arr: np.ndarray, a_arr: np.ndarray):
+def _scalar_rows(law: _ScalarLaw, grid: Grid, e_arr: np.ndarray,
+                 a_arr: np.ndarray):
     """Exact transition rows for paired (e, a) scalars, delta = a.
 
     Returns (rows, detection, interior_mass); rows are renormalized to sum
     exactly 1, interior_mass is the pre-fold probability inside the finite
     grid span.
     """
-    law = _scalar_law(model, ss, eta)
     s2, rho = law.s2, law.rho
 
     pts = grid.points[:, 0]
@@ -264,15 +262,12 @@ def cell_transition_prob(model: SystemModel, ss: SteadyState, eta: float,
                          e, a, delta, target: Rect) -> float:
     """P(e' in target | e, a) with mitigation delta applied on alarm, by
     exact bivariate-rectangle evaluation."""
-    _require_scalar(model)
-    if eta < 0.0:
-        raise ModelError(f"eta must be >= 0, got {eta}")
+    law = _scalar_law(model, ss, eta)
     if target.dim != model.n:
         raise ModelError(f"target cell has dimension {target.dim}, state has "
                          f"{model.n}")
     e = np.atleast_1d(np.asarray(e, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    law = _scalar_law(model, ss, eta)
     y2 = law.error_mean(e[0], a[0])
     l1, u1 = law.alarm_band(e[0], a[0])
     lo, hi = target.lower[0], target.upper[0]
@@ -285,11 +280,10 @@ def alarm_cell_mass(model: SystemModel, ss: SteadyState, eta: float, e, a,
     """Alarm-branch part of cell_transition_prob: the probability that the
     alarm fires and e' lands in the target cell. Summed over a partition of
     the state space this recovers detection_prob."""
-    _require_scalar(model)
+    law = _scalar_law(model, ss, eta)
     e = np.atleast_1d(np.asarray(e, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    law = _scalar_law(model, ss, eta)
     y2d = law.error_mean(e[0], a[0]) + law.K * delta[0]
     l1, u1 = law.alarm_band(e[0], a[0])
     lo = (target.lower[0] - y2d) / law.s2
@@ -328,18 +322,16 @@ def build_transition_model(model: SystemModel, ss: SteadyState, eta: float,
     whose pre-fold interior mass drops below 0.99 trigger a
     TruncationWarning suggesting wider bounds.
     """
-    _require_scalar(model)
+    law = _scalar_law(model, ss, eta)
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     if actions.shape[1] != model.m:
         raise ModelError(f"actions have dimension {actions.shape[1]}, "
                          f"measurements have {model.m}")
-    if eta < 0.0:
-        raise ModelError(f"eta must be >= 0, got {eta}")
 
     n_states = grid.n_states
     n_actions = actions.shape[0]
     rows, det, interior = _scalar_rows(
-        model, ss, eta, grid, np.repeat(grid.points[:, 0], n_actions),
+        law, grid, np.repeat(grid.points[:, 0], n_actions),
         np.tile(actions[:, 0], n_states))
 
     low = interior < _MASS_WARNING
@@ -373,10 +365,10 @@ def immediate_reward_curve(model: SystemModel, ss: SteadyState, eta: float,
     lattice. Only the e = 0 rows are built, so this is cheap enough for
     interactive sweeps.
     """
-    _require_scalar(model)
+    law = _scalar_law(model, ss, eta)
     a_arr = np.atleast_1d(np.asarray(magnitudes, dtype=float))
     e_arr = np.zeros_like(a_arr)
-    rows, det, _ = _scalar_rows(model, ss, eta, grid, e_arr, a_arr)
+    rows, det, _ = _scalar_rows(law, grid, e_arr, a_arr)
     sq = grid.points[:, 0] ** 2
     return det, rows @ sq
 

@@ -1,11 +1,11 @@
 """Shared numerical kernels.
 
 Seeded RNG streams, the saturating bivariate-normal orthant kernel behind
-the exact scalar transition rows, a PSD factor for sampling correlated
-noise, and the fixed-point Riccati solver used to derive the steady-state
-filter. Everything is deterministic given its inputs; routines that need
-randomness take an explicit :class:`RngStream` and never touch global RNG
-state.
+the exact scalar transition rows, the one covariance check, a PSD factor
+for sampling correlated noise, and the fixed-point Riccati solver used to
+derive the steady-state filter. Everything is deterministic given its
+inputs; routines that need randomness take an explicit :class:`RngStream`
+and never touch global RNG state.
 """
 
 from __future__ import annotations
@@ -47,19 +47,20 @@ class RngStream:
 # ---------------------------------------------------------------------------
 
 
-def _check_symmetric(name: str, mat: np.ndarray) -> None:
-    scale = 1.0 + float(np.max(np.abs(mat), initial=0.0))
-    if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-8 * scale:
-        raise NumericsError(f"{name} must be symmetric; max asymmetry "
-                            f"{np.max(np.abs(mat - mat.T)):.3e}")
-
-
-def _check_psd(name: str, mat: np.ndarray) -> None:
-    eigs = np.linalg.eigvalsh(mat)
-    scale = 1.0 + float(max(eigs[-1], 0.0))
-    if eigs[0] < -1e-8 * scale:
-        raise NumericsError(f"{name} must be positive semidefinite; "
-                            f"min eigenvalue {eigs[0]:.3e}")
+def check_covariance(name: str, mat: np.ndarray, error=NumericsError,
+                     definite: bool = False) -> None:
+    """Raise `error` unless mat is a symmetric positive semidefinite
+    (`definite`: positive definite) covariance. Both tolerances are 1e-8 of
+    max |mat|, asymmetry and the most negative eigenvalue alike, so a
+    change of units accepts and refuses exactly the same matrices."""
+    scale = float(np.max(np.abs(mat), initial=0.0))
+    asymmetry = float(np.max(np.abs(mat - mat.T), initial=0.0))
+    if asymmetry > 1e-8 * scale:
+        raise error(f"{name} must be symmetric; max asymmetry {asymmetry:.3e}")
+    low = float(np.linalg.eigvalsh(mat)[0])
+    if low <= 0.0 if definite else low < -1e-8 * scale:
+        raise error(f"{name} must be positive {'' if definite else 'semi'}"
+                    f"definite; min eigenvalue {low:.3e}")
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -269,13 +270,19 @@ def _riccati_map(A, C, Q, R, P):
     return 0.5 * (P_next + P_next.T)
 
 
-def solve_dare(A: np.ndarray, C: np.ndarray, Q: np.ndarray, R: np.ndarray,
-               rtol: float = 1e-12, max_iter: int = 1_000_000) -> np.ndarray:
+_RTOL = 1e-12
+_MAX_ITER = 1_000_000
+
+
+def solve_dare(A: np.ndarray, C: np.ndarray, Q: np.ndarray,
+               R: np.ndarray) -> np.ndarray:
     """Steady-state prediction covariance of the Kalman filter.
 
-    Iterates P <- A P A' + Q - A P C'(C P C' + R)^-1 C P A' from P0 = Q until
-    the step size falls below rtol * max(1, ||P||_inf), then verifies the
-    fixed-point residual against 1e-10 * max(1, ||P||_inf).
+    Q and R pass check_covariance (R positive definite) first. Then it
+    iterates P <- A P A' + Q - A P C'(C P C' + R)^-1 C P A' from P0 = Q
+    until the step size falls below _RTOL * max(1, ||P||_inf), at most
+    _MAX_ITER times, and verifies the fixed-point residual against
+    1e-10 * max(1, ||P||_inf).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -286,22 +293,19 @@ def solve_dare(A: np.ndarray, C: np.ndarray, Q: np.ndarray, R: np.ndarray,
     if A.shape != (n, n) or C.shape != (m, n) or Q.shape != (n, n) or R.shape != (m, m):
         raise NumericsError(f"inconsistent shapes: A{A.shape} C{C.shape} "
                             f"Q{Q.shape} R{R.shape}")
-    _check_symmetric("Q", Q)
-    _check_psd("Q", Q)
-    _check_symmetric("R", R)
-    if np.linalg.eigvalsh(R)[0] <= 0.0:
-        raise NumericsError("R must be positive definite")
+    check_covariance("Q", Q)
+    check_covariance("R", R, definite=True)
 
     P = Q.copy()
     step = math.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         P_next = _riccati_map(A, C, Q, R, P)
         step = float(np.max(np.abs(P_next - P)))
         P = P_next
-        if step <= rtol * max(1.0, float(np.max(np.abs(P)))):
+        if step <= _RTOL * max(1.0, float(np.max(np.abs(P)))):
             break
     else:
-        raise NumericsError(f"Riccati iteration hit the cap ({max_iter}); "
+        raise NumericsError(f"Riccati iteration hit the cap ({_MAX_ITER}); "
                             f"last step {step:.3e}")
     residual = float(np.max(np.abs(P - _riccati_map(A, C, Q, R, P))))
     bound = 1e-10 * max(1.0, float(np.max(np.abs(P))))

@@ -107,12 +107,10 @@ def synthesize_traces(B, length: int, stream: RngStream,
 
     Inputs are i.i.d. N(0, u_scale^2) per channel, which keeps the
     regressor block full rank; noise_cov=None gives a noiseless trace.
+    TraceSet refuses a length below n*p + 1.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, p = B.shape
-    if length < n * p + 1:
-        raise VoltageError(f"trace length {length} cannot identify a "
-                           f"{n}x{p} gain")
     gen = stream.generator()
     u = u_scale * gen.standard_normal((length, p))
     w = np.zeros((length, n))
@@ -131,7 +129,9 @@ def _trace_header(n: int, p: int) -> list[str]:
 
 
 def load_traces(path) -> TraceSet:
-    """Parse a trace CSV; every complaint carries its 1-based line number."""
+    """Parse a trace CSV; every complaint about a line carries its 1-based
+    line number. TraceSet checks the whole trace (its length against the
+    n*p + 1 samples a gain needs), and its refusals carry the path."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
@@ -166,11 +166,10 @@ def load_traces(path) -> TraceSet:
             raise VoltageError(f"{path}:{lineno}: {exc}") from None
         xs.append(values[:n])
         us.append(values[n:])
-    if len(xs) < n * p + 1:
-        raise VoltageError(
-            f"{path}: {len(xs)} data rows cannot identify an {n}x{p} gain "
-            f"(need {n * p + 1})")
-    return TraceSet(x=np.array(xs), u=np.array(us))
+    try:
+        return TraceSet(x=np.reshape(xs, (-1, n)), u=np.reshape(us, (-1, p)))
+    except VoltageError as exc:
+        raise VoltageError(f"{path}: {exc}") from None
 
 
 def save_traces(path, traces: TraceSet) -> None:

@@ -16,6 +16,9 @@ What is proven here:
     a ragged model matrix, a matrix entry that YAML read as a string
     (1e-4) or a bool, and a NaN or infinity where none is allowed; so
     does a config or trace file that does not exist.
+  * A voltage-scale negative variance (model.Q [[-1.0e-9]]) makes solve
+    exit with code 2 and one error line naming Q, without running the
+    Riccati loop.
   * The digest changes exactly when a policy-determining field changes.
   * Policy artifacts round-trip bit-exactly, refuse wrong magic/version,
     files that are not JSON or not UTF-8, and digest mismatches.  A NaN
@@ -53,7 +56,7 @@ import pytest
 import yaml
 
 import fdisim
-from fdisim import cli
+from fdisim import cli, numerics
 from fdisim.artifact import ArtifactError, load_policy, save_policy
 from fdisim.config import (
     ConfigError,
@@ -509,6 +512,21 @@ def test_nonscalar_model_is_one_error_line(tmp_path, capsys):
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1 and "scalar system" in captured.err
         assert not (tmp_path / "policy.json").exists()
+
+
+def test_voltage_scale_negative_variance_is_refused_at_once(tmp_path, capsys,
+                                                            monkeypatch):
+    def riccati_map(*args):
+        raise AssertionError("the Riccati loop ran")
+
+    monkeypatch.setattr(numerics, "_riccati_map", riccati_map)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("model: {Q: [[-1.0e-9]]}\n", encoding="utf-8")
+    assert _run(["solve", "--preset", "voltage", "--config", cfg,
+                 "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Q must be positive semidefinite" in err
 
 
 @pytest.mark.parametrize("body, message", [

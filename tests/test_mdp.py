@@ -13,6 +13,8 @@ What is proven here:
   * The decision problem is scalar-only: on an isotropic 2-D model
     detection_prob, cell_transition_prob, alarm_cell_mass,
     build_transition_model and immediate_reward_curve raise ModelError.
+    The same five raise DefenseError for a NaN or negative threshold, as
+    DetectorConfig does on the rollout side; eta = inf still never alarms.
   * cell_transition_prob agrees with the same Monte-Carlo oracle cell-wise,
     reduces to a univariate normal when eta = inf, and its band + alarm
     decomposition (alarm_cell_mass) is consistent; alarm masses over a
@@ -44,6 +46,7 @@ import pytest
 from scipy.special import ndtr
 
 from fdisim import numerics
+from fdisim.defense import DefenseError
 from fdisim.lti import ModelError, SystemModel, derive_steady_state
 from fdisim.mdp import (
     Grid,
@@ -211,6 +214,29 @@ def test_nonscalar_model_raises_model_error(iso2):
     for call in calls:
         with pytest.raises(ModelError, match="scalar system"):
             call()
+
+
+@pytest.mark.parametrize("eta", [math.nan, -1.0])
+def test_bad_threshold_raises_defense_error(bench, eta):
+    model, ss = bench
+    grid = build_grid([(-2.0, 2.0)], [1.0])
+    target = cell(grid, 2)
+    calls = [
+        lambda: detection_prob(model, ss, eta, [0.0], [1.0]),
+        lambda: cell_transition_prob(model, ss, eta, [0.0], [1.0], [1.0],
+                                     target),
+        lambda: alarm_cell_mass(model, ss, eta, [0.0], [1.0], [1.0], target),
+        lambda: build_transition_model(model, ss, eta, grid,
+                                       uniform_actions(3.0, 3)),
+        lambda: immediate_reward_curve(model, ss, eta, grid, [0.0, 1.0]),
+    ]
+    for call in calls:
+        with pytest.raises(DefenseError, match="eta must be >= 0"):
+            call()
+    # an infinite threshold is a detector that never alarms
+    assert detection_prob(model, ss, math.inf, [0.0], [10.0]) == 0.0
+    det, _ = immediate_reward_curve(model, ss, math.inf, grid, [0.0, 10.0])
+    assert det.tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

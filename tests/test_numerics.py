@@ -21,6 +21,10 @@ What is proven here:
   * Rect rejects inverted bounds.
   * solve_dare hits the scalar closed form (1+sqrt(41))/2 to 1e-9, agrees
     with an independent QZ solver in 2-D, and enforces its input contracts.
+  * The covariance check is unit-free: scaled by 2^-7, 0.01, 1e-4 or 100,
+    a valid (Q, R), a Q asymmetric by 5e-5 relative and a Q indefinite by
+    2e-5 relative are accepted or refused by SystemModel and solve_dare
+    exactly as at scale 1.
   * RngStream reproduces sequences per (seed, stream) id, and its
     generator is keyed by spawn_key (stream,).
 """
@@ -34,6 +38,7 @@ from scipy import integrate, linalg
 from scipy.special import ndtr
 
 from fdisim import numerics
+from fdisim.lti import ModelError, SystemModel
 from fdisim.numerics import (
     NumericsError,
     Rect,
@@ -240,6 +245,36 @@ def test_solve_dare_input_contracts():
         solve_dare([[1.0, 0.0]], [[1.0]], [[1.0]], [[1.0]])  # A not square
     with pytest.raises(NumericsError):
         solve_dare([[1.0]], [[1.0]], [[-1.0]], [[1.0]])  # Q not PSD
+
+
+def _covariance_verdicts(Q, R):
+    """(SystemModel accepts, solve_dare accepts) for a 2-D plant A = B = C = I."""
+    verdicts = []
+    for build, error in ((lambda: SystemModel(A=np.eye(2), B=np.eye(2),
+                                              C=np.eye(2), Q=Q, R=R),
+                          ModelError),
+                         (lambda: solve_dare(np.eye(2), np.eye(2), Q, R),
+                          NumericsError)):
+        try:
+            build()
+            verdicts.append(True)
+        except error:
+            verdicts.append(False)
+    return tuple(verdicts)
+
+
+@pytest.mark.parametrize("c", [2.0 ** -7, 0.01, 1e-4, 100.0])
+def test_covariance_checks_are_unit_free(c):
+    Q = np.array([[1.0, 0.2], [0.2, 0.5]])
+    R = np.array([[2.0, 0.1], [0.1, 1.0]])
+    cases = {
+        "valid": ((Q, R), (True, True)),
+        "asymmetric Q": ((Q + [[0.0, 5e-5], [0.0, 0.0]], R), (False, False)),
+        "indefinite Q": ((np.diag([1.0, -2e-5]), R), (False, False)),
+    }
+    for name, ((Qc, Rc), expected) in cases.items():
+        assert _covariance_verdicts(Qc, Rc) == expected, name
+        assert _covariance_verdicts(c * Qc, c * Rc) == expected, name
 
 
 def test_rng_stream_reproducible_and_children_independent():

@@ -10,7 +10,8 @@ What is proven here:
     < 1% relative error from 10^4 noisy samples, with error shrinking as
     the sample count grows; zero excitation raises a rank error.
   * Trace CSVs round-trip exactly; malformed files are rejected with line
-    numbers.
+    numbers; a trace too short to identify the gain, a header-only file
+    included, is refused by TraceSet's n*p + 1 rule with the file's path.
   * The estimation-error process does not depend on the controller:
     rollouts with the controller on and off from the same stream produce
     bit-identical error paths, alarms and cost sums; x and x_hat exist
@@ -28,6 +29,8 @@ What is proven here:
   * The experiment's curves add the runs in order: at 257 runs they equal
     the reductions taken on C-ordered copies of the batch, bit for bit.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +193,15 @@ def test_trace_minimal_and_malformed(tmp_path):
     short.write_text("t,x_1,u_1\n0,1.0,0.5\n", encoding="utf-8")
     with pytest.raises(VoltageError):
         load_traces(short)
+
+
+def test_short_trace_is_refused_with_its_path(tmp_path):
+    for rows in ("", "0,1.0,0.5\n"):
+        short = tmp_path / "short.csv"
+        short.write_text("t,x_1,u_1\n" + rows, encoding="utf-8")
+        message = f"{short}: need at least n*p + 1 = 2 samples"
+        with pytest.raises(VoltageError, match="^" + re.escape(message)):
+            load_traces(short)
 
 
 # ---------------------------------------------------------------------------
