@@ -122,7 +122,8 @@ def attack_at(plan: AttackPlan, t: int, e_attacker,
     Sequence plans need 1 <= t <= their length; policy plans need
     stage_remaining. The returned injection always satisfies
     ||a|| <= a_max. Every plan but a policy gives all rows the same
-    injection, so that one row is clipped, then tiled.
+    injection, so that one row is clipped and a batch gets it as a
+    read-only (B, m) broadcast view.
     """
     e_attacker = np.asarray(e_attacker, dtype=float)
     if plan.kind == "policy":
@@ -145,5 +146,5 @@ def attack_at(plan: AttackPlan, t: int, e_attacker,
         row = plan.values[t - 1]
     row = clip_to_norm(row, plan.a_max)
     if e_attacker.ndim == 2:
-        return np.tile(row, (e_attacker.shape[0], 1))
+        return np.broadcast_to(row, (e_attacker.shape[0], plan.dim))
     return row.copy()

@@ -232,9 +232,11 @@ def cmd_voltage(args) -> int:
                mean_rows)
     _write_csv(out / "detection_frequency.csv", cfg.digest(), cfg.seed,
                ("t", "plan", "frequency"), freq_rows)
-    table_rows = [(stage, e, a) for stage in range(1, policy.horizon + 1)
-                  for e, a in zip(policy.grid.points[:, 0],
-                                  policy.action_table[stage - 1, :, 0])]
+    # Python floats print the same text as numpy scalars, only faster
+    points = policy.grid.points[:, 0].tolist()
+    actions = policy.action_table[:, :, 0].tolist()
+    table_rows = [(stage, e, a) for stage, row in enumerate(actions, start=1)
+                  for e, a in zip(points, row)]
     _write_csv(out / "policy_table.csv", cfg.digest(), cfg.seed,
                ("stage", "state_1", "action_1"), table_rows)
     print(f"wrote {out / 'voltage_mean.csv'}, "

@@ -7,19 +7,21 @@ state of the error decision process before the step), the chi-square test
 runs on the innovation r = CA e[t-1] + C w[t] + v[t] + a[t], and
 e[t] = A e[t-1] + w[t] - K (r - i[t] delta[t]) takes the mitigation's
 correction on alarms.  e never passes through x - x_hat, so no setpoint
-offset costs it digits; with a controller the loop also advances x_hat and
-forms x = x_hat + e.  The injection, the test statistic and the control
-are per-step temporaries.  All noise for a batch of runs is pre-drawn from a
-single stream in a fixed order (e[0] block, process block, measurement
-block, mitigation block), so two batches built from the same stream share
-every random input no matter which plan, detector or mitigation they use.
-That makes cost comparisons and the paired false-positive / misdetection
-differences common-random-number estimates rather than differences of
-independent estimates.  The blocks are drawn once per stream (and run
-count, horizon and noise covariances) and shared read-only by every batch
-on it, so a batch's w and v cannot be written; the mitigation block is
-drawn only for noisy mitigation, and only the latest stream's blocks are
-kept.
+offset costs it digits.  With a controller the loop also advances the
+estimate, x_hat[t] = A x_hat[t-1] + alpha (x0 - x_hat[t-1])
++ K (r - i[t] delta[t]), since the setpoint law makes B u = alpha (x0 -
+x_hat) and so no control is solved for; it then forms x = x_hat + e.  The
+injection and the test statistic are per-step temporaries.  All noise for
+a batch of runs is pre-drawn from a single stream in a fixed order (e[0]
+block, process block, measurement block, mitigation block), so two
+batches built from the same stream share every random input no matter
+which plan, detector or mitigation they use.  That makes cost comparisons
+and the paired false-positive / misdetection differences
+common-random-number estimates rather than differences of independent
+estimates.  The blocks are drawn once per stream (and run count, horizon
+and noise covariances) and shared read-only by every batch on it, so a
+batch's w and v cannot be written; the mitigation block is drawn only for
+noisy mitigation, and only the latest stream's blocks are kept.
 
 The misdetection and false-positive costs compare the chi-square system
 against a reference system whose detector is an oracle: it alarms exactly
@@ -48,7 +50,7 @@ import numpy as np
 from .attack import AttackPlan, attack_at
 from .defense import (DetectorConfig, MitigationStrategy, detect, g_statistic,
                       mitigate, oracle_detect)
-from .lti import SetpointController, SteadyState, SystemModel, setpoint_control
+from .lti import SetpointController, SteadyState, SystemModel
 from .numerics import RngStream, psd_factor
 
 __all__ = [
@@ -83,8 +85,9 @@ class BatchRollout:
     and are None without one; x = x_hat + e.  The injection, statistic and
     control of step t are not kept: a = attack_at(plan, t, e[:, t-1],
     stage_remaining=T-t+1), g = g_statistic of the innovation
-    e[:, t-1] (CA)' + w[:, t] C' + v[:, t] + a, u = setpoint_control of
-    x_hat[:, t-1].
+    e[:, t-1] (CA)' + w[:, t] C' + v[:, t] + a, and u =
+    setpoint_control of x_hat[:, t-1], which the loop does not call: it
+    adds B u = alpha (x0 - x_hat[:, t-1]) directly.
 
     w and v are read-only views of the stream's pre-drawn noise, shared
     with every other batch drawn from the same stream, run count and
@@ -164,23 +167,24 @@ def _step_major(gen: np.random.Generator, W: int, T: int, k: int,
     return buf
 
 
-def _noise(stream: RngStream, W: int, T: int, L_e: np.ndarray,
-           L_q: np.ndarray, L_r: np.ndarray, noisy: bool) -> tuple:
+def _noise(stream: RngStream, W: int, T: int, P_e: np.ndarray,
+           Q: np.ndarray, R: np.ndarray, noisy: bool) -> tuple:
     """(e0, w, v, b) of a batch: the stream's blocks drawn in a fixed order
     (e0 block, process block, measurement block, mitigation block) with
     (W, T, .) draw shapes, so streams stay aligned across compared systems.
 
-    The blocks are drawn once and shared read-only by every later batch
-    with the same key; the entry is cleared before another key is drawn.
-    b is None unless `noisy`.  Being the last block, it is drawn from the
-    kept generator when a noisy batch first asks, so e0, w and v do not
-    depend on the strategy.
+    The blocks are drawn once, with the covariances' psd_factor taken only
+    then, and shared read-only by every later batch with the same key
+    (stream, W, T and the covariances P_e, Q, R); the entry is cleared
+    before another key is drawn.  b is None unless `noisy`.  Being the last
+    block, it is drawn from the kept generator when a noisy batch first
+    asks, so e0, w and v do not depend on the strategy.
     """
-    key = (stream, W, T) + tuple((L.shape, L.tobytes())
-                                 for L in (L_e, L_q, L_r))
+    key = (stream, W, T) + tuple((M.shape, M.tobytes()) for M in (P_e, Q, R))
     if key not in _noise_cache:
         _noise_cache.clear()
         gen = stream.generator()
+        L_e, L_q, L_r = map(psd_factor, (P_e, Q, R))
         e0 = gen.standard_normal((W, L_e.shape[0])) @ L_e.T
         e0.flags.writeable = False
         w = _step_major(gen, W, T, L_q.shape[0], L_q)
@@ -188,7 +192,7 @@ def _noise(stream: RngStream, W: int, T: int, L_e: np.ndarray,
         _noise_cache[key] = [gen, e0, w, v, None]
     entry = _noise_cache[key]
     if noisy and entry[4] is None:
-        entry[4] = _step_major(entry[0], W, T, L_r.shape[0])
+        entry[4] = _step_major(entry[0], W, T, R.shape[0])
     _, e0, w, v, b = entry
     return e0, w, v, b if noisy else None
 
@@ -216,9 +220,13 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
         raise EvaluationError(
             f"plan injects {plan.dim}-vectors but the model has m={model.m}")
     _check_plan_horizon(plan, T)
-    if controller is not None and model.B.shape[0] != model.B.shape[1]:
-        raise EvaluationError(
-            f"setpoint control needs square B, got {model.B.shape}")
+    if controller is not None:
+        if model.B.shape[0] != model.B.shape[1]:
+            raise EvaluationError(
+                f"setpoint control needs square B, got {model.B.shape}")
+        if np.linalg.matrix_rank(model.B) < model.n:
+            raise EvaluationError("setpoint control needs an invertible B, "
+                                  "got a singular one")
     W, n = runs, model.n
 
     x_hat0 = np.zeros(n) if x_hat0 is None else np.asarray(x_hat0, float)
@@ -226,22 +234,25 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
         raise EvaluationError(
             f"x_hat0 must have shape ({n},), got {x_hat0.shape}")
 
-    e0, w, v, b = _noise(stream, W, T, psd_factor(ss.P_e),
-                         psd_factor(model.Q), psd_factor(model.R),
+    e0, w, v, b = _noise(stream, W, T, ss.P_e, model.Q, model.R,
                          strategy.kind == "noisy")
     # buffers are step-major, (T + 1, W, .), so each step reads and writes
-    # contiguous (W, .) blocks; cost_sums is C-ordered (W, T) so the cost
-    # reductions over runs add them in order
+    # contiguous (W, .) blocks; the cost sums too, as (T, W), copied once
+    # into the C-ordered (W, T) cost_sums so the cost reductions over runs
+    # add them in order
     e = np.zeros((T + 1, W, n))
     i = np.zeros((T + 1, W), dtype=bool)
-    cost_sums = np.empty((W, T))
+    sums = np.empty((T, W))
     e[0] = e0
     if controller is not None:
         x_hat = np.zeros((T + 1, W, n))
         x_hat[0] = x_hat0
+        x0 = np.asarray(controller.x0, dtype=float)
 
-    A_T, B_T, C_T, K_T = model.A.T, model.B.T, model.C.T, ss.K.T
-    CA_T = (model.C @ model.A).T
+    # C-ordered copies of the transposed operands, taken once: a product
+    # with a transposed view is 3-4x slower for n >= 2, with the same bits
+    A_T, C_T, K_T, CA_T = (np.ascontiguousarray(M.T) for M in (
+        model.A, model.C, ss.K, model.C @ model.A))
     # the (W, n) x (n, k) products use ndarray.dot: matmul takes a slow
     # path for a one-column operand (5-10x slower at n = 1), and
     # dot gives the same bits
@@ -254,16 +265,17 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
         corr = mitigate(strategy, r, a, i[t],
                         None if b is None else b[t]).dot(K_T)
         e[t] = e[t - 1].dot(A_T) + w[t] - corr
-        prev = np.add(prev, np.sum(e[t] ** 2, axis=1),
-                      out=cost_sums[:, t - 1])
+        prev = np.add(prev, np.sum(e[t] ** 2, axis=1), out=sums[t - 1])
         if controller is not None:
-            u = setpoint_control(model, controller, x_hat[t - 1])
-            x_hat[t] = x_hat[t - 1].dot(A_T) + u.dot(B_T) + corr
+            # B u = alpha (x0 - x_hat) by the setpoint law, so the control
+            # enters without solving for u
+            x_hat[t] = (x_hat[t - 1].dot(A_T) + controller.alpha
+                        * (x0 - x_hat[t - 1]) + corr)
 
     out = dict(e=e, i=i, w=w, v=v)
     if controller is not None:
         out.update(x_hat=x_hat, x=x_hat + e)
-    return BatchRollout(cost_sums=cost_sums,
+    return BatchRollout(cost_sums=np.ascontiguousarray(sums.T),
                         **{k: arr.swapaxes(0, 1) for k, arr in out.items()})
 
 

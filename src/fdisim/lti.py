@@ -157,7 +157,9 @@ class SetpointController:
 def setpoint_control(model: SystemModel, controller: SetpointController,
                      x_hat) -> np.ndarray:
     """Control inputs for an (n,) estimate or a (W, n) block of them; B
-    must be square (rollout_batch checks it once)."""
+    must be square and invertible.  This is the public control law and
+    the tests' oracle: rollout_batch checks B once per batch and adds
+    B u = alpha (x0 - x_hat) directly, without solving for u."""
     x_hat = np.asarray(x_hat, dtype=float)
     x0 = np.broadcast_to(np.asarray(controller.x0, dtype=float), x_hat.shape)
     return controller.alpha * np.linalg.solve(model.B, (x0 - x_hat).T).T

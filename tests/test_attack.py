@@ -12,11 +12,12 @@ What is proven here:
     step outside the sequence, and the nominal sequence replays a policy's
     stage actions at e = 0 in one sign orientation, so it does not depend
     on which of a tied +-a pair the argmax kept.
-  * Non-policy plans clip their one row before tiling it, with the bits
-    of clipping every tiled row: for over-long constant, ramp and sequence
-    rows in one and two dimensions, single and batched, attack_at equals
-    clip_to_norm of the tiled rows exactly, and the result never aliases
-    the plan's own arrays.
+  * Non-policy plans clip their one row before broadcasting it, with the
+    bits of clipping every tiled row: for over-long constant, ramp and
+    sequence rows in one and two dimensions, single and batched, attack_at
+    equals clip_to_norm of the tiled rows exactly.  A single result is a
+    fresh array and a batch result a read-only view, so neither can write
+    into the plan's own arrays.
   * Malformed plans raise.
 """
 
@@ -112,6 +113,7 @@ def test_run_invariant_rows_clip_once(row):
             want = clip_to_norm(np.tile(raw, (runs, 1)), a_max)
             assert got.shape == (runs, row.size), kind
             assert np.array_equal(got, want), (kind, runs)
+            assert not got.flags.writeable, (kind, runs)
         single = attack_at(plan, t, np.zeros(row.size))
         assert np.array_equal(single, clip_to_norm(raw[None], a_max)[0]), kind
         single += 1.0  # a fresh array, not a view of the plan

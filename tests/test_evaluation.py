@@ -32,7 +32,8 @@ What is proven here:
     same invariants, zero noise at t = 0, the control law and the error
     recursion, so the run and time axes cannot be mixed up.
   * empirical_cost adds the runs in order: at 257 runs it equals the
-    reductions taken on C-ordered copies of the batch, bit for bit.
+    reductions taken on C-ordered copies of the batch, bit for bit, and
+    the batch's cost sums are C-ordered themselves.
   * The batch's cost sums equal the cumsum over t of the squared error
     norms bit for bit (n = 1 and n = 2, tested and oracle batches, 257
     runs), and the bool alarms give the same detection frequency as
@@ -40,6 +41,11 @@ What is proven here:
   * A batch allocates no full history beyond what it keeps: one
     W = 10,000, T = 10 batch peaks (tracemalloc) within the kept bytes
     plus 16 W-vectors.
+  * The loop's C-ordered copies of A', C', K' and (CA)' give the bits of
+    the transposed views: a 10,000-run two-state batch's e, alarms and
+    cost sums equal a step-by-step replay on the views exactly.
+  * The noise covariances are factored once per stream: four batches on
+    one stream call psd_factor three times (P_e, Q, R).
   * A stream's noise is drawn once and shared read-only: two batches on
     one stream share their w and v memory, writing to them raises, and
     the blocks of an earlier stream are freed once another is drawn.  A
@@ -59,7 +65,7 @@ import pytest
 from fdisim import evaluation
 from fdisim.attack import AttackPlan, attack_at
 from fdisim.defense import (DetectorConfig, MitigationStrategy, detect,
-                            g_statistic)
+                            g_statistic, mitigate)
 from fdisim.evaluation import (
     EvaluationError,
     compare_attacks,
@@ -96,8 +102,8 @@ def two_state():
 def _mitigation_noise(model, ss, stream, runs, T):
     """The stream's pre-drawn mitigation block b as a [run, t] view; a
     noisy correction is delta = a + sigma_mit * b."""
-    *_, b = evaluation._noise(stream, runs, T, psd_factor(ss.P_e),
-                              psd_factor(model.Q), psd_factor(model.R), True)
+    *_, b = evaluation._noise(stream, runs, T, ss.P_e, model.Q, model.R,
+                              True)
     return b.swapaxes(0, 1)
 
 
@@ -241,6 +247,7 @@ def test_empirical_cost_adds_runs_in_order(bench):
     batch = rollout_batch(*bench, AttackPlan.ramp([1.0], a_max=20.0),
                           DetectorConfig(5.0), MitigationStrategy.noisy(3.0),
                           T=12, stream=RngStream(13), runs=runs)
+    assert batch.cost_sums.flags.c_contiguous
     report = empirical_cost(batch)
     e = np.ascontiguousarray(batch.e)
     sums = np.cumsum(np.sum(e[:, 1:] ** 2, axis=2), axis=1)
@@ -442,6 +449,27 @@ def test_stream_noise_is_drawn_once_and_shared_read_only(bench):
     assert [ref() for ref in buffers] == [None, None]
 
 
+def test_noise_factors_are_taken_once_per_stream(bench, monkeypatch):
+    calls = []
+
+    def counting(cov):
+        calls.append(cov)
+        return psd_factor(cov)
+
+    monkeypatch.setattr(evaluation, "psd_factor", counting)
+    evaluation._noise_cache.clear()
+    model, ss = bench
+    for plan, strategy in ((AttackPlan.none(), MitigationStrategy.perfect()),
+                           (AttackPlan.none(), MitigationStrategy.noisy(5.0)),
+                           (AttackPlan.constant([4.0]),
+                            MitigationStrategy.perfect()),
+                           (AttackPlan.ramp([1.0]),
+                            MitigationStrategy.noisy(5.0))):
+        rollout_batch(model, ss, plan, DetectorConfig(3.0), strategy, 6,
+                      RngStream(73), runs=5)
+    assert len(calls) == 3  # P_e, Q and R, when the stream is drawn
+
+
 def test_perfect_and_noisy_batches_share_the_leading_blocks(bench):
     model, ss = bench
     plan = AttackPlan.constant([4.0], a_max=20.0)
@@ -518,6 +546,32 @@ def test_cost_sums_are_the_cumsum_and_bool_alarms_count_alike(bench,
             assert batch.i.dtype == bool
             assert np.array_equal(batch.detection_frequency(),
                                   batch.i.astype(np.int64).mean(axis=0))
+
+
+def test_contiguous_operands_keep_the_bits_of_transposed_views(two_state):
+    # the loop multiplies by C-ordered copies of A', C', K' and (CA)'; the
+    # transposed views themselves give the same e, alarms and cost sums
+    model, ss = two_state
+    assert not model.A.T.flags.c_contiguous
+    plan = AttackPlan.ramp([0.4, -0.3], a_max=20.0)
+    detector, strategy = DetectorConfig(3.0), MitigationStrategy.noisy(2.0)
+    T, runs = 6, 10_000
+    batch = rollout_batch(model, ss, plan, detector, strategy, T,
+                          RngStream(79), runs)
+    b = _mitigation_noise(model, ss, RngStream(79), runs, T)
+    CA_T = (model.C @ model.A).T
+    e = batch.e[:, 0].copy()
+    prev = 0.0
+    for t in range(1, T + 1):
+        a = attack_at(plan, t, e, stage_remaining=T - t + 1)
+        r = e.dot(CA_T) + batch.w[:, t].dot(model.C.T) + batch.v[:, t] + a
+        alarms = detect(detector, g_statistic(ss, r))
+        corr = mitigate(strategy, r, a, alarms, b[:, t]).dot(ss.K.T)
+        e = e.dot(model.A.T) + batch.w[:, t] - corr
+        prev = prev + np.sum(e ** 2, axis=1)
+        assert np.array_equal(batch.i[:, t], alarms), t
+        assert np.array_equal(batch.e[:, t], e), t
+        assert np.array_equal(batch.cost_sums[:, t - 1], prev), t
 
 
 def test_batch_memory_is_the_kept_fields(bench):

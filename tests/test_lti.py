@@ -12,7 +12,7 @@ What is proven here:
   * setpoint control contracts |x - x0| geometrically at rate (1 - alpha)
     in the noise-free loop and acts row by row on a batch of estimates;
     a controller refuses alpha outside (0, 1), and rollout_batch refuses
-    a controller over a non-square B.
+    a controller over a non-square or a singular B before its first step.
   * rollout_batch's logged process and measurement noises have the
     model's covariances Q and R.
   * SystemModel rejects non-square A, uncontrollable (A, B), unobservable
@@ -155,6 +155,18 @@ def test_setpoint_control_contracts_enforced():
                       DetectorConfig(1.0), MitigationStrategy.off(), T=2,
                       stream=RngStream(1), runs=2,
                       controller=SetpointController([1.0, 1.0], 0.5))
+
+
+def test_rollout_refuses_a_controller_over_a_singular_B():
+    # (A, B) is controllable, so the model is valid; only u = alpha B^-1
+    # (x0 - x_hat) cannot be formed
+    model = SystemModel(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.0, 0.0], [0.0, 1.0]],
+                        C=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    with pytest.raises(EvaluationError, match="singular"):
+        rollout_batch(model, derive_steady_state(model),
+                      AttackPlan.none(dim=2), DetectorConfig(1.0),
+                      MitigationStrategy.off(), T=2, stream=RngStream(1),
+                      runs=2, controller=SetpointController([1.0, 1.0], 0.5))
 
 
 def test_setpoint_control_acts_row_by_row():
