@@ -1,18 +1,26 @@
-"""Time the rollout commands in one process, with their minor page faults.
+"""Time a `perfbench` workload's commands in one process, with their minor
+page faults.
 
     python3 scripts/rollout_faults.py
     python3 scripts/rollout_faults.py --passes 5 --seed 41
+    python3 scripts/rollout_faults.py --workload solve
 
-Solves both presets into a temporary directory, then runs `--passes`
-in-process passes of evaluate (benchmark preset), fpmd (benchmark preset)
-and voltage (voltage preset), the commands and order of the `perfbench`
-`rollouts` workload. For each command of each pass it prints the wall
-time, the user and system CPU time and the minor page faults, all as
-differences of `getrusage(RUSAGE_SELF)` (and a wall clock) around the
-command, then the pass's totals. A fault count depends on the heap state
-that earlier work left in the process, so compare two checkouts with the
-same arguments. The package is imported from the `src/` next to this
-script.
+Runs `--passes` in-process passes of one workload's commands, in the order
+of the `perfbench` workload of that name, into a temporary directory:
+
+- `rollouts` (default): solves both presets first, then each pass runs
+  evaluate (benchmark preset), fpmd (benchmark preset) and voltage
+  (voltage preset);
+- `solve`: each pass runs solve (benchmark preset), solve (voltage preset)
+  and sweep-action (benchmark preset). The first pass also imports
+  `scipy.special`.
+
+For each command of each pass it prints the wall time, the user and
+system CPU time and the minor page faults, all as differences of
+`getrusage(RUSAGE_SELF)` (and a wall clock) around the command, then the
+pass's totals. A fault count depends on the heap state that earlier work
+left in the process, so compare two checkouts with the same arguments.
+The package is imported from the `src/` next to this script.
 """
 
 from __future__ import annotations
@@ -31,9 +39,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from fdisim.cli import main  # noqa: E402
 
 PRESETS = ("benchmark", "voltage")
-COMMANDS = (("evaluate", "benchmark"), ("fpmd", "benchmark"),
-            ("voltage", "voltage"))
-ROW = "{:>4}  {:<8}  {:>7}  {:>7}  {:>7}  {:>8}"
+# workload: (set-up commands, commands of each pass), as (command, preset)
+WORKLOADS = {
+    "rollouts": ((("solve", "benchmark"), ("solve", "voltage")),
+                 (("evaluate", "benchmark"), ("fpmd", "benchmark"),
+                  ("voltage", "voltage"))),
+    "solve": ((), (("solve", "benchmark"), ("solve", "voltage"),
+                   ("sweep-action", "benchmark"))),
+}
+ROW = "{:>4}  {:<{width}}  {:>7}  {:>7}  {:>7}  {:>8}"
 
 
 def usage() -> tuple[float, float, float, int]:
@@ -52,34 +66,43 @@ def run(command: str, preset: str, seed: int, out: Path) -> None:
         sys.exit(f"fdisim {' '.join(argv)} exited with status {code}")
 
 
-def row(label, command: str, delta) -> str:
+def row(label, command: str, delta, width: int) -> str:
     wall, user, system, faults = delta
     return ROW.format(label, command, f"{wall:.3f}", f"{user:.3f}",
-                      f"{system:.3f}", faults)
+                      f"{system:.3f}", faults, width=width)
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(WORKLOADS),
+                        default="rollouts",
+                        help="commands to time (default rollouts)")
     parser.add_argument("--passes", type=int, default=3,
-                        help="passes of the three commands (default 3)")
+                        help="passes of the workload's commands (default 3)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of every command (default 0)")
     args = parser.parse_args()
     if args.passes < 1:
         parser.error("--passes must be >= 1")
+    setup, commands = WORKLOADS[args.workload]
+    # a command that a pass runs on two presets is labelled with its preset
+    names = [c for c, _ in commands]
+    labels = [c if names.count(c) == 1 else f"{c} {p}" for c, p in commands]
+    width = max(8, *map(len, labels))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for preset in PRESETS:
             (out / preset).mkdir()
-            run("solve", preset, args.seed, out)
+        for command, preset in setup:
+            run(command, preset, args.seed, out)
         print(ROW.format("pass", "command", "wall_s", "user_s", "sys_s",
-                         "minflt"))
+                         "minflt", width=width))
         for k in range(1, args.passes + 1):
             total = [0.0, 0.0, 0.0, 0]
-            for command, preset in COMMANDS:
+            for (command, preset), label in zip(commands, labels):
                 before = usage()
                 run(command, preset, args.seed, out)
                 delta = [b - a for a, b in zip(before, usage())]
                 total = [t + d for t, d in zip(total, delta)]
-                print(row(k, command, delta))
-            print(row(k, "total", total))
+                print(row(k, label, delta, width))
+            print(row(k, "total", total, width))

@@ -230,9 +230,11 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
     W, n = runs, model.n
 
     x_hat0 = np.zeros(n) if x_hat0 is None else np.asarray(x_hat0, float)
-    if x_hat0.shape != (n,):
-        raise EvaluationError(
-            f"x_hat0 must have shape ({n},), got {x_hat0.shape}")
+    x0 = None if controller is None else np.asarray(controller.x0, float)
+    for name, x in (("x_hat0", x_hat0), ("controller x0", x0)):
+        if x is not None and x.shape != (n,):
+            raise EvaluationError(
+                f"{name} must have shape ({n},), got {x.shape}")
 
     e0, w, v, b = _noise(stream, W, T, ss.P_e, model.Q, model.R,
                          strategy.kind == "noisy")
@@ -247,7 +249,6 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
     if controller is not None:
         x_hat = np.zeros((T + 1, W, n))
         x_hat[0] = x_hat0
-        x0 = np.asarray(controller.x0, dtype=float)
 
     # C-ordered copies of the transposed operands, taken once: a product
     # with a transposed view is 3-4x slower for n >= 2, with the same bits

@@ -194,20 +194,18 @@ def detection_prob(model: SystemModel, ss: SteadyState, eta: float, e,
 # ---------------------------------------------------------------------------
 
 
-def _cells_from_cum(cum: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Cell masses from a cumulative evaluated at the N+1 finite edges; the
-    outermost cells absorb everything beyond the edges (they extend to
-    +-inf), so rows lose no mass to truncation."""
+def _cells_from_cum(cum: np.ndarray, total: np.ndarray, out: np.ndarray):
+    """Cell masses into out from a cumulative evaluated at the N+1 finite
+    edges; the outermost cells absorb everything beyond the edges (they
+    extend to +-inf), so rows lose no mass to truncation."""
     n_cells = cum.shape[1] - 1
-    out = np.empty((cum.shape[0], n_cells))
     if n_cells == 1:
         out[:, 0] = total
-        return out
+        return
     out[:, 0] = cum[:, 1]
-    if n_cells > 2:
-        out[:, 1:n_cells - 1] = np.diff(cum[:, 1:n_cells], axis=1)
+    np.subtract(cum[:, 2:n_cells], cum[:, 1:n_cells - 1],
+                out=out[:, 1:n_cells - 1])
     out[:, n_cells - 1] = total - cum[:, n_cells - 1]
-    return out
 
 
 def _scalar_rows(law: _ScalarLaw, grid: Grid, e_arr: np.ndarray,
@@ -234,27 +232,39 @@ def _scalar_rows(law: _ScalarLaw, grid: Grid, e_arr: np.ndarray,
     n_cells = pts.size
     rows = np.empty((n_rows, n_cells))
     interior = np.empty(n_rows)
-    # one kernel block of entries per tile keeps the temporaries small
-    tile = max(1, numerics._BLOCK // edges.size)
+    # One kernel block of entries per tile. Every stage writes into four
+    # buffers taken once (views for a ragged last tile): fresh temporaries,
+    # freed each tile, would fault their pages in again every tile.
+    tile = max(1, min(numerics._BLOCK // edges.size, n_rows))
+    buffers = np.empty((4, tile, edges.size))
     for start in range(0, n_rows, tile):
         sl = slice(start, min(start + tile, n_rows))
-        c1 = (edges[None, :] - y2[sl, None]) / s2
-        c2 = (edges[None, :] - (y2[sl, None] + shift[sl, None])) / s2
-        l1c = l1[sl, None]
-        u1c = u1[sl, None]
-        cum_band = bvn_cdf(u1c, c1, rho) - bvn_cdf(l1c, c1, rho)
-        cum_tail = bvn_cdf(l1c, c2, rho) + ndtr(c2) - bvn_cdf(u1c, c2, rho)
-        chunk = (_cells_from_cum(cum_band, band[sl])
-                 + _cells_from_cum(cum_tail, det[sl]))
+        c1, c2, cum, spare = buffers[:, :sl.stop - start]
+        l1c, u1c = l1[sl, None], u1[sl, None]
+        np.divide(np.subtract(edges, y2[sl, None], out=c1), s2, out=c1)
+        np.divide(np.subtract(edges, y2[sl, None] + shift[sl, None], out=c2),
+                  s2, out=c2)
+        # the no-alarm band into its cells first, so the tails reuse cum
+        np.subtract(bvn_cdf(u1c, c1, rho, out=cum),
+                    bvn_cdf(l1c, c1, rho, out=spare), out=cum)
+        chunk = rows[sl]
+        _cells_from_cum(cum, band[sl], chunk)
+        interior[sl] = cum[:, -1] - cum[:, 0]
+        phi_c2 = c1  # c1 is spent; both c2 calls read Phi(c2) from it
+        phi_c2[...] = ndtr(c2)
+        np.add(bvn_cdf(l1c, c2, rho, out=cum, phi_k=phi_c2), phi_c2, out=cum)
+        cum -= bvn_cdf(u1c, c2, rho, out=spare, phi_k=phi_c2)
+        tail = c2[:, :n_cells]  # c2 is spent too
+        _cells_from_cum(cum, det[sl], tail)
+        interior[sl] += cum[:, -1] - cum[:, 0]
+        chunk += tail
         np.clip(chunk, 0.0, None, out=chunk)
         sums = chunk.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-6):
             worst = float(np.max(np.abs(sums - 1.0)))
             raise NumericsError(f"transition row mass off by {worst:.3e} "
                                 f"before renormalization")
-        rows[sl] = chunk / sums[:, None]
-        interior[sl] = ((cum_band[:, -1] - cum_band[:, 0])
-                        + (cum_tail[:, -1] - cum_tail[:, 0]))
+        chunk /= sums[:, None]
     return rows, det, interior
 
 

@@ -133,7 +133,7 @@ _GL_RULES = {
 
 # Past |h| or |k| = _SAT, bvn_upper returns the one-dimensional limit.
 _SAT = 10.0
-_BLOCK = 32768  # entries per quadrature block; its temporaries fit in cache
+_BLOCK = 32768  # entries per quadrature block, and per row tile in mdp
 
 
 def _gl_rule(rho: float):
@@ -144,9 +144,9 @@ def _gl_rule(rho: float):
 
 
 def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float,
-                      phi_h: np.ndarray | None = None) -> np.ndarray:
+                      phi_h=None, phi_k=None) -> np.ndarray:
     """P(X > h, Y > k) for standard bivariate normal, finite h, k arrays;
-    phi_h, if given, is Phi(-h) for the |rho| < 0.925 branch."""
+    phi_h, phi_k, if given, are Phi(-h), Phi(-k) for |rho| < 0.925."""
     w, x = _gl_rule(rho)
     tp = 2.0 * math.pi
     if abs(rho) < 0.925:
@@ -160,7 +160,8 @@ def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float,
             t /= 1.0 - sn * sn
             acc += np.multiply(wi, np.exp(t, out=t), out=t)
         phi_h = ndtr(-h) if phi_h is None else phi_h
-        return acc * asr / tp + phi_h * ndtr(-k)
+        phi_k = ndtr(-k) if phi_k is None else phi_k
+        return acc * asr / tp + phi_h * phi_k
 
     # |rho| close to 1: Genz's tail expansion around the singular direction.
     if rho < 0.0:
@@ -206,7 +207,7 @@ def _phi_neg(x: np.ndarray, where: np.ndarray, shape) -> np.ndarray:
     return ndtr(-np.broadcast_to(x, shape)[where])
 
 
-def bvn_upper(h, k, rho: float) -> np.ndarray:
+def bvn_upper(h, k, rho: float, out=None, phi_k=None) -> np.ndarray:
     """P(X > h, Y > k) for a standard bivariate normal with correlation rho.
 
     h and k broadcast against each other; entries may be +-inf. rho is a
@@ -218,37 +219,47 @@ def bvn_upper(h, k, rho: float) -> np.ndarray:
     a broadcast h has Phi(-h) taken once per entry (once per row for an
     (R, 1) h), for its limits and for the quadrature alike. The rest runs
     in blocks of _BLOCK. Neither changes a bit of the result or the error
-    above.
+    above, nor do `out`, an array of the broadcast shape that takes the
+    result (h or k itself: all input is read first), and `phi_k`, Phi(-k)
+    broadcastable to it, which stands in for every ndtr on k.
     """
     if not -1.0 <= rho <= 1.0:
         raise NumericsError(f"correlation {rho} outside [-1, 1]")
     h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
-    shape = np.broadcast_shapes(h.shape, k.shape)
-    out = np.zeros(shape)
     live = ~((h >= _SAT) | (k >= _SAT))
+    shape = live.shape
     # Phi(-h) once per entry of a broadcast h, for the k <= -10 limits and
     # the quadrature's Phi(-h)Phi(-k) term; same-shape calls gather first.
-    nh = np.broadcast_to(ndtr(-h), shape) if h.size < out.size else None
-    for x, low in ((k, h <= -_SAT), (h, k <= -_SAT)):
+    nh = np.broadcast_to(ndtr(-h), shape) if h.size < live.size else None
+    nk = None if phi_k is None else np.broadcast_to(phi_k, shape)
+    limits = []
+    for x, nx, low in ((k, nk, h <= -_SAT), (h, nh, k <= -_SAT)):
         where = low & live
-        out[where] = (nh[where] if x is h and nh is not None
-                      else _phi_neg(x, where, shape))
+        limits.append((where, _phi_neg(x, where, shape) if nx is None
+                       else nx[where]))
         live &= ~low
     hb, kb = (np.broadcast_to(x, shape)[live] for x in (h, k))
-    nhb = nh[live] if nh is not None and abs(rho) < 0.925 else None
+    nhb, nkb = (None if nx is None or abs(rho) >= 0.925 else nx[live]
+                for nx in (nh, nk))
     vals = np.empty(hb.shape)
     for s in range(0, vals.size, _BLOCK):
         b = slice(s, s + _BLOCK)
         vals[b] = _bvn_upper_finite(hb[b], kb[b], rho,
-                                    None if nhb is None else nhb[b])
+                                    *(None if n is None else n[b]
+                                      for n in (nhb, nkb)))
+    out = np.empty(shape) if out is None else out
+    out[...] = 0.0
+    for where, limit in limits:
+        out[where] = limit
     out[live] = vals
     np.clip(out, 0.0, 1.0, out=out)
     return out if out.ndim else float(out)
 
 
-def bvn_cdf(h, k, rho: float):
-    """P(X <= h, Y <= k), vectorized; saturates past +-10 like bvn_upper."""
-    return bvn_upper(np.negative(h), np.negative(k), rho)
+def bvn_cdf(h, k, rho: float, out=None, phi_k=None):
+    """P(X <= h, Y <= k), vectorized; saturates past +-10 like bvn_upper.
+    `out` as there, with -k written into it first; `phi_k` is Phi(k)."""
+    return bvn_upper(np.negative(h), np.negative(k, out=out), rho, out, phi_k)
 
 
 def bvn_rect(xl, xu, yl, yu, rho: float):

@@ -388,6 +388,25 @@ def test_rollout_contract_checks(bench, two_state):
                       stream=RngStream(1), runs=5, x_hat0=[5.0])
 
 
+def test_rollout_refuses_a_setpoint_of_another_shape(bench, two_state):
+    # one setpoint for two states would broadcast to both without a word
+    model2, ss2 = two_state
+    good = (DetectorConfig(1.0), MitigationStrategy.off())
+    with pytest.raises(EvaluationError, match=r"controller x0 .* \(2,\)"):
+        rollout_batch(model2, ss2, AttackPlan.none(dim=2), *good, T=3,
+                      stream=RngStream(1), runs=4,
+                      controller=SetpointController([0.5], 0.5))
+    model, ss = bench
+    with pytest.raises(EvaluationError, match=r"controller x0 .* \(1,\)"):
+        rollout_batch(model, ss, AttackPlan.none(), *good, T=3,
+                      stream=RngStream(1), runs=4,
+                      controller=SetpointController([[0.5]], 0.5))
+    batch = rollout_batch(model, ss, AttackPlan.none(), *good, T=3,
+                          stream=RngStream(1), runs=4,
+                          controller=SetpointController([0.5], 0.5))
+    assert batch.x.shape == (4, 4, 1)
+
+
 def test_short_policy_plan_rejected(bench, small_policy):
     model, ss = bench
     plan = AttackPlan.from_policy(small_policy)  # 4 stages

@@ -151,10 +151,9 @@ def test_bvn_saturated_values_against_mpmath(h, k, rho):
     assert abs(bvn_upper(h, k, rho) - ref) <= 8 * math.ulp(ref)
 
 
-@pytest.mark.parametrize("rho", [-1.0, -0.99, -0.53, 0.0, 0.5, 0.99, 1.0])
-def test_bvn_layout_and_block_size_leave_every_bit(monkeypatch, rho):
-    # an (R, 1) x (R, M) pair as the row build passes it, with +-inf, the
-    # cutoff and entries just inside it mixed among live entries
+def _row_build_pair():
+    """An (R, 1) x (R, M) pair as the row build passes it, with +-inf, the
+    cutoff and entries just inside it mixed among live entries."""
     rng = np.random.default_rng(11)
     special = [np.inf, -np.inf, 10.0, -10.0, 10.0 - 1e-6, -(10.0 - 1e-6)]
     h = rng.normal(scale=6.0, size=(24, 1))
@@ -162,6 +161,12 @@ def test_bvn_layout_and_block_size_leave_every_bit(monkeypatch, rho):
     h[:6, 0] = special
     k[::3, :6] = special
     k[1::5, 7:] = -11.0
+    return h, k
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.99, -0.53, 0.0, 0.5, 0.99, 1.0])
+def test_bvn_layout_and_block_size_leave_every_bit(monkeypatch, rho):
+    h, k = _row_build_pair()
     default = bvn_upper(h, k, rho)
     monkeypatch.setattr(numerics, "_BLOCK", 7)
     live = np.sum((np.abs(h) < 10.0) & (np.abs(k) < 10.0), axis=1)
@@ -177,6 +182,49 @@ def test_bvn_layout_and_block_size_leave_every_bit(monkeypatch, rho):
         assert type(value) is float and value == default[i, j]
     assert bvn_upper(np.empty((0, 1)), np.empty((0, 19)), rho).shape == (0, 19)
     assert bvn_upper(h, np.empty((24, 0)), rho).shape == (24, 0)
+
+
+@pytest.mark.parametrize("block", [numerics._BLOCK, 7])
+@pytest.mark.parametrize("rho", [-0.53, 0.1, 0.95])  # the three kernel branches
+def test_bvn_out_and_phi_k_leave_every_bit(monkeypatch, rho, block):
+    monkeypatch.setattr(numerics, "_BLOCK", block)
+    h, k = _row_build_pair()
+    upper, cdf = bvn_upper(h, k, rho), bvn_cdf(h, k, rho)
+    out = np.full(k.shape, np.nan)
+    assert bvn_upper(h, k, rho, out=out) is out
+    assert np.array_equal(out, upper)
+    aliased = k.copy()  # out may be k itself: every input is read first
+    assert np.array_equal(bvn_upper(h, aliased, rho, out=aliased), upper)
+    assert np.array_equal(bvn_upper(h, k, rho, phi_k=ndtr(-k)), upper)
+    kept = k.copy()  # bvn_cdf writes -k into out, never into k
+    assert bvn_cdf(h, k, rho, out=out) is out
+    assert np.array_equal(out, cdf) and np.array_equal(k, kept)
+    out[...] = np.nan
+    bvn_cdf(h, k, rho, out=out, phi_k=ndtr(k))
+    assert np.array_equal(out, cdf)
+    assert np.array_equal(bvn_cdf(h, k, rho, phi_k=ndtr(k)), cdf)
+    for i, j in [(0, 0), (3, 4), (7, 3)]:
+        value = bvn_upper(h[i, 0], k[i, j], rho, phi_k=ndtr(-k[i, j]))
+        assert type(value) is float and value == upper[i, j]
+        value = bvn_cdf(h[i, 0], k[i, j], rho, phi_k=ndtr(k[i, j]))
+        assert type(value) is float and value == cdf[i, j]
+
+
+@pytest.mark.parametrize("rho", [-0.53, 0.1])
+def test_bvn_phi_k_takes_ndtr_off_k(monkeypatch, rho):
+    # with Phi(-k) given, the only ndtr left is the (R, 1) Phi(-h) column,
+    # shared by the k <= -10 limits and the quadrature
+    h, k = _row_build_pair()
+    sizes = []
+
+    def counting_ndtr(x):
+        sizes.append(np.size(x))
+        return ndtr(x)
+
+    expected = bvn_upper(h, k, rho)
+    monkeypatch.setattr(numerics, "ndtr", counting_ndtr)
+    assert np.array_equal(bvn_upper(h, k, rho, phi_k=ndtr(-k)), expected)
+    assert sizes == [h.size]
 
 
 def test_bvn_vectorized_matches_scalar():
