@@ -20,7 +20,10 @@ system CPU time and the minor page faults, all as differences of
 `getrusage(RUSAGE_SELF)` (and a wall clock) around the command, then the
 pass's totals. A fault count depends on the heap state that earlier work
 left in the process, so compare two checkouts with the same arguments.
-The package is imported from the `src/` next to this script.
+The package is imported from the `src/` next to this script, with BLAS
+pinned to one thread as `perfbench/run.py` pins it: the script sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before the
+import, so its user times compare with `perfbench`'s `cpu_s`.
 """
 
 from __future__ import annotations
@@ -28,12 +31,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import resource
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+# BLAS reads these when numpy loads, so they must be set before the import
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fdisim.cli import main  # noqa: E402

@@ -223,7 +223,7 @@ def _scalar_rows(law: _ScalarLaw, grid: Grid, e_arr: np.ndarray,
     edges = np.concatenate([[pts[0] - half], pts + half])  # N+1 finite edges
 
     y2 = law.error_mean(e_arr, a_arr)
-    shift = law.K * a_arr
+    tail_mean = y2 + law.K * a_arr  # not A_K e: ulps apart on some rows
     l1, u1 = law.alarm_band(e_arr, a_arr)
     band = ndtr(u1) - ndtr(l1)
     det = 1.0 - band
@@ -234,7 +234,11 @@ def _scalar_rows(law: _ScalarLaw, grid: Grid, e_arr: np.ndarray,
     interior = np.empty(n_rows)
     # One kernel block of entries per tile. Every stage writes into four
     # buffers taken once (views for a ragged last tile): fresh temporaries,
-    # freed each tile, would fault their pages in again every tile.
+    # freed each tile, would fault their pages in again every tile. A tail
+    # row's c2 and Phi(c2) depend on its tail mean alone, which repeats
+    # across the actions of a state, so they are taken once per distinct
+    # mean and gathered into the tile's rows. Equal means give equal c2
+    # bits, +0 and -0 too, since no edge is -0.
     tile = max(1, min(numerics._BLOCK // edges.size, n_rows))
     buffers = np.empty((4, tile, edges.size))
     for start in range(0, n_rows, tile):
@@ -242,8 +246,10 @@ def _scalar_rows(law: _ScalarLaw, grid: Grid, e_arr: np.ndarray,
         c1, c2, cum, spare = buffers[:, :sl.stop - start]
         l1c, u1c = l1[sl, None], u1[sl, None]
         np.divide(np.subtract(edges, y2[sl, None], out=c1), s2, out=c1)
-        np.divide(np.subtract(edges, y2[sl, None] + shift[sl, None], out=c2),
-                  s2, out=c2)
+        means, which = np.unique(tail_mean[sl], return_inverse=True)
+        c2_means = (edges - means[:, None]) / s2
+        # mode="clip" (indices are in range) writes out unbuffered
+        np.take(c2_means, which, axis=0, out=c2, mode="clip")
         # the no-alarm band into its cells first, so the tails reuse cum
         np.subtract(bvn_cdf(u1c, c1, rho, out=cum),
                     bvn_cdf(l1c, c1, rho, out=spare), out=cum)
@@ -251,7 +257,7 @@ def _scalar_rows(law: _ScalarLaw, grid: Grid, e_arr: np.ndarray,
         _cells_from_cum(cum, band[sl], chunk)
         interior[sl] = cum[:, -1] - cum[:, 0]
         phi_c2 = c1  # c1 is spent; both c2 calls read Phi(c2) from it
-        phi_c2[...] = ndtr(c2)
+        np.take(ndtr(c2_means), which, axis=0, out=phi_c2, mode="clip")
         np.add(bvn_cdf(l1c, c2, rho, out=cum, phi_k=phi_c2), phi_c2, out=cum)
         cum -= bvn_cdf(u1c, c2, rho, out=spare, phi_k=phi_c2)
         tail = c2[:, :n_cells]  # c2 is spent too

@@ -27,8 +27,10 @@ What is proven here:
     rows by at most 1e-15 and leaves detection, interior mass and the
     solved policy (actions and values) bit-identical.
   * The exact rows, detection and interior mass are bit-identical whatever
-    the kernel-block size, which also sets the row-tile size, and the
-    benchmark-shaped row build allocates at most 16 MiB beyond its outputs.
+    the kernel-block size, which also sets the row-tile size, and whatever
+    the order of the (e, a) pairs; the tails take Phi(c2) on one row per
+    distinct tail mean; and the benchmark-shaped row build allocates at
+    most 16 MiB beyond its outputs.
   * Whole exact rows and detection on a small lattice agree, within
     Monte-Carlo error, with the independent one-step oracle's draws of e'
     histogrammed into the lattice cells.
@@ -45,7 +47,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from fdisim import numerics
+from fdisim import mdp, numerics
 from fdisim.defense import DefenseError
 from fdisim.lti import ModelError, SystemModel, derive_steady_state
 from fdisim.mdp import (
@@ -372,6 +374,49 @@ def test_row_build_independent_of_chunk_and_block_sizes(bench, monkeypatch):
         assert np.array_equal(ref.rows, small.rows)
         assert np.array_equal(ref.detection, small.detection)
         assert np.array_equal(ref.interior_mass, small.interior_mass)
+
+
+def _coarse_build(model, ss):
+    # the coarse benchmark-shaped build above: 25 states x 21 actions of 25
+    # cells, so 525 rows of 26 edges, one tile at the default _BLOCK
+    grid = build_grid([(-30.0, 30.0)], [2.5])
+    return build_transition_model(model, ss, eta=10.0, grid=grid,
+                                  actions=uniform_actions(20.0, 21))
+
+
+def test_row_build_takes_phi_c2_once_per_distinct_tail_mean(bench,
+                                                            monkeypatch):
+    # the tails' Phi(c2) comes from one c2 row per distinct tail mean
+    # A_K e - K a + K a: 61 of them over the 525 rows
+    model, ss = bench
+    sizes = []
+
+    def counting_ndtr(x):
+        if np.ndim(x) == 2:
+            sizes.append(np.size(x))
+        return ndtr(x)
+
+    monkeypatch.setattr(mdp, "ndtr", counting_ndtr)
+    tm = _coarse_build(model, ss)
+    assert tm.rows.shape == (25, 21, 25)
+    assert sum(sizes) == 61 * 26
+
+
+@pytest.mark.parametrize("block", [numerics._BLOCK, 7])
+def test_row_build_independent_of_row_order(bench, monkeypatch, block):
+    # equal tail means away from each other in a tile, or in two tiles
+    model, ss = bench
+    ref = _coarse_build(model, ss)
+    grid, actions = ref.grid, ref.actions
+    e = np.repeat(grid.points[:, 0], actions.shape[0])
+    a = np.tile(actions[:, 0], grid.n_states)
+    order = np.random.default_rng(7).permutation(e.size)
+    monkeypatch.setattr(numerics, "_BLOCK", block)
+    rows, det, interior = mdp._scalar_rows(mdp._scalar_law(model, ss, 10.0),
+                                           grid, e[order], a[order])
+    assert np.array_equal(rows, ref.rows.reshape(e.size, -1)[order])
+    assert np.array_equal(det, ref.detection.ravel()[order])
+    assert np.array_equal(interior, ref.interior_mass.ravel()[order])
 
 
 def test_row_build_memory_beyond_its_outputs(bench, bench_tm):
