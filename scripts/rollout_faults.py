@@ -5,8 +5,9 @@ page faults.
     python3 scripts/rollout_faults.py --passes 5 --seed 41
     python3 scripts/rollout_faults.py --workload solve
 
-Runs `--passes` in-process passes of one workload's commands, in the order
-of the `perfbench` workload of that name, into a temporary directory:
+Runs `--passes` in-process passes of one workload's commands, into a
+temporary directory. The commands, their presets and their order are read
+from `WORKLOADS` in `perfbench/workload.py`, so they are the benchmark's:
 
 - `rollouts` (default): solves both presets first, then each pass runs
   evaluate (benchmark preset), fpmd (benchmark preset) and voltage
@@ -22,8 +23,9 @@ pass's totals. A fault count depends on the heap state that earlier work
 left in the process, so compare two checkouts with the same arguments.
 The package is imported from the `src/` next to this script, with BLAS
 pinned to one thread as `perfbench/run.py` pins it: the script sets
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before the
-import, so its user times compare with `perfbench`'s `cpu_s`.
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
+either import, so its user times compare with `perfbench`'s `cpu_s`. The
+workload table is imported without writing bytecode into `perfbench/`.
 """
 
 from __future__ import annotations
@@ -38,22 +40,18 @@ import tempfile
 import time
 from pathlib import Path
 
-# BLAS reads these when numpy loads, so they must be set before the import
+# BLAS reads these when numpy loads, so they must be set before the imports
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True
+# workload: (set-up ops, ops of each pass), each op a command on a preset
+from workload import WORKLOADS  # noqa: E402
 
+sys.dont_write_bytecode = False
 from fdisim.cli import main  # noqa: E402
 
-PRESETS = ("benchmark", "voltage")
-# workload: (set-up commands, commands of each pass), as (command, preset)
-WORKLOADS = {
-    "rollouts": ((("solve", "benchmark"), ("solve", "voltage")),
-                 (("evaluate", "benchmark"), ("fpmd", "benchmark"),
-                  ("voltage", "voltage"))),
-    "solve": ((), (("solve", "benchmark"), ("solve", "voltage"),
-                   ("sweep-action", "benchmark"))),
-}
 ROW = "{:>4}  {:<{width}}  {:>7}  {:>7}  {:>7}  {:>8}"
 
 
@@ -63,9 +61,11 @@ def usage() -> tuple[float, float, float, int]:
     return time.perf_counter(), ru.ru_utime, ru.ru_stime, ru.ru_minflt
 
 
-def run(command: str, preset: str, seed: int, out: Path) -> None:
-    argv = [command, "--preset", preset, "--seed", str(seed),
-            "--out", str(out / preset)]
+def run(op, seed: int, out: Path) -> None:
+    argv = [op.command, "--preset", op.preset, "--seed", str(seed),
+            "--out", str(out / op.target)]
+    if op.config:
+        argv += ["--config", str(op.config)]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -92,23 +92,24 @@ if __name__ == "__main__":
     if args.passes < 1:
         parser.error("--passes must be >= 1")
     setup, commands = WORKLOADS[args.workload]
-    # a command that a pass runs on two presets is labelled with its preset
-    names = [c for c, _ in commands]
-    labels = [c if names.count(c) == 1 else f"{c} {p}" for c, p in commands]
+    # a command that a pass runs on two targets is labelled with its target
+    names = [op.command for op in commands]
+    labels = [op.command if names.count(op.command) == 1
+              else f"{op.command} {op.target}" for op in commands]
     width = max(8, *map(len, labels))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        for preset in PRESETS:
-            (out / preset).mkdir()
-        for command, preset in setup:
-            run(command, preset, args.seed, out)
+        for target in {op.target for op in setup + commands}:
+            (out / target).mkdir()
+        for op in setup:
+            run(op, args.seed, out)
         print(ROW.format("pass", "command", "wall_s", "user_s", "sys_s",
                          "minflt", width=width))
         for k in range(1, args.passes + 1):
             total = [0.0, 0.0, 0.0, 0]
-            for (command, preset), label in zip(commands, labels):
+            for op, label in zip(commands, labels):
                 before = usage()
-                run(command, preset, args.seed, out)
+                run(op, args.seed, out)
                 delta = [b - a for a, b in zip(before, usage())]
                 total = [t + d for t, d in zip(total, delta)]
                 print(row(k, label, delta, width))

@@ -112,42 +112,34 @@ def ndtr(x):
     return _special().ndtr(x)
 
 
-# Gauss-Legendre half-rules; the node count trades against how sharply the
-# integrand peaks as |rho| grows (Drezner & Wesolowsky 1989, Genz's hybrid).
-_GL_RULES = {
-    6: (np.array([0.1713244923791705, 0.3607615730481384, 0.4679139345726904]),
-        np.array([0.9324695142031522, 0.6612093864662647, 0.2386191860831970])),
-    12: (np.array([0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
-                   0.2031674267230659, 0.2334925365383547, 0.2491470458134029]),
-         np.array([0.9815606342467191, 0.9041172563704750, 0.7699026741943050,
-                   0.5873179542866171, 0.3678314989981802, 0.1252334085114692])),
-    20: (np.array([0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
-                   0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
-                   0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
-                   0.1527533871307259]),
-         np.array([0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
-                   0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
-                   0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
-                   0.07652652113349733])),
-}
+# Gauss-Legendre rules on [0, 2], mirrored from their half-rules: 12 nodes
+# for |rho| < 0.75, 20 above, as the integrand peaks more sharply with |rho|
+# (Drezner & Wesolowsky 1989, Genz's hybrid).
+_GL12, _GL20 = ((np.concatenate([w, w]), np.concatenate([1.0 - x, 1.0 + x]))
+                for w, x in (
+    (np.array([0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
+               0.2031674267230659, 0.2334925365383547, 0.2491470458134029]),
+     np.array([0.9815606342467191, 0.9041172563704750, 0.7699026741943050,
+               0.5873179542866171, 0.3678314989981802, 0.1252334085114692])),
+    (np.array([0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
+               0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
+               0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
+               0.1527533871307259]),
+     np.array([0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
+               0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
+               0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
+               0.07652652113349733]))))
 
 # Past |h| or |k| = _SAT, bvn_upper returns the one-dimensional limit.
 _SAT = 10.0
 _BLOCK = 32768  # entries per quadrature block, and per row tile in mdp
 
 
-def _gl_rule(rho: float):
-    ar = abs(rho)
-    n = 6 if ar < 0.3 else (12 if ar < 0.75 else 20)
-    w, x = _GL_RULES[n]
-    return np.concatenate([w, w]), np.concatenate([1.0 - x, 1.0 + x])
-
-
 def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float,
-                      phi_h=None, phi_k=None) -> np.ndarray:
+                      phi_h: np.ndarray, phi_k=None) -> np.ndarray:
     """P(X > h, Y > k) for standard bivariate normal, finite h, k arrays;
-    phi_h, phi_k, if given, are Phi(-h), Phi(-k) for |rho| < 0.925."""
-    w, x = _gl_rule(rho)
+    phi_h is Phi(-h) and phi_k, if given, Phi(-k), both for |rho| < 0.925."""
+    w, x = _GL12 if abs(rho) < 0.75 else _GL20
     tp = 2.0 * math.pi
     if abs(rho) < 0.925:
         hk = h * k
@@ -159,7 +151,6 @@ def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float,
             np.subtract(np.multiply(sn, hk, out=t), hs, out=t)
             t /= 1.0 - sn * sn
             acc += np.multiply(wi, np.exp(t, out=t), out=t)
-        phi_h = ndtr(-h) if phi_h is None else phi_h
         phi_k = ndtr(-k) if phi_k is None else phi_k
         return acc * asr / tp + phi_h * phi_k
 
@@ -200,13 +191,6 @@ def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float,
     return np.where(h >= k, 0.0, band) - bvn
 
 
-def _phi_neg(x: np.ndarray, where: np.ndarray, shape) -> np.ndarray:
-    """Phi(-x) at where in x broadcast to shape; ndtr on x if that is less."""
-    if x.size < np.count_nonzero(where):
-        return np.broadcast_to(ndtr(-x), shape)[where]
-    return ndtr(-np.broadcast_to(x, shape)[where])
-
-
 def bvn_upper(h, k, rho: float, out=None, phi_k=None) -> np.ndarray:
     """P(X > h, Y > k) for a standard bivariate normal with correlation rho.
 
@@ -215,38 +199,39 @@ def bvn_upper(h, k, rho: float, out=None, phi_k=None) -> np.ndarray:
     one-dimensional limit, exactly: 0 if h >= 10 or k >= 10, else Phi(-k)
     if h <= -10, else Phi(-h) if k <= -10. That is within Phi(-10) =
     7.6e-24 absolute of the orthant probability, and exact at +-inf.
-    Saturation is decided, and a limit taken, on h and k before broadcasting;
-    a broadcast h has Phi(-h) taken once per entry (once per row for an
-    (R, 1) h), for its limits and for the quadrature alike. The rest runs
-    in blocks of _BLOCK. Neither changes a bit of the result or the error
-    above, nor do `out`, an array of the broadcast shape that takes the
-    result (h or k itself: all input is read first), and `phi_k`, Phi(-k)
-    broadcastable to it, which stands in for every ndtr on k.
+    Saturation is decided on h and k before broadcasting. Phi(-h) is taken
+    once per entry of h as passed (once per row for an (R, 1) h), for the
+    k <= -10 limits and the quadrature alike; Phi(-k) only on the h <= -10
+    entries and in the quadrature. The rest runs in blocks of _BLOCK, by
+    Gauss-Legendre quadrature (12 nodes below |rho| = 0.75, 20 to 0.925)
+    or Genz's tail expansion. None of this changes a bit of the result or
+    the error above, nor do `out`, an array of the broadcast shape that
+    takes the result (h or k itself: all input is read first), and `phi_k`,
+    Phi(-k) broadcastable to it, which stands in for every ndtr on k.
     """
     if not -1.0 <= rho <= 1.0:
         raise NumericsError(f"correlation {rho} outside [-1, 1]")
     h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
     live = ~((h >= _SAT) | (k >= _SAT))
     shape = live.shape
-    # Phi(-h) once per entry of a broadcast h, for the k <= -10 limits and
-    # the quadrature's Phi(-h)Phi(-k) term; same-shape calls gather first.
-    nh = np.broadcast_to(ndtr(-h), shape) if h.size < live.size else None
+    # Phi(-h) once per entry of h as passed, for the k <= -10 limits and the
+    # quadrature's Phi(-h)Phi(-k) term; Phi(-k), unless given, is taken on
+    # the h <= -10 entries here and on the live ones in the quadrature.
+    nh = np.broadcast_to(ndtr(-h), shape)
     nk = None if phi_k is None else np.broadcast_to(phi_k, shape)
     limits = []
     for x, nx, low in ((k, nk, h <= -_SAT), (h, nh, k <= -_SAT)):
         where = low & live
-        limits.append((where, _phi_neg(x, where, shape) if nx is None
-                       else nx[where]))
+        limits.append((where, ndtr(-np.broadcast_to(x, shape)[where])
+                       if nx is None else nx[where]))
         live &= ~low
-    hb, kb = (np.broadcast_to(x, shape)[live] for x in (h, k))
-    nhb, nkb = (None if nx is None or abs(rho) >= 0.925 else nx[live]
-                for nx in (nh, nk))
+    hb, kb, nhb = (np.broadcast_to(x, shape)[live] for x in (h, k, nh))
+    nkb = None if nk is None else nk[live]
     vals = np.empty(hb.shape)
     for s in range(0, vals.size, _BLOCK):
         b = slice(s, s + _BLOCK)
-        vals[b] = _bvn_upper_finite(hb[b], kb[b], rho,
-                                    *(None if n is None else n[b]
-                                      for n in (nhb, nkb)))
+        vals[b] = _bvn_upper_finite(hb[b], kb[b], rho, nhb[b],
+                                    None if nkb is None else nkb[b])
     out = np.empty(shape) if out is None else out
     out[...] = 0.0
     for where, limit in limits:

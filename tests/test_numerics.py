@@ -14,10 +14,14 @@ What is proven here:
     rho <= -0.925 branch), saturated values match 40-digit mpmath
     integrals to within ndtr's few ulp, and +-inf entries and scalar
     inputs give exact limits and plain floats.
+  * At small |rho| the 12-node Gauss-Legendre rule matches 40-digit mpmath
+    integrals to within 8 ulp on live points away from the deep tails.
   * The kernel's result does not depend on its quadrature block size or on
     the layout of its operands: a broadcast (R, 1) column, the same column
     made contiguous, row-by-row calls and scalar calls agree bit for bit,
-    and size-0 operands give empty results.
+    and size-0 operands give empty results. `out` and `phi_k` change no
+    bit on any of the three branches (12-node, 20-node, Genz), and with
+    `phi_k` given the kernel's only ndtr is one Phi(-h) on h as passed.
   * Rect rejects inverted bounds.
   * solve_dare hits the scalar closed form (1+sqrt(41))/2 to 1e-9, agrees
     with an independent QZ solver in 2-D, and enforces its input contracts.
@@ -137,17 +141,35 @@ def test_bvn_saturation_matches_unsaturated_kernel(monkeypatch, rho):
     assert inside.sum() > 0 and np.array_equal(sat[inside], full[inside])
 
 
-@pytest.mark.parametrize("h,k,rho", [(-0.1, -40.0, -0.99), (-0.1, -40.0, 0.5),
-                                     (3.0, -10.0, -0.53), (-12.0, 1.5, 0.93)])
-def test_bvn_saturated_values_against_mpmath(h, k, rho):
+def _mpmath_upper(h, k, rho):
+    """P(X > h, Y > k) as a 40-digit mpmath integral."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         s = mpmath.sqrt(1 - mpmath.mpf(rho) ** 2)
         # P(X > h, Y > k) = int_h^inf phi(x) P(Y > k | X = x) dx
-        ref = float(mpmath.quad(
+        return float(mpmath.quad(
             lambda x: mpmath.npdf(x) * mpmath.ncdf((rho * x - k) / s),
             [h, 0, 10, mpmath.inf]))
+
+
+@pytest.mark.parametrize("h,k,rho", [(-0.1, -40.0, -0.99), (-0.1, -40.0, 0.5),
+                                     (3.0, -10.0, -0.53), (-12.0, 1.5, 0.93)])
+def test_bvn_saturated_values_against_mpmath(h, k, rho):
+    ref = _mpmath_upper(h, k, rho)
     # the limit is an ndtr value, good to a few ulp (6 at -3, 1 at 0.1)
+    assert abs(bvn_upper(h, k, rho) - ref) <= 8 * math.ulp(ref)
+
+
+# live points at small |rho|, which the 12-node rule serves; a 6-node rule
+# is 41 ulp off at (4, 3, 0.2). Deeper in the tails any rule loses relative
+# digits to exp of a large argument and to the cancellation of
+# Phi(-h)Phi(-k) against the quadrature term: (2.5, 3.5, -0.1) reads 18 ulp
+# and (6, 0.5, 0.05) 25 ulp, about 1e-21 absolute or less.
+@pytest.mark.parametrize("h,k,rho", [
+    (4.0, 3.0, 0.2), (-1.0, 0.5, 0.05), (0.3, -2.0, 0.1), (2.0, 2.5, 0.25),
+    (-3.0, -0.5, -0.1), (1.5, -1.0, -0.2), (-0.7, 1.2, -0.2), (3.0, 1.0, 0.1)])
+def test_bvn_small_rho_quadrature_against_mpmath(h, k, rho):
+    ref = _mpmath_upper(h, k, rho)
     assert abs(bvn_upper(h, k, rho) - ref) <= 8 * math.ulp(ref)
 
 
@@ -185,7 +207,7 @@ def test_bvn_layout_and_block_size_leave_every_bit(monkeypatch, rho):
 
 
 @pytest.mark.parametrize("block", [numerics._BLOCK, 7])
-@pytest.mark.parametrize("rho", [-0.53, 0.1, 0.95])  # the three kernel branches
+@pytest.mark.parametrize("rho", [-0.53, 0.1, 0.8, 0.95])  # the three kernel branches
 def test_bvn_out_and_phi_k_leave_every_bit(monkeypatch, rho, block):
     monkeypatch.setattr(numerics, "_BLOCK", block)
     h, k = _row_build_pair()
@@ -212,8 +234,9 @@ def test_bvn_out_and_phi_k_leave_every_bit(monkeypatch, rho, block):
 
 @pytest.mark.parametrize("rho", [-0.53, 0.1])
 def test_bvn_phi_k_takes_ndtr_off_k(monkeypatch, rho):
-    # with Phi(-k) given, the only ndtr left is the (R, 1) Phi(-h) column,
-    # shared by the k <= -10 limits and the quadrature
+    # with Phi(-k) given, the only ndtr left is Phi(-h) on h as passed, the
+    # (R, 1) column or its full-shape copy, shared by the k <= -10 limits
+    # and the quadrature
     h, k = _row_build_pair()
     sizes = []
 
@@ -223,8 +246,10 @@ def test_bvn_phi_k_takes_ndtr_off_k(monkeypatch, rho):
 
     expected = bvn_upper(h, k, rho)
     monkeypatch.setattr(numerics, "ndtr", counting_ndtr)
-    assert np.array_equal(bvn_upper(h, k, rho, phi_k=ndtr(-k)), expected)
-    assert sizes == [h.size]
+    for hx in (h, np.ascontiguousarray(np.broadcast_to(h, k.shape))):
+        sizes.clear()
+        assert np.array_equal(bvn_upper(hx, k, rho, phi_k=ndtr(-k)), expected)
+        assert sizes == [hx.size]
 
 
 def test_bvn_vectorized_matches_scalar():
