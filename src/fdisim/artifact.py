@@ -77,6 +77,8 @@ def load_policy(path, expected_digest: str | None = None) -> tuple[Policy, str]:
         raise ArtifactError(f"{path}: artifact version "
                             f"{payload.get('version')!r} is not {VERSION}")
     digest = payload.get("digest", "")
+    if not isinstance(digest, str):
+        raise ArtifactError(f"{path}: digest {digest!r} is not a string")
     if expected_digest is not None and digest != expected_digest:
         raise ArtifactError(
             f"{path}: artifact was solved under digest {digest[:12]}... but "

@@ -30,13 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .defense import DetectorConfig
 from .lti import ModelError, SteadyState, SystemModel
-from .numerics import NumericsError, Rect, bvn_cdf, bvn_rect, ndtr
+from .numerics import NumericsError, bvn_cdf, bvn_rect, ndtr
 
 # rows keeping less pre-fold mass than this inside the grid span warn
 _MASS_WARNING = 0.99
+# entries per row tile, so per kernel call: floor(_TILE / (N + 1)) rows of
+# N + 1 edges, at least one
+_TILE = 32768
 
 
 class TruncationWarning(UserWarning):
@@ -100,12 +102,13 @@ def nearest_index(grid: Grid, e) -> np.ndarray:
     return int(idx) if e.ndim == 1 else idx
 
 
-def cell(grid: Grid, index: int) -> Rect:
-    """Interval of one lattice point; the outermost cells reach to infinity."""
-    x, half = grid.points[index, 0], 0.5 * grid.step
-    lower = -np.inf if index == 0 else x - half
-    upper = np.inf if index == grid.n_states - 1 else x + half
-    return Rect(np.array([lower]), np.array([upper]))
+def cell(grid: Grid, index: int) -> tuple[float, float]:
+    """(lower, upper) interval of one lattice point; the outermost cells
+    reach to infinity."""
+    x, half = float(grid.points[index, 0]), 0.5 * grid.step
+    lower = -math.inf if index == 0 else x - half
+    upper = math.inf if index == grid.n_states - 1 else x + half
+    return lower, upper
 
 
 def uniform_actions(a_max: float, count: int) -> np.ndarray:
@@ -120,14 +123,6 @@ def uniform_actions(a_max: float, count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Joint noise statistics
 # ---------------------------------------------------------------------------
-
-
-def _joint_noise_cov(model: SystemModel, ss: SteadyState):
-    """Covariance blocks of (C w + v, W_K w - K v)."""
-    S11 = model.C @ model.Q @ model.C.T + model.R
-    S12 = model.C @ model.Q @ ss.W_K.T - model.R @ ss.K.T
-    S22 = ss.W_K @ model.Q @ ss.W_K.T + ss.K @ model.R @ ss.K.T
-    return S11, S12, S22
 
 
 @dataclass(frozen=True)
@@ -165,12 +160,15 @@ def _scalar_law(model: SystemModel, ss: SteadyState, eta: float) -> _ScalarLaw:
         raise ModelError(f"the decision problem needs a scalar system "
                          f"(n = m = 1), got n = {model.n}, m = {model.m}")
     eta = DetectorConfig(eta).eta
-    S11, S12, S22 = _joint_noise_cov(model, ss)
-    s1 = math.sqrt(S11[0, 0])
-    s2 = math.sqrt(S22[0, 0])
+    # the joint covariance of (C w + v, W_K w - K v) in the module
+    # docstring, each entry in its matrix products' order of operations
+    C, Q, R = model.C[0, 0], model.Q[0, 0], model.R[0, 0]
+    K, W_K = ss.K[0, 0], ss.W_K[0, 0]
+    s1 = math.sqrt(C * Q * C + R)
+    s2 = math.sqrt(W_K * Q * W_K + K * R * K)
     return _ScalarLaw(
-        CA=model.C[0, 0] * model.A[0, 0], K=ss.K[0, 0], A_K=ss.A_K[0, 0],
-        s1=s1, s2=s2, rho=min(1.0, max(-1.0, S12[0, 0] / (s1 * s2))),
+        CA=C * model.A[0, 0], K=K, A_K=ss.A_K[0, 0], s1=s1,
+        s2=s2, rho=min(1.0, max(-1.0, (C * Q * W_K - R * K) / (s1 * s2))),
         theta=math.sqrt(eta * ss.P_r[0, 0]))
 
 
@@ -179,13 +177,10 @@ def _scalar_law(model: SystemModel, ss: SteadyState, eta: float) -> _ScalarLaw:
 # ---------------------------------------------------------------------------
 
 
-def detection_prob(model: SystemModel, ss: SteadyState, eta: float, e,
-                   a) -> float:
+def detection_prob(model: SystemModel, ss: SteadyState, eta: float,
+                   e: float, a: float) -> float:
     """P(alarm | e, a) one step ahead, in closed form."""
-    law = _scalar_law(model, ss, eta)
-    e = np.atleast_1d(np.asarray(e, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    lo, hi = law.alarm_band(e[0], a[0])
+    lo, hi = _scalar_law(model, ss, eta).alarm_band(e, a)
     return float(ndtr(lo) + 1.0 - ndtr(hi))
 
 
@@ -232,14 +227,14 @@ def _scalar_rows(law: _ScalarLaw, grid: Grid, e_arr: np.ndarray,
     n_cells = pts.size
     rows = np.empty((n_rows, n_cells))
     interior = np.empty(n_rows)
-    # One kernel block of entries per tile. Every stage writes into four
+    # At most _TILE entries per tile. Every stage writes into four
     # buffers taken once (views for a ragged last tile): fresh temporaries,
     # freed each tile, would fault their pages in again every tile. A tail
     # row's c2 and Phi(c2) depend on its tail mean alone, which repeats
     # across the actions of a state, so they are taken once per distinct
     # mean and gathered into the tile's rows. Equal means give equal c2
     # bits, +0 and -0 too, since no edge is -0.
-    tile = max(1, min(numerics._BLOCK // edges.size, n_rows))
+    tile = max(1, min(_TILE // edges.size, n_rows))
     buffers = np.empty((4, tile, edges.size))
     for start in range(0, n_rows, tile):
         sl = slice(start, min(start + tile, n_rows))
@@ -275,35 +270,26 @@ def _scalar_rows(law: _ScalarLaw, grid: Grid, e_arr: np.ndarray,
 
 
 def cell_transition_prob(model: SystemModel, ss: SteadyState, eta: float,
-                         e, a, delta, target: Rect) -> float:
+                         e: float, a: float, delta: float, target) -> float:
     """P(e' in target | e, a) with mitigation delta applied on alarm, by
-    exact bivariate-rectangle evaluation."""
+    exact bivariate-rectangle evaluation; target is a (lower, upper) pair."""
     law = _scalar_law(model, ss, eta)
-    if target.dim != model.n:
-        raise ModelError(f"target cell has dimension {target.dim}, state has "
-                         f"{model.n}")
-    e = np.atleast_1d(np.asarray(e, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    y2 = law.error_mean(e[0], a[0])
-    l1, u1 = law.alarm_band(e[0], a[0])
-    lo, hi = target.lower[0], target.upper[0]
+    y2 = law.error_mean(e, a)
+    l1, u1 = law.alarm_band(e, a)
+    lo, hi = target
     p_band = bvn_rect(l1, u1, (lo - y2) / law.s2, (hi - y2) / law.s2, law.rho)
     return float(p_band + alarm_cell_mass(model, ss, eta, e, a, delta, target))
 
 
-def alarm_cell_mass(model: SystemModel, ss: SteadyState, eta: float, e, a,
-                    delta, target: Rect) -> float:
+def alarm_cell_mass(model: SystemModel, ss: SteadyState, eta: float,
+                    e: float, a: float, delta: float, target) -> float:
     """Alarm-branch part of cell_transition_prob: the probability that the
     alarm fires and e' lands in the target cell. Summed over a partition of
     the state space this recovers detection_prob."""
     law = _scalar_law(model, ss, eta)
-    e = np.atleast_1d(np.asarray(e, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    y2d = law.error_mean(e[0], a[0]) + law.K * delta[0]
-    l1, u1 = law.alarm_band(e[0], a[0])
-    lo = (target.lower[0] - y2d) / law.s2
-    hi = (target.upper[0] - y2d) / law.s2
+    y2d = law.error_mean(e, a) + law.K * delta
+    l1, u1 = law.alarm_band(e, a)
+    lo, hi = ((x - y2d) / law.s2 for x in target)
     return float(bvn_rect(-np.inf, l1, lo, hi, law.rho)
                  + bvn_rect(u1, np.inf, lo, hi, law.rho))
 

@@ -43,7 +43,7 @@ class RngStream:
 
 
 # ---------------------------------------------------------------------------
-# Covariances and rectangles
+# Covariances
 # ---------------------------------------------------------------------------
 
 
@@ -68,29 +68,6 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(cov)
     vals = np.clip(vals, 0.0, None)
     return vecs * np.sqrt(vals)
-
-
-@dataclass(frozen=True, eq=False)
-class Rect:
-    """Axis-aligned box with possibly infinite faces, lower <= upper."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise NumericsError(f"rect bounds must be equal-length vectors, "
-                                f"got {lower.shape} and {upper.shape}")
-        if np.any(lower > upper):
-            raise NumericsError("rect has lower > upper in some dimension")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +109,6 @@ _GL12, _GL20 = ((np.concatenate([w, w]), np.concatenate([1.0 - x, 1.0 + x]))
 
 # Past |h| or |k| = _SAT, bvn_upper returns the one-dimensional limit.
 _SAT = 10.0
-_BLOCK = 32768  # entries per quadrature block, and per row tile in mdp
 
 
 def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float,
@@ -202,7 +178,8 @@ def bvn_upper(h, k, rho: float, out=None, phi_k=None) -> np.ndarray:
     Saturation is decided on h and k before broadcasting. Phi(-h) is taken
     once per entry of h as passed (once per row for an (R, 1) h), for the
     k <= -10 limits and the quadrature alike; Phi(-k) only on the h <= -10
-    entries and in the quadrature. The rest runs in blocks of _BLOCK, by
+    entries and in the quadrature. The rest runs in one pass, its
+    temporaries as large as the call (the row build passes one tile), by
     Gauss-Legendre quadrature (12 nodes below |rho| = 0.75, 20 to 0.925)
     or Genz's tail expansion. None of this changes a bit of the result or
     the error above, nor do `out`, an array of the broadcast shape that
@@ -226,12 +203,7 @@ def bvn_upper(h, k, rho: float, out=None, phi_k=None) -> np.ndarray:
                        if nx is None else nx[where]))
         live &= ~low
     hb, kb, nhb = (np.broadcast_to(x, shape)[live] for x in (h, k, nh))
-    nkb = None if nk is None else nk[live]
-    vals = np.empty(hb.shape)
-    for s in range(0, vals.size, _BLOCK):
-        b = slice(s, s + _BLOCK)
-        vals[b] = _bvn_upper_finite(hb[b], kb[b], rho, nhb[b],
-                                    None if nkb is None else nkb[b])
+    vals = _bvn_upper_finite(hb, kb, rho, nhb, None if nk is None else nk[live])
     out = np.empty(shape) if out is None else out
     out[...] = 0.0
     for where, limit in limits:

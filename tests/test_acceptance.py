@@ -293,17 +293,16 @@ def test_criterion_6_oracle_equivalence(bench, bench_solution):
     for _ in range(100):
         e = float(pair_rng.uniform(-20.0, 20.0))
         a = float(pair_rng.uniform(-15.0, 15.0))
-        det = detection_prob(model, ss, 10.0, [e], [a])
+        det = detection_prob(model, ss, 10.0, e, a)
         center = A_K * e if det >= 0.5 else A_K * e - K * a
         target = cell(grid, nearest_index(grid, np.array([center])))
-        exact = cell_transition_prob(model, ss, 10.0, [e], [a], [a], target)
+        exact = cell_transition_prob(model, ss, 10.0, e, a, a, target)
         w = mc_rng.standard_normal(n)
         v = math.sqrt(10.0) * mc_rng.standard_normal(n)
         r = e + a + w + v
         alarm = r * r / P_r > 10.0
         e_next = A_K * e + W_K * w - K * (a - alarm * a) - K * v
-        p_hat = float(np.mean((e_next >= target.lower[0])
-                              & (e_next <= target.upper[0])))
+        p_hat = float(np.mean((e_next >= target[0]) & (e_next <= target[1])))
         se = math.sqrt(exact * (1.0 - exact) / n)
         z = abs(p_hat - exact) / se
         worst = max(worst, z)
@@ -312,10 +311,9 @@ def test_criterion_6_oracle_equivalence(bench, bench_solution):
 
     # (b) alarm-branch mass over the full cell partition = detection prob
     for e, a in ((0.0, 10.0), (3.0, -5.0), (-7.5, 12.0), (1.25, 0.5)):
-        total = sum(alarm_cell_mass(model, ss, 10.0, [e], [a], [a],
-                                    cell(grid, j))
+        total = sum(alarm_cell_mass(model, ss, 10.0, e, a, a, cell(grid, j))
                     for j in range(grid.n_states))
-        det = detection_prob(model, ss, 10.0, [e], [a])
+        det = detection_prob(model, ss, 10.0, e, a)
         if abs(total - det) > 1e-5:
             problems.append(f"alarm mass {total:.8f} vs detection "
                             f"{det:.8f} at (e={e}, a={a})")

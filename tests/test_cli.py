@@ -21,7 +21,8 @@ What is proven here:
     Riccati loop.
   * The digest changes exactly when a policy-determining field changes.
   * Policy artifacts round-trip bit-exactly, refuse wrong magic/version,
-    files that are not JSON or not UTF-8, and digest mismatches.  A NaN
+    files that are not JSON or not UTF-8, digest mismatches, and a digest
+    that is not a string (one error line and exit code 2).  A NaN
     is neither written nor read: a hand-edited artifact with a NaN or
     infinite entry is an ArtifactError, and evaluate exits with code 2 and
     one error line instead of writing NaN costs.  The decision lattice is
@@ -332,7 +333,8 @@ def test_rollout_commands_start_without_scipy(tmp_path, small_cfg):
 @pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
 def test_non_scalar_artifact_is_one_error_line(tmp_path, small_cfg, capsys):
     # the decision lattice is scalar: two [lo, hi] pairs, or actions with
-    # two entries, are refused before any rollout
+    # two entries, are refused before any rollout; so is a digest that is
+    # not a string
     out = tmp_path / "out"
     assert _run(["solve", "--config", small_cfg, "--out", out]) == 0
     path = out / "policy.json"
@@ -342,7 +344,9 @@ def test_non_scalar_artifact_is_one_error_line(tmp_path, small_cfg, capsys):
     two_entry_actions = dict(solved, actions=[[a[0], 0.0]
                                               for a in solved["actions"]])
     for payload, message in ((two_dim_grid, "scalar"),
-                             (two_entry_actions, "rows of one entry")):
+                             (two_entry_actions, "rows of one entry"),
+                             (dict(solved, digest=None), "not a string"),
+                             (dict(solved, digest=5), "not a string")):
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ArtifactError, match=message):
             load_policy(path)

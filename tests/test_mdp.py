@@ -5,7 +5,11 @@ What is proven here:
     that are not step multiples, and nearest_index snaps with ties to the
     lower index. The lattice is scalar: build_grid refuses anything but
     one [lo, hi] pair with one step, nearest_index refuses two-entry
-    errors, and cells are the nearest-neighbor intervals.
+    errors, and cells are the nearest-neighbor intervals as (lower, upper)
+    float pairs.
+  * The scalar law's CA, s1, s2 and rho equal, bit for bit, their route
+    through the joint covariance blocks C Q C' + R, C Q W_K' - R K' and
+    W_K Q W_K' + K R K' on 200 seeded scalar models.
   * detection_prob matches its frozen closed-form value 0.30356... at
     (e=0, a=10, eta=10), is 1 at eta=0 and 0 at eta=inf, is symmetric under
     (e, a) -> (-e, -a), and agrees with direct Monte-Carlo simulation of the
@@ -27,10 +31,10 @@ What is proven here:
     rows by at most 1e-15 and leaves detection, interior mass and the
     solved policy (actions and values) bit-identical.
   * The exact rows, detection and interior mass are bit-identical whatever
-    the kernel-block size, which also sets the row-tile size, and whatever
-    the order of the (e, a) pairs; the tails take Phi(c2) on one row per
-    distinct tail mean; and the benchmark-shaped row build allocates at
-    most 16 MiB beyond its outputs.
+    the row-tile size and whatever the order of the (e, a) pairs; the
+    tails take Phi(c2) on one row per distinct tail mean; and the
+    benchmark-shaped row build allocates at most 16 MiB beyond its
+    outputs.
   * Whole exact rows and detection on a small lattice agree, within
     Monte-Carlo error, with the independent one-step oracle's draws of e'
     histogrammed into the lattice cells.
@@ -66,7 +70,6 @@ from fdisim.mdp import (
     uniform_actions,
     value_iteration,
 )
-from fdisim.numerics import Rect
 
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
 K_GAIN = P_INF / (P_INF + 10.0)
@@ -146,7 +149,8 @@ def test_lattice_is_scalar():
     for index, (lower, upper) in ((0, (-np.inf, -1.5)), (2, (-0.5, 0.5)),
                                   (4, (1.5, np.inf))):
         c = cell(grid, index)
-        assert (c.lower.tolist(), c.upper.tolist()) == ([lower], [upper])
+        assert c == (lower, upper)
+        assert [type(x) for x in c] == [float, float]
     for bounds, step in (([(-1.0, 1.0), (0.0, 2.0)], [1.0, 1.0]),
                          ([(-1.0, 1.0)], [1.0, 1.0]),
                          ((-1.0, 1.0), [1.0]),
@@ -164,13 +168,34 @@ def test_uniform_actions_lattice():
 
 
 # ---------------------------------------------------------------------------
-# Detection probability
+# Scalar law and detection probability
 # ---------------------------------------------------------------------------
+
+
+def test_scalar_law_matches_joint_covariance_blocks():
+    # the oracle is the matrix route through the covariance blocks of
+    # (C w + v, W_K w - K v); the law's float arithmetic must give the same
+    # bits, as every transition row is built from them
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        A = rng.uniform(-1.5, 1.5)
+        C = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
+        Q, R = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        model = SystemModel(A=[[A]], B=[[1.0]], C=[[C]], Q=[[Q]], R=[[R]])
+        ss = derive_steady_state(model)
+        S11 = model.C @ model.Q @ model.C.T + model.R
+        S12 = model.C @ model.Q @ ss.W_K.T - model.R @ ss.K.T
+        S22 = ss.W_K @ model.Q @ ss.W_K.T + ss.K @ model.R @ ss.K.T
+        s1, s2 = math.sqrt(S11[0, 0]), math.sqrt(S22[0, 0])
+        law = mdp._scalar_law(model, ss, 10.0)
+        assert (law.CA, law.s1, law.s2, law.rho) == (
+            model.C[0, 0] * model.A[0, 0], s1, s2,
+            min(1.0, max(-1.0, S12[0, 0] / (s1 * s2)))), (A, C, Q, R)
 
 
 def test_detection_prob_frozen_value(bench):
     model, ss = bench
-    p = detection_prob(model, ss, 10.0, [0.0], [10.0])
+    p = detection_prob(model, ss, 10.0, 0.0, 10.0)
     assert p == pytest.approx(DET_AT_10, abs=1e-12)
     # explicit closed form route
     theta = math.sqrt(10.0 * ss.P_r[0, 0])
@@ -182,10 +207,10 @@ def test_detection_prob_frozen_value(bench):
 
 def test_detection_prob_extremes_and_symmetry(bench):
     model, ss = bench
-    assert detection_prob(model, ss, 0.0, [3.0], [2.0]) == pytest.approx(1.0)
-    assert detection_prob(model, ss, np.inf, [3.0], [2.0]) == 0.0
-    p1 = detection_prob(model, ss, 10.0, [4.0], [-7.0])
-    p2 = detection_prob(model, ss, 10.0, [-4.0], [7.0])
+    assert detection_prob(model, ss, 0.0, 3.0, 2.0) == pytest.approx(1.0)
+    assert detection_prob(model, ss, np.inf, 3.0, 2.0) == 0.0
+    p1 = detection_prob(model, ss, 10.0, 4.0, -7.0)
+    p2 = detection_prob(model, ss, 10.0, -4.0, 7.0)
     assert p1 == pytest.approx(p2, abs=1e-14)
 
 
@@ -195,7 +220,7 @@ def test_detection_prob_against_mc_oracle(bench):
     for i, (e, a) in enumerate([(0.0, 10.0), (5.0, -8.0), (-12.0, 3.0)]):
         alarm, _ = mc_one_step(model, ss, 10.0, e, a, a, n, seed=100 + i)
         p_hat = alarm.mean()
-        p = detection_prob(model, ss, 10.0, [e], [a])
+        p = detection_prob(model, ss, 10.0, e, a)
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(p - p_hat) < 4.0 * se + 1e-4, (e, a, p, p_hat)
 
@@ -203,7 +228,7 @@ def test_detection_prob_against_mc_oracle(bench):
 def test_nonscalar_model_raises_model_error(iso2):
     model, ss = iso2
     grid = build_grid([(-1.0, 1.0)], [1.0])
-    e, a = (0.0, 0.0), (1.0, 0.0)
+    e, a = 0.0, 1.0
     target = cell(grid, 1)
     calls = [
         lambda: detection_prob(model, ss, 5.0, e, a),
@@ -224,10 +249,10 @@ def test_bad_threshold_raises_defense_error(bench, eta):
     grid = build_grid([(-2.0, 2.0)], [1.0])
     target = cell(grid, 2)
     calls = [
-        lambda: detection_prob(model, ss, eta, [0.0], [1.0]),
-        lambda: cell_transition_prob(model, ss, eta, [0.0], [1.0], [1.0],
+        lambda: detection_prob(model, ss, eta, 0.0, 1.0),
+        lambda: cell_transition_prob(model, ss, eta, 0.0, 1.0, 1.0,
                                      target),
-        lambda: alarm_cell_mass(model, ss, eta, [0.0], [1.0], [1.0], target),
+        lambda: alarm_cell_mass(model, ss, eta, 0.0, 1.0, 1.0, target),
         lambda: build_transition_model(model, ss, eta, grid,
                                        uniform_actions(3.0, 3)),
         lambda: immediate_reward_curve(model, ss, eta, grid, [0.0, 1.0]),
@@ -236,7 +261,7 @@ def test_bad_threshold_raises_defense_error(bench, eta):
         with pytest.raises(DefenseError, match="eta must be >= 0"):
             call()
     # an infinite threshold is a detector that never alarms
-    assert detection_prob(model, ss, math.inf, [0.0], [10.0]) == 0.0
+    assert detection_prob(model, ss, math.inf, 0.0, 10.0) == 0.0
     det, _ = immediate_reward_curve(model, ss, math.inf, grid, [0.0, 10.0])
     assert det.tolist() == [0.0, 0.0]
 
@@ -249,15 +274,14 @@ def test_bad_threshold_raises_defense_error(bench, eta):
 def test_cell_transition_prob_against_mc_oracle(bench):
     model, ss = bench
     n = 200_000
-    cells = [Rect([-5.0], [-2.0]), Rect([-1.0], [1.0]), Rect([2.0], [8.0])]
+    cells = [(-5.0, -2.0), (-1.0, 1.0), (2.0, 8.0)]
     for i, (e, a) in enumerate([(0.0, 10.0), (3.0, -6.0), (-8.0, 15.0)]):
         alarm, e_next = mc_one_step(model, ss, 10.0, e, a, a, n, seed=200 + i)
         for target in cells:
-            p = cell_transition_prob(model, ss, 10.0, [e], [a], [a], target)
-            p_hat = np.mean((e_next >= target.lower[0])
-                            & (e_next <= target.upper[0]))
+            p = cell_transition_prob(model, ss, 10.0, e, a, a, target)
+            p_hat = np.mean((e_next >= target[0]) & (e_next <= target[1]))
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
-            assert abs(p - p_hat) < 4.0 * se + 1e-4, (e, a, target.lower, p, p_hat)
+            assert abs(p - p_hat) < 4.0 * se + 1e-4, (e, a, target, p, p_hat)
 
 
 def test_cell_transition_never_detect_reduces_to_univariate(bench):
@@ -266,35 +290,35 @@ def test_cell_transition_never_detect_reduces_to_univariate(bench):
     e, a = 2.0, 6.0
     s2 = math.sqrt(ss.W_K[0, 0] ** 2 + ss.K[0, 0] ** 2 * 10.0)
     mean = ss.A_K[0, 0] * e - ss.K[0, 0] * a
-    target = Rect([-1.0], [2.0])
-    p = cell_transition_prob(model, ss, np.inf, [e], [a], [a], target)
+    target = (-1.0, 2.0)
+    p = cell_transition_prob(model, ss, np.inf, e, a, a, target)
     exact = float(ndtr((2.0 - mean) / s2)
                   - ndtr((-1.0 - mean) / s2))
     assert p == pytest.approx(exact, abs=1e-12)
-    assert cell_transition_prob(model, ss, np.inf, [e], [a], [a],
-                                Rect([-np.inf], [np.inf])) == pytest.approx(1.0)
+    assert cell_transition_prob(model, ss, np.inf, e, a, a,
+                                (-np.inf, np.inf)) == pytest.approx(1.0)
 
 
 def test_alarm_band_decomposition_consistent(bench):
     model, ss = bench
     grid = build_grid([(-10.0, 10.0)], [0.5])
     e, a, delta = 1.5, 8.0, 8.0
-    total_alarm = sum(alarm_cell_mass(model, ss, 10.0, [e], [a], [delta],
+    total_alarm = sum(alarm_cell_mass(model, ss, 10.0, e, a, delta,
                                       cell(grid, j))
                       for j in range(grid.n_states))
-    det = detection_prob(model, ss, 10.0, [e], [a])
+    det = detection_prob(model, ss, 10.0, e, a)
     assert total_alarm == pytest.approx(det, abs=1e-10)
     # band + alarm = full transition probability per cell
     for j in (0, 10, 20, 40):
         target = cell(grid, j)
-        full = cell_transition_prob(model, ss, 10.0, [e], [a], [delta], target)
-        alarm_part = alarm_cell_mass(model, ss, 10.0, [e], [a], [delta], target)
-        band_part = cell_transition_prob(model, ss, np.inf, [e], [a], [delta],
+        full = cell_transition_prob(model, ss, 10.0, e, a, delta, target)
+        alarm_part = alarm_cell_mass(model, ss, 10.0, e, a, delta, target)
+        band_part = cell_transition_prob(model, ss, np.inf, e, a, delta,
                                          target)
         # band under eta=inf is not the eta=10 band; recompute directly
         assert 0.0 <= alarm_part <= full + 1e-12
     partition_total = sum(
-        cell_transition_prob(model, ss, 10.0, [e], [a], [delta], cell(grid, j))
+        cell_transition_prob(model, ss, 10.0, e, a, delta, cell(grid, j))
         for j in range(grid.n_states))
     assert partition_total == pytest.approx(1.0, abs=1e-9)
 
@@ -313,8 +337,8 @@ def test_transition_model_rows_and_detection(bench, bench_tm):
     assert np.min(tm.interior_mass) >= 0.99
     # detection table equals the closed form on a sample of pairs
     for i, k in [(0, 0), (120, 40), (120, 60), (240, 80), (60, 10)]:
-        e = tm.grid.points[i]
-        a = tm.actions[k]
+        e = tm.grid.points[i, 0]
+        a = tm.actions[k, 0]
         assert tm.detection[i, k] == pytest.approx(
             detection_prob(model, ss, 10.0, e, a), abs=1e-10)
 
@@ -334,8 +358,8 @@ def test_transition_model_matches_row_of_cell_transitions(bench, bench_tm):
     model, ss = bench
     tm = bench_tm
     i, k = 130, 55
-    e = tm.grid.points[i]
-    a = tm.actions[k]
+    e = tm.grid.points[i, 0]
+    a = tm.actions[k, 0]
     for j in (0, 60, 120, 180, 240):
         direct = cell_transition_prob(model, ss, 10.0, e, a, a,
                                       cell(tm.grid, j))
@@ -359,16 +383,16 @@ def test_kernel_saturation_leaves_rows_and_policy(bench, bench_tm,
 
 def test_row_build_independent_of_chunk_and_block_sizes(bench, monkeypatch):
     # benchmark law on a coarse benchmark-shaped grid: 525 rows of 25 cells,
-    # 26 edges. _BLOCK sets the row tiles too: 127 gives 4-row tiles with a
-    # ragged last one (525 = 131 * 4 + 1); 7 is less than one row, so every
-    # tile is 1 row.
+    # 26 edges. A _TILE of 127 entries gives 4-row tiles with a ragged last
+    # one (525 = 131 * 4 + 1); 7 is less than one row, so every tile is 1
+    # row.
     model, ss = bench
     grid = build_grid([(-30.0, 30.0)], [2.5])
     actions = uniform_actions(20.0, 21)
     ref = build_transition_model(model, ss, eta=10.0, grid=grid,
                                  actions=actions)
-    for block in (127, 7):
-        monkeypatch.setattr(numerics, "_BLOCK", block)
+    for tile in (127, 7):
+        monkeypatch.setattr(mdp, "_TILE", tile)
         small = build_transition_model(model, ss, eta=10.0, grid=grid,
                                        actions=actions)
         assert np.array_equal(ref.rows, small.rows)
@@ -378,7 +402,7 @@ def test_row_build_independent_of_chunk_and_block_sizes(bench, monkeypatch):
 
 def _coarse_build(model, ss):
     # the coarse benchmark-shaped build above: 25 states x 21 actions of 25
-    # cells, so 525 rows of 26 edges, one tile at the default _BLOCK
+    # cells, so 525 rows of 26 edges, one tile at the default _TILE
     grid = build_grid([(-30.0, 30.0)], [2.5])
     return build_transition_model(model, ss, eta=10.0, grid=grid,
                                   actions=uniform_actions(20.0, 21))
@@ -402,8 +426,8 @@ def test_row_build_takes_phi_c2_once_per_distinct_tail_mean(bench,
     assert sum(sizes) == 61 * 26
 
 
-@pytest.mark.parametrize("block", [numerics._BLOCK, 7])
-def test_row_build_independent_of_row_order(bench, monkeypatch, block):
+@pytest.mark.parametrize("tile", [mdp._TILE, 7])
+def test_row_build_independent_of_row_order(bench, monkeypatch, tile):
     # equal tail means away from each other in a tile, or in two tiles
     model, ss = bench
     ref = _coarse_build(model, ss)
@@ -411,7 +435,7 @@ def test_row_build_independent_of_row_order(bench, monkeypatch, block):
     e = np.repeat(grid.points[:, 0], actions.shape[0])
     a = np.tile(actions[:, 0], grid.n_states)
     order = np.random.default_rng(7).permutation(e.size)
-    monkeypatch.setattr(numerics, "_BLOCK", block)
+    monkeypatch.setattr(mdp, "_TILE", tile)
     rows, det, interior = mdp._scalar_rows(mdp._scalar_law(model, ss, 10.0),
                                            grid, e[order], a[order])
     assert np.array_equal(rows, ref.rows.reshape(e.size, -1)[order])

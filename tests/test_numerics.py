@@ -16,13 +16,12 @@ What is proven here:
     inputs give exact limits and plain floats.
   * At small |rho| the 12-node Gauss-Legendre rule matches 40-digit mpmath
     integrals to within 8 ulp on live points away from the deep tails.
-  * The kernel's result does not depend on its quadrature block size or on
-    the layout of its operands: a broadcast (R, 1) column, the same column
-    made contiguous, row-by-row calls and scalar calls agree bit for bit,
-    and size-0 operands give empty results. `out` and `phi_k` change no
+  * The kernel's result does not depend on the layout of its operands: a
+    broadcast (R, 1) column, the same column made contiguous, row-by-row
+    calls and scalar calls agree bit for bit, and size-0 operands give
+    empty results. `out` and `phi_k` change no
     bit on any of the three branches (12-node, 20-node, Genz), and with
     `phi_k` given the kernel's only ndtr is one Phi(-h) on h as passed.
-  * Rect rejects inverted bounds.
   * solve_dare hits the scalar closed form (1+sqrt(41))/2 to 1e-9, agrees
     with an independent QZ solver in 2-D, and enforces its input contracts.
   * The covariance check is unit-free: scaled by 2^-7, 0.01, 1e-4 or 100,
@@ -45,7 +44,6 @@ from fdisim import numerics
 from fdisim.lti import ModelError, SystemModel
 from fdisim.numerics import (
     NumericsError,
-    Rect,
     RngStream,
     bvn_cdf,
     bvn_rect,
@@ -187,14 +185,10 @@ def _row_build_pair():
 
 
 @pytest.mark.parametrize("rho", [-1.0, -0.99, -0.53, 0.0, 0.5, 0.99, 1.0])
-def test_bvn_layout_and_block_size_leave_every_bit(monkeypatch, rho):
+def test_bvn_layout_leaves_every_bit(rho):
     h, k = _row_build_pair()
     default = bvn_upper(h, k, rho)
-    monkeypatch.setattr(numerics, "_BLOCK", 7)
-    live = np.sum((np.abs(h) < 10.0) & (np.abs(k) < 10.0), axis=1)
-    assert live.sum() > 7 and np.any(live % 7 != 0) and np.any(live > 7)
     h_full = np.ascontiguousarray(np.broadcast_to(h, k.shape))
-    assert np.array_equal(bvn_upper(h, k, rho), default)
     assert np.array_equal(bvn_upper(h_full, k, rho), default)
     assert np.array_equal(
         np.stack([bvn_upper(h[i], k[i], rho) for i in range(h.shape[0])]),
@@ -206,10 +200,8 @@ def test_bvn_layout_and_block_size_leave_every_bit(monkeypatch, rho):
     assert bvn_upper(h, np.empty((24, 0)), rho).shape == (24, 0)
 
 
-@pytest.mark.parametrize("block", [numerics._BLOCK, 7])
 @pytest.mark.parametrize("rho", [-0.53, 0.1, 0.8, 0.95])  # the three kernel branches
-def test_bvn_out_and_phi_k_leave_every_bit(monkeypatch, rho, block):
-    monkeypatch.setattr(numerics, "_BLOCK", block)
+def test_bvn_out_and_phi_k_leave_every_bit(rho):
     h, k = _row_build_pair()
     upper, cdf = bvn_upper(h, k, rho), bvn_cdf(h, k, rho)
     out = np.full(k.shape, np.nan)
@@ -286,11 +278,6 @@ def test_bvn_rect_monotone_in_enlargement(rho, xl, yl, grow):
     base = float(bvn_rect(xl, xu, yl, yu, rho))
     bigger = float(bvn_rect(xl - grow, xu + grow, yl - grow, yu + grow, rho))
     assert bigger >= base - 1e-12
-
-
-def test_rect_rejects_inverted_bounds():
-    with pytest.raises(NumericsError):
-        Rect(np.array([1.0]), np.array([0.0]))
 
 
 def test_solve_dare_scalar_closed_form():
