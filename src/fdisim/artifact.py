@@ -2,8 +2,9 @@
 configuration digest it was solved under.
 
 Layout (all floats finite and serialized with shortest round-trip
-representation, so save/load is exact; NaN and infinities are refused both
-ways):
+representation, so save/load is exact; load_policy refuses a version
+that is not the integer 1, and a bool, string, NaN or infinity among the
+numbers, a gamma outside (0, 1] and an a_max or step <= 0):
 
     magic         "fdisim-policy"
     version       1
@@ -22,10 +23,12 @@ policies produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 
+from .config import check_leaf
 from .mdp import Policy, build_grid
 
 __all__ = ["ArtifactError", "MAGIC", "VERSION", "load_policy", "save_policy"]
@@ -36,6 +39,13 @@ VERSION = 1
 
 class ArtifactError(ValueError):
     """Raised on malformed, mislabeled, or mismatched artifacts."""
+
+
+# (key path, kind, range) of each number leaf, for config.check_leaf
+_LEAVES = (*((key, "matrix", None) for key in ("grid.bounds", "actions",
+                                                "values", "action_table")),
+           ("grid.step", "vector", "(0, inf)"), ("gamma", "real", "(0, 1]"),
+           ("a_max", "real", "(0, inf)"))
 
 
 def save_policy(path, policy: Policy, digest: str) -> None:
@@ -73,9 +83,10 @@ def load_policy(path, expected_digest: str | None = None) -> tuple[Policy, str]:
         raise ArtifactError(f"{path}: not a policy artifact ({exc})") from None
     if not isinstance(payload, dict) or payload.get("magic") != MAGIC:
         raise ArtifactError(f"{path}: missing magic string {MAGIC!r}")
-    if payload.get("version") != VERSION:
-        raise ArtifactError(f"{path}: artifact version "
-                            f"{payload.get('version')!r} is not {VERSION}")
+    version = payload.get("version")
+    if type(version) is not int or version != VERSION:  # nor True, nor 1.0
+        raise ArtifactError(f"{path}: artifact version {version!r} is not "
+                            f"{VERSION}")
     digest = payload.get("digest", "")
     if not isinstance(digest, str):
         raise ArtifactError(f"{path}: digest {digest!r} is not a string")
@@ -85,6 +96,9 @@ def load_policy(path, expected_digest: str | None = None) -> tuple[Policy, str]:
             f"the active configuration has {expected_digest[:12]}...; "
             f"re-solve or fix the configuration")
     try:
+        for leaf, kind, rng in _LEAVES:
+            check_leaf(functools.reduce(dict.__getitem__, leaf.split("."),
+                                        payload), leaf, kind, rng)
         bounds = np.asarray(payload["grid"]["bounds"], dtype=float)
         step = np.asarray(payload["grid"]["step"], dtype=float)
         actions = np.asarray(payload["actions"], dtype=float)
@@ -92,13 +106,8 @@ def load_policy(path, expected_digest: str | None = None) -> tuple[Policy, str]:
         table = np.asarray(payload["action_table"], dtype=float)
         gamma = float(payload["gamma"])
         a_max = float(payload["a_max"])
-        # json reads NaN, Infinity and overflowing literals; a NaN action
-        # would pass clip_to_norm and replay NaN injections
-        if not all(np.isfinite(arr).all() for arr in
-                   (bounds, step, actions, values, table, gamma, a_max)):
-            raise ValueError("non-finite number")
         grid = build_grid(bounds, step)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"{path}: malformed artifact ({exc})") from None
     if actions.ndim != 2 or actions.shape[1] != 1:
         raise ArtifactError(f"{path}: actions must be rows of one entry (the "

@@ -61,8 +61,6 @@ _STREAM_EVALUATE = 2
 _STREAM_FPMD = 3
 _STREAM_VOLTAGE = 4
 
-_PLAN_KINDS = ("policy", "constant", "ramp", "none")
-
 
 def _spec(kind: type) -> str:
     """Format of one CSV value of this type: strings as they are, integers
@@ -74,11 +72,11 @@ def _spec(kind: type) -> str:
     return "%.17g"
 
 
-def _write_csv(path: Path, digest: str, seed: int, columns, rows) -> None:
+def _write_csv(path: Path, cfg: RunConfig, columns, rows) -> None:
     # one format string per row, built once per combination of value types
     formats: dict[tuple, str] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# digest={digest} seed={seed}\n")
+        fh.write(f"# digest={cfg.digest()} seed={cfg.seed}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             row = tuple(row)
@@ -103,6 +101,15 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 def _policy_path(args, cfg: RunConfig, out: Path) -> Path:
     raw = Path(args.policy) if args.policy else Path(cfg.get("paths.policy"))
     return raw if raw.is_absolute() else out / raw
+
+
+def _solved(args, cfg: RunConfig) -> tuple:
+    """Model, steady state, output directory and policy of a rollout."""
+    model = cfg.system_model()
+    ss = derive_steady_state(model)
+    out = _out_dir(args, cfg)
+    policy, _ = load_policy(_policy_path(args, cfg, out), cfg.digest())
+    return model, ss, out, policy
 
 
 def cmd_solve(args) -> int:
@@ -134,45 +141,31 @@ def cmd_sweep_action(args) -> int:
     detection, reward = immediate_reward_curve(model, ss, cfg.eta,
                                                cfg.grid(), magnitudes)
     out = _out_dir(args, cfg)
-    _write_csv(out / "sweep_action.csv", cfg.digest(), cfg.seed,
-               ("a", "detection_prob", "expected_reward"),
-               zip(magnitudes, detection, reward))
+    _write_csv(out / "sweep_action.csv", cfg, ("a", "detection_prob",
+               "expected_reward"), zip(magnitudes, detection, reward))
     print(f"wrote {out / 'sweep_action.csv'} ({magnitudes.size} magnitudes)")
     return 0
 
 
-def _plans_for(cfg: RunConfig, policy) -> dict[str, object]:
-    return {kind: cfg.attack_plan(kind, policy=policy)
-            for kind in _PLAN_KINDS}
-
-
 def cmd_evaluate(args) -> int:
     cfg = _load(args)
-    model = cfg.system_model()
-    ss = derive_steady_state(model)
-    out = _out_dir(args, cfg)
-    policy, _ = load_policy(_policy_path(args, cfg, out), cfg.digest())
-    plans = _plans_for(cfg, policy)
-    reports = compare_attacks(model, ss, list(plans.values()),
-                              cfg.detector(), cfg.mitigation(),
-                              cfg.eval_horizon, cfg.runs,
+    model, ss, out, policy = _solved(args, cfg)
+    plans = cfg.plans(policy)
+    reports = compare_attacks(model, ss, list(plans.values()), cfg.detector(),
+                              cfg.mitigation(), cfg.eval_horizon, cfg.runs,
                               RngStream(cfg.seed, _STREAM_EVALUATE))
     for kind, report in zip(plans, reports):
         path = out / f"cost_{kind}.csv"
         rows = zip(range(1, report.horizon + 1), report.cost_per_t,
                    report.std_err_per_t)
-        _write_csv(path, cfg.digest(), cfg.seed, ("t", "cost", "std_err"),
-                   rows)
+        _write_csv(path, cfg, ("t", "cost", "std_err"), rows)
         print(f"wrote {path} (terminal cost {report.terminal_cost:.4f})")
     return 0
 
 
 def cmd_fpmd(args) -> int:
     cfg = _load(args)
-    model = cfg.system_model()
-    ss = derive_steady_state(model)
-    out = _out_dir(args, cfg)
-    policy, _ = load_policy(_policy_path(args, cfg, out), cfg.digest())
+    model, ss, out, policy = _solved(args, cfg)
     # one fixed attack for every cell: the policy was solved for a single
     # detector, so replaying it closed-loop would let each cell's detector
     # and mitigation noise change the attack being measured
@@ -188,33 +181,24 @@ def cmd_fpmd(args) -> int:
                          cfg.runs, stream)
             rows.append((eta, sigma, fp.value, md.value, fp.std_error,
                          md.std_error))
-    _write_csv(out / "fpmd.csv", cfg.digest(), cfg.seed,
-               ("eta", "sigma_mit", "fp_cost", "md_cost", "fp_std_err",
-                "md_std_err"), rows)
+    _write_csv(out / "fpmd.csv", cfg, ("eta", "sigma_mit", "fp_cost",
+               "md_cost", "fp_std_err", "md_std_err"), rows)
     print(f"wrote {out / 'fpmd.csv'} ({len(rows)} sweep cells)")
     return 0
 
 
 def cmd_voltage(args) -> int:
     cfg = _load(args)
-    if cfg.get("controller") is None:
-        raise ConfigError("the voltage command needs a controller section "
-                          "(start from --preset voltage)")
-    model = cfg.system_model()
-    n = model.n
-    if not (np.array_equal(model.A, np.eye(n))
-            and np.array_equal(model.C, np.eye(n))):
+    controller = cfg.controller()
+    A, C = (np.atleast_2d(cfg.get(f"model.{key}")) for key in "AC")
+    if not (np.array_equal(A, np.eye(len(A))) and np.array_equal(C, A)):
         raise ConfigError("the voltage loop assumes A = I and C = I; fix "
                           "the model section")
-    ss = derive_steady_state(model)
-    out = _out_dir(args, cfg)
-    policy, _ = load_policy(_policy_path(args, cfg, out), cfg.digest())
-    plans = _plans_for(cfg, policy)
+    model, ss, out, policy = _solved(args, cfg)
     stream = RngStream(cfg.seed, _STREAM_VOLTAGE)
     mean_rows, freq_rows = [], []
-    for kind, plan in plans.items():
-        run = voltage_attack_experiment(model, ss, cfg.controller(),
-                                        cfg.x_hat0(), plan, cfg.eta,
+    for kind, plan in cfg.plans(policy).items():
+        run = voltage_attack_experiment(model, ss, controller, plan, cfg.eta,
                                         cfg.mitigation(), cfg.eval_horizon,
                                         cfg.runs, stream)
         for t in range(run.mean_voltage.shape[0]):
@@ -225,19 +209,19 @@ def cmd_voltage(args) -> int:
             freq_rows.append((t, kind, run.detect_frequency[t]))
         print(f"{kind}: terminal |x - x0| = {run.mean_abs_deviation[-1]:.5f}"
               f" +- {run.abs_deviation_std_err[-1]:.5f}")
-    bus = [f"mean_x_{j}" for j in range(1, n + 1)]
-    se = [f"std_err_x_{j}" for j in range(1, n + 1)]
-    _write_csv(out / "voltage_mean.csv", cfg.digest(), cfg.seed,
+    bus = [f"mean_x_{j}" for j in range(1, model.n + 1)]
+    se = [f"std_err_x_{j}" for j in range(1, model.n + 1)]
+    _write_csv(out / "voltage_mean.csv", cfg,
                ("t", "plan", *bus, *se, "abs_deviation", "abs_dev_std_err"),
                mean_rows)
-    _write_csv(out / "detection_frequency.csv", cfg.digest(), cfg.seed,
+    _write_csv(out / "detection_frequency.csv", cfg,
                ("t", "plan", "frequency"), freq_rows)
     # Python floats print the same text as numpy scalars, only faster
     points = policy.grid.points[:, 0].tolist()
     actions = policy.action_table[:, :, 0].tolist()
     table_rows = [(stage, e, a) for stage, row in enumerate(actions, start=1)
                   for e, a in zip(points, row)]
-    _write_csv(out / "policy_table.csv", cfg.digest(), cfg.seed,
+    _write_csv(out / "policy_table.csv", cfg,
                ("stage", "state_1", "action_1"), table_rows)
     print(f"wrote {out / 'voltage_mean.csv'}, "
           f"{out / 'detection_frequency.csv'}, {out / 'policy_table.csv'}")

@@ -13,6 +13,7 @@ evaluation commands refuse artifacts whose digest disagrees.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import hashlib
@@ -28,7 +29,7 @@ import yaml
 
 from .attack import AttackPlan
 from .defense import DetectorConfig, MitigationStrategy
-from .lti import SetpointController, SystemModel
+from .lti import SetpointController, SystemModel, check_setpoint
 from .mdp import Grid, Policy, build_grid, uniform_actions
 
 __all__ = [
@@ -97,7 +98,7 @@ def _number(value, path: str, rng: str | None) -> None:
         _fail(path, rule, value)
 
 
-def _check_leaf(value, path: str, kind: str, rng: str | None) -> None:
+def check_leaf(value, path: str, kind: str, rng: str | None) -> None:
     if kind.endswith("?") and value is None:
         return
     kind = kind.rstrip("?")
@@ -117,8 +118,14 @@ def _check_leaf(value, path: str, kind: str, rng: str | None) -> None:
     elif kind == "matrix" and not isinstance(value, (list, tuple)):
         _number(value, path, rng)
     elif kind == "matrix":  # each entry, then the shape
+        # at once when every entry is a finite int or float (the usual case)
+        with contextlib.suppress(ValueError, OverflowError):
+            leaves = np.asarray(value, dtype=object)
+            if (rng is None and set(map(type, leaves.flat)) <= {int, float}
+                    and np.isfinite(leaves.astype(float)).all()):
+                return
         for i, item in enumerate(value):
-            _check_leaf(item, f"{path}[{i}]", kind, rng)
+            check_leaf(item, f"{path}[{i}]", kind, rng)
         try:
             np.asarray(value, dtype=float)
         except ValueError as exc:
@@ -130,27 +137,11 @@ def _check(data: dict) -> None:
     for path, kind, rng in _SPECS:
         section, key = path.split(".")
         if data[section] is not None:  # only the controller may be null
-            _check_leaf(data[section][key], path, kind, rng)
+            check_leaf(data[section][key], path, kind, rng)
     bounds, step = data["mdp"]["bounds"], data["mdp"]["step"]
     if np.shape(bounds) != (1, 2) or len(step) != 1:
         _fail("mdp.bounds", f"one [lo, hi] pair with a one-entry mdp.step "
               f"(the decision lattice is scalar; mdp.step is {step})", bounds)
-    ctrl = data["controller"]
-    if ctrl is None:
-        return
-    # the setpoint law u = alpha B^-1 (x0 - x_hat) inverts B
-    n = np.atleast_2d(np.asarray(data["model"]["A"], float)).shape[0]
-    B = np.atleast_2d(np.asarray(data["model"]["B"], float))
-    if B.shape != (n, n):
-        raise ConfigError(f"a controller needs a square {n}x{n} model.B, "
-                          f"got {B.shape}")
-    if np.linalg.matrix_rank(B) != n:
-        raise ConfigError("model.B is singular; the setpoint controller "
-                          "cannot invert it")
-    for key in ("x0", "init"):
-        if ctrl[key] is not None and len(ctrl[key]) != n:
-            raise ConfigError(f"controller.{key} must have length {n}, "
-                              f"got {len(ctrl[key])}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +152,10 @@ class RunConfig:
 
     def __post_init__(self):
         _check(self.data)
+        if self.data["controller"] is not None:
+            check_setpoint(np.atleast_2d(self.get("model.A")).shape[0],
+                           np.atleast_2d(self.get("model.B")),
+                           self.controller(), ConfigError)
 
     def get(self, path: str):
         """The value at a dotted path, cast by its kind; sections as stored."""
@@ -175,28 +170,19 @@ class RunConfig:
     def system_model(self) -> SystemModel:
         return SystemModel(**{k: self.get(f"model.{k}") for k in "ABCQR"})
 
-    def controller(self) -> SetpointController | None:
+    def controller(self) -> SetpointController:
         if self.get("controller") is None:
-            return None
-        return SetpointController(x0=self.get("controller.x0"),
-                                  alpha=self.get("controller.alpha"))
-
-    def x_hat0(self) -> np.ndarray | None:
-        if self.get("controller") is None:
-            return None
-        init = self.get("controller.init")
-        return np.asarray(self.get("controller.x0") if init is None else init)
+            raise ConfigError("the voltage command needs a controller "
+                              "section (start from --preset voltage)")
+        return SetpointController(*(self.get(f"controller.{key}")
+                                    for key in ("x0", "alpha", "init")))
 
     def detector(self) -> DetectorConfig:
         return DetectorConfig(eta=self.eta)
 
     def mitigation(self) -> MitigationStrategy:
-        kind = self.get("mitigation.kind")
-        if kind == "perfect":
-            return MitigationStrategy.perfect()
-        if kind == "noisy":
-            return MitigationStrategy.noisy(self.get("mitigation.sigma_mit"))
-        return MitigationStrategy.off()
+        return MitigationStrategy(self.get("mitigation.kind"),
+                                  self.get("mitigation.sigma_mit"))
 
     def grid(self) -> Grid:
         return build_grid(self.get("mdp.bounds"), self.get("mdp.step"))
@@ -205,22 +191,16 @@ class RunConfig:
         return uniform_actions(self.get("attack.a_max"),
                                self.get("mdp.action_count"))
 
-    def attack_plan(self, kind: str,
-                    policy: Policy | None = None) -> AttackPlan:
+    def plans(self, policy: Policy) -> dict[str, AttackPlan]:
+        """The four compared plans, keyed by their CSV names."""
         a_max = self.get("attack.a_max")
-        if kind == "none":
-            return AttackPlan.none(dim=self.system_model().m, a_max=a_max)
-        if kind == "constant":
-            return AttackPlan.constant(self.get("attack.constant_value"),
-                                       a_max=a_max)
-        if kind == "ramp":
-            return AttackPlan.ramp(self.get("attack.ramp_slope"), a_max=a_max)
-        if kind == "policy":
-            if policy is None:
-                raise ConfigError("the policy plan needs a solved policy "
-                                  "artifact")
-            return AttackPlan.from_policy(policy)
-        raise ConfigError(f"unknown attack kind {kind!r}")
+        return {"policy": AttackPlan.from_policy(policy),
+                "constant": AttackPlan.constant(
+                    self.get("attack.constant_value"), a_max=a_max),
+                "ramp": AttackPlan.ramp(self.get("attack.ramp_slope"),
+                                        a_max=a_max),
+                "none": AttackPlan.none(dim=self.system_model().m,
+                                        a_max=a_max)}
 
     eta = property(lambda self: self.get("detector.eta"))
     seed = property(lambda self: self.get("eval.seed"))

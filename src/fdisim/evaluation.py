@@ -50,7 +50,7 @@ import numpy as np
 from .attack import AttackPlan, attack_at
 from .defense import (DetectorConfig, MitigationStrategy, detect, g_statistic,
                       mitigate, oracle_detect)
-from .lti import SetpointController, SteadyState, SystemModel
+from .lti import SetpointController, SteadyState, SystemModel, check_setpoint
 from .numerics import RngStream, psd_factor
 
 __all__ = [
@@ -201,16 +201,15 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
                   detector: DetectorConfig, strategy: MitigationStrategy,
                   T: int, stream: RngStream, runs: int,
                   controller: SetpointController | None = None,
-                  x_hat0: np.ndarray | None = None,
                   oracle: bool = False) -> BatchRollout:
     """Simulate `runs` independent loops of length T on the stream's
     shared pre-drawn noise.
 
-    The loop advances e and the cost sums; with a controller it also
-    advances x_hat from `x_hat0` (zero if None) and fills x and x_hat
-    (None without one).  With `oracle=True` the detector is replaced by
-    the reference oracle (alarm exactly when a[t] != 0), and the test
-    statistic is not computed.
+    The loop advances e and the cost sums; with a controller, which must
+    pass check_setpoint, it also advances x_hat from the controller's
+    init and fills x and x_hat (None without one).  With `oracle=True`
+    the detector is replaced by the reference oracle (alarm exactly when
+    a[t] != 0), and the test statistic is not computed.
     """
     if T < 1:
         raise EvaluationError(f"horizon must be >= 1, got {T}")
@@ -221,20 +220,8 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
             f"plan injects {plan.dim}-vectors but the model has m={model.m}")
     _check_plan_horizon(plan, T)
     if controller is not None:
-        if model.B.shape[0] != model.B.shape[1]:
-            raise EvaluationError(
-                f"setpoint control needs square B, got {model.B.shape}")
-        if np.linalg.matrix_rank(model.B) < model.n:
-            raise EvaluationError("setpoint control needs an invertible B, "
-                                  "got a singular one")
+        check_setpoint(model.n, model.B, controller, EvaluationError)
     W, n = runs, model.n
-
-    x_hat0 = np.zeros(n) if x_hat0 is None else np.asarray(x_hat0, float)
-    x0 = None if controller is None else np.asarray(controller.x0, float)
-    for name, x in (("x_hat0", x_hat0), ("controller x0", x0)):
-        if x is not None and x.shape != (n,):
-            raise EvaluationError(
-                f"{name} must have shape ({n},), got {x.shape}")
 
     e0, w, v, b = _noise(stream, W, T, ss.P_e, model.Q, model.R,
                          strategy.kind == "noisy")
@@ -247,8 +234,8 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
     sums = np.empty((T, W))
     e[0] = e0
     if controller is not None:
-        x_hat = np.zeros((T + 1, W, n))
-        x_hat[0] = x_hat0
+        x0, x_hat = controller.x0, np.zeros((T + 1, W, n))
+        x_hat[0] = controller.init
 
     # C-ordered copies of the transposed operands, taken once: a product
     # with a transposed view is 3-4x slower for n >= 2, with the same bits

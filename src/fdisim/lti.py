@@ -143,25 +143,45 @@ def derive_steady_state(model: SystemModel) -> SteadyState:
 
 @dataclass(frozen=True, eq=False)
 class SetpointController:
-    """u = alpha * B^-1 (x0 - x_hat); requires square invertible B and
-    alpha in (0, 1). Drives the estimate toward x0 when A = I."""
+    """u = alpha * B^-1 (x0 - x_hat), alpha in (0, 1), drives the estimate
+    from init (x0 if None; both float arrays) to x0 when A = I."""
 
     x0: np.ndarray
     alpha: float
+    init: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ModelError(f"alpha must lie in (0, 1), got {self.alpha}")
+        init = self.x0 if self.init is None else self.init
+        for name, value in (("x0", self.x0), ("init", init)):
+            object.__setattr__(self, name, np.asarray(value, dtype=float))
+
+
+def check_setpoint(n: int, B: np.ndarray, controller: SetpointController,
+                   error: type[Exception]) -> None:
+    """Raise `error` unless the setpoint law runs on n states with control
+    matrix B: B square and of full rank, x0 and init of shape (n,)."""
+    if B.shape != (n, n):
+        raise error(f"the setpoint controller needs a square {n}x{n} "
+                    f"model.B, got {B.shape}")
+    if np.linalg.matrix_rank(B) != n:
+        raise error("model.B is singular; the setpoint controller cannot "
+                    "invert it")
+    for name in ("x0", "init"):
+        if getattr(controller, name).shape != (n,):
+            raise error(f"controller.{name} must have shape ({n},), got "
+                        f"{getattr(controller, name).shape}")
 
 
 def setpoint_control(model: SystemModel, controller: SetpointController,
                      x_hat) -> np.ndarray:
     """Control inputs for an (n,) estimate or a (W, n) block of them; B
     must be square and invertible.  This is the public control law and
-    the tests' oracle: rollout_batch checks B once per batch and adds
-    B u = alpha (x0 - x_hat) directly, without solving for u."""
+    the tests' oracle: rollout_batch runs check_setpoint once per batch
+    and adds B u = alpha (x0 - x_hat) directly, without solving for u."""
     x_hat = np.asarray(x_hat, dtype=float)
-    x0 = np.broadcast_to(np.asarray(controller.x0, dtype=float), x_hat.shape)
+    x0 = np.broadcast_to(controller.x0, x_hat.shape)
     return controller.alpha * np.linalg.solve(model.B, (x0 - x_hat).T).T
 
 

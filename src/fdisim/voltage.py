@@ -201,20 +201,18 @@ class VoltageRun:
 
 def voltage_attack_experiment(model: SystemModel, ss: SteadyState,
                               controller: SetpointController,
-                              x_hat0: np.ndarray | None, plan: AttackPlan,
-                              eta: float, strategy: MitigationStrategy,
-                              T: int, runs: int,
+                              plan: AttackPlan, eta: float,
+                              strategy: MitigationStrategy, T: int, runs: int,
                               stream: RngStream) -> VoltageRun:
-    """Roll out the voltage loop under one plan and aggregate the curves;
-    deviations are measured from the controller's setpoint x0."""
+    """Roll out the voltage loop from the controller's init under one plan
+    and aggregate the curves; deviations are measured from its x0."""
     batch = rollout_batch(model, ss, plan, DetectorConfig(eta), strategy, T,
-                          stream, runs, controller=controller, x_hat0=x_hat0)
-    x0 = np.asarray(controller.x0, dtype=float)
+                          stream, runs, controller=controller)
     # reduce over runs on a C-ordered copy so the runs add in order (see
     # BatchRollout), shifted by x0 in place for the deviations
     x = np.ascontiguousarray(batch.x)
     mean_voltage, voltage_std_err = x.mean(axis=0), std_err_over_runs(x)
-    x -= x0
+    x -= controller.x0
     # the norm's own arithmetic, without np.linalg.norm's overhead;
     # einsum is faster but rounds differently from n = 3 up
     dev = np.sqrt((x * x).sum(axis=2))

@@ -10,6 +10,8 @@ What is proven here:
     show); unknown keys are rejected with their path; seed and file
     overrides layer correctly.  Each preset file loads to the same values
     and types as yaml.safe_load gives, whichever parser is in use.
+  * RunConfig.plans maps the four CSV names (policy, constant, ramp,
+    none), in that order, to the configured plans.
   * A controller over a singular model.B, or with an x0 of the wrong
     length, exits with code 2 and an error line instead of a traceback;
     so does a word where a number belongs, a scalar where a list belongs,
@@ -25,7 +27,9 @@ What is proven here:
     that is not a string (one error line and exit code 2).  A NaN
     is neither written nor read: a hand-edited artifact with a NaN or
     infinite entry is an ArtifactError, and evaluate exits with code 2 and
-    one error line instead of writing NaN costs.  The decision lattice is
+    one error line instead of writing NaN costs; so is a bool, a numeric
+    string, a gamma outside (0, 1], a non-positive a_max, and a version
+    of true or 1.0.  The decision lattice is
     scalar: an artifact with two [lo, hi] pairs or two-entry action rows,
     and a config whose mdp.bounds is not one pair with a one-entry
     mdp.step, are one error line with exit code 2.
@@ -35,7 +39,11 @@ What is proven here:
   * sweep-action puts the reward argmax at (benchmark) magnitude 10 with
     detection probability ~0.3, and the detection column is nondecreasing.
   * evaluate writes the four cost curves; a mismatched artifact digest is
-    refused with a nonzero exit code.
+    refused with a nonzero exit code, and so is a sigma_mit set without
+    noisy mitigation (one error line naming it).
+  * voltage refuses a config without a controller section, and a model
+    other than A = I, C = I before it reads any policy; neither writes a
+    CSV.
   * estimate-b prints the gain and writes a loadable config fragment;
     rank-deficient traces exit nonzero.
   * Identical invocations are byte-identical across every emitted file.
@@ -151,21 +159,32 @@ def test_digest_tracks_policy_fields():
     assert changed2.digest() != base.digest()
 
 
-def test_domain_object_accessors():
+def test_domain_object_accessors(tiny_policy):
     cfg = resolve_config("voltage")
     model = cfg.system_model()
     assert model.n == 1 and model.Q[0, 0] == 1e-4
     ctrl = cfg.controller()
     assert ctrl is not None and ctrl.alpha == 0.5
-    assert np.array_equal(cfg.x_hat0(), [1.0])
+    assert np.array_equal(ctrl.init, [1.0])
     assert cfg.detector().eta == 5.0
     assert cfg.mitigation().kind == "perfect"
     assert cfg.grid().n_states == 241
     assert cfg.actions().shape == (81, 1)
-    plan = cfg.attack_plan(kind="constant")
+    plan = cfg.plans(tiny_policy)["constant"]
     assert plan.kind == "constant"
-    with pytest.raises(ConfigError):
-        cfg.attack_plan(kind="policy")  # needs an artifact
+
+
+def test_plans_are_the_four_csv_names_in_order(tiny_policy):
+    # evaluate writes cost_<name>.csv and voltage tags its rows with the
+    # name, in this order
+    cfg = resolve_config("voltage")
+    plans = cfg.plans(tiny_policy)
+    assert list(plans) == ["policy", "constant", "ramp", "none"]
+    assert [plan.kind for plan in plans.values()] == list(plans)
+    assert plans["policy"].policy is tiny_policy
+    assert np.array_equal(plans["constant"].constant_value, [0.1])
+    assert np.array_equal(plans["ramp"].slope, [0.01])
+    assert [plan.a_max for plan in list(plans.values())[1:]] == [0.2] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +265,8 @@ def test_artifact_refuses_non_finite_numbers(tmp_path, tiny_policy):
             edited[key] = "TOKEN"
         bad = tmp_path / f"{key}.json"
         bad.write_text(json.dumps(edited).replace('"TOKEN"', token))
-        with pytest.raises(ArtifactError, match="non-finite"):
+        with pytest.raises(ArtifactError,
+                           match=r"must be a number.*, got -?(nan|inf)\)"):
             load_policy(bad)
     nan_policy = dataclasses.replace(
         tiny_policy, values=np.where(tiny_policy.values == 0.0, np.nan,
@@ -394,10 +414,11 @@ def test_csv_rows_format_like_each_value(tmp_path):
         ("policy", True, 3, np.int64(-7), 0.1, np.float64(-0.0)),
     ]
     path = tmp_path / "mixed.csv"
-    cli._write_csv(path, "d" * 64, 5, list("abcdef"), iter(rows))
+    cfg = resolve_config("benchmark", seed=5)
+    cli._write_csv(path, cfg, list("abcdef"), iter(rows))
     want = "".join(",".join(map(_fmt_value, row)) + "\n" for row in rows)
-    assert path.read_bytes() == (f"# digest={'d' * 64} seed=5\na,b,c,d,e,f\n"
-                                 + want).encode("utf-8")
+    assert path.read_bytes() == (f"# digest={cfg.digest()} seed=5\n"
+                                 f"a,b,c,d,e,f\n{want}").encode("utf-8")
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[2] == "policy,1,3,-7,0.10000000000000001,-0"
     assert lines[3] == "none,0,0,4611686018427387904,1e-300,nan"
@@ -417,8 +438,89 @@ def test_evaluate_refuses_a_nan_policy(tmp_path, small_cfg, capsys):
     assert _run(["evaluate", "--config", small_cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "non-finite" in err
+    assert "action_table[3][12][0] must be a number, got nan" in err
     assert not (out / "cost_policy.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
+@pytest.mark.parametrize("key, change, message", [
+    ("gamma", lambda v: True, "gamma must be a number in (0, 1], got True"),
+    ("gamma", lambda v: 5.0, "gamma must be a number in (0, 1], got 5.0"),
+    ("gamma", lambda v: -1.0, "gamma must be a number in (0, 1], got -1.0"),
+    ("a_max", lambda v: "7", "a_max must be a number > 0, got '7'"),
+    ("a_max", lambda v: -3.0, "a_max must be a number > 0, got -3.0"),
+    ("a_max", lambda v: 10 ** 400, "int too large to convert to float"),
+    ("action_table", lambda t: [[[True] for _ in row] for row in t],
+     "action_table[0][0][0] must be a number, got True"),
+    ("values", lambda t: [[str(x) for x in row] for row in t],
+     "values[0][0] must be a number, got '0.0'"),
+    ("grid", lambda g: dict(g, step=["1"]),
+     "grid.step[0] must be a number > 0, got '1'"),
+    ("version", lambda v: True, "artifact version True is not 1"),
+    ("version", lambda v: 1.0, "artifact version 1.0 is not 1"),
+], ids=["gamma-bool", "gamma-5", "gamma-negative", "a_max-string",
+        "a_max-negative", "a_max-past-float", "action_table-bools", "values-strings",
+        "step-string", "version-bool", "version-float"])
+def test_artifact_refuses_mistyped_numbers(tmp_path, small_cfg, capsys, key,
+                                           change, message):
+    # float() and np.asarray(dtype=float) take bools and numeric strings,
+    # and a gamma or a_max out of range would replay a wrong policy plan
+    out = tmp_path / "out"
+    assert _run(["solve", "--config", small_cfg, "--out", out]) == 0
+    path = out / "policy.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload[key] = change(payload[key])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ArtifactError) as refused:
+        load_policy(path)
+    assert message in str(refused.value)
+    capsys.readouterr()
+    assert _run(["evaluate", "--config", small_cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (out / "cost_policy.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
+def test_sigma_mit_needs_noisy_mitigation(tmp_path, small_cfg, capsys):
+    # the digest leaves mitigation out, so the solved artifact still loads
+    out = tmp_path / "out"
+    assert _run(["solve", "--config", small_cfg, "--out", out]) == 0
+    cfg = tmp_path / "perfect.yaml"
+    cfg.write_text(small_cfg.read_text(encoding="utf-8")
+                   + "mitigation: {kind: perfect, sigma_mit: 5.0}\n",
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert _run(["evaluate", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "sigma_mit" in err
+    assert not (out / "cost_policy.csv").exists()
+
+
+def test_voltage_needs_a_controller_section(tmp_path, capsys):
+    assert _run(["voltage", "--preset", "benchmark", "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "controller section" in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_voltage_refuses_a_model_other_than_identity(tmp_path, capsys,
+                                                     monkeypatch):
+    def load_policy(*args):
+        raise AssertionError("the policy artifact was read")
+
+    monkeypatch.setattr(cli, "load_policy", load_policy)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("model: {A: [[0.9]]}\n", encoding="utf-8")
+    assert _run(["voltage", "--preset", "voltage", "--config", cfg,
+                 "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "A = I and C = I" in err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_sweep_action_benchmark_curve(tmp_path):
@@ -490,7 +592,8 @@ def test_estimate_b_command(tmp_path, capsys):
      "        C: [[1.0, 0.0], [0.0, 1.0]], Q: [[1.0, 0.0], [0.0, 1.0]],\n"
      "        R: [[1.0, 0.0], [0.0, 1.0]]}\n"
      "controller: {x0: [0.0, 0.0]}\n", "model.B is singular"),
-    ("controller: {x0: [0.8, 0.9]}\n", "controller.x0 must have length 1"),
+    ("controller: {x0: [0.8, 0.9]}\n",
+     "controller.x0 must have shape (1,), got (2,)"),
 ])
 def test_bad_controller_is_a_config_error(tmp_path, capsys, body, message):
     cfg = tmp_path / "cfg.yaml"

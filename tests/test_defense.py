@@ -57,11 +57,10 @@ def test_residual_formula(bench):
     # u are rebuilt from the kept e and x_hat.
     model, ss = bench
     plan = AttackPlan.constant([4.0], a_max=20.0)
-    ctrl = SetpointController([0.5], 0.5)
+    ctrl = SetpointController([0.5], 0.5, init=[2.0])
     batch = rollout_batch(model, ss, plan, DetectorConfig(10.0),
                           MitigationStrategy.perfect(), T=5,
-                          stream=RngStream(9), runs=3, controller=ctrl,
-                          x_hat0=[2.0])
+                          stream=RngStream(9), runs=3, controller=ctrl)
     for t in range(1, 6):
         a = attack_at(plan, t, batch.e[:, t - 1])
         u = setpoint_control(model, ctrl, batch.x_hat[:, t - 1])

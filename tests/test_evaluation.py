@@ -25,7 +25,8 @@ What is proven here:
     md_cost is exactly zero at eta=0 under an always-injecting plan (a
     constant or a policy's nominal sequence) and rejects the no-attack plan.
   * A policy plan shorter than the horizon is rejected; so is a sequence
-    plan.  An initial estimate whose shape is not (n,) is rejected.
+    plan.  A controller whose init is not of shape (n,) is rejected, and
+    one without an init starts the estimate at its setpoint x0.
   * A two-state loop (non-diagonal A and C, correlated Q and R, setpoint
     controller, ramp attack, noisy mitigation) keeps every [run, t] slice
     consistent: the pre-drawn noise blocks in their (run, t) order, the
@@ -158,12 +159,12 @@ def test_trajectory_invariants_and_error_recursion(bench):
 
 def test_two_state_rollout_slices_are_consistent(two_state):
     model, ss = two_state
-    ctrl = SetpointController(x0=[0.5, -0.5], alpha=0.5)
+    ctrl = SetpointController(x0=[0.5, -0.5], alpha=0.5, init=[1.0, 2.0])
     T, runs = 8, 5
     plan = AttackPlan.ramp([0.4, -0.3], a_max=20.0)
     batch = rollout_batch(model, ss, plan, DetectorConfig(3.0),
                           MitigationStrategy.noisy(2.0), T, RngStream(5),
-                          runs, controller=ctrl, x_hat0=[1.0, 2.0])
+                          runs, controller=ctrl)
     assert batch.runs == runs and batch.horizon == T
     assert batch.x.shape == (runs, T + 1, 2) and batch.i.shape == (runs, T + 1)
     assert batch.cost_sums.shape == (runs, T)
@@ -277,7 +278,7 @@ def test_perfect_mitigation_at_eta_zero_cancels_attack(bench):
     # the rounding of (r + a) - a.
     model, ss = bench
     kwargs = dict(T=10, stream=RngStream(23), runs=20,
-                  controller=SetpointController([0.5], 0.5), x_hat0=[2.0])
+                  controller=SetpointController([0.5], 0.5, init=[2.0]))
     attacked = rollout_batch(model, ss,
                              AttackPlan.constant([10.0], a_max=20.0),
                              DetectorConfig(0.0),
@@ -379,25 +380,28 @@ def test_rollout_contract_checks(bench, two_state):
         rollout_batch(model, ss, AttackPlan.none(dim=2), DetectorConfig(1.0),
                       MitigationStrategy.off(), T=5, stream=RngStream(1),
                       runs=5)
-    with pytest.raises(EvaluationError, match="x_hat0"):
+    with pytest.raises(EvaluationError, match="controller.init"):
         rollout_batch(model, ss, *good, T=5, stream=RngStream(1), runs=5,
-                      x_hat0=[1.0, 2.0])
+                      controller=SetpointController([0.5], 0.5,
+                                                    init=[1.0, 2.0]))
     model2, ss2 = two_state
-    with pytest.raises(EvaluationError, match="x_hat0"):
+    with pytest.raises(EvaluationError, match="controller.init"):
         rollout_batch(model2, ss2, AttackPlan.none(dim=2), *good[1:], T=5,
-                      stream=RngStream(1), runs=5, x_hat0=[5.0])
+                      stream=RngStream(1), runs=5,
+                      controller=SetpointController([0.5, 0.5], 0.5,
+                                                    init=[5.0]))
 
 
 def test_rollout_refuses_a_setpoint_of_another_shape(bench, two_state):
     # one setpoint for two states would broadcast to both without a word
     model2, ss2 = two_state
     good = (DetectorConfig(1.0), MitigationStrategy.off())
-    with pytest.raises(EvaluationError, match=r"controller x0 .* \(2,\)"):
+    with pytest.raises(EvaluationError, match=r"controller\.x0 .* \(2,\)"):
         rollout_batch(model2, ss2, AttackPlan.none(dim=2), *good, T=3,
                       stream=RngStream(1), runs=4,
                       controller=SetpointController([0.5], 0.5))
     model, ss = bench
-    with pytest.raises(EvaluationError, match=r"controller x0 .* \(1,\)"):
+    with pytest.raises(EvaluationError, match=r"controller\.x0 .* \(1,\)"):
         rollout_batch(model, ss, AttackPlan.none(), *good, T=3,
                       stream=RngStream(1), runs=4,
                       controller=SetpointController([[0.5]], 0.5))
@@ -424,13 +428,22 @@ def test_short_policy_plan_rejected(bench, small_policy):
     assert batch.horizon == 4
 
 
+def test_controller_without_init_starts_the_estimate_at_x0(bench):
+    model, ss = bench
+    batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(5.0),
+                          MitigationStrategy.perfect(), T=3,
+                          stream=RngStream(78), runs=4,
+                          controller=SetpointController([0.835], 0.5))
+    assert np.array_equal(batch.x_hat[:, 0], np.full((4, 1), 0.835))
+    assert np.array_equal(batch.x[:, 0], batch.x_hat[:, 0] + batch.e[:, 0])
+
+
 def test_controller_batch_matches_scalar_path(bench):
     model, ss = bench
-    ctrl = SetpointController(x0=[0.835], alpha=0.5)
+    ctrl = SetpointController(x0=[0.835], alpha=0.5, init=[1.0])
     batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(5.0),
                           MitigationStrategy.perfect(), T=4,
-                          stream=RngStream(77), runs=6, controller=ctrl,
-                          x_hat0=[1.0])
+                          stream=RngStream(77), runs=6, controller=ctrl)
     # u = alpha B^-1 (x0 - x_hat) at every t = 0..T, the batched control
     # law on the (W, n) block of estimates equal to the scalar formula
     B_inv = np.linalg.inv(model.B)

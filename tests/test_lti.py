@@ -150,7 +150,7 @@ def test_setpoint_control_contracts_enforced():
         with pytest.raises(ModelError, match="alpha"):
             SetpointController([1.0], alpha)
     rect = two_dim_model()  # B is 2x1, not square
-    with pytest.raises(EvaluationError, match="square B"):
+    with pytest.raises(EvaluationError, match="square 2x2 model.B"):
         rollout_batch(rect, derive_steady_state(rect), AttackPlan.none(),
                       DetectorConfig(1.0), MitigationStrategy.off(), T=2,
                       stream=RngStream(1), runs=2,

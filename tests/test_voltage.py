@@ -17,10 +17,10 @@ What is proven here:
     bit-identical error paths, alarms and cost sums; x and x_hat exist
     only with the controller, x = x_hat + e, and the control rebuilt from
     x_hat is nonzero.
-  * Nor does it depend on the units' origin: shifting controller.x0,
-    controller.init (so x_hat0) by 1e6 pu leaves e, the alarms and every
-    cost curve bit-identical under each plan, and moves x and x_hat by
-    the offset to within its rounding.
+  * Nor does it depend on the units' origin: shifting controller.x0 and
+    controller.init (where x_hat starts) by 1e6 pu leaves e, the alarms
+    and every cost curve bit-identical under each plan, and moves x and
+    x_hat by the offset to within its rounding.
   * With no attack the mean voltage settles at the setpoint within two
     standard errors, and a ramp attack's detection frequency grows over
     the horizon.
@@ -60,17 +60,17 @@ from fdisim.voltage import (
 
 @pytest.fixture(scope="module")
 def loop():
-    """The voltage preset's model, steady state, controller and initial
-    estimate (1.0 pu)."""
+    """The voltage preset's model, steady state and controller (initial
+    estimate 1.0 pu)."""
     cfg = resolve_config("voltage")
     model = cfg.system_model()
-    return model, derive_steady_state(model), cfg.controller(), cfg.x_hat0()
+    return model, derive_steady_state(model), cfg.controller()
 
 
 @pytest.fixture(scope="module")
 def voltage_policy(loop):
     """Policy solved on the per-unit error lattice of the voltage preset."""
-    model, ss, _, _ = loop
+    model, ss, _ = loop
     grid = build_grid([(-0.3, 0.3)], [0.0025])
     tm = build_transition_model(model, ss, eta=5.0, grid=grid,
                                 actions=uniform_actions(0.2, 81))
@@ -83,7 +83,7 @@ def voltage_policy(loop):
 
 
 def test_noiseless_convergence_to_setpoint(loop):
-    model, _, controller, _ = loop
+    model, _, controller = loop
     x = np.array([1.0])
     gaps = []
     for _ in range(60):
@@ -210,15 +210,15 @@ def test_short_trace_is_refused_with_its_path(tmp_path):
 
 
 def test_error_process_is_controller_independent(loop):
-    model, ss, controller, x_hat0 = loop
+    model, ss, controller = loop
     plan = AttackPlan.constant([0.1], a_max=0.2)
     kwargs = dict(T=15, runs=64)
     on = rollout_batch(model, ss, plan, DetectorConfig(5.0),
                        MitigationStrategy.perfect(), stream=RngStream(90),
-                       controller=controller, x_hat0=x_hat0, **kwargs)
+                       controller=controller, **kwargs)
     off = rollout_batch(model, ss, plan, DetectorConfig(5.0),
                         MitigationStrategy.perfect(), stream=RngStream(90),
-                        controller=None, x_hat0=x_hat0, **kwargs)
+                        controller=None, **kwargs)
     assert np.array_equal(on.e, off.e)
     assert np.array_equal(on.i, off.i)
     assert np.array_equal(on.cost_sums, off.cost_sums)
@@ -232,15 +232,14 @@ def test_error_process_is_controller_independent(loop):
 def test_curves_add_runs_in_order(loop):
     # numpy sums a contiguous axis pairwise, which from 8 runs up can differ
     # in the last bits from adding the runs one after another
-    model, ss, controller, x_hat0 = loop
+    model, ss, controller = loop
     plan = AttackPlan.ramp([0.01], a_max=0.2)
     strategy = MitigationStrategy.noisy(0.05)
     runs, T = 257, 12
     run = voltage_attack_experiment(*loop, plan, eta=5.0, strategy=strategy,
                                     T=T, runs=runs, stream=RngStream(94))
     batch = rollout_batch(model, ss, plan, DetectorConfig(5.0), strategy, T,
-                          RngStream(94), runs, controller=controller,
-                          x_hat0=x_hat0)
+                          RngStream(94), runs, controller=controller)
     x = np.ascontiguousarray(batch.x)
     dev = np.linalg.norm(x - controller.x0, axis=2)
     expected = {
@@ -261,10 +260,10 @@ def test_setpoint_offset_leaves_error_and_costs_bitwise(loop, voltage_policy,
     config.write_text(f"controller: {{x0: [{0.835 + offset!r}], "
                       f"init: [{1.0 + offset!r}]}}\n", encoding="utf-8")
     cfg = resolve_config("voltage", path=config)
-    model, ss, controller, x_hat0 = loop
-    shifted = (model, ss, cfg.controller(), cfg.x_hat0())
-    assert np.array_equal(shifted[2].x0, np.add(controller.x0, offset))
-    assert np.array_equal(shifted[3], x_hat0 + offset)
+    model, ss, controller = loop
+    shifted = (model, ss, cfg.controller())
+    assert np.array_equal(shifted[2].x0, controller.x0 + offset)
+    assert np.array_equal(shifted[2].init, controller.init + offset)
     # rounding of the shifted x_hat: one ulp of the offset per step, with
     # the control law contracting the sum
     tol = 8 * np.spacing(offset)
@@ -283,8 +282,8 @@ def test_setpoint_offset_leaves_error_and_costs_bitwise(loop, voltage_policy,
                               runs[1].detect_frequency), plan
         base, moved = (rollout_batch(m, s, plan, DetectorConfig(5.0),
                                      strategy, 30, RngStream(95), 500,
-                                     controller=c, x_hat0=x0)
-                       for m, s, c, x0 in (loop, shifted))
+                                     controller=c)
+                       for m, s, c in (loop, shifted))
         assert np.array_equal(base.e, moved.e), plan
         assert np.array_equal(base.i, moved.i), plan
         assert np.array_equal(base.cost_sums, moved.cost_sums), plan
@@ -318,14 +317,14 @@ def test_ramp_detection_frequency_increases(loop):
 
 
 def test_policy_attack_hides_in_the_estimate(loop, voltage_policy):
-    model, ss, controller, x_hat0 = loop
+    model, ss, controller = loop
     plan = AttackPlan.from_policy(voltage_policy)
     run = voltage_attack_experiment(*loop, plan, eta=5.0,
                                     strategy=MitigationStrategy.perfect(),
                                     T=30, runs=2_000, stream=RngStream(93))
     batch = rollout_batch(model, ss, plan, DetectorConfig(5.0),
                           MitigationStrategy.perfect(), 30, RngStream(93),
-                          2_000, controller=controller, x_hat0=x_hat0)
+                          2_000, controller=controller)
     est_dev = np.linalg.norm(batch.x_hat[:, -1] - controller.x0, axis=1)
     assert est_dev.mean() < run.mean_abs_deviation[-1]
     # the attack moved the plant: deviation well above the no-attack level
