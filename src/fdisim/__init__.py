@@ -3,7 +3,7 @@ Kalman-filtered LTI control loop with chi-square detection and reactive
 mitigation.
 
 The package splits into layers: `numerics` (probability kernels, seeded
-streams), `lti` (plant, filter, setpoint law, error recursion), `defense`
+streams), `lti` (plant, filter, setpoint law), `defense`
 (detector and mitigation), `attack` (injection plans), `mdp` (discretized
 decision process and value iteration), `evaluation` (batched Monte-Carlo
 rollouts and cost reports), `voltage` (the voltage-regulation

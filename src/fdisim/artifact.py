@@ -107,7 +107,7 @@ def load_policy(path, expected_digest: str | None = None) -> tuple[Policy, str]:
         gamma = float(payload["gamma"])
         a_max = float(payload["a_max"])
         grid = build_grid(bounds, step)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: malformed artifact ({exc})") from None
     if actions.ndim != 2 or actions.shape[1] != 1:
         raise ArtifactError(f"{path}: actions must be rows of one entry (the "

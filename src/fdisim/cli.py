@@ -16,10 +16,10 @@ Commands (each accepts --config, --preset, --seed, --out, --policy; see
                 -> fpmd.csv: eta,sigma_mit,fp_cost,md_cost,
                              fp_std_err,md_std_err
   voltage       voltage-loop experiment over the four plans
-                -> voltage_mean.csv: t,plan,mean_x_*,std_err_x_*,
+                -> voltage_mean.csv: t,plan,mean_x_1,std_err_x_1,
                                      abs_deviation,abs_dev_std_err
                    detection_frequency.csv: t,plan,frequency
-                   policy_table.csv: stage,state_*,action_*
+                   policy_table.csv: stage,state_1,action_1
   estimate-b    least-squares control-gain fit from a trace CSV
                 (--traces or paths.traces); --out writes estimate_b.yaml
 
@@ -202,18 +202,16 @@ def cmd_voltage(args) -> int:
                                         cfg.mitigation(), cfg.eval_horizon,
                                         cfg.runs, stream)
         for t in range(run.mean_voltage.shape[0]):
-            mean_rows.append((t, kind, *run.mean_voltage[t],
-                              *run.voltage_std_err[t],
+            mean_rows.append((t, kind, run.mean_voltage[t],
+                              run.voltage_std_err[t],
                               run.mean_abs_deviation[t],
                               run.abs_deviation_std_err[t]))
             freq_rows.append((t, kind, run.detect_frequency[t]))
         print(f"{kind}: terminal |x - x0| = {run.mean_abs_deviation[-1]:.5f}"
               f" +- {run.abs_deviation_std_err[-1]:.5f}")
-    bus = [f"mean_x_{j}" for j in range(1, model.n + 1)]
-    se = [f"std_err_x_{j}" for j in range(1, model.n + 1)]
     _write_csv(out / "voltage_mean.csv", cfg,
-               ("t", "plan", *bus, *se, "abs_deviation", "abs_dev_std_err"),
-               mean_rows)
+               ("t", "plan", "mean_x_1", "std_err_x_1", "abs_deviation",
+                "abs_dev_std_err"), mean_rows)
     _write_csv(out / "detection_frequency.csv", cfg,
                ("t", "plan", "frequency"), freq_rows)
     # Python floats print the same text as numpy scalars, only faster

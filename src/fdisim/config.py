@@ -86,15 +86,19 @@ def _fail(path: str, rule: str, value) -> None:
 
 
 def _number(value, path: str, rng: str | None) -> None:
-    """A real (not a bool) inside the interval `rng`, e.g. "(0, 1]"."""
+    """A real (not a bool) inside the interval `rng`, e.g. "(0, 1]"; an
+    integer past float range is refused like NaN, not overflowed later."""
     rng = rng or "(-inf, inf)"
     lo, hi = (float(end) for end in rng[1:-1].split(","))
     rule = ("a number" if lo == -math.inf else
             f"a number {'>=' if rng[0] == '[' else '>'} {lo:g}"
             if hi == math.inf else f"a number in {rng}")
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (lo <= value if rng[0] == "[" else lo < value)
-            and (value <= hi if rng[-1] == "]" else value < hi)):
+    x = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            x = float(value)
+    if not ((lo <= x if rng[0] == "[" else lo < x)
+            and (x <= hi if rng[-1] == "]" else x < hi)):
         _fail(path, rule, value)
 
 
@@ -153,8 +157,7 @@ class RunConfig:
     def __post_init__(self):
         _check(self.data)
         if self.data["controller"] is not None:
-            check_setpoint(np.atleast_2d(self.get("model.A")).shape[0],
-                           np.atleast_2d(self.get("model.B")),
+            check_setpoint(np.atleast_2d(self.get("model.B")),
                            self.controller(), ConfigError)
 
     def get(self, path: str):
@@ -199,8 +202,7 @@ class RunConfig:
                     self.get("attack.constant_value"), a_max=a_max),
                 "ramp": AttackPlan.ramp(self.get("attack.ramp_slope"),
                                         a_max=a_max),
-                "none": AttackPlan.none(dim=self.system_model().m,
-                                        a_max=a_max)}
+                "none": AttackPlan.none(a_max=a_max)}
 
     eta = property(lambda self: self.get("detector.eta"))
     seed = property(lambda self: self.get("eval.seed"))

@@ -1,13 +1,14 @@
 """Residual-based attack detection and reactive mitigation.
 
-The detector computes g = r' P_r^-1 r from the innovation r and alarms when
-g exceeds a threshold eta (strictly; g == eta does not alarm). On alarm the
-mitigation subtracts a correction delta from the attacked measurement before
-it reaches the filter. A perfect correction removes the injection exactly;
-a noisy one adds zero-mean Gaussian error on top; "off" leaves the
-measurement untouched. The oracle detector alarms exactly when an injection
-is present and is the reference point for false-positive and
-missed-detection costing.
+The detector computes g = r P_r^-1 r from the scalar innovation r (the
+rollouts are scalar, see evaluation) and alarms when g exceeds a threshold
+eta (strictly; g == eta does not alarm). On alarm the mitigation subtracts
+a correction delta from the attacked measurement before it reaches the
+filter. A perfect correction removes the injection exactly; a noisy one
+adds zero-mean Gaussian error on top; "off" leaves the measurement
+untouched. The oracle detector alarms exactly when an injection is present
+and is the reference point for false-positive and missed-detection
+costing. Every function here works elementwise on arrays.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ class MitigationStrategy:
 
 
 def g_statistic(ss: SteadyState, r) -> np.ndarray:
-    """Quadratic detection statistic r' P_r^-1 r; vectorized over leading axes."""
+    """Quadratic detection statistic r P_r^-1 r of scalar innovations,
+    elementwise over an array of them."""
     r = np.asarray(r, dtype=float)
-    return np.einsum("...i,ij,...j->...", r, ss.P_r_inv, r)
+    return r * float(ss.P_r_inv[0, 0]) * r
 
 
 def detect(detector: DetectorConfig, g) -> np.ndarray:
@@ -83,27 +85,22 @@ def detect(detector: DetectorConfig, g) -> np.ndarray:
 
 def oracle_detect(a_true) -> np.ndarray:
     """Reference detector: alarms exactly when an injection is present."""
-    a_true = np.asarray(a_true, dtype=float)
-    # any-nonzero rather than norm > 0: the squared norm of a subnormal
-    # injection underflows to zero while the injection is still present
-    return np.any(np.atleast_1d(a_true) != 0.0, axis=-1)
+    return np.asarray(a_true, dtype=float) != 0.0
 
 
-def mitigate(strategy: MitigationStrategy, y_a: np.ndarray, a: np.ndarray,
-             alarm, b: np.ndarray) -> np.ndarray:
-    """Defended signal y_f = y_a - alarm * delta.
+def mitigate(strategy: MitigationStrategy, y_a, a, alarm, b) -> np.ndarray:
+    """Defended signal y_f = y_a - alarm * delta, elementwise.
 
     The correction delta is computed from the true injection a: a itself
     ('perfect'), zero ('off'), or a + sigma_mit * b ('noisy') with b a
-    pre-drawn standard normal block shaped like a. The noise block is an
+    pre-drawn standard normal draw shaped like y_a. The noise block is an
     input, so it is consumed whether or not an alarm fires, which keeps
-    paired experiments aligned on common random numbers. Rows of (W, m)
-    blocks pair with a (W,) alarm vector.
+    paired experiments aligned on common random numbers.
     """
     if strategy.kind == "perfect":
-        delta = np.asarray(a, dtype=float)
+        delta = a
     elif strategy.kind == "noisy":
         delta = a + strategy.sigma_mit * b
     else:
-        delta = np.zeros_like(a, dtype=float)
-    return y_a - np.asarray(alarm)[..., None] * delta
+        delta = 0.0
+    return y_a - alarm * delta

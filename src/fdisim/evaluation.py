@@ -1,10 +1,12 @@
 """Seeded Monte-Carlo rollouts of the detection-mitigation loop.
 
-A rollout starts with the filter at its steady state: e[0] ~ N(0, P_e).
-For t = 1..T the loop advances the estimation error e, which the control
-input does not enter: the attacker injects a[t] computed from e[t-1] (the
-state of the error decision process before the step), the chi-square test
-runs on the innovation r = CA e[t-1] + C w[t] + v[t] + a[t], and
+The rollouts are scalar (n = m = 1), like the decision problem that
+`solve` poses: rollout_batch refuses any other model at entry.  A rollout
+starts with the filter at its steady state: e[0] ~ N(0, P_e).  For
+t = 1..T the loop advances the estimation error e, which the control input
+does not enter: the attacker injects a[t] computed from e[t-1] (the state
+of the error decision process before the step), the chi-square test runs
+on the innovation r = CA e[t-1] + C w[t] + v[t] + a[t], and
 e[t] = A e[t-1] + w[t] - K (r - i[t] delta[t]) takes the mitigation's
 correction on alarms.  e never passes through x - x_hat, so no setpoint
 offset costs it digits.  With a controller the loop also advances the
@@ -19,7 +21,7 @@ which plan, detector or mitigation they use.  That makes cost comparisons
 and the paired false-positive / misdetection differences
 common-random-number estimates rather than differences of independent
 estimates.  The blocks are drawn once per stream (and run count, horizon
-and noise covariances) and shared read-only by every batch on it, so a
+and noise variances) and shared read-only by every batch on it, so a
 batch's w and v cannot be written; the mitigation block is drawn only for
 noisy mitigation, and only the latest stream's blocks are kept.
 
@@ -33,8 +35,8 @@ command replays the policy's nominal sequence (its stage actions at e = 0
 in one sign orientation, see AttackPlan.nominal), so every
 detector/mitigation cell of the sweep faces one fixed attack.
 
-Cost[t] averages the cumulative squared error norm over runs:
-Cost[t] = (1/W) sum_w sum_{tau=1..t} ||e_w[tau]||^2.  The costs and the
+Cost[t] averages the cumulative squared error over runs:
+Cost[t] = (1/W) sum_w sum_{tau=1..t} e_w[tau]^2.  The costs and the
 paired differences read only these per-run sums, which no control input or
 initial estimate enters, so compare_attacks, fp_cost and md_cost run the
 loop without a controller; the voltage experiment is what reads x and x_hat.
@@ -73,25 +75,27 @@ class EvaluationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BatchRollout:
-    """W simulated runs; e, i, w, v, x and x_hat are [run, t] views of
-    step-major (T + 1, W, ...) buffers for t = 0..T, so runs are their
+    """W simulated runs; e, i, w, v and x_hat are (W, T + 1) [run, t]
+    views of step-major (T + 1, W) buffers for t = 0..T, so runs are their
     contiguous axis: reduce over runs on a C-ordered copy where the result
-    must add the runs in order.  cost_sums is C-ordered (W, T), and
-    cost_sums[:, t-1] = sum_{tau=1..t} ||e[:, tau]||^2 added as a cumsum.
+    must add the runs in order.  sums is the step-major (T, W) buffer of
+    the per-run cost sums, sums[t-1] = sum_{tau=1..t} e[:, tau]^2 added
+    step by step; cost_sums is its C-ordered (W, T) copy.
 
     The alarms i (bool) and the arrival-indexed noises (w, v) are zero at
     t = 0: no measurement is processed there, the filter starts at its
-    steady state.  x and x_hat exist only for a rollout with a controller
-    and are None without one; x = x_hat + e.  The injection, statistic and
+    steady state.  x_hat exists only for a rollout with a controller and
+    is None without one; so is the plant x = x_hat + e, which is formed
+    on each access.  The injection, statistic and
     control of step t are not kept: a = attack_at(plan, t, e[:, t-1],
     stage_remaining=T-t+1), g = g_statistic of the innovation
-    e[:, t-1] (CA)' + w[:, t] C' + v[:, t] + a, and u =
-    setpoint_control of x_hat[:, t-1], which the loop does not call: it
-    adds B u = alpha (x0 - x_hat[:, t-1]) directly.
+    CA e[:, t-1] + C w[:, t] + v[:, t] + a, and u = setpoint_control of
+    x_hat[:, t-1], which the loop does not call: it adds
+    B u = alpha (x0 - x_hat[:, t-1]) directly.
 
     w and v are read-only views of the stream's pre-drawn noise, shared
     with every other batch drawn from the same stream, run count and
-    horizon under the same noise covariances; the other arrays belong to
+    horizon under the same noise variances; the other arrays belong to
     this batch.
     """
 
@@ -99,8 +103,7 @@ class BatchRollout:
     i: np.ndarray
     w: np.ndarray
     v: np.ndarray
-    cost_sums: np.ndarray
-    x: np.ndarray | None = None
+    sums: np.ndarray
     x_hat: np.ndarray | None = None
 
     @property
@@ -110,6 +113,17 @@ class BatchRollout:
     @property
     def horizon(self) -> int:
         return self.e.shape[1] - 1
+
+    @property
+    def x(self) -> np.ndarray | None:
+        """The plant x = x_hat + e, or None without a controller."""
+        return None if self.x_hat is None else self.x_hat + self.e
+
+    @property
+    def cost_sums(self) -> np.ndarray:
+        """The per-run cost sums as a C-ordered (W, T) copy, so reductions
+        over runs add them in order."""
+        return np.ascontiguousarray(self.sums.T)
 
     def detection_frequency(self) -> np.ndarray:
         """Fraction of runs alarming at each t (zero at t = 0)."""
@@ -155,14 +169,15 @@ def _check_plan_horizon(plan: AttackPlan, horizon: int) -> None:
 _noise_cache: dict = {}
 
 
-def _step_major(gen: np.random.Generator, W: int, T: int, k: int,
-                L: np.ndarray | None = None) -> np.ndarray:
-    """A (W, T, k) draw, times L' if given, as a read-only (T + 1, W, k)
-    buffer that is zero at t = 0.  The buffer is allocated before the
-    draw's temporaries, so freeing those leaves no hole below it."""
-    buf = np.zeros((T + 1, W, k))
-    block = gen.standard_normal((W, T, k))
-    buf[1:] = (block if L is None else block @ L.T).swapaxes(0, 1)
+def _step_major(gen: np.random.Generator, W: int, T: int,
+                scale: float = 1.0) -> np.ndarray:
+    """A (W, T) draw times `scale` as a read-only (T + 1, W) buffer that is
+    zero at t = 0.  The buffer is allocated before the draw, so freeing
+    the draw leaves no hole below it."""
+    buf = np.zeros((T + 1, W))
+    block = gen.standard_normal((W, T))
+    block *= scale
+    buf[1:] = block.T
     buf.flags.writeable = False
     return buf
 
@@ -170,29 +185,30 @@ def _step_major(gen: np.random.Generator, W: int, T: int, k: int,
 def _noise(stream: RngStream, W: int, T: int, P_e: np.ndarray,
            Q: np.ndarray, R: np.ndarray, noisy: bool) -> tuple:
     """(e0, w, v, b) of a batch: the stream's blocks drawn in a fixed order
-    (e0 block, process block, measurement block, mitigation block) with
-    (W, T, .) draw shapes, so streams stay aligned across compared systems.
+    (e0 block, process block, measurement block, mitigation block), each
+    scaled by its standard deviation, so streams stay aligned across
+    compared systems.
 
-    The blocks are drawn once, with the covariances' psd_factor taken only
+    The blocks are drawn once, with the variances' psd_factor taken only
     then, and shared read-only by every later batch with the same key
-    (stream, W, T and the covariances P_e, Q, R); the entry is cleared
-    before another key is drawn.  b is None unless `noisy`.  Being the last
+    (stream, W, T and the 1x1 P_e, Q, R); the entry is cleared before
+    another key is drawn.  b is None unless `noisy`.  Being the last
     block, it is drawn from the kept generator when a noisy batch first
     asks, so e0, w and v do not depend on the strategy.
     """
-    key = (stream, W, T) + tuple((M.shape, M.tobytes()) for M in (P_e, Q, R))
+    key = (stream, W, T, *(float(M[0, 0]) for M in (P_e, Q, R)))
     if key not in _noise_cache:
         _noise_cache.clear()
         gen = stream.generator()
-        L_e, L_q, L_r = map(psd_factor, (P_e, Q, R))
-        e0 = gen.standard_normal((W, L_e.shape[0])) @ L_e.T
+        l_e, l_q, l_r = (float(psd_factor(M)[0, 0]) for M in (P_e, Q, R))
+        e0 = gen.standard_normal(W) * l_e
         e0.flags.writeable = False
-        w = _step_major(gen, W, T, L_q.shape[0], L_q)
-        v = _step_major(gen, W, T, L_r.shape[0], L_r)
+        w = _step_major(gen, W, T, l_q)
+        v = _step_major(gen, W, T, l_r)
         _noise_cache[key] = [gen, e0, w, v, None]
     entry = _noise_cache[key]
     if noisy and entry[4] is None:
-        entry[4] = _step_major(entry[0], W, T, R.shape[0])
+        entry[4] = _step_major(entry[0], W, T)
     _, e0, w, v, b = entry
     return e0, w, v, b if noisy else None
 
@@ -205,66 +221,59 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
     """Simulate `runs` independent loops of length T on the stream's
     shared pre-drawn noise.
 
-    The loop advances e and the cost sums; with a controller, which must
-    pass check_setpoint, it also advances x_hat from the controller's
-    init and fills x and x_hat (None without one).  With `oracle=True`
-    the detector is replaced by the reference oracle (alarm exactly when
-    a[t] != 0), and the test statistic is not computed.
+    The model must be scalar (n = m = 1).  The loop advances e and the
+    cost sums; with a controller, which must pass check_setpoint, it also
+    advances x_hat from the controller's init (None without one).  With
+    `oracle=True` the detector is replaced by the reference oracle (alarm
+    exactly when a[t] != 0), and the test statistic is not computed.
     """
+    if model.n != 1 or model.m != 1:
+        raise EvaluationError(f"the rollouts are scalar: need n = m = 1, "
+                              f"got n = {model.n}, m = {model.m}")
     if T < 1:
         raise EvaluationError(f"horizon must be >= 1, got {T}")
     if runs < 1:
         raise EvaluationError(f"runs must be >= 1, got {runs}")
-    if plan.dim != model.m:
-        raise EvaluationError(
-            f"plan injects {plan.dim}-vectors but the model has m={model.m}")
     _check_plan_horizon(plan, T)
     if controller is not None:
-        check_setpoint(model.n, model.B, controller, EvaluationError)
-    W, n = runs, model.n
+        check_setpoint(model.B, controller, EvaluationError)
+    W = runs
 
     e0, w, v, b = _noise(stream, W, T, ss.P_e, model.Q, model.R,
                          strategy.kind == "noisy")
-    # buffers are step-major, (T + 1, W, .), so each step reads and writes
-    # contiguous (W, .) blocks; the cost sums too, as (T, W), copied once
-    # into the C-ordered (W, T) cost_sums so the cost reductions over runs
-    # add them in order
-    e = np.zeros((T + 1, W, n))
+    # buffers are step-major, (T + 1, W), so each step reads and writes
+    # contiguous (W,) rows; the cost sums too, as (T, W)
+    e = np.empty((T + 1, W))
     i = np.zeros((T + 1, W), dtype=bool)
     sums = np.empty((T, W))
     e[0] = e0
     if controller is not None:
-        x0, x_hat = controller.x0, np.zeros((T + 1, W, n))
-        x_hat[0] = controller.init
-
-    # C-ordered copies of the transposed operands, taken once: a product
-    # with a transposed view is 3-4x slower for n >= 2, with the same bits
-    A_T, C_T, K_T, CA_T = (np.ascontiguousarray(M.T) for M in (
-        model.A, model.C, ss.K, model.C @ model.A))
-    # the (W, n) x (n, k) products use ndarray.dot: matmul takes a slow
-    # path for a one-column operand (5-10x slower at n = 1), and
-    # dot gives the same bits
+        alpha, x0 = controller.alpha, float(controller.x0[0])
+        x_hat = np.empty((T + 1, W))
+        x_hat[0] = controller.init[0]
+    A, C, K = (float(M[0, 0]) for M in (model.A, model.C, ss.K))
+    CA = C * A
+    # every plan but a policy injects the same value in every run, so its
+    # T injections are taken at once
+    if plan.kind != "policy":
+        injections = attack_at(plan, np.arange(1, T + 1))
     prev = 0.0
     for t in range(1, T + 1):
-        a = attack_at(plan, t, e[t - 1], stage_remaining=T - t + 1)
-        r = e[t - 1].dot(CA_T) + w[t].dot(C_T) + v[t] + a
+        a = (attack_at(plan, t, e[t - 1], stage_remaining=T - t + 1)
+             if plan.kind == "policy" else injections[t - 1])
+        r = e[t - 1] * CA + w[t] * C + v[t] + a
         i[t] = oracle_detect(a) if oracle \
             else detect(detector, g_statistic(ss, r))
-        corr = mitigate(strategy, r, a, i[t],
-                        None if b is None else b[t]).dot(K_T)
-        e[t] = e[t - 1].dot(A_T) + w[t] - corr
-        prev = np.add(prev, np.sum(e[t] ** 2, axis=1), out=sums[t - 1])
+        corr = mitigate(strategy, r, a, i[t], None if b is None else b[t]) * K
+        e[t] = e[t - 1] * A + w[t] - corr
+        prev = np.add(prev, e[t] * e[t], out=sums[t - 1])
         if controller is not None:
             # B u = alpha (x0 - x_hat) by the setpoint law, so the control
             # enters without solving for u
-            x_hat[t] = (x_hat[t - 1].dot(A_T) + controller.alpha
-                        * (x0 - x_hat[t - 1]) + corr)
+            x_hat[t] = x_hat[t - 1] * A + alpha * (x0 - x_hat[t - 1]) + corr
 
-    out = dict(e=e, i=i, w=w, v=v)
-    if controller is not None:
-        out.update(x_hat=x_hat, x=x_hat + e)
-    return BatchRollout(cost_sums=np.ascontiguousarray(sums.T),
-                        **{k: arr.swapaxes(0, 1) for k, arr in out.items()})
+    return BatchRollout(e=e.T, i=i.T, w=w.T, v=v.T, sums=sums,
+                        x_hat=None if controller is None else x_hat.T)
 
 
 def std_err_over_runs(values: np.ndarray) -> np.ndarray:
@@ -306,7 +315,7 @@ def _paired_terminal_difference(model: SystemModel, ss: SteadyState,
                            runs)
     reference = rollout_batch(model, ss, plan, detector, strategy, T, stream,
                               runs, oracle=True)
-    diff = tested.cost_sums[:, -1] - reference.cost_sums[:, -1]
+    diff = tested.sums[-1] - reference.sums[-1]
     return PairedCost(float(diff.mean()), float(std_err_over_runs(diff)))
 
 
@@ -316,7 +325,7 @@ def fp_cost(model: SystemModel, ss: SteadyState, eta: float,
     """Extra cost from false alarms: no attack is injected, so every
     chi-square alarm triggers mitigation against nothing while the oracle
     reference never fires."""
-    plan = AttackPlan.none(dim=model.m)
+    plan = AttackPlan.none()
     return _paired_terminal_difference(model, ss, plan, DetectorConfig(eta),
                                        strategy, T, runs, stream)
 

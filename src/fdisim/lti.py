@@ -11,8 +11,9 @@ the alarm indicator and d the mitigation correction applied to the
 measurement. The control input cancels from this recursion, which is what
 lets the attack problem be posed on the error alone.
 
-This module holds the model, the steady-state filter, the batched setpoint
-law and the error recursion; evaluation.rollout_batch simulates the loop.
+This module holds the model, the steady-state filter and the setpoint
+law. The model and the filter take any dimension; the setpoint law runs
+on the scalar loop (n = m = 1) that evaluation.rollout_batch simulates.
 """
 
 from __future__ import annotations
@@ -39,13 +40,6 @@ def _matrix(name: str, value, rows: int | None = None, cols: int | None = None):
     if cols is not None and mat.shape[1] != cols:
         raise ModelError(f"{name} has {mat.shape[1]} columns, expected {cols}")
     return mat
-
-
-def _vector(name: str, value, size: int):
-    vec = np.atleast_1d(np.asarray(value, dtype=float))
-    if vec.shape != (size,):
-        raise ModelError(f"{name} has shape {vec.shape}, expected ({size},)")
-    return vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,48 +152,29 @@ class SetpointController:
             object.__setattr__(self, name, np.asarray(value, dtype=float))
 
 
-def check_setpoint(n: int, B: np.ndarray, controller: SetpointController,
+def check_setpoint(B: np.ndarray, controller: SetpointController,
                    error: type[Exception]) -> None:
-    """Raise `error` unless the setpoint law runs on n states with control
-    matrix B: B square and of full rank, x0 and init of shape (n,)."""
-    if B.shape != (n, n):
-        raise error(f"the setpoint controller needs a square {n}x{n} "
-                    f"model.B, got {B.shape}")
-    if np.linalg.matrix_rank(B) != n:
+    """Raise `error` unless the setpoint law runs on the scalar loop that
+    the rollouts simulate: B of shape (1, 1) and nonzero, x0 and init of
+    shape (1,)."""
+    if B.shape != (1, 1):
+        raise error(f"the setpoint controller runs on the scalar loop and "
+                    f"needs a 1x1 model.B, got {B.shape}")
+    if B[0, 0] == 0.0:
         raise error("model.B is singular; the setpoint controller cannot "
                     "invert it")
     for name in ("x0", "init"):
-        if getattr(controller, name).shape != (n,):
-            raise error(f"controller.{name} must have shape ({n},), got "
+        if getattr(controller, name).shape != (1,):
+            raise error(f"controller.{name} must have shape (1,), got "
                         f"{getattr(controller, name).shape}")
 
 
 def setpoint_control(model: SystemModel, controller: SetpointController,
                      x_hat) -> np.ndarray:
-    """Control inputs for an (n,) estimate or a (W, n) block of them; B
-    must be square and invertible.  This is the public control law and
-    the tests' oracle: rollout_batch runs check_setpoint once per batch
-    and adds B u = alpha (x0 - x_hat) directly, without solving for u."""
-    x_hat = np.asarray(x_hat, dtype=float)
-    x0 = np.broadcast_to(controller.x0, x_hat.shape)
-    return controller.alpha * np.linalg.solve(model.B, (x0 - x_hat).T).T
-
-
-# ---------------------------------------------------------------------------
-# Error recursion
-# ---------------------------------------------------------------------------
-
-
-def error_step(model: SystemModel, ss: SteadyState, e: np.ndarray, w: np.ndarray,
-               v: np.ndarray, a: np.ndarray, alarm: int,
-               delta: np.ndarray) -> np.ndarray:
-    """Estimation-error recursion under injection a, alarm indicator and
-    mitigation correction delta. Affine in (e, w, v, a, delta); the control
-    input does not appear."""
-    e = _vector("e", e, model.n)
-    w = _vector("w", w, model.n)
-    v = _vector("v", v, model.m)
-    a = _vector("a", a, model.m)
-    delta = _vector("delta", delta, model.m)
-    return (ss.A_K @ e + ss.W_K @ w - ss.K @ (a - int(alarm) * delta)
-            - ss.K @ v)
+    """Control inputs alpha (x0 - x_hat) / B for a float estimate or an
+    array of them, on a model and controller that pass check_setpoint.
+    This is the public control law and the tests' oracle: rollout_batch
+    adds B u = alpha (x0 - x_hat) directly, without solving for u."""
+    check_setpoint(model.B, controller, ModelError)
+    return controller.alpha * (controller.x0[0] - np.asarray(x_hat, float)) \
+        / model.B[0, 0]

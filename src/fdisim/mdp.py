@@ -91,15 +91,13 @@ def build_grid(bounds, step) -> Grid:
 
 
 def nearest_index(grid: Grid, e) -> np.ndarray:
-    """Index of the nearest lattice point; distance ties resolve toward the
-    lower index. Accepts a single error (1,) or a batch (B, 1)."""
+    """Index of the nearest lattice point to each error; distance ties
+    resolve toward the lower index. A float gives an int, an array of
+    errors an index array of its shape."""
     e = np.asarray(e, dtype=float)
-    if e.shape[-1:] != (1,):
-        raise ModelError(f"errors must have shape (1,) or (B, 1) on the "
-                         f"scalar lattice, got {e.shape}")
-    k = np.ceil((e[..., 0] - grid.lo) / grid.step - 0.5).astype(np.int64)
+    k = np.ceil((e - grid.lo) / grid.step - 0.5).astype(np.int64)
     idx = np.clip(k, 0, grid.n_states - 1)
-    return int(idx) if e.ndim == 1 else idx
+    return int(idx) if e.ndim == 0 else idx
 
 
 def cell(grid: Grid, index: int) -> tuple[float, float]:
@@ -433,11 +431,11 @@ def value_iteration(tm: TransitionModel, horizon: int,
 def policy_lookup(policy: Policy, stage_remaining: int, e) -> np.ndarray:
     """Injection at error e with the given number of stages to go.
 
-    e snaps to the nearest lattice point (ties to the lower index). Accepts
-    a single error (1,) or a batch (B, 1); the injection is (1,) or (B, 1).
+    e snaps to the nearest lattice point (ties to the lower index). A
+    float error gives a float injection, a (W,) batch a (W,) array.
     """
     if not 1 <= stage_remaining <= policy.horizon:
         raise ModelError(f"stage_remaining {stage_remaining} outside "
                          f"[1, {policy.horizon}]")
     idx = nearest_index(policy.grid, e)
-    return policy.action_table[stage_remaining - 1, idx]
+    return policy.action_table[stage_remaining - 1, idx, 0]

@@ -4,11 +4,13 @@ The plant state is the vector of pilot-bus voltages in per-unit; the
 control input is the vector of generator setpoint increments.  Voltages
 respond through an unknown gain matrix B which is estimated from recorded
 traces of voltage increments x[t+1] - x[t] against the applied inputs by
-least squares.  The `voltage` configuration preset regulates one bus from
-1.0 pu to a setpoint of 0.835 pu; its noise covariances reuse the abstract
-benchmark values scaled into per-unit (0.01 pu per abstract unit), which
-keeps the chi-square detector's operating point identical because the g
-statistic is scale-invariant.
+least squares, for any number of buses and inputs.  The experiment runs
+the scalar loop of evaluation.rollout_batch, one bus with one input.  The
+`voltage` configuration preset regulates one bus from 1.0 pu to a
+setpoint of 0.835 pu; its noise covariances reuse the abstract benchmark
+values scaled into per-unit (0.01 pu per abstract unit), which keeps the
+chi-square detector's operating point identical because the g statistic
+is scale-invariant.
 
 Trace files are CSV with header ``t,x_1..x_n,u_1..u_p``, one row per time
 step; dimensions are inferred from the header.
@@ -184,10 +186,10 @@ def save_traces(path, traces: TraceSet) -> None:
 
 @dataclass(frozen=True, eq=False)
 class VoltageRun:
-    """Rollout aggregate for one attack plan on the voltage loop.
+    """Rollout aggregate for one attack plan on the scalar voltage loop.
 
     Curves are indexed by t = 0..T.  mean_abs_deviation tracks the
-    across-run mean of ||x[t] - x0||; the policy rides the sign of the
+    across-run mean of |x[t] - x0|; the policy rides the sign of the
     initial estimation error, so the plain mean voltage can sit at the
     setpoint while every single run deviates.
     """
@@ -208,14 +210,13 @@ def voltage_attack_experiment(model: SystemModel, ss: SteadyState,
     and aggregate the curves; deviations are measured from its x0."""
     batch = rollout_batch(model, ss, plan, DetectorConfig(eta), strategy, T,
                           stream, runs, controller=controller)
-    # reduce over runs on a C-ordered copy so the runs add in order (see
-    # BatchRollout), shifted by x0 in place for the deviations
-    x = np.ascontiguousarray(batch.x)
+    # the plant x = x_hat + e formed C-ordered, so the reductions over runs
+    # add them in order (see BatchRollout), shifted by x0 in place for the
+    # deviations
+    x = np.add(batch.x_hat, batch.e, order="C")
     mean_voltage, voltage_std_err = x.mean(axis=0), std_err_over_runs(x)
-    x -= controller.x0
-    # the norm's own arithmetic, without np.linalg.norm's overhead;
-    # einsum is faster but rounds differently from n = 3 up
-    dev = np.sqrt((x * x).sum(axis=2))
+    x -= controller.x0[0]
+    dev = np.abs(x, out=x)
     return VoltageRun(
         mean_voltage=mean_voltage,
         voltage_std_err=voltage_std_err,

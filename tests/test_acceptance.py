@@ -82,7 +82,7 @@ def _terminal_sums(model, ss, plan, strategy, eta, stream_id):
     identical noise across calls, so differences are paired run by run."""
     batch = rollout_batch(model, ss, plan, DetectorConfig(eta), strategy,
                           HORIZON, RngStream(0, stream_id), W_RUNS)
-    return np.sum(np.sum(batch.e[:, 1:] ** 2, axis=2), axis=1)
+    return np.sum(batch.e[:, 1:] ** 2, axis=1)
 
 
 def _paired(diff):
@@ -295,7 +295,7 @@ def test_criterion_6_oracle_equivalence(bench, bench_solution):
         a = float(pair_rng.uniform(-15.0, 15.0))
         det = detection_prob(model, ss, 10.0, e, a)
         center = A_K * e if det >= 0.5 else A_K * e - K * a
-        target = cell(grid, nearest_index(grid, np.array([center])))
+        target = cell(grid, nearest_index(grid, center))
         exact = cell_transition_prob(model, ss, 10.0, e, a, a, target)
         w = mc_rng.standard_normal(n)
         v = math.sqrt(10.0) * mc_rng.standard_normal(n)
@@ -327,7 +327,7 @@ def test_criterion_6_oracle_equivalence(bench, bench_solution):
     batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(10.0),
                           MitigationStrategy.off(), HORIZON,
                           RngStream(0, 13), W_RUNS)
-    mean_sq = float(np.sum(batch.e[:, 1:] ** 2, axis=2).mean())
+    mean_sq = float((batch.e[:, 1:] ** 2).mean())
     if abs(mean_sq - TRACE_PE) > 0.05 * TRACE_PE:
         problems.append(f"E||e||^2 = {mean_sq:.4f}, want {TRACE_PE:.4f} +- 5%")
     elapsed = time.perf_counter() - started

@@ -12,12 +12,13 @@ What is proven here:
     and types as yaml.safe_load gives, whichever parser is in use.
   * RunConfig.plans maps the four CSV names (policy, constant, ramp,
     none), in that order, to the configured plans.
-  * A controller over a singular model.B, or with an x0 of the wrong
-    length, exits with code 2 and an error line instead of a traceback;
-    so does a word where a number belongs, a scalar where a list belongs,
-    a ragged model matrix, a matrix entry that YAML read as a string
-    (1e-4) or a bool, and a NaN or infinity where none is allowed; so
-    does a config or trace file that does not exist.
+  * A controller over a model.B that is not 1x1 or is zero, or with an
+    x0 of the wrong length, exits with code 2 and an error line instead
+    of a traceback; so does a word where a number belongs, a scalar where
+    a list belongs, a ragged model matrix, a matrix entry that YAML read
+    as a string (1e-4) or a bool, a NaN or infinity where none is allowed,
+    and an integer past float range (solve too, in one line); so does a
+    config or trace file that does not exist.
   * A voltage-scale negative variance (model.Q [[-1.0e-9]]) makes solve
     exit with code 2 and one error line naming Q, without running the
     Riccati loop.
@@ -182,8 +183,8 @@ def test_plans_are_the_four_csv_names_in_order(tiny_policy):
     assert list(plans) == ["policy", "constant", "ramp", "none"]
     assert [plan.kind for plan in plans.values()] == list(plans)
     assert plans["policy"].policy is tiny_policy
-    assert np.array_equal(plans["constant"].constant_value, [0.1])
-    assert np.array_equal(plans["ramp"].slope, [0.01])
+    assert plans["constant"].constant_value == 0.1
+    assert plans["ramp"].slope == 0.01
     assert [plan.a_max for plan in list(plans.values())[1:]] == [0.2] * 3
 
 
@@ -449,7 +450,7 @@ def test_evaluate_refuses_a_nan_policy(tmp_path, small_cfg, capsys):
     ("gamma", lambda v: -1.0, "gamma must be a number in (0, 1], got -1.0"),
     ("a_max", lambda v: "7", "a_max must be a number > 0, got '7'"),
     ("a_max", lambda v: -3.0, "a_max must be a number > 0, got -3.0"),
-    ("a_max", lambda v: 10 ** 400, "int too large to convert to float"),
+    ("a_max", lambda v: 10 ** 400, "a_max must be a number > 0, got 1000"),
     ("action_table", lambda t: [[[True] for _ in row] for row in t],
      "action_table[0][0][0] must be a number, got True"),
     ("values", lambda t: [[str(x) for x in row] for row in t],
@@ -587,11 +588,15 @@ def test_estimate_b_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body, message", [
-    # controllable and observable, but the setpoint law cannot invert B
+    # controllable and observable, but the setpoint law runs on the
+    # scalar loop only
     ("model: {A: [[0.0, 1.0], [0.0, 0.0]], B: [[0.0, 0.0], [0.0, 1.0]],\n"
      "        C: [[1.0, 0.0], [0.0, 1.0]], Q: [[1.0, 0.0], [0.0, 1.0]],\n"
      "        R: [[1.0, 0.0], [0.0, 1.0]]}\n"
-     "controller: {x0: [0.0, 0.0]}\n", "model.B is singular"),
+     "controller: {x0: [0.0, 0.0]}\n", "needs a 1x1 model.B, got (2, 2)"),
+    # refused at load, before the model's own controllability check
+    ("model: {B: [[0.0]]}\ncontroller: {x0: [0.0]}\n",
+     "model.B is singular"),
     ("controller: {x0: [0.8, 0.9]}\n",
      "controller.x0 must have shape (1,), got (2,)"),
 ])
@@ -666,6 +671,11 @@ def test_voltage_scale_negative_variance_is_refused_at_once(tmp_path, capsys,
     ("model: {Q: [[1e-4]], R: [[1e-3]]}\n",
      "model.Q[0][0] must be a number, got '1e-4'"),
     ("model: {A: true}\n", "model.A must be a number, got True"),
+    # integers past float range, refused before any cast overflows
+    (f"model: {{A: [[{10 ** 400}]]}}\n",
+     f"model.A[0][0] must be a number, got {10 ** 400}"),
+    (f"detector: {{eta: {10 ** 400}}}\n",
+     f"detector.eta must be a number >= 0, got {10 ** 400}"),
     # the decision lattice is scalar
     ("mdp: {bounds: [[-1.0, 1.0], [-1.0, 1.0]], step: [1.0, 1.0]}\n",
      "mdp.bounds must be one [lo, hi] pair"),
@@ -678,6 +688,20 @@ def test_mistyped_config_is_a_config_error(tmp_path, capsys, body, message):
     assert _run(["evaluate", "--config", cfg, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("body", [f"model: {{A: [[{10 ** 400}]]}}\n",
+                                  f"detector: {{eta: {10 ** 400}}}\n"],
+                         ids=["matrix-entry", "real"])
+def test_integer_past_float_range_is_one_error_line(tmp_path, capsys, body):
+    # these used to end in an OverflowError traceback
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(body, encoding="utf-8")
+    assert _run(["solve", "--config", cfg, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be a number" in err and err.endswith(f"{10 ** 400}\n")
+    assert not (tmp_path / "policy.json").exists()
 
 
 def test_missing_traces_is_a_config_error(capsys):

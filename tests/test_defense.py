@@ -1,11 +1,12 @@
 """Detector and mitigation tests.
 
 What is proven here:
-  * g_statistic implements r' P_r^-1 r (frozen scalar example
-    g(r=10) = 100/13.7015...), and rollout_batch's alarms are the detector
-    on it: the statistic of the innovation the loop forms from the error,
-    CA e + C w + v + a, equals that of r = y_a - C(A x_hat + B u) against
-    the one-step prediction.
+  * g_statistic implements r P_r^-1 r (frozen scalar example
+    g(r=10) = 100/13.7015...) with the bits of the quadratic form
+    r' P_r^-1 r of one-entry vectors, and rollout_batch's alarms are the
+    detector on it: the statistic of the innovation the loop forms from
+    the error, CA e + C w + v + a, equals that of r = y_a - C(A x_hat +
+    B u) against the one-step prediction.
   * detect alarms strictly above eta (boundary silent), handles eta = 0 and
     eta = inf, and vectorizes.
   * The no-attack alarm rate matches the closed form 2 Phi(-sqrt(eta))
@@ -13,8 +14,10 @@ What is proven here:
   * mitigate, read through the defended signal y_f: on alarm, perfect
     subtracts the injection exactly, off nothing, and noisy the injection
     plus sigma times the pre-drawn noise block (perfect at sigma = 0);
-    without an alarm every kind leaves the measurement as it is.
-  * oracle_detect alarms exactly on nonzero injections.
+    without an alarm every kind leaves the measurement as it is.  Arrays
+    of alarms pair with the measurements entry by entry.
+  * oracle_detect alarms exactly on nonzero injections, subnormal ones
+    included.
   * Configuration contracts (negative eta, unknown kinds, stray sigma)
     raise.
 """
@@ -67,20 +70,24 @@ def test_residual_formula(bench):
         g = g_statistic(ss, batch.e[:, t - 1] + batch.w[:, t]
                         + batch.v[:, t] + a)
         assert np.array_equal(batch.i[:, t], detect(DetectorConfig(10.0), g))
-        y_a = batch.x[:, t, 0] + batch.v[:, t, 0] + a[:, 0]
-        r = y_a - (batch.x_hat[:, t - 1, 0] + u[:, 0])
+        y_a = batch.x[:, t] + batch.v[:, t] + a
+        r = y_a - (batch.x_hat[:, t - 1] + u)
         assert np.allclose(g, r ** 2 / (P_INF + 10.0), rtol=1e-12, atol=0)
         assert np.any(u != 0.0)  # the control term is exercised
 
 
 def test_g_statistic_frozen_example(bench):
     _, ss = bench
-    g = g_statistic(ss, np.array([10.0]))
+    g = g_statistic(ss, 10.0)
     assert g == pytest.approx(100.0 / (P_INF + 10.0), abs=1e-9)
     # vectorized over a batch of residuals
-    gs = g_statistic(ss, np.array([[10.0], [0.0], [-10.0]]))
+    gs = g_statistic(ss, np.array([10.0, 0.0, -10.0]))
     assert gs.shape == (3,)
     assert gs[0] == gs[2] and gs[1] == 0.0
+    # the bits of the quadratic form of one-entry vectors
+    r = np.random.default_rng(5).standard_normal(10_000) * 7.0
+    form = np.einsum("...i,ij,...j->...", r[:, None], ss.P_r_inv, r[:, None])
+    assert np.array_equal(g_statistic(ss, r), form)
 
 
 def test_detect_boundary_and_extremes():
@@ -101,7 +108,7 @@ def test_no_attack_alarm_rate_matches_closed_form(bench):
     e = rng.normal(0.0, math.sqrt(ss.P_e[0, 0]), size=n)
     w = rng.normal(0.0, 1.0, size=n)
     v = rng.normal(0.0, math.sqrt(10.0), size=n)
-    r = (e + w + v)[:, None]  # C A e + C w + v with A = C = 1
+    r = e + w + v  # C A e + C w + v with A = C = 1
     g = g_statistic(ss, r)
     for eta in (1.0, 2.5):
         rate = float(np.mean(detect(DetectorConfig(eta), g)))
@@ -132,18 +139,17 @@ def test_apply_mitigation():
     assert np.array_equal(mitigate(perfect, y, d, 0, b), y)
     assert np.array_equal(mitigate(perfect, y, d, 1, b),
                           np.array([4.0, 4.0]))
-    # batched alarms broadcast rowwise
-    ys = np.tile(y, (3, 1))
-    alarms = np.array([0, 1, 0])
-    out = mitigate(perfect, ys, np.tile(d, (3, 1)), alarms, np.zeros((3, 2)))
-    assert np.array_equal(out[0], y) and np.array_equal(out[2], y)
-    assert np.array_equal(out[1], np.array([4.0, 4.0]))
+    # an array of alarms pairs with the measurements entry by entry
+    alarms = np.array([False, True])
+    assert np.array_equal(mitigate(perfect, y, d, alarms, b), [5.0, 4.0])
+    assert np.array_equal(mitigate(perfect, y, 2.0, alarms, b), [5.0, 4.0])
 
 
 def test_oracle_detect():
-    assert oracle_detect(np.zeros(2)) == 0
-    assert oracle_detect(np.array([0.0, 1e-300])) == 1
-    assert oracle_detect(np.array([[0.0], [2.0]])).tolist() == [0, 1]
+    assert not oracle_detect(0.0)
+    assert oracle_detect(1e-300)
+    out = oracle_detect(np.array([0.0, 2.0, -5e-324, -0.0]))
+    assert out.tolist() == [False, True, True, False]
 
 
 def test_configuration_contracts():

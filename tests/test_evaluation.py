@@ -4,10 +4,19 @@ What is proven here:
   * Rollouts are bit-identical when replayed on the same stream and differ
     on another stream.
   * Rollout invariants: x = x_hat + e exactly, and x and x_hat are None
-    without a controller; each logged e[t] is reproduced by error_step
-    from the kept inputs, with the injection rebuilt by attack_at from
-    e[t-1] and delta from it and the pre-drawn mitigation block (the loop
-    really implements the stated error recursion).
+    without a controller; each logged e[t] is reproduced by the tests'
+    scalar reference step (reference.error_step) from the kept inputs,
+    with the injection rebuilt by attack_at from e[t-1] and delta from it
+    and the pre-drawn mitigation block (the loop really implements the
+    stated error recursion).
+  * Bitwise oracle: a small batch equals the reference step run by run
+    and step by step with ==, in e, the alarms, the cost sums, x_hat and
+    x, under perfect, noisy and off mitigation, the oracle detector, a
+    policy plan and a controller; e[0], w, v and the mitigation block are
+    the stream's (W, T) draws in their [run, t] order, scaled by the
+    standard deviations, so the run and time axes cannot be mixed up.
+  * A model with n or m other than 1 is refused with one EvaluationError
+    that names the dimension.
   * The alarms are the detector on the rebuilt innovation's statistic,
     and the plant follows x[t] = A x[t-1] + B u + w[t] with u rebuilt by
     setpoint_control from x_hat[t-1].
@@ -25,26 +34,19 @@ What is proven here:
     md_cost is exactly zero at eta=0 under an always-injecting plan (a
     constant or a policy's nominal sequence) and rejects the no-attack plan.
   * A policy plan shorter than the horizon is rejected; so is a sequence
-    plan.  A controller whose init is not of shape (n,) is rejected, and
-    one without an init starts the estimate at its setpoint x0.
-  * A two-state loop (non-diagonal A and C, correlated Q and R, setpoint
-    controller, ramp attack, noisy mitigation) keeps every [run, t] slice
-    consistent: the pre-drawn noise blocks in their (run, t) order, the
-    same invariants, zero noise at t = 0, the control law and the error
-    recursion, so the run and time axes cannot be mixed up.
+    plan.  A controller whose x0 or init is not of shape (1,) is
+    rejected, and one without an init starts the estimate at its setpoint
+    x0.
   * empirical_cost adds the runs in order: at 257 runs it equals the
     reductions taken on C-ordered copies of the batch, bit for bit, and
     the batch's cost sums are C-ordered themselves.
-  * The batch's cost sums equal the cumsum over t of the squared error
-    norms bit for bit (n = 1 and n = 2, tested and oracle batches, 257
-    runs), and the bool alarms give the same detection frequency as
-    int64 ones.
+  * The batch's cost sums equal the cumsum over t of the squared errors
+    bit for bit (with and without a controller, tested and oracle
+    batches, 257 runs), and the bool alarms give the same detection
+    frequency as int64 ones.
   * A batch allocates no full history beyond what it keeps: one
     W = 10,000, T = 10 batch peaks (tracemalloc) within the kept bytes
     plus 16 W-vectors.
-  * The loop's C-ordered copies of A', C', K' and (CA)' give the bits of
-    the transposed views: a 10,000-run two-state batch's e, alarms and
-    cost sums equal a step-by-step replay on the views exactly.
   * The noise covariances are factored once per stream: four batches on
     one stream call psd_factor three times (P_e, Q, R).
   * A stream's noise is drawn once and shared read-only: two batches on
@@ -66,7 +68,7 @@ import pytest
 from fdisim import evaluation
 from fdisim.attack import AttackPlan, attack_at
 from fdisim.defense import (DetectorConfig, MitigationStrategy, detect,
-                            g_statistic, mitigate)
+                            g_statistic)
 from fdisim.evaluation import (
     EvaluationError,
     compare_attacks,
@@ -76,8 +78,9 @@ from fdisim.evaluation import (
     rollout_batch,
 )
 from fdisim.lti import (SetpointController, SystemModel, derive_steady_state,
-                        error_step, setpoint_control)
+                        setpoint_control)
 from fdisim.numerics import RngStream, psd_factor
+from reference import error_step, estimate_step
 
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
 K_GAIN = P_INF / (P_INF + 10.0)
@@ -105,21 +108,21 @@ def _mitigation_noise(model, ss, stream, runs, T):
     noisy correction is delta = a + sigma_mit * b."""
     *_, b = evaluation._noise(stream, runs, T, ss.P_e, model.Q, model.R,
                               True)
-    return b.swapaxes(0, 1)
+    return b.T
 
 
 def _replay(batch, model, ss, plan):
     """The injections a and test statistics g the loop used, as [run, t]
     arrays that are zero at t = 0, rebuilt from the kept e, w and v."""
     W, T = batch.runs, batch.horizon
-    a = np.zeros((W, T + 1, model.m))
+    a = np.zeros((W, T + 1))
     g = np.zeros((W, T + 1))
-    CA_T = (model.C @ model.A).T
+    C, CA = model.C[0, 0], (model.C @ model.A)[0, 0]
     for t in range(1, T + 1):
         a[:, t] = attack_at(plan, t, batch.e[:, t - 1],
                             stage_remaining=T - t + 1)
-        r = (batch.e[:, t - 1] @ CA_T + batch.w[:, t] @ model.C.T
-             + batch.v[:, t] + a[:, t])
+        r = (batch.e[:, t - 1] * CA + batch.w[:, t] * C + batch.v[:, t]
+             + a[:, t])
         g[:, t] = g_statistic(ss, r)
     return a, g
 
@@ -152,57 +155,10 @@ def test_trajectory_invariants_and_error_recursion(bench):
     assert tr["i"][0] == 0
     assert 0 < tr["i"][1:].sum() < 12  # both recursion branches run
     for t in range(1, 13):
-        e_step = error_step(model, ss, tr["e"][t - 1], tr["w"][t], tr["v"][t],
-                            tr["a"][t], int(tr["i"][t]), tr["delta"][t])
-        assert np.max(np.abs(e_step - tr["e"][t])) < 1e-10, t
-
-
-def test_two_state_rollout_slices_are_consistent(two_state):
-    model, ss = two_state
-    ctrl = SetpointController(x0=[0.5, -0.5], alpha=0.5, init=[1.0, 2.0])
-    T, runs = 8, 5
-    plan = AttackPlan.ramp([0.4, -0.3], a_max=20.0)
-    batch = rollout_batch(model, ss, plan, DetectorConfig(3.0),
-                          MitigationStrategy.noisy(2.0), T, RngStream(5),
-                          runs, controller=ctrl)
-    assert batch.runs == runs and batch.horizon == T
-    assert batch.x.shape == (runs, T + 1, 2) and batch.i.shape == (runs, T + 1)
-    assert batch.cost_sums.shape == (runs, T)
-    a, g = _replay(batch, model, ss, plan)
-    alarms = batch.i[:, 1:]
-    assert np.array_equal(alarms, detect(DetectorConfig(3.0), g[:, 1:]))
-    assert 0 < alarms.sum() < alarms.size  # both recursion branches run
-    # the noise of run w at step t is the draw at [w, t - 1] of each block
-    gen = RngStream(5).generator()
-    assert np.array_equal(batch.e[:, 0], gen.standard_normal((runs, 2))
-                          @ psd_factor(ss.P_e).T)
-    assert np.array_equal(batch.w[:, 1:], gen.standard_normal((runs, T, 2))
-                          @ psd_factor(model.Q).T)
-    assert np.array_equal(batch.v[:, 1:], gen.standard_normal((runs, T, 2))
-                          @ psd_factor(model.R).T)
-    b = _mitigation_noise(model, ss, RngStream(5), runs, T)
-    assert np.array_equal(b[:, 1:], gen.standard_normal((runs, T, 2)))
-    delta = a + 2.0 * b
-    assert np.array_equal(batch.x, batch.x_hat + batch.e)
-    for run in range(runs):
-        assert np.array_equal(batch.x_hat[run, 0], [1.0, 2.0])
-        for name in ("w", "v", "i"):
-            assert np.all(getattr(batch, name)[run, 0] == 0), name
-        for t in range(1, T + 1):
-            assert np.allclose(a[run, t], [0.4 * t, -0.3 * t],
-                               rtol=1e-15, atol=0.0)
-            e_step = error_step(model, ss, batch.e[run, t - 1],
-                                batch.w[run, t], batch.v[run, t],
-                                a[run, t], int(batch.i[run, t]),
-                                delta[run, t])
-            scale = 1.0 + np.max(np.abs(batch.e[run, t]))
-            assert np.max(np.abs(e_step - batch.e[run, t])) < 1e-12 * scale
-            # the plant moved under the control law applied to x_hat[t-1]
-            u = setpoint_control(model, ctrl, batch.x_hat[run, t - 1])
-            x_step = (model.A @ batch.x[run, t - 1] + model.B @ u
-                      + batch.w[run, t])
-            scale = 1.0 + np.max(np.abs(batch.x[run, t]))
-            assert np.max(np.abs(x_step - batch.x[run, t])) < 1e-12 * scale
+        e_step, _ = error_step(model, ss, tr["e"][t - 1], tr["w"][t],
+                               tr["v"][t], tr["a"][t], int(tr["i"][t]),
+                               tr["delta"][t])
+        assert e_step == tr["e"][t], t
 
 
 def test_no_attack_cost_slope_matches_stationary_error(bench):
@@ -225,7 +181,7 @@ def test_empirical_cost_arithmetic(bench):
                             DetectorConfig(5.0), MitigationStrategy.perfect()),
                           T=5, stream=RngStream(3), runs=4)
     report = empirical_cost(batch)
-    sums = np.cumsum(np.sum(batch.e[:, 1:] ** 2, axis=2), axis=1)
+    sums = np.cumsum(batch.e[:, 1:] ** 2, axis=1)
     assert np.allclose(report.cost_per_t, sums.mean(axis=0), rtol=0, atol=0)
     assert np.allclose(report.std_err_per_t,
                        sums.std(axis=0, ddof=1) / 2.0, rtol=0, atol=0)
@@ -237,7 +193,7 @@ def test_empirical_cost_arithmetic(bench):
                         T=5, stream=RngStream(3), runs=1)
     single = empirical_cost(one)
     assert np.array_equal(single.cost_per_t,
-                          np.cumsum(np.sum(one.e[0, 1:] ** 2, axis=1)))
+                          np.cumsum(one.e[0, 1:] ** 2))
     assert single.runs == 1 and np.all(single.std_err_per_t == 0.0)
 
 
@@ -251,7 +207,7 @@ def test_empirical_cost_adds_runs_in_order(bench):
     assert batch.cost_sums.flags.c_contiguous
     report = empirical_cost(batch)
     e = np.ascontiguousarray(batch.e)
-    sums = np.cumsum(np.sum(e[:, 1:] ** 2, axis=2), axis=1)
+    sums = np.cumsum(e[:, 1:] ** 2, axis=1)
     assert sums.flags.c_contiguous
     assert np.array_equal(report.cost_per_t, sums.mean(axis=0))
     assert np.array_equal(report.std_err_per_t,
@@ -312,11 +268,10 @@ def test_noisy_mitigation_draws_consumed_every_step(bench):
     delta = a + 15.0 * _mitigation_noise(model, ss, RngStream(31), 8, 6)
     for run in range(8):
         for t in range(1, 7):
-            e_step = error_step(model, ss, tight.e[run, t - 1],
-                                tight.w[run, t], tight.v[run, t],
-                                a[run, t], 1, delta[run, t])
-            assert abs(e_step[0] - tight.e[run, t, 0]) \
-                < 1e-12 * (1.0 + abs(tight.e[run, t, 0])), (run, t)
+            e_step, _ = error_step(model, ss, tight.e[run, t - 1],
+                                   tight.w[run, t], tight.v[run, t],
+                                   a[run, t], 1, delta[run, t])
+            assert e_step == tight.e[run, t], (run, t)
     # the corrections are the injection plus N(0, sigma^2) noise: with
     # A = C = 1 and every step alarmed, e[t] = e[t-1] + w - K (r - delta)
     # and r = e[t-1] + w + v + a give delta back from the logged signals
@@ -324,7 +279,7 @@ def test_noisy_mitigation_draws_consumed_every_step(bench):
                          MitigationStrategy.noisy(15.0), T=5, runs=4_000,
                          stream=RngStream(7))
     a, _ = _replay(wide, model, ss, plan)
-    e, w, v, a = (arr[:, :, 0] for arr in (wide.e, wide.w, wide.v, a))
+    e, w, v = wide.e, wide.w, wide.v
     r = e[:, :-1] + w[:, 1:] + v[:, 1:] + a[:, 1:]
     delta = r + (e[:, 1:] - e[:, :-1] - w[:, 1:]) / ss.K[0, 0]
     noise = (delta - a[:, 1:]).ravel()  # 20,000 draws
@@ -369,46 +324,46 @@ def test_md_cost_zero_at_eta_zero(bench, small_policy):
                 plan=AttackPlan.none(), T=8, runs=10, stream=RngStream(43))
 
 
-def test_rollout_contract_checks(bench, two_state):
+def test_rollout_contract_checks(bench):
     model, ss = bench
     good = (AttackPlan.none(), DetectorConfig(1.0), MitigationStrategy.off())
     with pytest.raises(EvaluationError):
         rollout_batch(model, ss, *good, T=0, stream=RngStream(1), runs=5)
     with pytest.raises(EvaluationError):
         rollout_batch(model, ss, *good, T=5, stream=RngStream(1), runs=0)
-    with pytest.raises(EvaluationError):
-        rollout_batch(model, ss, AttackPlan.none(dim=2), DetectorConfig(1.0),
-                      MitigationStrategy.off(), T=5, stream=RngStream(1),
-                      runs=5)
     with pytest.raises(EvaluationError, match="controller.init"):
         rollout_batch(model, ss, *good, T=5, stream=RngStream(1), runs=5,
                       controller=SetpointController([0.5], 0.5,
                                                     init=[1.0, 2.0]))
-    model2, ss2 = two_state
-    with pytest.raises(EvaluationError, match="controller.init"):
-        rollout_batch(model2, ss2, AttackPlan.none(dim=2), *good[1:], T=5,
-                      stream=RngStream(1), runs=5,
-                      controller=SetpointController([0.5, 0.5], 0.5,
-                                                    init=[5.0]))
 
 
-def test_rollout_refuses_a_setpoint_of_another_shape(bench, two_state):
-    # one setpoint for two states would broadcast to both without a word
-    model2, ss2 = two_state
-    good = (DetectorConfig(1.0), MitigationStrategy.off())
-    with pytest.raises(EvaluationError, match=r"controller\.x0 .* \(2,\)"):
-        rollout_batch(model2, ss2, AttackPlan.none(dim=2), *good, T=3,
-                      stream=RngStream(1), runs=4,
-                      controller=SetpointController([0.5], 0.5))
+def test_rollout_refuses_a_model_that_is_not_scalar(two_state):
+    good = (AttackPlan.none(), DetectorConfig(1.0), MitigationStrategy.off())
+    wide = SystemModel(A=[[0.9]], B=[[1.0]], C=[[1.0], [0.5]], Q=[[1.0]],
+                       R=[[2.0, 0.6], [0.6, 1.0]])  # two sensors, one state
+    for (model, ss), dims in ((two_state, "n = 2, m = 2"),
+                              ((wide, derive_steady_state(wide)),
+                               "n = 1, m = 2")):
+        with pytest.raises(EvaluationError,
+                           match=f"need n = m = 1, got {dims}$"):
+            rollout_batch(model, ss, *good, T=3, stream=RngStream(1), runs=4)
+
+
+def test_rollout_refuses_a_setpoint_of_another_shape(bench):
+    # one setpoint entry per state: a longer one would broadcast silently
     model, ss = bench
-    with pytest.raises(EvaluationError, match=r"controller\.x0 .* \(1,\)"):
-        rollout_batch(model, ss, AttackPlan.none(), *good, T=3,
-                      stream=RngStream(1), runs=4,
-                      controller=SetpointController([[0.5]], 0.5))
+    good = (DetectorConfig(1.0), MitigationStrategy.off())
+    for x0, shape in (([0.5, 0.5], r"\(2,\)"), ([[0.5]], r"\(1, 1\)")):
+        with pytest.raises(EvaluationError,
+                           match=rf"controller\.x0 .* \(1,\), got {shape}"):
+            rollout_batch(model, ss, AttackPlan.none(), *good, T=3,
+                          stream=RngStream(1), runs=4,
+                          controller=SetpointController(x0, 0.5,
+                                                        init=[0.5]))
     batch = rollout_batch(model, ss, AttackPlan.none(), *good, T=3,
                           stream=RngStream(1), runs=4,
                           controller=SetpointController([0.5], 0.5))
-    assert batch.x.shape == (4, 4, 1)
+    assert batch.x.shape == (4, 4)
 
 
 def test_short_policy_plan_rejected(bench, small_policy):
@@ -434,7 +389,7 @@ def test_controller_without_init_starts_the_estimate_at_x0(bench):
                           MitigationStrategy.perfect(), T=3,
                           stream=RngStream(78), runs=4,
                           controller=SetpointController([0.835], 0.5))
-    assert np.array_equal(batch.x_hat[:, 0], np.full((4, 1), 0.835))
+    assert np.array_equal(batch.x_hat[:, 0], np.full(4, 0.835))
     assert np.array_equal(batch.x[:, 0], batch.x_hat[:, 0] + batch.e[:, 0])
 
 
@@ -444,20 +399,20 @@ def test_controller_batch_matches_scalar_path(bench):
     batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(5.0),
                           MitigationStrategy.perfect(), T=4,
                           stream=RngStream(77), runs=6, controller=ctrl)
-    # u = alpha B^-1 (x0 - x_hat) at every t = 0..T, the batched control
-    # law on the (W, n) block of estimates equal to the scalar formula
-    B_inv = np.linalg.inv(model.B)
+    # u = alpha (x0 - x_hat) / B at every t = 0..T, the control law on
+    # the (W,) row of estimates equal to the scalar formula
     for t in range(5):
         u = setpoint_control(model, ctrl, batch.x_hat[:, t])
         for run in range(6):
-            u_ref = 0.5 * B_inv @ (np.array([0.835]) - batch.x_hat[run, t])
-            assert np.allclose(u[run], u_ref, atol=1e-14)
+            u_ref = 0.5 * (0.835 - batch.x_hat[run, t]) / model.B[0, 0]
+            assert u[run] == pytest.approx(u_ref, rel=0, abs=1e-14)
             if t < 4:  # and the plant moved under it
                 x_step = batch.x[run, t] + u_ref + batch.w[run, t + 1]
-                assert np.allclose(batch.x[run, t + 1], x_step, atol=1e-14)
+                assert batch.x[run, t + 1] == pytest.approx(x_step, rel=0,
+                                                            abs=1e-14)
     # the mean estimate contracts towards the setpoint
-    d0 = abs(batch.x_hat[:, 0, 0].mean() - 0.835)
-    dT = abs(batch.x_hat[:, 4, 0].mean() - 0.835)
+    d0 = abs(batch.x_hat[:, 0].mean() - 0.835)
+    dT = abs(batch.x_hat[:, 4].mean() - 0.835)
     assert dT < d0
 
 
@@ -518,8 +473,7 @@ def test_perfect_and_noisy_batches_share_the_leading_blocks(bench):
         assert np.array_equal(batches[0].e[:, 0], batches[1].e[:, 0])
 
 
-def test_interleaved_batches_equal_batches_on_a_cleared_cache(bench,
-                                                              two_state):
+def test_interleaved_batches_equal_batches_on_a_cleared_cache(bench):
     model, ss = bench
     # each of these differs from bench in one noise factor only: the
     # steady state is passed as is, so P_e moves alone in the first
@@ -530,8 +484,10 @@ def test_interleaved_batches_equal_batches_on_a_cleared_cache(bench,
                           R=[[10.0]])
     other_r = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]],
                           R=[[20.0]])
+    other_c = SystemModel(A=[[1.0]], B=[[1.0]], C=[[2.0]], Q=[[1.0]],
+                          R=[[10.0]])
     one = AttackPlan.constant([4.0], a_max=20.0)
-    two = AttackPlan.constant([0.4, -0.3], a_max=20.0)
+    ramp = AttackPlan.ramp([0.4], a_max=20.0)
     perfect, noisy = MitigationStrategy.perfect(), MitigationStrategy.noisy(5.0)
     cases = [  # (model, steady state, plan, strategy, T, stream, runs)
         (model, ss, one, perfect, 6, RngStream(71), 5),
@@ -542,7 +498,8 @@ def test_interleaved_batches_equal_batches_on_a_cleared_cache(bench,
         (model, other_ss, one, noisy, 6, RngStream(71), 5),
         (other_q, ss, one, perfect, 6, RngStream(71), 5),
         (other_r, ss, one, noisy, 6, RngStream(71), 5),
-        (*two_state, two, noisy, 6, RngStream(71), 5),
+        (other_c, derive_steady_state(other_c), ramp, noisy, 6,
+         RngStream(71), 5),
     ]
 
     def run(case):
@@ -560,57 +517,30 @@ def test_interleaved_batches_equal_batches_on_a_cleared_cache(bench,
                                   getattr(alone, name)), (k, name)
 
 
-def test_cost_sums_are_the_cumsum_and_bool_alarms_count_alike(bench,
-                                                              two_state):
+def test_cost_sums_are_the_cumsum_and_bool_alarms_count_alike(bench):
     runs = 257
-    cases = ((*bench, AttackPlan.ramp([1.0], a_max=20.0), None),
-             (*two_state, AttackPlan.ramp([0.4, -0.3], a_max=20.0),
-              SetpointController(x0=[0.5, -0.5], alpha=0.5)))
-    for model, ss, plan, ctrl in cases:
+    model, ss = bench
+    plan = AttackPlan.ramp([1.0], a_max=20.0)
+    for ctrl in (None, SetpointController(x0=[0.5], alpha=0.5)):
         for oracle in (False, True):
             batch = rollout_batch(model, ss, plan, DetectorConfig(3.0),
                                   MitigationStrategy.noisy(2.0), 12,
                                   RngStream(17), runs, controller=ctrl,
                                   oracle=oracle)
-            sums = np.cumsum(np.sum(batch.e[:, 1:] ** 2, axis=2), axis=1)
+            sums = np.cumsum(batch.e[:, 1:] ** 2, axis=1)
             assert batch.cost_sums.flags.c_contiguous
-            assert np.array_equal(batch.cost_sums, sums), (model.n, oracle)
+            assert np.array_equal(batch.cost_sums, sums), (ctrl, oracle)
+            assert np.array_equal(batch.sums, sums.T), (ctrl, oracle)
             assert batch.i.dtype == bool
             assert np.array_equal(batch.detection_frequency(),
                                   batch.i.astype(np.int64).mean(axis=0))
-
-
-def test_contiguous_operands_keep_the_bits_of_transposed_views(two_state):
-    # the loop multiplies by C-ordered copies of A', C', K' and (CA)'; the
-    # transposed views themselves give the same e, alarms and cost sums
-    model, ss = two_state
-    assert not model.A.T.flags.c_contiguous
-    plan = AttackPlan.ramp([0.4, -0.3], a_max=20.0)
-    detector, strategy = DetectorConfig(3.0), MitigationStrategy.noisy(2.0)
-    T, runs = 6, 10_000
-    batch = rollout_batch(model, ss, plan, detector, strategy, T,
-                          RngStream(79), runs)
-    b = _mitigation_noise(model, ss, RngStream(79), runs, T)
-    CA_T = (model.C @ model.A).T
-    e = batch.e[:, 0].copy()
-    prev = 0.0
-    for t in range(1, T + 1):
-        a = attack_at(plan, t, e, stage_remaining=T - t + 1)
-        r = e.dot(CA_T) + batch.w[:, t].dot(model.C.T) + batch.v[:, t] + a
-        alarms = detect(detector, g_statistic(ss, r))
-        corr = mitigate(strategy, r, a, alarms, b[:, t]).dot(ss.K.T)
-        e = e.dot(model.A.T) + batch.w[:, t] - corr
-        prev = prev + np.sum(e ** 2, axis=1)
-        assert np.array_equal(batch.i[:, t], alarms), t
-        assert np.array_equal(batch.e[:, t], e), t
-        assert np.array_equal(batch.cost_sums[:, t - 1], prev), t
 
 
 def test_batch_memory_is_the_kept_fields(bench):
     # e, the bool alarms and the cost sums are all a batch keeps; a full
     # (T + 1, W) history of anything else is 11 W-vectors, past the slack
     model, ss = bench
-    W, T, n = 10_000, 10, model.n
+    W, T = 10_000, 10
     args = (model, ss, AttackPlan.constant([10.0], a_max=20.0),
             DetectorConfig(5.0), MitigationStrategy.noisy(5.0), T,
             RngStream(3), W)
@@ -621,6 +551,63 @@ def test_batch_memory_is_the_kept_fields(bench):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = (T + 1) * W * (8 * n + 1) + W * T * 8
-    assert batch.e.nbytes + batch.i.nbytes + batch.cost_sums.nbytes == kept
+    kept = (T + 1) * W * (8 + 1) + W * T * 8
+    assert batch.e.nbytes + batch.i.nbytes + batch.sums.nbytes == kept
     assert peak <= kept + 16 * W * 8, (peak - kept) / (8 * W)
+
+
+@pytest.mark.parametrize("kind, oracle, policy, controlled", [
+    ("perfect", False, False, False),
+    ("noisy", False, False, False),
+    ("off", False, False, False),
+    ("noisy", True, False, False),
+    ("perfect", False, True, False),
+    ("noisy", False, True, True),
+    ("off", True, False, True),
+])
+def test_rollout_matches_the_scalar_reference_step_bitwise(
+        bench, small_policy, kind, oracle, policy, controlled):
+    model, ss = bench
+    W, T, sigma = 5, 4, 3.0
+    plan = (AttackPlan.from_policy(small_policy) if policy
+            else AttackPlan.sequence([7.0, 0.0, -25.0, 3.0], a_max=20.0))
+    strategy = MitigationStrategy(kind, sigma * (kind == "noisy"))
+    detector = DetectorConfig(2.0)
+    ctrl = SetpointController([0.835], 0.5, init=[1.0]) if controlled \
+        else None
+    evaluation._noise_cache.clear()
+    batch = rollout_batch(model, ss, plan, detector, strategy, T,
+                          RngStream(83), W, controller=ctrl, oracle=oracle)
+    # the stream's blocks are (W, T) draws in [run, t] order
+    gen = RngStream(83).generator()
+    assert np.array_equal(batch.e[:, 0], gen.standard_normal(W)
+                          * math.sqrt(ss.P_e[0, 0]))
+    assert np.array_equal(batch.w[:, 1:], gen.standard_normal((W, T)))
+    assert np.array_equal(batch.v[:, 1:], gen.standard_normal((W, T))
+                          * math.sqrt(10.0))
+    b = _mitigation_noise(model, ss, RngStream(83), W, T)
+    assert np.array_equal(b[:, 1:], gen.standard_normal((W, T)))
+    C, CA, p_inv = (float(M[0, 0]) for M in (model.C, model.C @ model.A,
+                                              ss.P_r_inv))
+    alarms = 0
+    for run in range(W):
+        e, total = float(batch.e[run, 0]), 0.0
+        x_hat = 1.0
+        for t in range(1, T + 1):
+            w, v = float(batch.w[run, t]), float(batch.v[run, t])
+            a = float(attack_at(plan, t, e, stage_remaining=T - t + 1))
+            r = e * CA + w * C + v + a
+            alarm = a != 0.0 if oracle else r * p_inv * r > 2.0
+            delta = {"perfect": a, "noisy": a + sigma * float(b[run, t]),
+                     "off": 0.0}[kind]
+            e, corr = error_step(model, ss, e, w, v, a, alarm, delta)
+            total += e * e
+            assert batch.i[run, t] == alarm, (run, t)
+            assert batch.e[run, t] == e, (run, t)
+            assert batch.cost_sums[run, t - 1] == total, (run, t)
+            alarms += alarm
+            if controlled:
+                x_hat = estimate_step(model, ctrl, x_hat, corr)
+                assert batch.x_hat[run, t] == x_hat, (run, t)
+                assert batch.x[run, t] == x_hat + e, (run, t)
+    assert 0 < alarms < W * T  # both branches of the recursion run

@@ -3,10 +3,10 @@
 What is proven here:
   * build_grid reproduces the 241-point benchmark lattice, rejects spans
     that are not step multiples, and nearest_index snaps with ties to the
-    lower index. The lattice is scalar: build_grid refuses anything but
-    one [lo, hi] pair with one step, nearest_index refuses two-entry
-    errors, and cells are the nearest-neighbor intervals as (lower, upper)
-    float pairs.
+    lower index, a float to an int and an array of errors entry by entry.
+    The lattice is scalar: build_grid refuses anything but one [lo, hi]
+    pair with one step, and cells are the nearest-neighbor intervals as
+    (lower, upper) float pairs.
   * The scalar law's CA, s1, s2 and rho equal, bit for bit, their route
     through the joint covariance blocks C Q C' + R, C Q W_K' - R K' and
     W_K Q W_K' + K R K' on 200 seeded scalar models.
@@ -131,13 +131,14 @@ def test_grid_rejects_non_multiple_span():
 
 def test_nearest_index_snapping_and_ties():
     grid = build_grid([(-2.0, 2.0)], [1.0])  # points -2..2
-    assert nearest_index(grid, [0.4]) == 2
-    assert nearest_index(grid, [0.6]) == 3
-    assert nearest_index(grid, [0.5]) == 2  # midpoint ties to lower index
-    assert nearest_index(grid, [-0.5]) == 1
-    assert nearest_index(grid, [99.0]) == 4  # clipped to the boundary
-    assert nearest_index(grid, [-99.0]) == 0
-    batch = nearest_index(grid, [[0.4], [0.5], [99.0]])
+    assert nearest_index(grid, 0.4) == 2
+    assert nearest_index(grid, 0.6) == 3
+    assert nearest_index(grid, 0.5) == 2  # midpoint ties to lower index
+    assert nearest_index(grid, -0.5) == 1
+    assert nearest_index(grid, 99.0) == 4  # clipped to the boundary
+    assert nearest_index(grid, -99.0) == 0
+    assert type(nearest_index(grid, 0.4)) is int
+    batch = nearest_index(grid, [0.4, 0.5, 99.0])
     assert batch.tolist() == [2, 2, 4]
 
 
@@ -157,8 +158,6 @@ def test_lattice_is_scalar():
                          ([(-1.0, 1.0)], 1.0)):
         with pytest.raises(ModelError, match="scalar"):
             build_grid(bounds, step)
-    with pytest.raises(ModelError, match="scalar"):
-        nearest_index(grid, [[0.0, 0.0]])
 
 
 def test_uniform_actions_lattice():
@@ -533,12 +532,12 @@ def test_value_iteration_domain_checks(bench_tm):
 def test_policy_lookup_validation_and_snapping(bench_tm):
     pol = value_iteration(bench_tm, horizon=4)
     with pytest.raises(ModelError):
-        policy_lookup(pol, 0, [0.0])
+        policy_lookup(pol, 0, 0.0)
     with pytest.raises(ModelError):
-        policy_lookup(pol, 5, [0.0])
-    a_exact = policy_lookup(pol, 3, [1.0])
-    a_snapped = policy_lookup(pol, 3, [1.05])
-    assert np.array_equal(a_exact, a_snapped)
-    batch = policy_lookup(pol, 3, [[1.0], [1.05], [-30.0]])
-    assert batch.shape == (3, 1)
-    assert np.array_equal(batch[0], batch[1])
+        policy_lookup(pol, 5, 0.0)
+    a_exact = policy_lookup(pol, 3, 1.0)
+    a_snapped = policy_lookup(pol, 3, 1.05)
+    assert a_exact == a_snapped
+    batch = policy_lookup(pol, 3, [1.0, 1.05, -30.0])
+    assert batch.shape == (3,)
+    assert batch[0] == batch[1] == a_exact
