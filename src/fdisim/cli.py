@@ -46,7 +46,7 @@ from .attack import AttackError, AttackPlan
 from .config import ConfigError, RunConfig, preset_names, resolve_config
 from .defense import DefenseError, MitigationStrategy
 from .evaluation import EvaluationError, compare_attacks, fp_cost, md_cost
-from .lti import ModelError, derive_steady_state
+from .lti import ModelError, SystemModel, derive_steady_state
 from .mdp import build_transition_model, immediate_reward_curve, value_iteration
 from .numerics import NumericsError, RngStream
 from .voltage import (VoltageError, estimate_B, load_traces,
@@ -103,13 +103,12 @@ def _policy_path(args, cfg: RunConfig, out: Path) -> Path:
     return raw if raw.is_absolute() else out / raw
 
 
-def _solved(args, cfg: RunConfig) -> tuple:
-    """Model, steady state, output directory and policy of a rollout."""
-    model = cfg.system_model()
+def _solved(args, cfg: RunConfig, model: SystemModel) -> tuple:
+    """Steady state, output directory and policy of a rollout on `model`."""
     ss = derive_steady_state(model)
     out = _out_dir(args, cfg)
     policy, _ = load_policy(_policy_path(args, cfg, out), cfg.digest())
-    return model, ss, out, policy
+    return ss, out, policy
 
 
 def cmd_solve(args) -> int:
@@ -149,7 +148,8 @@ def cmd_sweep_action(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load(args)
-    model, ss, out, policy = _solved(args, cfg)
+    model = cfg.system_model()
+    ss, out, policy = _solved(args, cfg, model)
     plans = cfg.plans(policy)
     reports = compare_attacks(model, ss, list(plans.values()), cfg.detector(),
                               cfg.mitigation(), cfg.eval_horizon, cfg.runs,
@@ -165,7 +165,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_fpmd(args) -> int:
     cfg = _load(args)
-    model, ss, out, policy = _solved(args, cfg)
+    model = cfg.system_model()
+    ss, out, policy = _solved(args, cfg, model)
     # one fixed attack for every cell: the policy was solved for a single
     # detector, so replaying it closed-loop would let each cell's detector
     # and mitigation noise change the attack being measured
@@ -190,11 +191,11 @@ def cmd_fpmd(args) -> int:
 def cmd_voltage(args) -> int:
     cfg = _load(args)
     controller = cfg.controller()
-    A, C = (np.atleast_2d(cfg.get(f"model.{key}")) for key in "AC")
-    if not (np.array_equal(A, np.eye(len(A))) and np.array_equal(C, A)):
+    model = cfg.system_model()
+    if (model.A, model.C) != (1.0, 1.0):
         raise ConfigError("the voltage loop assumes A = I and C = I; fix "
                           "the model section")
-    model, ss, out, policy = _solved(args, cfg)
+    ss, out, policy = _solved(args, cfg, model)
     stream = RngStream(cfg.seed, _STREAM_VOLTAGE)
     mean_rows, freq_rows = [], []
     for kind, plan in cfg.plans(policy).items():

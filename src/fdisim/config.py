@@ -29,7 +29,7 @@ import yaml
 
 from .attack import AttackPlan
 from .defense import DetectorConfig, MitigationStrategy
-from .lti import SetpointController, SystemModel, check_setpoint
+from .lti import ModelError, SetpointController, SystemModel
 from .mdp import Grid, Policy, build_grid, uniform_actions
 
 __all__ = [
@@ -157,8 +157,10 @@ class RunConfig:
     def __post_init__(self):
         _check(self.data)
         if self.data["controller"] is not None:
-            check_setpoint(np.atleast_2d(self.get("model.B")),
-                           self.controller(), ConfigError)
+            try:  # x0 and init of shape (1,)
+                self.controller()
+            except ModelError as exc:
+                raise ConfigError(str(exc)) from None
 
     def get(self, path: str):
         """The value at a dotted path, cast by its kind; sections as stored."""

@@ -75,7 +75,7 @@ def g_statistic(ss: SteadyState, r) -> np.ndarray:
     """Quadratic detection statistic r P_r^-1 r of scalar innovations,
     elementwise over an array of them."""
     r = np.asarray(r, dtype=float)
-    return r * float(ss.P_r_inv[0, 0]) * r
+    return r * ss.P_r_inv * r
 
 
 def detect(detector: DetectorConfig, g) -> np.ndarray:

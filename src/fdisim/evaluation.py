@@ -1,12 +1,12 @@
 """Seeded Monte-Carlo rollouts of the detection-mitigation loop.
 
-The rollouts are scalar (n = m = 1), like the decision problem that
-`solve` poses: rollout_batch refuses any other model at entry.  A rollout
-starts with the filter at its steady state: e[0] ~ N(0, P_e).  For
-t = 1..T the loop advances the estimation error e, which the control input
-does not enter: the attacker injects a[t] computed from e[t-1] (the state
-of the error decision process before the step), the chi-square test runs
-on the innovation r = CA e[t-1] + C w[t] + v[t] + a[t], and
+The rollouts are scalar, like the model (lti.SystemModel, five floats)
+and the decision problem that `solve` poses.  A rollout starts with the
+filter at its steady state: e[0] ~ N(0, P_e).  For t = 1..T the loop
+advances the estimation error e, which the control input does not enter:
+the attacker injects a[t] computed from e[t-1] (the state of the error
+decision process before the step), the chi-square test runs on the
+innovation r = CA e[t-1] + C w[t] + v[t] + a[t], and
 e[t] = A e[t-1] + w[t] - K (r - i[t] delta[t]) takes the mitigation's
 correction on alarms.  e never passes through x - x_hat, so no setpoint
 offset costs it digits.  With a controller the loop also advances the
@@ -44,6 +44,7 @@ loop without a controller; the voltage experiment is what reads x and x_hat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -52,8 +53,8 @@ import numpy as np
 from .attack import AttackPlan, attack_at
 from .defense import (DetectorConfig, MitigationStrategy, detect, g_statistic,
                       mitigate, oracle_detect)
-from .lti import SetpointController, SteadyState, SystemModel, check_setpoint
-from .numerics import RngStream, psd_factor
+from .lti import SetpointController, SteadyState, SystemModel
+from .numerics import RngStream
 
 __all__ = [
     "BatchRollout",
@@ -182,25 +183,27 @@ def _step_major(gen: np.random.Generator, W: int, T: int,
     return buf
 
 
-def _noise(stream: RngStream, W: int, T: int, P_e: np.ndarray,
-           Q: np.ndarray, R: np.ndarray, noisy: bool) -> tuple:
+def _noise(stream: RngStream, W: int, T: int, P_e: float, Q: float,
+           R: float, noisy: bool) -> tuple:
     """(e0, w, v, b) of a batch: the stream's blocks drawn in a fixed order
     (e0 block, process block, measurement block, mitigation block), each
     scaled by its standard deviation, so streams stay aligned across
     compared systems.
 
-    The blocks are drawn once, with the variances' psd_factor taken only
-    then, and shared read-only by every later batch with the same key
-    (stream, W, T and the 1x1 P_e, Q, R); the entry is cleared before
+    The blocks are drawn once, with the variances' square roots taken
+    only then, and shared read-only by every later batch with the same key
+    (stream, W, T and the variances P_e, Q, R); the entry is cleared before
     another key is drawn.  b is None unless `noisy`.  Being the last
     block, it is drawn from the kept generator when a noisy batch first
     asks, so e0, w and v do not depend on the strategy.
     """
-    key = (stream, W, T, *(float(M[0, 0]) for M in (P_e, Q, R)))
+    key = (stream, W, T, P_e, Q, R)
     if key not in _noise_cache:
         _noise_cache.clear()
         gen = stream.generator()
-        l_e, l_q, l_r = (float(psd_factor(M)[0, 0]) for M in (P_e, Q, R))
+        # P_e rounds to a tiny negative when R is negligible against
+        # C^2 P_inf; it scales by 0 then
+        l_e, l_q, l_r = (math.sqrt(max(var, 0.0)) for var in (P_e, Q, R))
         e0 = gen.standard_normal(W) * l_e
         e0.flags.writeable = False
         w = _step_major(gen, W, T, l_q)
@@ -221,22 +224,16 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
     """Simulate `runs` independent loops of length T on the stream's
     shared pre-drawn noise.
 
-    The model must be scalar (n = m = 1).  The loop advances e and the
-    cost sums; with a controller, which must pass check_setpoint, it also
+    The loop advances e and the cost sums; with a controller it also
     advances x_hat from the controller's init (None without one).  With
     `oracle=True` the detector is replaced by the reference oracle (alarm
     exactly when a[t] != 0), and the test statistic is not computed.
     """
-    if model.n != 1 or model.m != 1:
-        raise EvaluationError(f"the rollouts are scalar: need n = m = 1, "
-                              f"got n = {model.n}, m = {model.m}")
     if T < 1:
         raise EvaluationError(f"horizon must be >= 1, got {T}")
     if runs < 1:
         raise EvaluationError(f"runs must be >= 1, got {runs}")
     _check_plan_horizon(plan, T)
-    if controller is not None:
-        check_setpoint(model.B, controller, EvaluationError)
     W = runs
 
     e0, w, v, b = _noise(stream, W, T, ss.P_e, model.Q, model.R,
@@ -251,7 +248,7 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
         alpha, x0 = controller.alpha, float(controller.x0[0])
         x_hat = np.empty((T + 1, W))
         x_hat[0] = controller.init[0]
-    A, C, K = (float(M[0, 0]) for M in (model.A, model.C, ss.K))
+    A, C, K = model.A, model.C, ss.K
     CA = C * A
     # every plan but a policy injects the same value in every run, so its
     # T injections are taken at once

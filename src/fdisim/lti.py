@@ -6,112 +6,88 @@ and the estimation error e = x - x_hat obeys
 
     e[t+1] = A_K e[t] + W_K w[t] - K (a[t+1] - i[t+1] d[t+1]) - K v[t+1]
 
-with A_K = A - K C A and W_K = I - K C, where a is the sensor injection, i
+with A_K = A - K C A and W_K = 1 - K C, where a is the sensor injection, i
 the alarm indicator and d the mitigation correction applied to the
 measurement. The control input cancels from this recursion, which is what
 lets the attack problem be posed on the error alone.
 
 This module holds the model, the steady-state filter and the setpoint
-law. The model and the filter take any dimension; the setpoint law runs
-on the scalar loop (n = m = 1) that evaluation.rollout_batch simulates.
+law, all scalar like every command: the model is five floats, and it is
+the one place that refuses a model of any other shape. The filter's
+floats are computed in the order of operations of the matrix products
+they once were, so every output keeps its bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericsError, check_covariance, solve_dare
+from .numerics import NumericsError, solve_dare
 
 
 class ModelError(ValueError):
     """Raised when a system description violates its structural contract."""
 
 
-def _matrix(name: str, value, rows: int | None = None, cols: int | None = None):
-    mat = np.atleast_2d(np.asarray(value, dtype=float))
-    if mat.ndim != 2:
-        raise ModelError(f"{name} must be a matrix, got ndim {mat.ndim}")
-    if not np.all(np.isfinite(mat)):
-        raise ModelError(f"{name} must have finite entries, got {mat.tolist()}")
-    if rows is not None and mat.shape[0] != rows:
-        raise ModelError(f"{name} has {mat.shape[0]} rows, expected {rows}")
-    if cols is not None and mat.shape[1] != cols:
-        raise ModelError(f"{name} has {mat.shape[1]} columns, expected {cols}")
-    return mat
+def _scalar(name: str, value) -> float:
+    """A model entry as a float: a number, or the config's [[v]] form."""
+    entry = np.asarray(value, dtype=float)
+    if entry.shape not in ((), (1, 1)):
+        raise ModelError(f"the model is scalar: {name} must be a number or "
+                         f"[[v]], got shape {entry.shape}")
+    x = entry.item()
+    if not math.isfinite(x):
+        raise ModelError(f"{name} must be finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
 class SystemModel:
-    """Plant matrices and noise covariances; dimensions n states, p inputs,
-    m measurements. Entries must be finite, Q and R must pass
-    numerics.check_covariance (R positive definite; both checks are
-    unit-free), and (A, B) controllable, (C, A) observable."""
+    """Scalar plant and noise variances, each a float (given as a number
+    or as [[v]]). Entries must be finite, Q >= 0 and R > 0, and B and C
+    nonzero: (A, B) controllable and (C, A) observable."""
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
+    A: float
+    B: float
+    C: float
+    Q: float
+    R: float
 
     def __post_init__(self):
-        A = _matrix("A", self.A)
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise ModelError(f"A must be square, got {A.shape}")
-        B = _matrix("B", self.B, rows=n)
-        C = _matrix("C", self.C, cols=n)
-        m = C.shape[0]
-        Q = _matrix("Q", self.Q, rows=n, cols=n)
-        R = _matrix("R", self.R, rows=m, cols=m)
-        check_covariance("Q", Q, ModelError)
-        check_covariance("R", R, ModelError, definite=True)
-
-        ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
-        if np.linalg.matrix_rank(ctrb) < n:
-            raise ModelError(f"(A, B) is not controllable (rank "
-                             f"{np.linalg.matrix_rank(ctrb)} < {n})")
-        obsv = np.vstack([C @ np.linalg.matrix_power(A, k) for k in range(n)])
-        if np.linalg.matrix_rank(obsv) < n:
-            raise ModelError(f"(C, A) is not observable (rank "
-                             f"{np.linalg.matrix_rank(obsv)} < {n})")
-
-        for name, val in (("A", A), ("B", B), ("C", C), ("Q", Q), ("R", R)):
-            object.__setattr__(self, name, val)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.C.shape[0]
+        for name in "ABCQR":
+            object.__setattr__(self, name, _scalar(name, getattr(self, name)))
+        if self.Q < 0.0:
+            raise ModelError(f"Q must be positive semidefinite, got {self.Q}")
+        if self.R <= 0.0:
+            raise ModelError(f"R must be positive definite, got {self.R}")
+        if self.B == 0.0:
+            raise ModelError("(A, B) is not controllable: B = 0")
+        if self.C == 0.0:
+            raise ModelError("(C, A) is not observable: C = 0")
 
 
 @dataclass(frozen=True, eq=False)
 class SteadyState:
-    """Steady-state filter quantities derived from a SystemModel.
+    """Steady-state filter quantities derived from a SystemModel, floats.
 
-    P_inf: prediction error covariance (Riccati fixed point)
-    K:     filter gain P_inf C' (C P_inf C' + R)^-1
-    P_r:   innovation covariance C P_inf C' + R, with cached inverse
-    A_K:   closed-loop error matrix A - K C A
-    W_K:   I - K C
-    P_e:   filtered error covariance (I - K C) P_inf
+    P_inf: prediction error variance (Riccati fixed point)
+    K:     filter gain P_inf C / (C P_inf C + R)
+    P_r:   innovation variance C P_inf C + R, with its inverse
+    A_K:   closed-loop error coefficient A - K C A
+    W_K:   1 - K C
+    P_e:   filtered error variance (1 - K C) P_inf
     """
 
-    P_inf: np.ndarray
-    K: np.ndarray
-    P_r: np.ndarray
-    P_r_inv: np.ndarray
-    A_K: np.ndarray
-    W_K: np.ndarray
-    P_e: np.ndarray
+    P_inf: float
+    K: float
+    P_r: float
+    P_r_inv: float
+    A_K: float
+    W_K: float
+    P_e: float
 
 
 def derive_steady_state(model: SystemModel) -> SteadyState:
@@ -119,15 +95,15 @@ def derive_steady_state(model: SystemModel) -> SteadyState:
         P_inf = solve_dare(model.A, model.C, model.Q, model.R)
     except NumericsError as err:
         raise ModelError(f"steady-state filter does not exist: {err}") from err
-    P_r = model.C @ P_inf @ model.C.T + model.R
-    P_r_inv = np.linalg.inv(P_r)
-    K = P_inf @ model.C.T @ P_r_inv
-    W_K = np.eye(model.n) - K @ model.C
-    A_K = model.A - K @ model.C @ model.A
-    P_e = W_K @ P_inf
-    P_e = 0.5 * (P_e + P_e.T)
+    # each in the order of operations of its n-dimensional matrix product
+    C = model.C
+    P_r = C * P_inf * C + model.R
+    P_r_inv = 1.0 / P_r
+    K = P_inf * C * P_r_inv
+    W_K = 1.0 - K * C
     return SteadyState(P_inf=P_inf, K=K, P_r=P_r, P_r_inv=P_r_inv,
-                       A_K=A_K, W_K=W_K, P_e=P_e)
+                       A_K=model.A - K * C * model.A, W_K=W_K,
+                       P_e=W_K * P_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +113,9 @@ def derive_steady_state(model: SystemModel) -> SteadyState:
 
 @dataclass(frozen=True, eq=False)
 class SetpointController:
-    """u = alpha * B^-1 (x0 - x_hat), alpha in (0, 1), drives the estimate
-    from init (x0 if None; both float arrays) to x0 when A = I."""
+    """u = alpha (x0 - x_hat) / B, alpha in (0, 1), drives the estimate
+    from init (x0 if None) to x0 when A = 1. x0 and init are float arrays
+    of shape (1,), the config's one-entry lists."""
 
     x0: np.ndarray
     alpha: float
@@ -149,32 +126,18 @@ class SetpointController:
             raise ModelError(f"alpha must lie in (0, 1), got {self.alpha}")
         init = self.x0 if self.init is None else self.init
         for name, value in (("x0", self.x0), ("init", init)):
-            object.__setattr__(self, name, np.asarray(value, dtype=float))
-
-
-def check_setpoint(B: np.ndarray, controller: SetpointController,
-                   error: type[Exception]) -> None:
-    """Raise `error` unless the setpoint law runs on the scalar loop that
-    the rollouts simulate: B of shape (1, 1) and nonzero, x0 and init of
-    shape (1,)."""
-    if B.shape != (1, 1):
-        raise error(f"the setpoint controller runs on the scalar loop and "
-                    f"needs a 1x1 model.B, got {B.shape}")
-    if B[0, 0] == 0.0:
-        raise error("model.B is singular; the setpoint controller cannot "
-                    "invert it")
-    for name in ("x0", "init"):
-        if getattr(controller, name).shape != (1,):
-            raise error(f"controller.{name} must have shape (1,), got "
-                        f"{getattr(controller, name).shape}")
+            value = np.asarray(value, dtype=float)
+            if value.shape != (1,):
+                raise ModelError(f"controller.{name} must have shape (1,), "
+                                 f"got {value.shape}")
+            object.__setattr__(self, name, value)
 
 
 def setpoint_control(model: SystemModel, controller: SetpointController,
                      x_hat) -> np.ndarray:
     """Control inputs alpha (x0 - x_hat) / B for a float estimate or an
-    array of them, on a model and controller that pass check_setpoint.
-    This is the public control law and the tests' oracle: rollout_batch
-    adds B u = alpha (x0 - x_hat) directly, without solving for u."""
-    check_setpoint(model.B, controller, ModelError)
+    array of them. This is the public control law and the tests' oracle:
+    rollout_batch adds B u = alpha (x0 - x_hat) directly, without solving
+    for u."""
     return controller.alpha * (controller.x0[0] - np.asarray(x_hat, float)) \
-        / model.B[0, 0]
+        / model.B

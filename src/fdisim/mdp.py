@@ -7,19 +7,19 @@ next error are coupled through the Gaussian pair
     X1 = C w + v        (the random part of the residual)
     X2 = W_K w - K v    (the random part of the next error)
 
-with joint covariance [[C Q C' + R, C Q W_K' - R K'], [., W_K Q W_K' +
-K R K']]: the residual is X1 + (C A e + a), the alarm fires when its
+with joint covariance [[C^2 Q + R, C Q W_K - R K], [., W_K^2 Q +
+K^2 R]]: the residual is X1 + (C A e + a), the alarm fires when its
 quadratic statistic exceeds eta, and the next error is
 
     X2 + A_K e - K a              without an alarm
     X2 + A_K e - K (a - delta)    with one,
 
 where delta is the mitigation applied on alarm. The decision problem is
-scalar (n = m = 1) and assumes perfect mitigation, delta = a: the error is
-discretized on a regular lattice and each transition row is computed
-exactly from bivariate-normal rectangles (the no-alarm band plus the two
-alarm tails, the tails shifted by K a). Value iteration maximizes the
-expected cumulative squared error norm over the horizon.
+scalar, like the model, and assumes perfect mitigation, delta = a: the
+error is discretized on a regular lattice and each transition row is
+computed exactly from bivariate-normal rectangles (the no-alarm band
+plus the two alarm tails, the tails shifted by K a). Value iteration
+maximizes the expected cumulative squared error over the horizon.
 """
 
 from __future__ import annotations
@@ -151,23 +151,19 @@ class _ScalarLaw:
 
 def _scalar_law(model: SystemModel, ss: SteadyState, eta: float) -> _ScalarLaw:
     """The law at threshold eta, and the one check of the decision
-    problem's inputs: a scalar system (n = m = 1, else ModelError), then
-    eta through DetectorConfig (NaN or negative raise DefenseError;
-    inf never alarms)."""
-    if model.n != 1 or model.m != 1:
-        raise ModelError(f"the decision problem needs a scalar system "
-                         f"(n = m = 1), got n = {model.n}, m = {model.m}")
+    problem's own input: eta through DetectorConfig (NaN or negative raise
+    DefenseError; inf never alarms)."""
     eta = DetectorConfig(eta).eta
     # the joint covariance of (C w + v, W_K w - K v) in the module
     # docstring, each entry in its matrix products' order of operations
-    C, Q, R = model.C[0, 0], model.Q[0, 0], model.R[0, 0]
-    K, W_K = ss.K[0, 0], ss.W_K[0, 0]
+    C, Q, R, K, W_K = model.C, model.Q, model.R, ss.K, ss.W_K
     s1 = math.sqrt(C * Q * C + R)
     s2 = math.sqrt(W_K * Q * W_K + K * R * K)
-    return _ScalarLaw(
-        CA=C * model.A[0, 0], K=K, A_K=ss.A_K[0, 0], s1=s1,
-        s2=s2, rho=min(1.0, max(-1.0, (C * Q * W_K - R * K) / (s1 * s2))),
-        theta=math.sqrt(eta * ss.P_r[0, 0]))
+    # np.divide: at Q = 0, s2 is 0 and rho a clamped NaN, not a
+    # ZeroDivisionError
+    rho = min(1.0, max(-1.0, np.divide(C * Q * W_K - R * K, s1 * s2)))
+    return _ScalarLaw(CA=C * model.A, K=K, A_K=ss.A_K, s1=s1, s2=s2,
+                      rho=rho, theta=math.sqrt(eta * ss.P_r))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +312,7 @@ class TransitionModel:
 def build_transition_model(model: SystemModel, ss: SteadyState, eta: float,
                            grid: Grid, actions: np.ndarray) -> TransitionModel:
     """Exact transition law for every (lattice point, action) pair of a
-    scalar system (n = m = 1), with perfect mitigation on alarm.
+    scalar system, with perfect mitigation on alarm.
 
     Mass escaping the finite grid span folds into the boundary cells; rows
     whose pre-fold interior mass drops below 0.99 trigger a
@@ -324,9 +320,9 @@ def build_transition_model(model: SystemModel, ss: SteadyState, eta: float,
     """
     law = _scalar_law(model, ss, eta)
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    if actions.shape[1] != model.m:
-        raise ModelError(f"actions have dimension {actions.shape[1]}, "
-                         f"measurements have {model.m}")
+    if actions.shape[1] != 1:
+        raise ModelError(f"actions have dimension {actions.shape[1]}; the "
+                         f"measurement is scalar")
 
     n_states = grid.n_states
     n_actions = actions.shape[0]

@@ -1,11 +1,12 @@
 """Shared numerical kernels.
 
 Seeded RNG streams, the saturating bivariate-normal orthant kernel behind
-the exact scalar transition rows, the one covariance check, a PSD factor
-for sampling correlated noise, and the fixed-point Riccati solver used to
-derive the steady-state filter. Everything is deterministic given its
-inputs; routines that need randomness take an explicit :class:`RngStream`
-and never touch global RNG state.
+the exact scalar transition rows, a PSD factor for sampling correlated
+noise of any dimension (voltage's trace synthesis), and the scalar
+fixed-point Riccati solver behind the steady-state filter, on floats.
+Everything is deterministic given its inputs; routines that need
+randomness take an explicit :class:`RngStream` and never touch global RNG
+state.
 """
 
 from __future__ import annotations
@@ -45,22 +46,6 @@ class RngStream:
 # ---------------------------------------------------------------------------
 # Covariances
 # ---------------------------------------------------------------------------
-
-
-def check_covariance(name: str, mat: np.ndarray, error=NumericsError,
-                     definite: bool = False) -> None:
-    """Raise `error` unless mat is a symmetric positive semidefinite
-    (`definite`: positive definite) covariance. Both tolerances are 1e-8 of
-    max |mat|, asymmetry and the most negative eigenvalue alike, so a
-    change of units accepts and refuses exactly the same matrices."""
-    scale = float(np.max(np.abs(mat), initial=0.0))
-    asymmetry = float(np.max(np.abs(mat - mat.T), initial=0.0))
-    if asymmetry > 1e-8 * scale:
-        raise error(f"{name} must be symmetric; max asymmetry {asymmetry:.3e}")
-    low = float(np.linalg.eigvalsh(mat)[0])
-    if low <= 0.0 if definite else low < -1e-8 * scale:
-        raise error(f"{name} must be positive {'' if definite else 'semi'}"
-                    f"definite; min eigenvalue {low:.3e}")
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -231,54 +216,44 @@ def bvn_rect(xl, xu, yl, yu, rho: float):
 # ---------------------------------------------------------------------------
 
 
-def _riccati_map(A, C, Q, R, P):
-    S = C @ P @ C.T + R
-    APC = A @ P @ C.T
-    P_next = A @ P @ A.T + Q - APC @ np.linalg.solve(S, APC.T)
-    return 0.5 * (P_next + P_next.T)
+def _riccati_map(A: float, C: float, Q: float, R: float, P: float) -> float:
+    # the n-dimensional map A P A' + Q - APC S^-1 APC' at n = 1, in its
+    # order of operations; APC / S, not APC * (1 / S), keeps its bits
+    S = C * P * C + R
+    APC = A * P * C
+    return A * P * A + Q - APC * (APC / S)
 
 
 _RTOL = 1e-12
 _MAX_ITER = 1_000_000
 
 
-def solve_dare(A: np.ndarray, C: np.ndarray, Q: np.ndarray,
-               R: np.ndarray) -> np.ndarray:
-    """Steady-state prediction covariance of the Kalman filter.
+def solve_dare(A: float, C: float, Q: float, R: float) -> float:
+    """Steady-state prediction variance of the scalar Kalman filter.
 
-    Q and R pass check_covariance (R positive definite) first. Then it
-    iterates P <- A P A' + Q - A P C'(C P C' + R)^-1 C P A' from P0 = Q
-    until the step size falls below _RTOL * max(1, ||P||_inf), at most
+    The entries must be finite with Q >= 0 and R > 0, as a SystemModel's
+    are. It iterates P <- A P A + Q - (A P C)^2 / (C P C + R) from P0 = Q
+    until the step size falls below _RTOL * max(1, |P|), at most
     _MAX_ITER times, and verifies the fixed-point residual against
-    1e-10 * max(1, ||P||_inf).
+    1e-10 * max(1, |P|).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    n = A.shape[0]
-    m = C.shape[0]
-    if A.shape != (n, n) or C.shape != (m, n) or Q.shape != (n, n) or R.shape != (m, m):
-        raise NumericsError(f"inconsistent shapes: A{A.shape} C{C.shape} "
-                            f"Q{Q.shape} R{R.shape}")
-    check_covariance("Q", Q)
-    check_covariance("R", R, definite=True)
-
-    P = Q.copy()
+    if not (all(map(math.isfinite, (A, C, Q, R))) and Q >= 0.0 and R > 0.0):
+        raise NumericsError(f"need finite entries with Q >= 0 and R > 0, "
+                            f"got A = {A}, C = {C}, Q = {Q}, R = {R}")
+    P = Q
     step = math.inf
     for iteration in range(1, _MAX_ITER + 1):
         P_next = _riccati_map(A, C, Q, R, P)
-        step = float(np.max(np.abs(P_next - P)))
+        step = abs(P_next - P)
         P = P_next
-        if step <= _RTOL * max(1.0, float(np.max(np.abs(P)))):
+        if step <= _RTOL * max(1.0, abs(P)):
             break
     else:
         raise NumericsError(f"Riccati iteration hit the cap ({_MAX_ITER}); "
                             f"last step {step:.3e}")
-    residual = float(np.max(np.abs(P - _riccati_map(A, C, Q, R, P))))
-    bound = 1e-10 * max(1.0, float(np.max(np.abs(P))))
+    residual = abs(P - _riccati_map(A, C, Q, R, P))
+    bound = 1e-10 * max(1.0, abs(P))
     if residual > bound:
         raise NumericsError(f"Riccati residual {residual:.3e} exceeds bound "
                             f"{bound:.3e} after {iteration} iterations")
     return P
-

@@ -279,10 +279,7 @@ def test_criterion_6_oracle_equivalence(bench, bench_solution):
     tm, _, _ = bench_solution
     grid = tm.grid
     started = time.perf_counter()
-    A_K = float(ss.A_K[0, 0])
-    W_K = float(ss.W_K[0, 0])
-    K = float(ss.K[0, 0])
-    P_r = float(ss.P_r[0, 0])
+    A_K, W_K, K, P_r = ss.A_K, ss.W_K, ss.K, ss.P_r
     problems = []
 
     # (a) fixed evaluation seeds; 3 std-errors on each of 100 comparisons
@@ -355,8 +352,7 @@ def test_criterion_7_numerical_kernels():
     and rectangle probabilities over a partition of the plane."""
     started = time.perf_counter()
     problems = []
-    p_inf = float(solve_dare(np.eye(1), np.eye(1), np.eye(1),
-                             10.0 * np.eye(1))[0, 0])
+    p_inf = solve_dare(1.0, 1.0, 1.0, 10.0)
     if abs(p_inf - P_INF_CLOSED) > 1e-9:
         problems.append(f"dare fixed point {p_inf!r} vs closed form")
 

@@ -12,13 +12,15 @@ What is proven here:
     and types as yaml.safe_load gives, whichever parser is in use.
   * RunConfig.plans maps the four CSV names (policy, constant, ramp,
     none), in that order, to the configured plans.
-  * A controller over a model.B that is not 1x1 or is zero, or with an
-    x0 of the wrong length, exits with code 2 and an error line instead
-    of a traceback; so does a word where a number belongs, a scalar where
-    a list belongs, a ragged model matrix, a matrix entry that YAML read
-    as a string (1e-4) or a bool, a NaN or infinity where none is allowed,
-    and an integer past float range (solve too, in one line); so does a
-    config or trace file that does not exist.
+  * The model is scalar: a 2x2 model.A, a 1x2 model.B, a 2x1 model.C or
+    a two-entry controller.x0 ends solve, sweep-action, evaluate, fpmd and
+    voltage with code 2 and one error line, before any file is written.
+    A controller over a zero model.B exits with code 2 and an error line
+    instead of a traceback; so does a word where a number belongs, a
+    scalar where a list belongs, a ragged model matrix, a matrix entry
+    that YAML read as a string (1e-4) or a bool, a NaN or infinity where
+    none is allowed, and an integer past float range (solve too, in one
+    line); so does a config or trace file that does not exist.
   * A voltage-scale negative variance (model.Q [[-1.0e-9]]) makes solve
     exit with code 2 and one error line naming Q, without running the
     Riccati loop.
@@ -163,7 +165,7 @@ def test_digest_tracks_policy_fields():
 def test_domain_object_accessors(tiny_policy):
     cfg = resolve_config("voltage")
     model = cfg.system_model()
-    assert model.n == 1 and model.Q[0, 0] == 1e-4
+    assert (model.A, model.Q) == (1.0, 1e-4)
     ctrl = cfg.controller()
     assert ctrl is not None and ctrl.alpha == 0.5
     assert np.array_equal(ctrl.init, [1.0])
@@ -588,15 +590,16 @@ def test_estimate_b_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body, message", [
-    # controllable and observable, but the setpoint law runs on the
-    # scalar loop only
+    # a setpoint per state of a 2-state model: the controller is checked
+    # at load, the model only when a command builds it
     ("model: {A: [[0.0, 1.0], [0.0, 0.0]], B: [[0.0, 0.0], [0.0, 1.0]],\n"
      "        C: [[1.0, 0.0], [0.0, 1.0]], Q: [[1.0, 0.0], [0.0, 1.0]],\n"
      "        R: [[1.0, 0.0], [0.0, 1.0]]}\n"
-     "controller: {x0: [0.0, 0.0]}\n", "needs a 1x1 model.B, got (2, 2)"),
-    # refused at load, before the model's own controllability check
+     "controller: {x0: [0.0, 0.0]}\n",
+     "controller.x0 must have shape (1,), got (2,)"),
+    # the setpoint law divides by B; the model refuses B = 0
     ("model: {B: [[0.0]]}\ncontroller: {x0: [0.0]}\n",
-     "model.B is singular"),
+     "(A, B) is not controllable: B = 0"),
     ("controller: {x0: [0.8, 0.9]}\n",
      "controller.x0 must have shape (1,), got (2,)"),
 ])
@@ -608,22 +611,31 @@ def test_bad_controller_is_a_config_error(tmp_path, capsys, body, message):
     assert err.startswith("error: ") and message in err
 
 
-def test_nonscalar_model_is_one_error_line(tmp_path, capsys):
-    # the decision problem is scalar-only; solve and sweep-action refuse a
-    # 2-state model before any transition row is built
+@pytest.mark.parametrize("command", ["solve", "sweep-action", "evaluate",
+                                     "fpmd", "voltage"])
+@pytest.mark.parametrize("body, message", [
+    ("model: {A: [[1.0, 0.0], [0.0, 1.0]]}\n",
+     "the model is scalar: A must be a number or [[v]], got shape (2, 2)"),
+    ("model: {B: [[1.0, 2.0]]}\n",
+     "the model is scalar: B must be a number or [[v]], got shape (1, 2)"),
+    ("model: {C: [[1.0], [0.5]]}\n",
+     "the model is scalar: C must be a number or [[v]], got shape (2, 1)"),
+    ("controller: {x0: [0.8, 0.9]}\n",
+     "controller.x0 must have shape (1,), got (2,)"),
+], ids=["A-2x2", "B-1x2", "C-2x1", "x0-two-entries"])
+def test_non_scalar_model_is_refused_by_every_command(tmp_path, capsys,
+                                                      command, body, message):
+    # one check of the dimension, in the model (or the controller), ahead
+    # of every command's work; over the voltage preset, which has the
+    # controller the voltage command needs
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("model: {A: [[1.0, 0.0], [0.0, 1.0]], "
-                   "B: [[1.0, 0.0], [0.0, 1.0]],\n"
-                   "        C: [[1.0, 0.0], [0.0, 1.0]], "
-                   "Q: [[1.0, 0.0], [0.0, 1.0]],\n"
-                   "        R: [[10.0, 0.0], [0.0, 10.0]]}\n",
-                   encoding="utf-8")
-    for command in ("solve", "sweep-action"):
-        assert _run([command, "--config", cfg, "--out", tmp_path]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1 and "scalar system" in captured.err
-        assert not (tmp_path / "policy.json").exists()
+    cfg.write_text(body, encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run([command, "--preset", "voltage", "--config", cfg,
+                 "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_voltage_scale_negative_variance_is_refused_at_once(tmp_path, capsys,

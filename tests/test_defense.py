@@ -86,7 +86,8 @@ def test_g_statistic_frozen_example(bench):
     assert gs[0] == gs[2] and gs[1] == 0.0
     # the bits of the quadratic form of one-entry vectors
     r = np.random.default_rng(5).standard_normal(10_000) * 7.0
-    form = np.einsum("...i,ij,...j->...", r[:, None], ss.P_r_inv, r[:, None])
+    form = np.einsum("...i,ij,...j->...", r[:, None], [[ss.P_r_inv]],
+                     r[:, None])
     assert np.array_equal(g_statistic(ss, r), form)
 
 
@@ -105,7 +106,7 @@ def test_no_attack_alarm_rate_matches_closed_form(bench):
     model, ss = bench
     rng = np.random.default_rng(314)
     n = 100_000
-    e = rng.normal(0.0, math.sqrt(ss.P_e[0, 0]), size=n)
+    e = rng.normal(0.0, math.sqrt(ss.P_e), size=n)
     w = rng.normal(0.0, 1.0, size=n)
     v = rng.normal(0.0, math.sqrt(10.0), size=n)
     r = e + w + v  # C A e + C w + v with A = C = 1

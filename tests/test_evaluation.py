@@ -15,8 +15,6 @@ What is proven here:
     policy plan and a controller; e[0], w, v and the mitigation block are
     the stream's (W, T) draws in their [run, t] order, scaled by the
     standard deviations, so the run and time axes cannot be mixed up.
-  * A model with n or m other than 1 is refused with one EvaluationError
-    that names the dimension.
   * The alarms are the detector on the rebuilt innovation's statistic,
     and the plant follows x[t] = A x[t-1] + B u + w[t] with u rebuilt by
     setpoint_control from x_hat[t-1].
@@ -34,8 +32,8 @@ What is proven here:
     md_cost is exactly zero at eta=0 under an always-injecting plan (a
     constant or a policy's nominal sequence) and rejects the no-attack plan.
   * A policy plan shorter than the horizon is rejected; so is a sequence
-    plan.  A controller whose x0 or init is not of shape (1,) is
-    rejected, and one without an init starts the estimate at its setpoint
+    plan.  A controller whose x0 or init is not of shape (1,) cannot be
+    built, and one without an init starts the estimate at its setpoint
     x0.
   * empirical_cost adds the runs in order: at 257 runs it equals the
     reductions taken on C-ordered copies of the batch, bit for bit, and
@@ -47,8 +45,9 @@ What is proven here:
   * A batch allocates no full history beyond what it keeps: one
     W = 10,000, T = 10 batch peaks (tracemalloc) within the kept bytes
     plus 16 W-vectors.
-  * The noise covariances are factored once per stream: four batches on
-    one stream call psd_factor three times (P_e, Q, R).
+  * The noise variances' square roots are taken once per stream: four
+    batches on one stream take three (P_e, Q, R).  A P_e that rounds to a
+    tiny negative (R negligible against C^2 P_inf) scales e[0] by 0.
   * A stream's noise is drawn once and shared read-only: two batches on
     one stream share their w and v memory, writing to them raises, and
     the blocks of an earlier stream are freed once another is drawn.  A
@@ -60,6 +59,7 @@ What is proven here:
 import gc
 import math
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -77,9 +77,9 @@ from fdisim.evaluation import (
     md_cost,
     rollout_batch,
 )
-from fdisim.lti import (SetpointController, SystemModel, derive_steady_state,
-                        setpoint_control)
-from fdisim.numerics import RngStream, psd_factor
+from fdisim.lti import (ModelError, SetpointController, SystemModel,
+                        derive_steady_state, setpoint_control)
+from fdisim.numerics import RngStream
 from reference import error_step, estimate_step
 
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
@@ -91,15 +91,6 @@ FIELDS = ("e", "i", "w", "v", "cost_sums", "x", "x_hat")
 @pytest.fixture(scope="module")
 def bench():
     model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[10.0]])
-    return model, derive_steady_state(model)
-
-
-@pytest.fixture(scope="module")
-def two_state():
-    """n = m = p = 2 with coupled dynamics and sensors, correlated noises."""
-    model = SystemModel(A=[[0.9, 0.2], [-0.1, 0.8]], B=[[1.0, 0.3], [0.0, 1.0]],
-                        C=[[1.0, 0.5], [0.2, 1.0]], Q=[[1.0, 0.3], [0.3, 0.5]],
-                        R=[[2.0, 0.6], [0.6, 1.0]])
     return model, derive_steady_state(model)
 
 
@@ -117,7 +108,7 @@ def _replay(batch, model, ss, plan):
     W, T = batch.runs, batch.horizon
     a = np.zeros((W, T + 1))
     g = np.zeros((W, T + 1))
-    C, CA = model.C[0, 0], (model.C @ model.A)[0, 0]
+    C, CA = model.C, model.C * model.A
     for t in range(1, T + 1):
         a[:, t] = attack_at(plan, t, batch.e[:, t - 1],
                             stage_remaining=T - t + 1)
@@ -281,7 +272,7 @@ def test_noisy_mitigation_draws_consumed_every_step(bench):
     a, _ = _replay(wide, model, ss, plan)
     e, w, v = wide.e, wide.w, wide.v
     r = e[:, :-1] + w[:, 1:] + v[:, 1:] + a[:, 1:]
-    delta = r + (e[:, 1:] - e[:, :-1] - w[:, 1:]) / ss.K[0, 0]
+    delta = r + (e[:, 1:] - e[:, :-1] - w[:, 1:]) / ss.K
     noise = (delta - a[:, 1:]).ravel()  # 20,000 draws
     assert abs(noise.mean()) < 0.35
     assert abs(noise.std(ddof=1) - 15.0) < 0.3
@@ -331,35 +322,20 @@ def test_rollout_contract_checks(bench):
         rollout_batch(model, ss, *good, T=0, stream=RngStream(1), runs=5)
     with pytest.raises(EvaluationError):
         rollout_batch(model, ss, *good, T=5, stream=RngStream(1), runs=0)
-    with pytest.raises(EvaluationError, match="controller.init"):
-        rollout_batch(model, ss, *good, T=5, stream=RngStream(1), runs=5,
-                      controller=SetpointController([0.5], 0.5,
-                                                    init=[1.0, 2.0]))
-
-
-def test_rollout_refuses_a_model_that_is_not_scalar(two_state):
-    good = (AttackPlan.none(), DetectorConfig(1.0), MitigationStrategy.off())
-    wide = SystemModel(A=[[0.9]], B=[[1.0]], C=[[1.0], [0.5]], Q=[[1.0]],
-                       R=[[2.0, 0.6], [0.6, 1.0]])  # two sensors, one state
-    for (model, ss), dims in ((two_state, "n = 2, m = 2"),
-                              ((wide, derive_steady_state(wide)),
-                               "n = 1, m = 2")):
-        with pytest.raises(EvaluationError,
-                           match=f"need n = m = 1, got {dims}$"):
-            rollout_batch(model, ss, *good, T=3, stream=RngStream(1), runs=4)
+    # no rollout gets a controller with a longer init: none can be built
+    with pytest.raises(ModelError, match="controller.init"):
+        SetpointController([0.5], 0.5, init=[1.0, 2.0])
 
 
 def test_rollout_refuses_a_setpoint_of_another_shape(bench):
-    # one setpoint entry per state: a longer one would broadcast silently
+    # one setpoint entry for the one state: a longer one would broadcast
+    # silently, so the controller refuses it before any rollout
     model, ss = bench
     good = (DetectorConfig(1.0), MitigationStrategy.off())
     for x0, shape in (([0.5, 0.5], r"\(2,\)"), ([[0.5]], r"\(1, 1\)")):
-        with pytest.raises(EvaluationError,
+        with pytest.raises(ModelError,
                            match=rf"controller\.x0 .* \(1,\), got {shape}"):
-            rollout_batch(model, ss, AttackPlan.none(), *good, T=3,
-                          stream=RngStream(1), runs=4,
-                          controller=SetpointController(x0, 0.5,
-                                                        init=[0.5]))
+            SetpointController(x0, 0.5, init=[0.5])
     batch = rollout_batch(model, ss, AttackPlan.none(), *good, T=3,
                           stream=RngStream(1), runs=4,
                           controller=SetpointController([0.5], 0.5))
@@ -404,7 +380,7 @@ def test_controller_batch_matches_scalar_path(bench):
     for t in range(5):
         u = setpoint_control(model, ctrl, batch.x_hat[:, t])
         for run in range(6):
-            u_ref = 0.5 * (0.835 - batch.x_hat[run, t]) / model.B[0, 0]
+            u_ref = 0.5 * (0.835 - batch.x_hat[run, t]) / model.B
             assert u[run] == pytest.approx(u_ref, rel=0, abs=1e-14)
             if t < 4:  # and the plant moved under it
                 x_step = batch.x[run, t] + u_ref + batch.w[run, t + 1]
@@ -439,11 +415,12 @@ def test_stream_noise_is_drawn_once_and_shared_read_only(bench):
 def test_noise_factors_are_taken_once_per_stream(bench, monkeypatch):
     calls = []
 
-    def counting(cov):
-        calls.append(cov)
-        return psd_factor(cov)
+    def counting(var):
+        calls.append(var)
+        return math.sqrt(var)
 
-    monkeypatch.setattr(evaluation, "psd_factor", counting)
+    monkeypatch.setattr(evaluation, "math", types.SimpleNamespace(
+        sqrt=counting))
     evaluation._noise_cache.clear()
     model, ss = bench
     for plan, strategy in ((AttackPlan.none(), MitigationStrategy.perfect()),
@@ -454,7 +431,19 @@ def test_noise_factors_are_taken_once_per_stream(bench, monkeypatch):
                             MitigationStrategy.noisy(5.0))):
         rollout_batch(model, ss, plan, DetectorConfig(3.0), strategy, 6,
                       RngStream(73), runs=5)
-    assert len(calls) == 3  # P_e, Q and R, when the stream is drawn
+    assert calls == [ss.P_e, 1.0, 10.0]  # when the stream is drawn
+
+
+def test_a_variance_rounded_below_zero_scales_its_draws_by_zero():
+    # 1 - K C rounds to -2.2e-16 when R is negligible against C^2 P_inf
+    model = SystemModel(A=0.013455862214657888, B=1.0,
+                        C=-0.41687160372402976, Q=1.1616003181141884e-06,
+                        R=7.212405731063394e-205)
+    ss = derive_steady_state(model)
+    assert ss.P_e < 0.0
+    batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(1.0),
+                          MitigationStrategy.off(), 3, RngStream(5), runs=4)
+    assert np.all(batch.e[:, 0] == 0.0) and np.all(np.isfinite(batch.e))
 
 
 def test_perfect_and_noisy_batches_share_the_leading_blocks(bench):
@@ -581,14 +570,13 @@ def test_rollout_matches_the_scalar_reference_step_bitwise(
     # the stream's blocks are (W, T) draws in [run, t] order
     gen = RngStream(83).generator()
     assert np.array_equal(batch.e[:, 0], gen.standard_normal(W)
-                          * math.sqrt(ss.P_e[0, 0]))
+                          * math.sqrt(ss.P_e))
     assert np.array_equal(batch.w[:, 1:], gen.standard_normal((W, T)))
     assert np.array_equal(batch.v[:, 1:], gen.standard_normal((W, T))
                           * math.sqrt(10.0))
     b = _mitigation_noise(model, ss, RngStream(83), W, T)
     assert np.array_equal(b[:, 1:], gen.standard_normal((W, T)))
-    C, CA, p_inv = (float(M[0, 0]) for M in (model.C, model.C @ model.A,
-                                              ss.P_r_inv))
+    C, CA, p_inv = model.C, model.C * model.A, ss.P_r_inv
     alarms = 0
     for run in range(W):
         e, total = float(batch.e[run, 0]), 0.0

@@ -3,8 +3,11 @@
 What is proven here:
   * derive_steady_state reproduces the scalar benchmark closed forms
     (P_inf = (1+sqrt(41))/2, K, P_r, P_e, A_K = W_K) and satisfies the
-    stationary filtered-error identity P_e = A_K P_e A_K' + W_K Q W_K' +
-    K R K' in 1-D and 2-D.
+    stationary filtered-error identity P_e = A_K^2 P_e + W_K^2 Q + K^2 R.
+  * Its floats equal, bit for bit, the matrix route it replaced (the
+    fixed-point Riccati loop and the filter's products on 1x1 matrices,
+    tests/reference.py) on both presets and on 1,000 seeded scalar
+    systems.
   * The tests' scalar reference step (reference.error_step) matches its
     frozen examples, is affine in (e, w, v, a, delta) at fixed alarm, and
     agrees to 1e-10 with the error implied by one full
@@ -12,14 +15,14 @@ What is proven here:
     random controls (the control input cancels).
   * setpoint control contracts |x - x0| geometrically at rate (1 - alpha)
     in the noise-free loop and acts entry by entry on an array of
-    estimates; a controller refuses alpha outside (0, 1), and
-    rollout_batch refuses a controller over a B that is not 1x1 before
-    its first step; a zero B is refused by the model as uncontrollable
-    and by the setpoint check.
+    estimates; a controller refuses alpha outside (0, 1) and an x0 or
+    init of any shape but (1,); a zero B, which the law divides by, is
+    refused by the model as uncontrollable.
   * rollout_batch's logged process and measurement noises have the
     model's variances Q and R.
-  * SystemModel rejects non-square A, uncontrollable (A, B), unobservable
-    (C, A), indefinite covariances, mismatched shapes, and non-finite
+  * SystemModel is five floats, each given as a number or as [[v]]; it
+    refuses any other shape ("the model is scalar"), B = 0
+    (uncontrollable), C = 0 (unobservable), Q < 0, R <= 0 and non-finite
     entries (a NaN Q would otherwise spin the Riccati iteration).
 """
 
@@ -31,17 +34,17 @@ from hypothesis import given, settings, strategies as st
 
 from fdisim.attack import AttackPlan
 from fdisim.defense import DetectorConfig, MitigationStrategy
-from fdisim.evaluation import EvaluationError, rollout_batch
+from fdisim.evaluation import rollout_batch
+from fdisim.config import resolve_config
 from fdisim.lti import (
     ModelError,
     SetpointController,
     SystemModel,
-    check_setpoint,
     derive_steady_state,
     setpoint_control,
 )
 from fdisim.numerics import RngStream
-from reference import error_step
+from reference import error_step, steady_state
 
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
 K_GAIN = P_INF / (P_INF + 10.0)
@@ -51,31 +54,51 @@ def scalar_benchmark() -> SystemModel:
     return SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[10.0]])
 
 
-def two_dim_model() -> SystemModel:
-    return SystemModel(A=[[0.9, 0.2], [0.0, 0.8]], B=[[1.0], [0.5]],
-                       C=[[1.0, 0.5]], Q=[[0.3, 0.1], [0.1, 0.4]], R=[[2.0]])
+def stable_model() -> SystemModel:
+    return SystemModel(A=0.9, B=1.0, C=0.5, Q=0.3, R=2.0)
 
 
 def test_steady_state_scalar_closed_forms():
     ss = derive_steady_state(scalar_benchmark())
-    assert ss.P_inf[0, 0] == pytest.approx(P_INF, abs=1e-9)
-    assert ss.K[0, 0] == pytest.approx(K_GAIN, abs=1e-10)
-    assert ss.P_r[0, 0] == pytest.approx(P_INF + 10.0, abs=1e-9)
-    assert ss.P_r_inv[0, 0] == pytest.approx(1.0 / (P_INF + 10.0), abs=1e-12)
-    assert ss.A_K[0, 0] == pytest.approx(1.0 - K_GAIN, abs=1e-10)
-    assert ss.W_K[0, 0] == pytest.approx(1.0 - K_GAIN, abs=1e-10)
-    assert ss.P_e[0, 0] == pytest.approx((1.0 - K_GAIN) * P_INF, abs=1e-9)
+    assert ss.P_inf == pytest.approx(P_INF, abs=1e-9)
+    assert ss.K == pytest.approx(K_GAIN, abs=1e-10)
+    assert ss.P_r == pytest.approx(P_INF + 10.0, abs=1e-9)
+    assert ss.P_r_inv == pytest.approx(1.0 / (P_INF + 10.0), abs=1e-12)
+    assert ss.A_K == pytest.approx(1.0 - K_GAIN, abs=1e-10)
+    assert ss.W_K == pytest.approx(1.0 - K_GAIN, abs=1e-10)
+    assert ss.P_e == pytest.approx((1.0 - K_GAIN) * P_INF, abs=1e-9)
 
 
-@pytest.mark.parametrize("model_fn", [scalar_benchmark, two_dim_model])
+@pytest.mark.parametrize("model_fn", [scalar_benchmark, stable_model])
 def test_stationary_filtered_error_identity(model_fn):
     model = model_fn()
     ss = derive_steady_state(model)
-    # P_e is the stationary covariance of e' = A_K e + W_K w - K v
-    rhs = (ss.A_K @ ss.P_e @ ss.A_K.T + ss.W_K @ model.Q @ ss.W_K.T
-           + ss.K @ model.R @ ss.K.T)
-    assert np.max(np.abs(ss.P_e - rhs)) < 1e-9
-    assert np.max(np.abs(np.linalg.eigvals(ss.A_K))) < 1.0
+    # P_e is the stationary variance of e' = A_K e + W_K w - K v
+    rhs = (ss.A_K * ss.P_e * ss.A_K + ss.W_K * model.Q * ss.W_K
+           + ss.K * model.R * ss.K)
+    assert abs(ss.P_e - rhs) < 1e-9
+    assert abs(ss.A_K) < 1.0
+
+
+def _fields(ss):
+    return (ss.P_inf, ss.K, ss.P_r, ss.P_r_inv, ss.A_K, ss.W_K, ss.P_e)
+
+
+def test_steady_state_matches_the_matrix_route_bitwise():
+    # every transition row and rollout is built from these floats, so they
+    # must keep the bits of the matrix products they replaced
+    models = [resolve_config(name).system_model()
+              for name in ("benchmark", "voltage")]
+    rng = np.random.default_rng(27)
+    for _ in range(1000):
+        A = rng.uniform(-1.5, 1.5)
+        C = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0)
+        Q, R = 10.0 ** rng.uniform(-6.0, 4.0, size=2)
+        models.append(SystemModel(A=A, B=1.0, C=C, Q=Q, R=R))
+    for model in models:
+        ss = derive_steady_state(model)
+        key = (model.A, model.C, model.Q, model.R)
+        assert _fields(ss) == steady_state(*key), key
 
 
 def test_error_step_frozen_examples():
@@ -92,9 +115,9 @@ def test_error_step_frozen_examples():
 
 
 def scalar_model(rng) -> SystemModel:
-    return SystemModel(A=[[rng.uniform(0.5, 1.2)]], B=[[rng.uniform(0.5, 2)]],
-                       C=[[rng.uniform(0.5, 2.0)]], Q=[[rng.uniform(0.1, 2)]],
-                       R=[[rng.uniform(0.5, 5.0)]])
+    return SystemModel(A=rng.uniform(0.5, 1.2), B=rng.uniform(0.5, 2),
+                       C=rng.uniform(0.5, 2.0), Q=rng.uniform(0.1, 2),
+                       R=rng.uniform(0.5, 5.0))
 
 
 @settings(max_examples=50, deadline=None)
@@ -119,8 +142,7 @@ def test_error_step_consistent_with_full_loop(alarm):
     for _ in range(20):
         model = scalar_model(rng)
         ss = derive_steady_state(model)
-        A, B, C, K = (float(M[0, 0]) for M in (model.A, model.B, model.C,
-                                               ss.K))
+        A, B, C, K = model.A, model.B, model.C, ss.K
         x, x_hat, u, w, v = rng.normal(size=5)
         a, delta = rng.normal(size=2) * 5.0
         x_next = A * x + B * u + w
@@ -151,25 +173,25 @@ def test_setpoint_control_contracts_enforced():
     for alpha in (0.0, 1.0, float("nan")):
         with pytest.raises(ModelError, match="alpha"):
             SetpointController([1.0], alpha)
-    wide = SystemModel(A=[[1.0]], B=[[0.0, 1.0]], C=[[1.0]], Q=[[1.0]],
-                       R=[[1.0]])  # two inputs drive the one state
-    ctrl = SetpointController([1.0], 0.5)
-    with pytest.raises(EvaluationError, match=r"1x1 model.B, got \(1, 2\)"):
-        rollout_batch(wide, derive_steady_state(wide), AttackPlan.none(),
-                      DetectorConfig(1.0), MitigationStrategy.off(), T=2,
-                      stream=RngStream(1), runs=2, controller=ctrl)
-    with pytest.raises(ModelError, match=r"1x1 model.B, got \(1, 2\)"):
-        setpoint_control(wide, ctrl, 0.0)
+    # two inputs cannot drive the one state: the model refuses a wide B
+    with pytest.raises(ModelError, match=r"model is scalar: B .* \(1, 2\)"):
+        SystemModel(A=[[1.0]], B=[[0.0, 1.0]], C=[[1.0]], Q=[[1.0]],
+                    R=[[1.0]])
+    for x0, init, name, shape in (([1.0, 2.0], None, "x0", r"\(2,\)"),
+                                  (1.0, None, "x0", r"\(\)"),
+                                  ([1.0], [[1.0]], "init", r"\(1, 1\)")):
+        with pytest.raises(ModelError,
+                           match=rf"controller\.{name} must have shape "
+                                 rf"\(1,\), got {shape}"):
+            SetpointController(x0, 0.5, init)
 
 
 def test_rollout_refuses_a_controller_over_a_singular_B():
-    # a scalar model with B = 0 is uncontrollable, so no rollout gets one;
-    # the setpoint check refuses it for the configs it runs on at load
-    with pytest.raises(ModelError, match="controllable"):
-        SystemModel(A=[[1.0]], B=[[0.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]])
-    with pytest.raises(EvaluationError, match="model.B is singular"):
-        check_setpoint(np.zeros((1, 1)), SetpointController([1.0], 0.5),
-                       EvaluationError)
+    # a scalar model with B = 0 is uncontrollable, so no rollout or
+    # setpoint law, which divides by B, gets one
+    for B in ([[0.0]], 0.0, -0.0):
+        with pytest.raises(ModelError, match="not controllable: B = 0"):
+            SystemModel(A=[[1.0]], B=B, C=[[1.0]], Q=[[1.0]], R=[[1.0]])
 
 
 def test_setpoint_control_acts_row_by_row():
@@ -186,22 +208,24 @@ def test_setpoint_control_acts_row_by_row():
 
 
 def test_model_validation():
-    with pytest.raises(ModelError):
-        SystemModel(A=[[1.0, 0.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]])
-    with pytest.raises(ModelError, match="controllable"):
-        SystemModel(A=np.eye(2), B=[[1.0], [0.0]], C=np.eye(2),
-                    Q=np.eye(2), R=np.eye(2))
-    with pytest.raises(ModelError, match="observable"):
-        SystemModel(A=np.diag([0.9, 0.8]), B=np.eye(2), C=[[1.0, 0.0]],
-                    Q=np.eye(2), R=[[1.0]])
-    with pytest.raises(ModelError):
-        SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[0.0]])
-    with pytest.raises(ModelError, match="shape|rows|columns"):
-        SystemModel(A=[[1.0]], B=[[1.0], [1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]])
-    with pytest.raises(ModelError, match="Q must have finite entries"):
-        SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[np.nan]], R=[[1.0]])
-    model = scalar_benchmark()
-    assert (model.n, model.p, model.m) == (1, 1, 1)
+    good = dict(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]])
+    for key, value, message in (
+            ("A", [[1.0, 0.0]], r"model is scalar: A .* got shape \(1, 2\)"),
+            ("B", [[1.0], [1.0]], r"model is scalar: B .* got shape \(2, 1\)"),
+            ("Q", [1.0], r"model is scalar: Q .* got shape \(1,\)"),
+            ("A", np.eye(2), r"model is scalar: A .* got shape \(2, 2\)"),
+            ("C", [[0.0]], "not observable: C = 0"),
+            ("R", [[0.0]], "R must be positive definite, got 0.0"),
+            ("Q", [[-1e-300]], "Q must be positive semidefinite, got -1e-300"),
+            ("Q", [[np.nan]], "Q must be finite, got nan"),
+            ("A", np.inf, "A must be finite, got inf")):
+        with pytest.raises(ModelError, match=message):
+            SystemModel(**{**good, key: value})
+    # a number and the config's [[v]] form give the same five floats
+    model = SystemModel(A=0.9, B=np.float64(2.0), C=[[0.5]], Q=0, R=3)
+    assert (model.A, model.B, model.C, model.Q, model.R) == (
+        0.9, 2.0, 0.5, 0.0, 3.0)
+    assert all(type(getattr(model, key)) is float for key in "ABCQR")
 
 
 def test_noise_covariances_respected():
@@ -212,10 +236,10 @@ def test_noise_covariances_respected():
                           MitigationStrategy.off(), T=4,
                           stream=RngStream(5), runs=10_000)
     w = batch.w[:, 1:].ravel()  # 40,000 draws; t = 0 carries none
-    assert abs(np.var(w, ddof=1) - model.Q[0, 0]) < 0.01
+    assert abs(np.var(w, ddof=1) - model.Q) < 0.01
     v = batch.v[:, 1:].ravel()
-    assert abs(np.var(v, ddof=1) - model.R[0, 0]) < 0.05
+    assert abs(np.var(v, ddof=1) - model.R) < 0.05
     assert abs(np.corrcoef(w, v)[0, 1]) < 0.02  # drawn independently
     e0 = batch.e[:, 0]
-    assert abs(np.var(e0, ddof=1) - ss.P_e[0, 0]) < 0.05 * ss.P_e[0, 0]
+    assert abs(np.var(e0, ddof=1) - ss.P_e) < 0.05 * ss.P_e
     assert np.all(batch.w[:, 0] == 0.0) and np.all(batch.v[:, 0] == 0.0)

@@ -14,11 +14,11 @@ What is proven here:
     (e=0, a=10, eta=10), is 1 at eta=0 and 0 at eta=inf, is symmetric under
     (e, a) -> (-e, -a), and agrees with direct Monte-Carlo simulation of the
     one-step recursion within 4 std-errors.
-  * The decision problem is scalar-only: on an isotropic 2-D model
-    detection_prob, cell_transition_prob, alarm_cell_mass,
-    build_transition_model and immediate_reward_curve raise ModelError.
-    The same five raise DefenseError for a NaN or negative threshold, as
-    DetectorConfig does on the rollout side; eta = inf still never alarms.
+  * detection_prob, cell_transition_prob, alarm_cell_mass,
+    build_transition_model and immediate_reward_curve raise DefenseError
+    for a NaN or negative threshold, as DetectorConfig does on the rollout
+    side; eta = inf still never alarms.  (A model of any shape but scalar
+    cannot be built, see test_lti.)
   * cell_transition_prob agrees with the same Monte-Carlo oracle cell-wise,
     reduces to a univariate normal when eta = inf, and its band + alarm
     decomposition (alarm_cell_mass) is consistent; alarm masses over a
@@ -90,23 +90,15 @@ def bench_tm(bench):
                                   actions=uniform_actions(20.0, 81))
 
 
-@pytest.fixture(scope="module")
-def iso2():
-    """A = B = C = Q = I, R = 10 I: residual covariance 11 I, P_r = p I."""
-    model = SystemModel(A=np.eye(2), B=np.eye(2), C=np.eye(2), Q=np.eye(2),
-                        R=10.0 * np.eye(2))
-    return model, derive_steady_state(model)
-
-
 def mc_one_step(model, ss, eta, e, a, delta, n, seed):
     """Independent oracle: simulate the one-step recursion directly."""
     rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, math.sqrt(model.Q[0, 0]), size=n)
-    v = rng.normal(0.0, math.sqrt(model.R[0, 0]), size=n)
-    r = model.C[0, 0] * (model.A[0, 0] * e + w) + v + a
-    alarm = r * r / ss.P_r[0, 0] > eta
-    e_next = (ss.A_K[0, 0] * e + ss.W_K[0, 0] * w - ss.K[0, 0] * v
-              - ss.K[0, 0] * (a - alarm * delta))
+    w = rng.normal(0.0, math.sqrt(model.Q), size=n)
+    v = rng.normal(0.0, math.sqrt(model.R), size=n)
+    r = model.C * (model.A * e + w) + v + a
+    alarm = r * r / ss.P_r > eta
+    e_next = (ss.A_K * e + ss.W_K * w - ss.K * v
+              - ss.K * (a - alarm * delta))
     return alarm, e_next
 
 
@@ -182,13 +174,15 @@ def test_scalar_law_matches_joint_covariance_blocks():
         Q, R = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
         model = SystemModel(A=[[A]], B=[[1.0]], C=[[C]], Q=[[Q]], R=[[R]])
         ss = derive_steady_state(model)
-        S11 = model.C @ model.Q @ model.C.T + model.R
-        S12 = model.C @ model.Q @ ss.W_K.T - model.R @ ss.K.T
-        S22 = ss.W_K @ model.Q @ ss.W_K.T + ss.K @ model.R @ ss.K.T
+        Am, Cm, Qm, Rm, W_K, K = (np.array([[x]]) for x in (
+            model.A, model.C, model.Q, model.R, ss.W_K, ss.K))
+        S11 = Cm @ Qm @ Cm.T + Rm
+        S12 = Cm @ Qm @ W_K.T - Rm @ K.T
+        S22 = W_K @ Qm @ W_K.T + K @ Rm @ K.T
         s1, s2 = math.sqrt(S11[0, 0]), math.sqrt(S22[0, 0])
         law = mdp._scalar_law(model, ss, 10.0)
         assert (law.CA, law.s1, law.s2, law.rho) == (
-            model.C[0, 0] * model.A[0, 0], s1, s2,
+            (Cm @ Am)[0, 0], s1, s2,
             min(1.0, max(-1.0, S12[0, 0] / (s1 * s2)))), (A, C, Q, R)
 
 
@@ -197,7 +191,7 @@ def test_detection_prob_frozen_value(bench):
     p = detection_prob(model, ss, 10.0, 0.0, 10.0)
     assert p == pytest.approx(DET_AT_10, abs=1e-12)
     # explicit closed form route
-    theta = math.sqrt(10.0 * ss.P_r[0, 0])
+    theta = math.sqrt(10.0 * ss.P_r)
     s1 = math.sqrt(11.0)
     exact = float(ndtr((-theta - 10.0) / s1)
                   + 1.0 - ndtr((theta - 10.0) / s1))
@@ -222,24 +216,6 @@ def test_detection_prob_against_mc_oracle(bench):
         p = detection_prob(model, ss, 10.0, e, a)
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(p - p_hat) < 4.0 * se + 1e-4, (e, a, p, p_hat)
-
-
-def test_nonscalar_model_raises_model_error(iso2):
-    model, ss = iso2
-    grid = build_grid([(-1.0, 1.0)], [1.0])
-    e, a = 0.0, 1.0
-    target = cell(grid, 1)
-    calls = [
-        lambda: detection_prob(model, ss, 5.0, e, a),
-        lambda: cell_transition_prob(model, ss, 5.0, e, a, a, target),
-        lambda: alarm_cell_mass(model, ss, 5.0, e, a, a, target),
-        lambda: build_transition_model(model, ss, 5.0, grid,
-                                       uniform_actions(3.0, 3)),
-        lambda: immediate_reward_curve(model, ss, 5.0, grid, [0.0, 1.0]),
-    ]
-    for call in calls:
-        with pytest.raises(ModelError, match="scalar system"):
-            call()
 
 
 @pytest.mark.parametrize("eta", [math.nan, -1.0])
@@ -287,8 +263,8 @@ def test_cell_transition_never_detect_reduces_to_univariate(bench):
     # eta = inf: e' = A_K e - K a + X2 with X2 ~ N(0, W_K^2 Q + K^2 R)
     model, ss = bench
     e, a = 2.0, 6.0
-    s2 = math.sqrt(ss.W_K[0, 0] ** 2 + ss.K[0, 0] ** 2 * 10.0)
-    mean = ss.A_K[0, 0] * e - ss.K[0, 0] * a
+    s2 = math.sqrt(ss.W_K ** 2 + ss.K ** 2 * 10.0)
+    mean = ss.A_K * e - ss.K * a
     target = (-1.0, 2.0)
     p = cell_transition_prob(model, ss, np.inf, e, a, a, target)
     exact = float(ndtr((2.0 - mean) / s2)
@@ -349,7 +325,7 @@ def test_transition_model_zero_action_variance(bench, bench_tm):
     i0 = int(np.argmin(np.abs(tm.grid.points[:, 0])))
     k0 = int(np.argmin(np.abs(tm.actions[:, 0])))
     assert tm.actions[k0, 0] == 0.0
-    var_exact = ss.W_K[0, 0] ** 2 * 1.0 + ss.K[0, 0] ** 2 * 10.0
+    var_exact = ss.W_K ** 2 * 1.0 + ss.K ** 2 * 10.0
     assert expected_reward(tm, i0, k0) == pytest.approx(var_exact, abs=0.02)
 
 

@@ -4,8 +4,9 @@ What is proven here:
   * The voltage preset's setpoint controller drives a noiseless scalar
     plant from 1.0 pu to 0.835 pu geometrically at rate (1 - alpha), and
     holds the setpoint once there.
-  * A controller section is refused with a ConfigError when model.B is
-    singular or when controller.x0 or controller.init has the wrong length.
+  * A controller section is refused with a ConfigError when controller.x0
+    or controller.init has the wrong length; over a zero model.B it loads,
+    and the model it builds is refused as uncontrollable.
   * estimate_B recovers a known gain exactly from noiseless traces, to
     < 1% relative error from 10^4 noisy samples, with error shrinking as
     the sample count grows; zero excitation raises a rank error.
@@ -41,7 +42,7 @@ from fdisim.attack import AttackPlan
 from fdisim.config import ConfigError, from_mapping, resolve_config
 from fdisim.defense import DetectorConfig, MitigationStrategy
 from fdisim.evaluation import rollout_batch
-from fdisim.lti import derive_steady_state, setpoint_control
+from fdisim.lti import ModelError, derive_steady_state, setpoint_control
 from fdisim.mdp import (
     build_grid,
     build_transition_model,
@@ -90,7 +91,7 @@ def test_noiseless_convergence_to_setpoint(loop):
     gaps = []
     for _ in range(60):
         u = setpoint_control(model, controller, x)
-        x = model.A @ x + model.B @ u
+        x = model.A * x + model.B * u
         gaps.append(abs(x[0] - 0.835))
     assert gaps[-1] < 1e-9
     ratios = np.array(gaps[1:10]) / np.array(gaps[:9])
@@ -98,14 +99,15 @@ def test_noiseless_convergence_to_setpoint(loop):
     # equilibrium: starting at the setpoint stays there
     x = np.array([0.835])
     u = setpoint_control(model, controller, x)
-    assert np.allclose(model.A @ x + model.B @ u, x, atol=1e-15)
+    assert np.allclose(model.A * x + model.B * u, x, atol=1e-15)
 
 
 def test_voltage_config_validation():
     model = {"Q": [[1e-4]], "R": [[1e-3]]}
-    with pytest.raises(ConfigError, match="singular"):
-        from_mapping({"model": {**model, "B": [[0.0]]},
-                      "controller": {"x0": [0.8], "alpha": 0.5}})
+    cfg = from_mapping({"model": {**model, "B": [[0.0]]},
+                        "controller": {"x0": [0.8], "alpha": 0.5}})
+    with pytest.raises(ModelError, match="not controllable: B = 0"):
+        cfg.system_model()
     with pytest.raises(ConfigError, match="controller.x0"):
         from_mapping({"model": model,
                       "controller": {"x0": [0.8, 0.9], "alpha": 0.5}})
