@@ -14,11 +14,13 @@ numbers, a gamma outside (0, 1] and an a_max or step <= 0):
     gamma         per-stage discount
     a_max         injection norm bound
     values        (horizon + 1) x states, stage-major, values[0] = 0
-    action_table  horizon x states x m, stage-major (index s-1 holds the
+    action_table  horizon x states x 1, stage-major (index s-1 holds the
                   policy with s stages remaining)
 
 Serialization is canonical (sorted keys, fixed separators), so identical
-policies produce byte-identical files.
+policies produce byte-identical files. The one-entry forms are the file's
+own: a Policy holds the lattice as floats, its actions as a (K,) array and
+its table as (horizon, states), and this module converts on save and load.
 """
 
 from __future__ import annotations
@@ -57,11 +59,11 @@ def save_policy(path, policy: Policy, digest: str) -> None:
             "bounds": [[policy.grid.lo, policy.grid.hi]],
             "step": [policy.grid.step],
         },
-        "actions": policy.actions.tolist(),
+        "actions": policy.actions[:, None].tolist(),
         "gamma": policy.gamma,
         "a_max": policy.a_max,
         "values": policy.values.tolist(),
-        "action_table": policy.action_table.tolist(),
+        "action_table": policy.action_table[:, :, None].tolist(),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
@@ -106,7 +108,12 @@ def load_policy(path, expected_digest: str | None = None) -> tuple[Policy, str]:
         table = np.asarray(payload["action_table"], dtype=float)
         gamma = float(payload["gamma"])
         a_max = float(payload["a_max"])
-        grid = build_grid(bounds, step)
+        if bounds.shape != (1, 2) or step.shape != (1,):
+            raise ValueError(f"the decision lattice is scalar: grid.bounds "
+                             f"must be one [lo, hi] pair and grid.step one "
+                             f"entry, got shapes {bounds.shape} and "
+                             f"{step.shape}")
+        grid = build_grid(*bounds[0], step[0])
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: malformed artifact ({exc})") from None
     if actions.ndim != 2 or actions.shape[1] != 1:
@@ -120,6 +127,7 @@ def load_policy(path, expected_digest: str | None = None) -> tuple[Policy, str]:
             f"{path}: inconsistent table shapes (grid {grid.n_states} "
             f"states, actions {actions.shape}, values {values.shape}, "
             f"table {table.shape})")
-    policy = Policy(grid=grid, actions=actions, action_table=table,
-                    values=values, gamma=gamma, a_max=a_max)
+    policy = Policy(grid=grid, actions=actions[:, 0],
+                    action_table=table[:, :, 0], values=values, gamma=gamma,
+                    a_max=a_max)
     return policy, digest

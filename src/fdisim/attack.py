@@ -39,8 +39,7 @@ class AttackPlan:
     """Injection schedule; build via the none/constant/ramp/sequence/
     from_policy/nominal constructors. Injections are scalars, like the
     measurements of the loop they attack: a constant or ramp plan takes
-    one value (a one-entry list or [[v]] as the config writes it), a
-    sequence a (T,) array."""
+    one float, a sequence a (T,) array."""
 
     kind: str
     a_max: float
@@ -55,12 +54,8 @@ class AttackPlan:
         if self.a_max < 0.0:
             raise AttackError(f"a_max must be >= 0, got {self.a_max}")
         name = {"constant": "constant_value", "ramp": "slope"}.get(self.kind)
-        if name is not None:
-            value = getattr(self, name)
-            if value is None or np.size(value) != 1:
-                raise AttackError(f"{self.kind} plan needs one scalar "
-                                  f"{name}, got {value!r}")
-            object.__setattr__(self, name, float(np.ravel(value)[0]))
+        if name is not None and getattr(self, name) is None:
+            raise AttackError(f"{self.kind} plan needs a {name}")
         if self.kind == "sequence" and (
                 self.values is None or self.values.ndim != 1
                 or self.values.shape[0] < 1):

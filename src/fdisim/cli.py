@@ -116,7 +116,7 @@ def cmd_solve(args) -> int:
     model = cfg.system_model()
     ss = derive_steady_state(model)
     grid = cfg.grid()
-    actions = cfg.actions()
+    actions = cfg.actions()[:, 0]
     started = time.perf_counter()
     tm = build_transition_model(model, ss, cfg.eta, grid, actions)
     policy = value_iteration(tm, cfg.mdp_horizon, gamma=cfg.gamma)
@@ -216,8 +216,8 @@ def cmd_voltage(args) -> int:
     _write_csv(out / "detection_frequency.csv", cfg,
                ("t", "plan", "frequency"), freq_rows)
     # Python floats print the same text as numpy scalars, only faster
-    points = policy.grid.points[:, 0].tolist()
-    actions = policy.action_table[:, :, 0].tolist()
+    points = policy.grid.points.tolist()
+    actions = policy.action_table.tolist()
     table_rows = [(stage, e, a) for stage, row in enumerate(actions, start=1)
                   for e, a in zip(points, row)]
     _write_csv(out / "policy_table.csv", cfg,

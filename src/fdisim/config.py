@@ -29,7 +29,7 @@ import yaml
 
 from .attack import AttackPlan
 from .defense import DetectorConfig, MitigationStrategy
-from .lti import ModelError, SetpointController, SystemModel
+from .lti import SetpointController, SystemModel
 from .mdp import Grid, Policy, build_grid, uniform_actions
 
 __all__ = [
@@ -49,19 +49,20 @@ _CONTROLLER_DEFAULTS = {"x0": None, "alpha": 0.5, "init": None}
 # (dotted path, kind, range). A trailing "?" on the kind admits null. The
 # range of a number kind is an interval: NaN is never in it, and +inf only
 # when its upper end is a closed "inf]" (a detector that never alarms).
-# A "matrix" is a number or a rectangular nested list of numbers; a
+# A "scalar" is a number or a one-entry list of a scalar ([v], [[v]]); a
+# "matrix" is a number or a rectangular nested list of numbers; a
 # "choice" range lists the allowed strings.
 _SPECS = (
-    *((f"model.{key}", "matrix", None) for key in "ABCQR"),
-    ("controller.x0", "vector", None),
+    *((f"model.{key}", "scalar", None) for key in "ABCQR"),
+    ("controller.x0", "scalar", None),
     ("controller.alpha", "real", "(0, 1)"),
-    ("controller.init", "vector?", None),
+    ("controller.init", "scalar?", None),
     ("detector.eta", "real", "[0, inf]"),
     ("mitigation.kind", "choice", "perfect|noisy|off"),
     ("mitigation.sigma_mit", "real", "[0, inf)"),
     ("attack.a_max", "real", "(0, inf)"),
-    ("attack.constant_value", "matrix", None),
-    ("attack.ramp_slope", "matrix", None),
+    ("attack.constant_value", "scalar", None),
+    ("attack.ramp_slope", "scalar", None),
     ("mdp.bounds", "matrix", None),
     ("mdp.step", "vector", "(0, inf)"),
     ("mdp.action_count", "int", "[2, inf)"),
@@ -78,7 +79,8 @@ _SPECS = (
 )
 _KINDS = {spec[0]: spec[1].rstrip("?") for spec in _SPECS}
 _CASTS = {"int": int, "real": float, "vector": lambda v: [float(x) for x in v],
-          "matrix": lambda v: np.asarray(v, dtype=float)}
+          "matrix": lambda v: np.asarray(v, dtype=float),
+          "scalar": lambda v: np.asarray(v, dtype=float).item()}
 
 
 def _fail(path: str, rule: str, value) -> None:
@@ -119,7 +121,11 @@ def check_leaf(value, path: str, kind: str, rng: str | None) -> None:
             _fail(path, "a list", value)
         for i, item in enumerate(value):
             _number(item, f"{path}[{i}]", rng)
-    elif kind == "matrix" and not isinstance(value, (list, tuple)):
+    elif kind == "scalar" and isinstance(value, (list, tuple)):
+        if len(value) != 1:
+            _fail(path, "a scalar: a number or a one-entry list", value)
+        check_leaf(value[0], f"{path}[0]", kind, rng)
+    elif kind in ("scalar", "matrix") and not isinstance(value, (list, tuple)):
         _number(value, path, rng)
     elif kind == "matrix":  # each entry, then the shape
         # at once when every entry is a finite int or float (the usual case)
@@ -156,11 +162,6 @@ class RunConfig:
 
     def __post_init__(self):
         _check(self.data)
-        if self.data["controller"] is not None:
-            try:  # x0 and init of shape (1,)
-                self.controller()
-            except ModelError as exc:
-                raise ConfigError(str(exc)) from None
 
     def get(self, path: str):
         """The value at a dotted path, cast by its kind; sections as stored."""
@@ -190,11 +191,15 @@ class RunConfig:
                                   self.get("mitigation.sigma_mit"))
 
     def grid(self) -> Grid:
-        return build_grid(self.get("mdp.bounds"), self.get("mdp.step"))
+        (lo, hi), = self.get("mdp.bounds")
+        step, = self.get("mdp.step")
+        return build_grid(lo, hi, step)
 
     def actions(self) -> np.ndarray:
+        """The action lattice as a (K, 1) column, the form the benchmark
+        harness reads."""
         return uniform_actions(self.get("attack.a_max"),
-                               self.get("mdp.action_count"))
+                               self.get("mdp.action_count"))[:, None]
 
     def plans(self, policy: Policy) -> dict[str, AttackPlan]:
         """The four compared plans, keyed by their CSV names."""

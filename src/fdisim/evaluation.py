@@ -245,9 +245,9 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
     sums = np.empty((T, W))
     e[0] = e0
     if controller is not None:
-        alpha, x0 = controller.alpha, float(controller.x0[0])
+        alpha, x0 = controller.alpha, controller.x0
         x_hat = np.empty((T + 1, W))
-        x_hat[0] = controller.init[0]
+        x_hat[0] = controller.init
     A, C, K = model.A, model.C, ss.K
     CA = C * A
     # every plan but a policy injects the same value in every run, so its

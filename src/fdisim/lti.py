@@ -12,10 +12,11 @@ measurement. The control input cancels from this recursion, which is what
 lets the attack problem be posed on the error alone.
 
 This module holds the model, the steady-state filter and the setpoint
-law, all scalar like every command: the model is five floats, and it is
-the one place that refuses a model of any other shape. The filter's
-floats are computed in the order of operations of the matrix products
-they once were, so every output keeps its bits.
+law, all scalar like every command: the model is five floats, and the
+setpoint law's x0 and init are floats too (the config file's one-entry
+list forms stop at `config`). The filter's floats are computed in the
+order of operations of the matrix products they once were, so every
+output keeps its bits.
 """
 
 from __future__ import annotations
@@ -32,23 +33,11 @@ class ModelError(ValueError):
     """Raised when a system description violates its structural contract."""
 
 
-def _scalar(name: str, value) -> float:
-    """A model entry as a float: a number, or the config's [[v]] form."""
-    entry = np.asarray(value, dtype=float)
-    if entry.shape not in ((), (1, 1)):
-        raise ModelError(f"the model is scalar: {name} must be a number or "
-                         f"[[v]], got shape {entry.shape}")
-    x = entry.item()
-    if not math.isfinite(x):
-        raise ModelError(f"{name} must be finite, got {x}")
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class SystemModel:
-    """Scalar plant and noise variances, each a float (given as a number
-    or as [[v]]). Entries must be finite, Q >= 0 and R > 0, and B and C
-    nonzero: (A, B) controllable and (C, A) observable."""
+    """Scalar plant and noise variances, each a float. Entries must be
+    finite, Q >= 0 and R > 0, and B and C nonzero: (A, B) controllable
+    and (C, A) observable."""
 
     A: float
     B: float
@@ -58,7 +47,10 @@ class SystemModel:
 
     def __post_init__(self):
         for name in "ABCQR":
-            object.__setattr__(self, name, _scalar(name, getattr(self, name)))
+            x = float(getattr(self, name))
+            if not math.isfinite(x):
+                raise ModelError(f"{name} must be finite, got {x}")
+            object.__setattr__(self, name, x)
         if self.Q < 0.0:
             raise ModelError(f"Q must be positive semidefinite, got {self.Q}")
         if self.R <= 0.0:
@@ -114,23 +106,17 @@ def derive_steady_state(model: SystemModel) -> SteadyState:
 @dataclass(frozen=True, eq=False)
 class SetpointController:
     """u = alpha (x0 - x_hat) / B, alpha in (0, 1), drives the estimate
-    from init (x0 if None) to x0 when A = 1. x0 and init are float arrays
-    of shape (1,), the config's one-entry lists."""
+    from init (x0 if None) to x0 when A = 1."""
 
-    x0: np.ndarray
+    x0: float
     alpha: float
-    init: np.ndarray | None = None
+    init: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ModelError(f"alpha must lie in (0, 1), got {self.alpha}")
-        init = self.x0 if self.init is None else self.init
-        for name, value in (("x0", self.x0), ("init", init)):
-            value = np.asarray(value, dtype=float)
-            if value.shape != (1,):
-                raise ModelError(f"controller.{name} must have shape (1,), "
-                                 f"got {value.shape}")
-            object.__setattr__(self, name, value)
+        if self.init is None:
+            object.__setattr__(self, "init", self.x0)
 
 
 def setpoint_control(model: SystemModel, controller: SetpointController,
@@ -139,5 +125,5 @@ def setpoint_control(model: SystemModel, controller: SetpointController,
     array of them. This is the public control law and the tests' oracle:
     rollout_batch adds B u = alpha (x0 - x_hat) directly, without solving
     for u."""
-    return controller.alpha * (controller.x0[0] - np.asarray(x_hat, float)) \
+    return controller.alpha * (controller.x0 - np.asarray(x_hat, float)) \
         / model.B

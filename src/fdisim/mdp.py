@@ -53,7 +53,7 @@ class TruncationWarning(UserWarning):
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Regular lattice of the scalar estimation error over [lo, hi]. points
-    is (N, 1), ascending in steps of `step`; cells are the nearest-neighbor
+    is (N,), ascending in steps of `step`; cells are the nearest-neighbor
     intervals, with the two outermost extended to infinity."""
 
     lo: float
@@ -66,28 +66,20 @@ class Grid:
         return self.points.shape[0]
 
 
-def build_grid(bounds, step) -> Grid:
-    """Lattice covering one [lo, hi] pair at the given spacing, in the
-    config and policy.json form: bounds [[lo, hi]], step [h].
+def build_grid(lo: float, hi: float, h: float) -> Grid:
+    """Lattice covering [lo, hi] at spacing h.
 
     (hi - lo) must be an integer multiple of the spacing (to 1e-9 relative)
     so the lattice lands exactly on the bounds.
     """
-    bounds = np.asarray(bounds, dtype=float)
-    step = np.asarray(step, dtype=float)
-    if bounds.shape != (1, 2) or step.shape != (1,):
-        raise ModelError(f"the decision lattice is scalar: need bounds "
-                         f"[[lo, hi]] and step [h], got shapes "
-                         f"{bounds.shape} and {step.shape}")
-    (lo, hi), h = bounds[0].tolist(), float(step[0])
+    lo, hi, h = float(lo), float(hi), float(h)
     if h <= 0.0 or lo > hi:
         raise ModelError("need step > 0 and lo <= hi")
     # lo == hi gives a single-point lattice (the degenerate one)
     count = int(math.floor((hi - lo) / h + 0.5)) + 1
     if abs(lo + (count - 1) * h - hi) > 1e-9 * h:
         raise ModelError(f"span [{lo}, {hi}] is not a multiple of step {h}")
-    return Grid(lo=lo, hi=hi, step=h,
-                points=np.linspace(lo, hi, count)[:, None])
+    return Grid(lo=lo, hi=hi, step=h, points=np.linspace(lo, hi, count))
 
 
 def nearest_index(grid: Grid, e) -> np.ndarray:
@@ -103,19 +95,17 @@ def nearest_index(grid: Grid, e) -> np.ndarray:
 def cell(grid: Grid, index: int) -> tuple[float, float]:
     """(lower, upper) interval of one lattice point; the outermost cells
     reach to infinity."""
-    x, half = float(grid.points[index, 0]), 0.5 * grid.step
+    x, half = float(grid.points[index]), 0.5 * grid.step
     lower = -math.inf if index == 0 else x - half
     upper = math.inf if index == grid.n_states - 1 else x + half
     return lower, upper
 
 
 def uniform_actions(a_max: float, count: int) -> np.ndarray:
-    """`count` evenly spaced scalar injections over [-a_max, a_max], as a
-    (count, 1) column."""
+    """`count` evenly spaced scalar injections over [-a_max, a_max]."""
     if a_max < 0.0 or count < 1:
         raise ModelError(f"need a_max >= 0 and count >= 1, got {a_max}, {count}")
-    axis = np.linspace(-a_max, a_max, count) if count > 1 else np.zeros(1)
-    return axis[:, None]
+    return np.linspace(-a_max, a_max, count) if count > 1 else np.zeros(1)
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +140,21 @@ class _ScalarLaw:
 
 
 def _scalar_law(model: SystemModel, ss: SteadyState, eta: float) -> _ScalarLaw:
-    """The law at threshold eta, and the one check of the decision
+    """The law at threshold eta, and the two checks of the decision
     problem's own input: eta through DetectorConfig (NaN or negative raise
-    DefenseError; inf never alarms)."""
+    DefenseError; inf never alarms), and a next error of nonzero variance
+    (Q = 0 with K = 0 leaves a point mass, which the rows cannot take)."""
     eta = DetectorConfig(eta).eta
     # the joint covariance of (C w + v, W_K w - K v) in the module
     # docstring, each entry in its matrix products' order of operations
     C, Q, R, K, W_K = model.C, model.Q, model.R, ss.K, ss.W_K
     s1 = math.sqrt(C * Q * C + R)
     s2 = math.sqrt(W_K * Q * W_K + K * R * K)
-    # np.divide: at Q = 0, s2 is 0 and rho a clamped NaN, not a
-    # ZeroDivisionError
-    rho = min(1.0, max(-1.0, np.divide(C * Q * W_K - R * K, s1 * s2)))
+    if s2 == 0.0:
+        raise ModelError(f"the decision problem needs a random next error, "
+                         f"but its variance W_K^2 Q + K^2 R is 0 (Q = {Q}, "
+                         f"K = {K}); add process noise")
+    rho = min(1.0, max(-1.0, (C * Q * W_K - R * K) / (s1 * s2)))
     return _ScalarLaw(CA=C * model.A, K=K, A_K=ss.A_K, s1=s1, s2=s2,
                       rho=rho, theta=math.sqrt(eta * ss.P_r))
 
@@ -207,7 +200,7 @@ def _scalar_rows(law: _ScalarLaw, grid: Grid, e_arr: np.ndarray,
     """
     s2, rho = law.s2, law.rho
 
-    pts = grid.points[:, 0]
+    pts = grid.points
     half = 0.5 * grid.step
     edges = np.concatenate([[pts[0] - half], pts + half])  # N+1 finite edges
 
@@ -319,16 +312,13 @@ def build_transition_model(model: SystemModel, ss: SteadyState, eta: float,
     TruncationWarning suggesting wider bounds.
     """
     law = _scalar_law(model, ss, eta)
-    actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    if actions.shape[1] != 1:
-        raise ModelError(f"actions have dimension {actions.shape[1]}; the "
-                         f"measurement is scalar")
+    actions = np.asarray(actions, dtype=float)
 
     n_states = grid.n_states
     n_actions = actions.shape[0]
     rows, det, interior = _scalar_rows(
-        law, grid, np.repeat(grid.points[:, 0], n_actions),
-        np.tile(actions[:, 0], n_states))
+        law, grid, np.repeat(grid.points, n_actions),
+        np.tile(actions, n_states))
 
     low = interior < _MASS_WARNING
     if np.any(low):
@@ -348,7 +338,7 @@ def build_transition_model(model: SystemModel, ss: SteadyState, eta: float,
 def expected_reward(tm: TransitionModel, state_index: int,
                     action_index: int) -> float:
     """Expected squared error after one step from the given pair."""
-    sq = tm.grid.points[:, 0] ** 2
+    sq = tm.grid.points ** 2
     return float(tm.rows[state_index, action_index] @ sq)
 
 
@@ -365,7 +355,7 @@ def immediate_reward_curve(model: SystemModel, ss: SteadyState, eta: float,
     a_arr = np.atleast_1d(np.asarray(magnitudes, dtype=float))
     e_arr = np.zeros_like(a_arr)
     rows, det, _ = _scalar_rows(law, grid, e_arr, a_arr)
-    sq = grid.points[:, 0] ** 2
+    sq = grid.points ** 2
     return det, rows @ sq
 
 
@@ -408,13 +398,13 @@ def value_iteration(tm: TransitionModel, horizon: int,
     if not 0.0 < gamma <= 1.0:
         raise ModelError(f"gamma must lie in (0, 1], got {gamma}")
     n_states, n_actions, _ = tm.rows.shape
-    sq = tm.grid.points[:, 0] ** 2
+    sq = tm.grid.points ** 2
     flat = tm.rows.reshape(n_states * n_actions, n_states)
     r_imm = (flat @ sq).reshape(n_states, n_actions)
     a_max = float(np.max(np.abs(tm.actions)))
 
     values = np.zeros((horizon + 1, n_states))
-    table = np.zeros((horizon, n_states, tm.actions.shape[1]))
+    table = np.zeros((horizon, n_states))
     for s in range(1, horizon + 1):
         q = r_imm + gamma * (flat @ values[s - 1]).reshape(n_states, n_actions)
         best_idx = np.argmax(q, axis=1)
@@ -434,4 +424,4 @@ def policy_lookup(policy: Policy, stage_remaining: int, e) -> np.ndarray:
         raise ModelError(f"stage_remaining {stage_remaining} outside "
                          f"[1, {policy.horizon}]")
     idx = nearest_index(policy.grid, e)
-    return policy.action_table[stage_remaining - 1, idx, 0]
+    return policy.action_table[stage_remaining - 1, idx]

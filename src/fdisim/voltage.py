@@ -215,7 +215,7 @@ def voltage_attack_experiment(model: SystemModel, ss: SteadyState,
     # deviations
     x = np.add(batch.x_hat, batch.e, order="C")
     mean_voltage, voltage_std_err = x.mean(axis=0), std_err_over_runs(x)
-    x -= controller.x0[0]
+    x -= controller.x0
     dev = np.abs(x, out=x)
     return VoltageRun(
         mean_voltage=mean_voltage,

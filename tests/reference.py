@@ -33,8 +33,8 @@ def error_step(model, ss, e, w, v, a, alarm, delta):
 def estimate_step(model, controller, x_hat, corr):
     """Next estimate of one run under the setpoint law, which makes
     B u = alpha (x0 - x_hat)."""
-    x0 = float(controller.x0[0])
-    return x_hat * model.A + controller.alpha * (x0 - x_hat) + corr
+    return (x_hat * model.A + controller.alpha * (controller.x0 - x_hat)
+            + corr)
 
 
 def _riccati_map(A, C, Q, R, P):

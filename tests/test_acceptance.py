@@ -53,7 +53,7 @@ def _read_csv(path):
 
 @pytest.fixture(scope="module")
 def bench():
-    model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[10.0]])
+    model = SystemModel(A=1.0, B=1.0, C=1.0, Q=1.0, R=10.0)
     return model, derive_steady_state(model)
 
 
@@ -62,7 +62,7 @@ def bench_solution(bench):
     """Full-size solve shared by the ordering and oracle criteria."""
     model, ss = bench
     started = time.perf_counter()
-    tm = build_transition_model(model, ss, 10.0, build_grid([(-30.0, 30.0)], [0.25]),
+    tm = build_transition_model(model, ss, 10.0, build_grid(-30.0, 30.0, 0.25),
                                 uniform_actions(20.0, 81))
     policy = value_iteration(tm, horizon=HORIZON)
     return tm, policy, time.perf_counter() - started
@@ -121,9 +121,9 @@ def test_criterion_2_ordering_perfect_mitigation(bench, bench_solution):
     sums = {
         "policy": _terminal_sums(model, ss, AttackPlan.from_policy(policy),
                                  strategy, 10.0, 11),
-        "constant": _terminal_sums(model, ss, AttackPlan.constant([10.0]),
+        "constant": _terminal_sums(model, ss, AttackPlan.constant(10.0),
                                    strategy, 10.0, 11),
-        "ramp": _terminal_sums(model, ss, AttackPlan.ramp([1.0]),
+        "ramp": _terminal_sums(model, ss, AttackPlan.ramp(1.0),
                                strategy, 10.0, 11),
     }
     elapsed = solve_seconds + time.perf_counter() - started
@@ -148,9 +148,9 @@ def test_criterion_3_ordering_noisy_mitigation(bench, bench_solution):
     noisy = MitigationStrategy.noisy(15.0)
     sums = {
         "policy": _terminal_sums(model, ss, plan, noisy, 10.0, 11),
-        "constant": _terminal_sums(model, ss, AttackPlan.constant([10.0]),
+        "constant": _terminal_sums(model, ss, AttackPlan.constant(10.0),
                                    noisy, 10.0, 11),
-        "ramp": _terminal_sums(model, ss, AttackPlan.ramp([1.0]), noisy,
+        "ramp": _terminal_sums(model, ss, AttackPlan.ramp(1.0), noisy,
                                10.0, 11),
         "perfect": _terminal_sums(model, ss, plan,
                                   MitigationStrategy.perfect(), 10.0, 11),

@@ -18,8 +18,10 @@ What is proven here:
     arithmetic of a one-entry vector, a * (a_max / ||a||): for over-long
     and inner constant, ramp and sequence values the result equals that
     formula exactly.  The plan's own values are never written.
-  * Malformed plans raise, and a plan of more than one injection value
-    is refused: the rollouts are scalar.
+  * Malformed plans raise: an unknown kind, a constant or ramp plan
+    without its value, a negative a_max, and an empty or 2-D sequence.
+    A constant or ramp value is one float; the config refuses a list of
+    two (tests/test_cli.py).
 """
 
 import dataclasses
@@ -33,19 +35,19 @@ from fdisim.attack import AttackError, AttackPlan, attack_at, clip_to_norm
 
 def test_none_and_constant():
     assert attack_at(AttackPlan.none(), 3) == 0.0
-    plan = AttackPlan.constant([10.0], a_max=20.0)
+    plan = AttackPlan.constant(10.0, a_max=20.0)
     assert attack_at(plan, 1, 0.0) == 10.0
-    clipped = AttackPlan.constant([[-25.0]], a_max=20.0)  # the [[v]] form
+    clipped = AttackPlan.constant(-25.0, a_max=20.0)
     assert clipped.constant_value == -25.0
     assert attack_at(clipped, 1, 0.0) == -20.0
     # past ~1.3e154 a squared norm overflows; |a| does not, so the clip
     # still lands on the bound
-    assert attack_at(AttackPlan.constant([-1e200], a_max=20.0), 1) == -20.0
-    assert attack_at(AttackPlan.ramp([1e160], a_max=20.0), 3) == 20.0
+    assert attack_at(AttackPlan.constant(-1e200, a_max=20.0), 1) == -20.0
+    assert attack_at(AttackPlan.ramp(1e160, a_max=20.0), 3) == 20.0
 
 
 def test_ramp_schedule_and_clip():
-    plan = AttackPlan.ramp([1.0], a_max=20.0)
+    plan = AttackPlan.ramp(1.0, a_max=20.0)
     assert attack_at(plan, 3, 0.0) == 3.0
     assert attack_at(plan, 25, 0.0) == 20.0  # clipped
 
@@ -63,9 +65,9 @@ def test_norm_bound_always_holds(t, e, kind, a_max):
     if kind == "none":
         plan = AttackPlan.none(a_max=a_max)
     elif kind == "constant":
-        plan = AttackPlan.constant([17.0], a_max=a_max)
+        plan = AttackPlan.constant(17.0, a_max=a_max)
     else:
-        plan = AttackPlan.ramp([2.0], a_max=a_max)
+        plan = AttackPlan.ramp(2.0, a_max=a_max)
     a = attack_at(plan, t, e)
     assert abs(a) <= a_max + 1e-9
 
@@ -73,7 +75,7 @@ def test_norm_bound_always_holds(t, e, kind, a_max):
 def test_policy_plan_stage_handling(small_policy):
     plan = AttackPlan.from_policy(small_policy)
     a = attack_at(plan, 1, 0.0, stage_remaining=4)
-    assert a == small_policy.action_table[3, 12, 0]
+    assert a == small_policy.action_table[3, 12]
     with pytest.raises(AttackError):
         attack_at(plan, 1, 0.0)  # stage missing
 
@@ -102,9 +104,9 @@ def test_sequence_plan_ignores_error():
 def test_run_invariant_rows_clip_once(row):
     # a batch takes a non-policy plan's T injections in one call
     a_max, value = 5.3, row[0]
-    plans = {"constant": (AttackPlan.constant(row, a_max=a_max),
+    plans = {"constant": (AttackPlan.constant(value, a_max=a_max),
                           lambda t: value),
-             "ramp": (AttackPlan.ramp(row, a_max=a_max),
+             "ramp": (AttackPlan.ramp(value, a_max=a_max),
                       lambda t: float(t) * value),
              "sequence": (AttackPlan.sequence([0.5 * value, value, -value],
                                               a_max=a_max),
@@ -136,7 +138,7 @@ def test_nominal_sequence(small_policy):
     assert nominal.a_max == small_policy.a_max
     for t in (1, 2, 3):  # scalar: the e = 0 stage action, made positive
         assert attack_at(nominal, t, 9.0) == abs(
-            small_policy.action_table[3 - t, 12, 0])
+            small_policy.action_table[3 - t, 12])
     with pytest.raises(AttackError):
         AttackPlan.nominal(small_policy, 5)  # policy has 4 stages
     # at e = 0 an action and its negative have equal value, so the argmax
@@ -153,15 +155,14 @@ def test_nominal_sequence(small_policy):
 def test_malformed_plans_raise():
     with pytest.raises(AttackError):
         AttackPlan(kind="sinusoid", a_max=20.0)
+    with pytest.raises(AttackError, match="constant plan needs a "
+                                          "constant_value"):
+        AttackPlan(kind="constant", a_max=20.0)
+    with pytest.raises(AttackError, match="ramp plan needs a slope"):
+        AttackPlan(kind="ramp", a_max=20.0)
     with pytest.raises(AttackError):
-        AttackPlan(kind="constant", a_max=20.0)  # value missing
-    with pytest.raises(AttackError):
-        AttackPlan.constant([1.0], a_max=-1.0)
+        AttackPlan.constant(1.0, a_max=-1.0)
     with pytest.raises(AttackError):
         AttackPlan.sequence(np.zeros(0))  # empty sequence
-    with pytest.raises(AttackError, match="one scalar constant_value"):
-        AttackPlan.constant([3.0, 4.0])
-    with pytest.raises(AttackError, match="one scalar slope"):
-        AttackPlan.ramp([[0.4], [-0.3]])
     with pytest.raises(AttackError, match=r"\(T,\) array"):
         AttackPlan.sequence(np.zeros((3, 2)))

@@ -15,6 +15,16 @@ What is proven here:
   * The model is scalar: a 2x2 model.A, a 1x2 model.B, a 2x1 model.C or
     a two-entry controller.x0 ends solve, sweep-action, evaluate, fpmd and
     voltage with code 2 and one error line, before any file is written.
+    Every scalar leaf (model.A-R, controller.x0 and init,
+    attack.constant_value and ramp_slope) gives the same float from v,
+    [v] and [[v]], in the config and in the object built from it, and a
+    two-entry list at any depth is one error line naming its path.
+  * A model without process noise (Q = 0) gives the decision problem a
+    point-mass next error: solve and sweep-action exit with code 2 and
+    one error line, with no warning and no file.
+  * The benchmark harness's closed-form counts, read from
+    RunConfig.grid() and RunConfig.actions()'s (K, 1) column, give
+    today's solve-pass figures.
     A controller over a zero model.B exits with code 2 and an error line
     instead of a traceback; so does a word where a number belongs, a
     scalar where a list belongs, a ragged model matrix, a matrix entry
@@ -57,11 +67,13 @@ What is proven here:
     type between rows.
 """
 
+import copy
 import dataclasses
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +84,7 @@ from fdisim import cli, numerics
 from fdisim.artifact import ArtifactError, load_policy, save_policy
 from fdisim.config import (
     ConfigError,
+    RunConfig,
     _load_yaml,
     preset_names,
     resolve_config,
@@ -168,7 +181,7 @@ def test_domain_object_accessors(tiny_policy):
     assert (model.A, model.Q) == (1.0, 1e-4)
     ctrl = cfg.controller()
     assert ctrl is not None and ctrl.alpha == 0.5
-    assert np.array_equal(ctrl.init, [1.0])
+    assert (ctrl.x0, ctrl.init) == (0.835, 1.0)
     assert cfg.detector().eta == 5.0
     assert cfg.mitigation().kind == "perfect"
     assert cfg.grid().n_states == 241
@@ -201,10 +214,9 @@ def tiny_policy():
 
     from fdisim.lti import SystemModel
     from fdisim.mdp import TruncationWarning
-    model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]],
-                        R=[[10.0]])
+    model = SystemModel(A=1.0, B=1.0, C=1.0, Q=1.0, R=10.0)
     ss = derive_steady_state(model)
-    grid = build_grid([(-12.0, 12.0)], [1.0])
+    grid = build_grid(-12.0, 12.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         tm = build_transition_model(model, ss, eta=10.0, grid=grid,
@@ -590,18 +602,20 @@ def test_estimate_b_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body, message", [
-    # a setpoint per state of a 2-state model: the controller is checked
-    # at load, the model only when a command builds it
+    # a setpoint per state of a 2-state model: every leaf is checked at
+    # load, in the table's order, so the model's first entry is named
     ("model: {A: [[0.0, 1.0], [0.0, 0.0]], B: [[0.0, 0.0], [0.0, 1.0]],\n"
      "        C: [[1.0, 0.0], [0.0, 1.0]], Q: [[1.0, 0.0], [0.0, 1.0]],\n"
      "        R: [[1.0, 0.0], [0.0, 1.0]]}\n"
      "controller: {x0: [0.0, 0.0]}\n",
-     "controller.x0 must have shape (1,), got (2,)"),
+     "model.A must be a scalar: a number or a one-entry list, got "
+     "[[0.0, 1.0], [0.0, 0.0]]"),
     # the setpoint law divides by B; the model refuses B = 0
     ("model: {B: [[0.0]]}\ncontroller: {x0: [0.0]}\n",
      "(A, B) is not controllable: B = 0"),
     ("controller: {x0: [0.8, 0.9]}\n",
-     "controller.x0 must have shape (1,), got (2,)"),
+     "controller.x0 must be a scalar: a number or a one-entry list, got "
+     "[0.8, 0.9]"),
 ])
 def test_bad_controller_is_a_config_error(tmp_path, capsys, body, message):
     cfg = tmp_path / "cfg.yaml"
@@ -615,18 +629,22 @@ def test_bad_controller_is_a_config_error(tmp_path, capsys, body, message):
                                      "fpmd", "voltage"])
 @pytest.mark.parametrize("body, message", [
     ("model: {A: [[1.0, 0.0], [0.0, 1.0]]}\n",
-     "the model is scalar: A must be a number or [[v]], got shape (2, 2)"),
+     "model.A must be a scalar: a number or a one-entry list, got "
+     "[[1.0, 0.0], [0.0, 1.0]]"),
     ("model: {B: [[1.0, 2.0]]}\n",
-     "the model is scalar: B must be a number or [[v]], got shape (1, 2)"),
+     "model.B[0] must be a scalar: a number or a one-entry list, got "
+     "[1.0, 2.0]"),
     ("model: {C: [[1.0], [0.5]]}\n",
-     "the model is scalar: C must be a number or [[v]], got shape (2, 1)"),
+     "model.C must be a scalar: a number or a one-entry list, got "
+     "[[1.0], [0.5]]"),
     ("controller: {x0: [0.8, 0.9]}\n",
-     "controller.x0 must have shape (1,), got (2,)"),
+     "controller.x0 must be a scalar: a number or a one-entry list, got "
+     "[0.8, 0.9]"),
 ], ids=["A-2x2", "B-1x2", "C-2x1", "x0-two-entries"])
 def test_non_scalar_model_is_refused_by_every_command(tmp_path, capsys,
                                                       command, body, message):
-    # one check of the dimension, in the model (or the controller), ahead
-    # of every command's work; over the voltage preset, which has the
+    # one check of the dimension, in the config as it loads, ahead of
+    # every command's work; over the voltage preset, which has the
     # controller the voltage command needs
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(body, encoding="utf-8")
@@ -636,6 +654,91 @@ def test_non_scalar_model_is_refused_by_every_command(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+# every leaf of kind "scalar", with a value the voltage preset can take
+_SCALAR_LEAVES = {"model.A": 0.9, "model.B": 2.0, "model.C": 0.5,
+                  "model.Q": 0.3, "model.R": 2.0, "controller.x0": 0.835,
+                  "controller.init": 1.0, "attack.constant_value": 0.05,
+                  "attack.ramp_slope": 0.02}
+
+
+def _leaf_object_value(cfg, path, policy):
+    """The float that a scalar leaf sets in the domain object built from
+    it."""
+    section, key = path.split(".")
+    if section == "model":
+        return getattr(cfg.system_model(), key)
+    if section == "controller":
+        return getattr(cfg.controller(), key)
+    plans = cfg.plans(policy)
+    return (plans["constant"].constant_value if key == "constant_value"
+            else plans["ramp"].slope)
+
+
+@pytest.mark.parametrize("path", list(_SCALAR_LEAVES))
+def test_scalar_leaf_is_a_number_or_a_one_entry_list(path, tiny_policy):
+    # v, [v] and [[v]] give the same float, in the config and in the
+    # domain object built from it
+    section, key = path.split(".")
+    value = _SCALAR_LEAVES[path]
+    for form in (value, [value], [[value]]):
+        data = copy.deepcopy(resolve_config("voltage").data)
+        data[section][key] = form
+        cfg = RunConfig(data)
+        assert type(cfg.get(path)) is float and cfg.get(path) == value
+        got = _leaf_object_value(cfg, path, tiny_policy)
+        assert type(got) is float and got == value, form
+
+
+@pytest.mark.parametrize("path", list(_SCALAR_LEAVES))
+def test_two_entry_scalar_leaf_is_one_error_line(tmp_path, capsys, path):
+    section, key = path.split(".")
+    out = tmp_path / "out"
+    for form, named in (("[1.0, 2.0]", path), ("[[1.0, 2.0]]", f"{path}[0]")):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{section}: {{{key}: {form}}}\n", encoding="utf-8")
+        assert _run(["solve", "--preset", "voltage", "--config", cfg,
+                     "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: {named} must be a scalar: a number or a one-entry "
+            f"list, got [1.0, 2.0]\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-action"])
+@pytest.mark.parametrize("model", ["{A: [[0.9]], Q: [[0.0]]}",
+                                   "{Q: [[0.0]]}"], ids=["stable", "unit"])
+def test_noise_free_model_is_refused_by_the_decision_problem(
+        tmp_path, capsys, command, model):
+    # with Q = 0 the filter gain is 0 and the next error a point mass
+    # (s2 = 0), which the rows cannot take: one error line, before any
+    # row is built (so no RuntimeWarning) and before any file is written
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"model: {model}\nmdp: {{bounds: [[-2.0, 2.0]], "
+                   f"step: [1.0], action_count: 3}}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run([command, "--config", cfg, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: the decision problem needs a "
+                                   "random next error")
+    assert not out.exists()
+
+
+def test_benchmark_reader_counts_a_solve_pass(tmp_path, monkeypatch):
+    # the benchmark harness takes its closed-form counts from
+    # RunConfig.grid() and the (K, 1) column of RunConfig.actions(); the
+    # solve workload has no set-up commands, so building it runs nothing
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workload import Workload
+
+    assert Workload("solve", 0, tmp_path).expected_counts() == {
+        "numerics.bvn_cdf.evals": 37_832_344,
+        "mdp.build_transition_model.rows": 39_042,
+        "evaluation.rollout_batch.run_steps": 0}
 
 
 def test_voltage_scale_negative_variance_is_refused_at_once(tmp_path, capsys,
@@ -658,7 +761,7 @@ def test_voltage_scale_negative_variance_is_refused_at_once(tmp_path, capsys,
     ("controller: {x0: [0.8], alpha: half}\n",
      "controller.alpha must be a number in (0, 1), got 'half'"),
     ("model: {A: [[1.0, 2.0], [3.0]]}\n",
-     "model.A must be a rectangular array of numbers"),
+     "model.A must be a scalar: a number or a one-entry list"),
     ("mdp: {step: 0.25}\n", "mdp.step must be a list, got 0.25"),
     ("mitigation: {kind: noisy, sigma_mit: lots}\n",
      "mitigation.sigma_mit must be a number >= 0, got 'lots'"),

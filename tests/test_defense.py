@@ -48,7 +48,7 @@ P_INF = (1.0 + math.sqrt(41.0)) / 2.0
 
 @pytest.fixture(scope="module")
 def bench():
-    model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[10.0]])
+    model = SystemModel(A=1.0, B=1.0, C=1.0, Q=1.0, R=10.0)
     return model, derive_steady_state(model)
 
 
@@ -59,8 +59,8 @@ def test_residual_formula(bench):
     # The loop forms r from the error as e[t-1] + w[t] + v[t] + a[t]; a and
     # u are rebuilt from the kept e and x_hat.
     model, ss = bench
-    plan = AttackPlan.constant([4.0], a_max=20.0)
-    ctrl = SetpointController([0.5], 0.5, init=[2.0])
+    plan = AttackPlan.constant(4.0, a_max=20.0)
+    ctrl = SetpointController(0.5, 0.5, init=2.0)
     batch = rollout_batch(model, ss, plan, DetectorConfig(10.0),
                           MitigationStrategy.perfect(), T=5,
                           stream=RngStream(9), runs=3, controller=ctrl)

@@ -32,9 +32,9 @@ What is proven here:
     md_cost is exactly zero at eta=0 under an always-injecting plan (a
     constant or a policy's nominal sequence) and rejects the no-attack plan.
   * A policy plan shorter than the horizon is rejected; so is a sequence
-    plan.  A controller whose x0 or init is not of shape (1,) cannot be
-    built, and one without an init starts the estimate at its setpoint
-    x0.
+    plan.  The config refuses an x0 or init of more than one entry
+    before any controller is built, and a controller without an init
+    starts the estimate at its setpoint x0.
   * empirical_cost adds the runs in order: at 257 runs it equals the
     reductions taken on C-ordered copies of the batch, bit for bit, and
     the batch's cost sums are C-ordered themselves.
@@ -67,6 +67,7 @@ import pytest
 
 from fdisim import evaluation
 from fdisim.attack import AttackPlan, attack_at
+from fdisim.config import ConfigError, from_mapping
 from fdisim.defense import (DetectorConfig, MitigationStrategy, detect,
                             g_statistic)
 from fdisim.evaluation import (
@@ -77,7 +78,7 @@ from fdisim.evaluation import (
     md_cost,
     rollout_batch,
 )
-from fdisim.lti import (ModelError, SetpointController, SystemModel,
+from fdisim.lti import (SetpointController, SystemModel,
                         derive_steady_state, setpoint_control)
 from fdisim.numerics import RngStream
 from reference import error_step, estimate_step
@@ -90,7 +91,7 @@ FIELDS = ("e", "i", "w", "v", "cost_sums", "x", "x_hat")
 
 @pytest.fixture(scope="module")
 def bench():
-    model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[10.0]])
+    model = SystemModel(A=1.0, B=1.0, C=1.0, Q=1.0, R=10.0)
     return model, derive_steady_state(model)
 
 
@@ -120,7 +121,7 @@ def _replay(batch, model, ss, plan):
 
 def test_rollout_reproducible_and_matches_batch(bench):
     model, ss = bench
-    args = (model, ss, AttackPlan.constant([4.0], a_max=20.0),
+    args = (model, ss, AttackPlan.constant(4.0, a_max=20.0),
             DetectorConfig(10.0), MitigationStrategy.noisy(5.0), 8)
     tr1 = rollout_batch(*args, RngStream(7, 3), runs=1)
     tr2 = rollout_batch(*args, RngStream(7, 3), runs=1)
@@ -132,7 +133,7 @@ def test_rollout_reproducible_and_matches_batch(bench):
 
 def test_trajectory_invariants_and_error_recursion(bench):
     model, ss = bench
-    plan = AttackPlan.ramp([1.0], a_max=20.0)
+    plan = AttackPlan.ramp(1.0, a_max=20.0)
     batch = rollout_batch(model, ss, plan, DetectorConfig(2.0),
                           MitigationStrategy.noisy(3.0), 12, RngStream(42),
                           runs=1)
@@ -168,7 +169,7 @@ def test_no_attack_cost_slope_matches_stationary_error(bench):
 
 def test_empirical_cost_arithmetic(bench):
     model, ss = bench
-    batch = rollout_batch(*(*bench, AttackPlan.constant([6.0], a_max=20.0),
+    batch = rollout_batch(*(*bench, AttackPlan.constant(6.0, a_max=20.0),
                             DetectorConfig(5.0), MitigationStrategy.perfect()),
                           T=5, stream=RngStream(3), runs=4)
     report = empirical_cost(batch)
@@ -179,7 +180,7 @@ def test_empirical_cost_arithmetic(bench):
     assert report.horizon == 5
     assert report.terminal_cost == report.cost_per_t[-1]
 
-    one = rollout_batch(*(*bench, AttackPlan.constant([6.0], a_max=20.0),
+    one = rollout_batch(*(*bench, AttackPlan.constant(6.0, a_max=20.0),
                           DetectorConfig(5.0), MitigationStrategy.perfect()),
                         T=5, stream=RngStream(3), runs=1)
     single = empirical_cost(one)
@@ -192,7 +193,7 @@ def test_empirical_cost_adds_runs_in_order(bench):
     # numpy sums a contiguous axis pairwise, which from 8 runs up can differ
     # in the last bits from adding the runs one after another
     runs = 257
-    batch = rollout_batch(*bench, AttackPlan.ramp([1.0], a_max=20.0),
+    batch = rollout_batch(*bench, AttackPlan.ramp(1.0, a_max=20.0),
                           DetectorConfig(5.0), MitigationStrategy.noisy(3.0),
                           T=12, stream=RngStream(13), runs=runs)
     assert batch.cost_sums.flags.c_contiguous
@@ -225,9 +226,9 @@ def test_perfect_mitigation_at_eta_zero_cancels_attack(bench):
     # the rounding of (r + a) - a.
     model, ss = bench
     kwargs = dict(T=10, stream=RngStream(23), runs=20,
-                  controller=SetpointController([0.5], 0.5, init=[2.0]))
+                  controller=SetpointController(0.5, 0.5, init=2.0))
     attacked = rollout_batch(model, ss,
-                             AttackPlan.constant([10.0], a_max=20.0),
+                             AttackPlan.constant(10.0, a_max=20.0),
                              DetectorConfig(0.0),
                              MitigationStrategy.perfect(), **kwargs)
     clean = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(0.0),
@@ -241,7 +242,7 @@ def test_noisy_mitigation_draws_consumed_every_step(bench):
     # the mitigation block is pre-drawn whether or not alarms fire, so the
     # plant/measurement noise is identical across detector settings
     model, ss = bench
-    plan = AttackPlan.constant([10.0], a_max=20.0)
+    plan = AttackPlan.constant(10.0, a_max=20.0)
     kwargs = dict(T=6, runs=8)
     loose = rollout_batch(model, ss, plan, DetectorConfig(np.inf),
                           MitigationStrategy.noisy(15.0),
@@ -295,7 +296,7 @@ def test_fp_cost_zero_cases(bench):
 
 def test_md_cost_zero_at_eta_zero(bench, small_policy):
     model, ss = bench
-    plan = AttackPlan.constant([10.0], a_max=20.0)
+    plan = AttackPlan.constant(10.0, a_max=20.0)
     pc = md_cost(model, ss, eta=0.0, strategy=MitigationStrategy.noisy(15.0),
                  plan=plan, T=8, runs=200, stream=RngStream(43))
     # both systems alarm on every (always-injecting) step and share noise
@@ -322,23 +323,24 @@ def test_rollout_contract_checks(bench):
         rollout_batch(model, ss, *good, T=0, stream=RngStream(1), runs=5)
     with pytest.raises(EvaluationError):
         rollout_batch(model, ss, *good, T=5, stream=RngStream(1), runs=0)
-    # no rollout gets a controller with a longer init: none can be built
-    with pytest.raises(ModelError, match="controller.init"):
-        SetpointController([0.5], 0.5, init=[1.0, 2.0])
 
 
 def test_rollout_refuses_a_setpoint_of_another_shape(bench):
     # one setpoint entry for the one state: a longer one would broadcast
-    # silently, so the controller refuses it before any rollout
+    # silently, so the config refuses it before any controller or rollout
+    # is built
     model, ss = bench
     good = (DetectorConfig(1.0), MitigationStrategy.off())
-    for x0, shape in (([0.5, 0.5], r"\(2,\)"), ([[0.5]], r"\(1, 1\)")):
-        with pytest.raises(ModelError,
-                           match=rf"controller\.x0 .* \(1,\), got {shape}"):
-            SetpointController(x0, 0.5, init=[0.5])
+    for controller, path in (({"x0": [0.5, 0.5]}, r"controller\.x0"),
+                             ({"x0": 0.5, "init": [[0.5, 0.5]]},
+                              r"controller\.init\[0\]"),
+                             ({"x0": 0.5, "init": [1.0, 2.0]},
+                              r"controller\.init")):
+        with pytest.raises(ConfigError, match=rf"{path} must be a scalar"):
+            from_mapping({"controller": controller})
     batch = rollout_batch(model, ss, AttackPlan.none(), *good, T=3,
                           stream=RngStream(1), runs=4,
-                          controller=SetpointController([0.5], 0.5))
+                          controller=SetpointController(0.5, 0.5))
     assert batch.x.shape == (4, 4)
 
 
@@ -364,14 +366,14 @@ def test_controller_without_init_starts_the_estimate_at_x0(bench):
     batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(5.0),
                           MitigationStrategy.perfect(), T=3,
                           stream=RngStream(78), runs=4,
-                          controller=SetpointController([0.835], 0.5))
+                          controller=SetpointController(0.835, 0.5))
     assert np.array_equal(batch.x_hat[:, 0], np.full(4, 0.835))
     assert np.array_equal(batch.x[:, 0], batch.x_hat[:, 0] + batch.e[:, 0])
 
 
 def test_controller_batch_matches_scalar_path(bench):
     model, ss = bench
-    ctrl = SetpointController(x0=[0.835], alpha=0.5, init=[1.0])
+    ctrl = SetpointController(x0=0.835, alpha=0.5, init=1.0)
     batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(5.0),
                           MitigationStrategy.perfect(), T=4,
                           stream=RngStream(77), runs=6, controller=ctrl)
@@ -394,7 +396,7 @@ def test_controller_batch_matches_scalar_path(bench):
 
 def test_stream_noise_is_drawn_once_and_shared_read_only(bench):
     model, ss = bench
-    args = (model, ss, AttackPlan.constant([4.0], a_max=20.0),
+    args = (model, ss, AttackPlan.constant(4.0, a_max=20.0),
             DetectorConfig(3.0), MitigationStrategy.perfect(), 6)
     first = rollout_batch(*args, RngStream(61), runs=5)
     second = rollout_batch(*args, RngStream(61), runs=5)
@@ -425,9 +427,9 @@ def test_noise_factors_are_taken_once_per_stream(bench, monkeypatch):
     model, ss = bench
     for plan, strategy in ((AttackPlan.none(), MitigationStrategy.perfect()),
                            (AttackPlan.none(), MitigationStrategy.noisy(5.0)),
-                           (AttackPlan.constant([4.0]),
+                           (AttackPlan.constant(4.0),
                             MitigationStrategy.perfect()),
-                           (AttackPlan.ramp([1.0]),
+                           (AttackPlan.ramp(1.0),
                             MitigationStrategy.noisy(5.0))):
         rollout_batch(model, ss, plan, DetectorConfig(3.0), strategy, 6,
                       RngStream(73), runs=5)
@@ -448,7 +450,7 @@ def test_a_variance_rounded_below_zero_scales_its_draws_by_zero():
 
 def test_perfect_and_noisy_batches_share_the_leading_blocks(bench):
     model, ss = bench
-    plan = AttackPlan.constant([4.0], a_max=20.0)
+    plan = AttackPlan.constant(4.0, a_max=20.0)
     for order in (("perfect", "noisy"), ("noisy", "perfect")):
         evaluation._noise_cache.clear()
         batches = [rollout_batch(model, ss, plan, DetectorConfig(3.0),
@@ -466,17 +468,13 @@ def test_interleaved_batches_equal_batches_on_a_cleared_cache(bench):
     model, ss = bench
     # each of these differs from bench in one noise factor only: the
     # steady state is passed as is, so P_e moves alone in the first
-    other_ss = derive_steady_state(SystemModel(A=[[0.5]], B=[[1.0]],
-                                               C=[[1.0]], Q=[[1.0]],
-                                               R=[[10.0]]))
-    other_q = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[2.0]],
-                          R=[[10.0]])
-    other_r = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]],
-                          R=[[20.0]])
-    other_c = SystemModel(A=[[1.0]], B=[[1.0]], C=[[2.0]], Q=[[1.0]],
-                          R=[[10.0]])
-    one = AttackPlan.constant([4.0], a_max=20.0)
-    ramp = AttackPlan.ramp([0.4], a_max=20.0)
+    other_ss = derive_steady_state(SystemModel(A=0.5, B=1.0, C=1.0, Q=1.0,
+                                               R=10.0))
+    other_q = SystemModel(A=1.0, B=1.0, C=1.0, Q=2.0, R=10.0)
+    other_r = SystemModel(A=1.0, B=1.0, C=1.0, Q=1.0, R=20.0)
+    other_c = SystemModel(A=1.0, B=1.0, C=2.0, Q=1.0, R=10.0)
+    one = AttackPlan.constant(4.0, a_max=20.0)
+    ramp = AttackPlan.ramp(0.4, a_max=20.0)
     perfect, noisy = MitigationStrategy.perfect(), MitigationStrategy.noisy(5.0)
     cases = [  # (model, steady state, plan, strategy, T, stream, runs)
         (model, ss, one, perfect, 6, RngStream(71), 5),
@@ -509,8 +507,8 @@ def test_interleaved_batches_equal_batches_on_a_cleared_cache(bench):
 def test_cost_sums_are_the_cumsum_and_bool_alarms_count_alike(bench):
     runs = 257
     model, ss = bench
-    plan = AttackPlan.ramp([1.0], a_max=20.0)
-    for ctrl in (None, SetpointController(x0=[0.5], alpha=0.5)):
+    plan = AttackPlan.ramp(1.0, a_max=20.0)
+    for ctrl in (None, SetpointController(x0=0.5, alpha=0.5)):
         for oracle in (False, True):
             batch = rollout_batch(model, ss, plan, DetectorConfig(3.0),
                                   MitigationStrategy.noisy(2.0), 12,
@@ -530,7 +528,7 @@ def test_batch_memory_is_the_kept_fields(bench):
     # (T + 1, W) history of anything else is 11 W-vectors, past the slack
     model, ss = bench
     W, T = 10_000, 10
-    args = (model, ss, AttackPlan.constant([10.0], a_max=20.0),
+    args = (model, ss, AttackPlan.constant(10.0, a_max=20.0),
             DetectorConfig(5.0), MitigationStrategy.noisy(5.0), T,
             RngStream(3), W)
     rollout_batch(*args)  # draws and keeps the stream's noise
@@ -562,7 +560,7 @@ def test_rollout_matches_the_scalar_reference_step_bitwise(
             else AttackPlan.sequence([7.0, 0.0, -25.0, 3.0], a_max=20.0))
     strategy = MitigationStrategy(kind, sigma * (kind == "noisy"))
     detector = DetectorConfig(2.0)
-    ctrl = SetpointController([0.835], 0.5, init=[1.0]) if controlled \
+    ctrl = SetpointController(0.835, 0.5, init=1.0) if controlled \
         else None
     evaluation._noise_cache.clear()
     batch = rollout_batch(model, ss, plan, detector, strategy, T,

@@ -15,15 +15,15 @@ What is proven here:
     random controls (the control input cancels).
   * setpoint control contracts |x - x0| geometrically at rate (1 - alpha)
     in the noise-free loop and acts entry by entry on an array of
-    estimates; a controller refuses alpha outside (0, 1) and an x0 or
-    init of any shape but (1,); a zero B, which the law divides by, is
-    refused by the model as uncontrollable.
+    estimates; a controller refuses alpha outside (0, 1) and starts the
+    estimate at x0 without an init; a zero B, which the law divides by,
+    is refused by the model as uncontrollable.
   * rollout_batch's logged process and measurement noises have the
     model's variances Q and R.
-  * SystemModel is five floats, each given as a number or as [[v]]; it
-    refuses any other shape ("the model is scalar"), B = 0
-    (uncontrollable), C = 0 (unobservable), Q < 0, R <= 0 and non-finite
-    entries (a NaN Q would otherwise spin the Riccati iteration).
+  * SystemModel is five floats; it refuses B = 0 (uncontrollable),
+    C = 0 (unobservable), Q < 0, R <= 0 and non-finite entries (a NaN Q
+    would otherwise spin the Riccati iteration). The config refuses any
+    entry but a number or a one-entry list (tests/test_cli.py).
 """
 
 import math
@@ -51,7 +51,7 @@ K_GAIN = P_INF / (P_INF + 10.0)
 
 
 def scalar_benchmark() -> SystemModel:
-    return SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[10.0]])
+    return SystemModel(A=1.0, B=1.0, C=1.0, Q=1.0, R=10.0)
 
 
 def stable_model() -> SystemModel:
@@ -155,10 +155,9 @@ def test_error_step_consistent_with_full_loop(alarm):
 
 
 def test_setpoint_control_contracts_geometrically():
-    model = SystemModel(A=[[1.0]], B=[[2.0]], C=[[1.0]], Q=[[0.0]],
-                        R=[[1.0]])
+    model = SystemModel(A=1.0, B=2.0, C=1.0, Q=0.0, R=1.0)
     x0, alpha = 0.835, 0.5
-    ctrl = SetpointController(x0=[x0], alpha=alpha)
+    ctrl = SetpointController(x0=x0, alpha=alpha)
     x = 1.0
     for _ in range(12):
         u = setpoint_control(model, ctrl, x)  # exact state knowledge
@@ -172,32 +171,23 @@ def test_setpoint_control_contracts_geometrically():
 def test_setpoint_control_contracts_enforced():
     for alpha in (0.0, 1.0, float("nan")):
         with pytest.raises(ModelError, match="alpha"):
-            SetpointController([1.0], alpha)
-    # two inputs cannot drive the one state: the model refuses a wide B
-    with pytest.raises(ModelError, match=r"model is scalar: B .* \(1, 2\)"):
-        SystemModel(A=[[1.0]], B=[[0.0, 1.0]], C=[[1.0]], Q=[[1.0]],
-                    R=[[1.0]])
-    for x0, init, name, shape in (([1.0, 2.0], None, "x0", r"\(2,\)"),
-                                  (1.0, None, "x0", r"\(\)"),
-                                  ([1.0], [[1.0]], "init", r"\(1, 1\)")):
-        with pytest.raises(ModelError,
-                           match=rf"controller\.{name} must have shape "
-                                 rf"\(1,\), got {shape}"):
-            SetpointController(x0, 0.5, init)
+            SetpointController(1.0, alpha)
+    # without an init the estimate starts at the setpoint
+    assert SetpointController(0.835, 0.5).init == 0.835
+    assert SetpointController(0.835, 0.5, 1.0).init == 1.0
 
 
 def test_rollout_refuses_a_controller_over_a_singular_B():
     # a scalar model with B = 0 is uncontrollable, so no rollout or
     # setpoint law, which divides by B, gets one
-    for B in ([[0.0]], 0.0, -0.0):
+    for B in (0, 0.0, -0.0):
         with pytest.raises(ModelError, match="not controllable: B = 0"):
-            SystemModel(A=[[1.0]], B=B, C=[[1.0]], Q=[[1.0]], R=[[1.0]])
+            SystemModel(A=1.0, B=B, C=1.0, Q=1.0, R=1.0)
 
 
 def test_setpoint_control_acts_row_by_row():
-    model = SystemModel(A=[[1.0]], B=[[4.0]], C=[[1.0]], Q=[[1.0]],
-                        R=[[1.0]])
-    ctrl = SetpointController(x0=[0.5], alpha=0.3)
+    model = SystemModel(A=1.0, B=4.0, C=1.0, Q=1.0, R=1.0)
+    ctrl = SetpointController(x0=0.5, alpha=0.3)
     x_hat = np.array([1.0, 0.5, -2.0])
     batch = setpoint_control(model, ctrl, x_hat)
     assert batch.shape == (3,)
@@ -208,29 +198,24 @@ def test_setpoint_control_acts_row_by_row():
 
 
 def test_model_validation():
-    good = dict(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]])
+    good = dict(A=1.0, B=1.0, C=1.0, Q=1.0, R=1.0)
     for key, value, message in (
-            ("A", [[1.0, 0.0]], r"model is scalar: A .* got shape \(1, 2\)"),
-            ("B", [[1.0], [1.0]], r"model is scalar: B .* got shape \(2, 1\)"),
-            ("Q", [1.0], r"model is scalar: Q .* got shape \(1,\)"),
-            ("A", np.eye(2), r"model is scalar: A .* got shape \(2, 2\)"),
-            ("C", [[0.0]], "not observable: C = 0"),
-            ("R", [[0.0]], "R must be positive definite, got 0.0"),
-            ("Q", [[-1e-300]], "Q must be positive semidefinite, got -1e-300"),
-            ("Q", [[np.nan]], "Q must be finite, got nan"),
+            ("C", 0.0, "not observable: C = 0"),
+            ("R", 0.0, "R must be positive definite, got 0.0"),
+            ("Q", -1e-300, "Q must be positive semidefinite, got -1e-300"),
+            ("Q", np.nan, "Q must be finite, got nan"),
             ("A", np.inf, "A must be finite, got inf")):
         with pytest.raises(ModelError, match=message):
             SystemModel(**{**good, key: value})
-    # a number and the config's [[v]] form give the same five floats
-    model = SystemModel(A=0.9, B=np.float64(2.0), C=[[0.5]], Q=0, R=3)
+    # ints and numpy floats become the same five floats
+    model = SystemModel(A=0.9, B=np.float64(2.0), C=0.5, Q=0, R=3)
     assert (model.A, model.B, model.C, model.Q, model.R) == (
         0.9, 2.0, 0.5, 0.0, 3.0)
     assert all(type(getattr(model, key)) is float for key in "ABCQR")
 
 
 def test_noise_covariances_respected():
-    model = SystemModel(A=[[0.9]], B=[[1.0]], C=[[0.5]], Q=[[0.3]],
-                        R=[[2.0]])
+    model = SystemModel(A=0.9, B=1.0, C=0.5, Q=0.3, R=2.0)
     ss = derive_steady_state(model)
     batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(1.0),
                           MitigationStrategy.off(), T=4,

@@ -4,9 +4,11 @@ What is proven here:
   * build_grid reproduces the 241-point benchmark lattice, rejects spans
     that are not step multiples, and nearest_index snaps with ties to the
     lower index, a float to an int and an array of errors entry by entry.
-    The lattice is scalar: build_grid refuses anything but one [lo, hi]
-    pair with one step, and cells are the nearest-neighbor intervals as
-    (lower, upper) float pairs.
+    The lattice is scalar: build_grid takes lo, hi and the step as
+    floats and gives (N,) points, uniform_actions a (K,) lattice, and
+    cells are the nearest-neighbor intervals as (lower, upper) float
+    pairs. The config and the artifact refuse a lattice of any other
+    shape (tests/test_cli.py).
   * The scalar law's CA, s1, s2 and rho equal, bit for bit, their route
     through the joint covariance blocks C Q C' + R, C Q W_K' - R K' and
     W_K Q W_K' + K R K' on 200 seeded scalar models.
@@ -78,14 +80,14 @@ DET_AT_10 = 0.3035604335294764  # closed form at e=0, a=10, eta=10
 
 @pytest.fixture(scope="module")
 def bench():
-    model = SystemModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[10.0]])
+    model = SystemModel(A=1.0, B=1.0, C=1.0, Q=1.0, R=10.0)
     return model, derive_steady_state(model)
 
 
 @pytest.fixture(scope="module")
 def bench_tm(bench):
     model, ss = bench
-    grid = build_grid([(-30.0, 30.0)], [0.25])
+    grid = build_grid(-30.0, 30.0, 0.25)
     return build_transition_model(model, ss, eta=10.0, grid=grid,
                                   actions=uniform_actions(20.0, 81))
 
@@ -108,21 +110,21 @@ def mc_one_step(model, ss, eta, e, a, delta, n, seed):
 
 
 def test_benchmark_grid_has_241_states():
-    grid = build_grid([(-30.0, 30.0)], [0.25])
+    grid = build_grid(-30.0, 30.0, 0.25)
     assert grid.n_states == 241
-    assert grid.points[0, 0] == -30.0 and grid.points[-1, 0] == 30.0
-    assert np.allclose(np.diff(grid.points[:, 0]), 0.25)
+    assert grid.points[0] == -30.0 and grid.points[-1] == 30.0
+    assert np.allclose(np.diff(grid.points), 0.25)
 
 
 def test_grid_rejects_non_multiple_span():
     with pytest.raises(ModelError):
-        build_grid([(-1.0, 1.0)], [0.3])
+        build_grid(-1.0, 1.0, 0.3)
     with pytest.raises(ModelError):
-        build_grid([(1.0, -1.0)], [0.25])
+        build_grid(1.0, -1.0, 0.25)
 
 
 def test_nearest_index_snapping_and_ties():
-    grid = build_grid([(-2.0, 2.0)], [1.0])  # points -2..2
+    grid = build_grid(-2.0, 2.0, 1.0)  # points -2..2
     assert nearest_index(grid, 0.4) == 2
     assert nearest_index(grid, 0.6) == 3
     assert nearest_index(grid, 0.5) == 2  # midpoint ties to lower index
@@ -135,27 +137,21 @@ def test_nearest_index_snapping_and_ties():
 
 
 def test_lattice_is_scalar():
-    grid = build_grid([(-2.0, 2.0)], [1.0])
+    grid = build_grid(-2.0, 2.0, 1.0)
     assert (grid.lo, grid.hi, grid.step) == (-2.0, 2.0, 1.0)
-    assert grid.points.shape == (5, 1)
+    assert grid.points.shape == (5,)
     # nearest-neighbor intervals; the outermost reach to infinity
     for index, (lower, upper) in ((0, (-np.inf, -1.5)), (2, (-0.5, 0.5)),
                                   (4, (1.5, np.inf))):
         c = cell(grid, index)
         assert c == (lower, upper)
         assert [type(x) for x in c] == [float, float]
-    for bounds, step in (([(-1.0, 1.0), (0.0, 2.0)], [1.0, 1.0]),
-                         ([(-1.0, 1.0)], [1.0, 1.0]),
-                         ((-1.0, 1.0), [1.0]),
-                         ([(-1.0, 1.0)], 1.0)):
-        with pytest.raises(ModelError, match="scalar"):
-            build_grid(bounds, step)
 
 
 def test_uniform_actions_lattice():
     acts = uniform_actions(20.0, 81)
-    assert acts.shape == (81, 1)
-    assert 10.0 in acts[:, 0] and -10.0 in acts[:, 0] and 0.0 in acts[:, 0]
+    assert acts.shape == (81,)
+    assert 10.0 in acts and -10.0 in acts and 0.0 in acts
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +168,7 @@ def test_scalar_law_matches_joint_covariance_blocks():
         A = rng.uniform(-1.5, 1.5)
         C = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
         Q, R = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
-        model = SystemModel(A=[[A]], B=[[1.0]], C=[[C]], Q=[[Q]], R=[[R]])
+        model = SystemModel(A=A, B=1.0, C=C, Q=Q, R=R)
         ss = derive_steady_state(model)
         Am, Cm, Qm, Rm, W_K, K = (np.array([[x]]) for x in (
             model.A, model.C, model.Q, model.R, ss.W_K, ss.K))
@@ -221,7 +217,7 @@ def test_detection_prob_against_mc_oracle(bench):
 @pytest.mark.parametrize("eta", [math.nan, -1.0])
 def test_bad_threshold_raises_defense_error(bench, eta):
     model, ss = bench
-    grid = build_grid([(-2.0, 2.0)], [1.0])
+    grid = build_grid(-2.0, 2.0, 1.0)
     target = cell(grid, 2)
     calls = [
         lambda: detection_prob(model, ss, eta, 0.0, 1.0),
@@ -276,7 +272,7 @@ def test_cell_transition_never_detect_reduces_to_univariate(bench):
 
 def test_alarm_band_decomposition_consistent(bench):
     model, ss = bench
-    grid = build_grid([(-10.0, 10.0)], [0.5])
+    grid = build_grid(-10.0, 10.0, 0.5)
     e, a, delta = 1.5, 8.0, 8.0
     total_alarm = sum(alarm_cell_mass(model, ss, 10.0, e, a, delta,
                                       cell(grid, j))
@@ -312,8 +308,8 @@ def test_transition_model_rows_and_detection(bench, bench_tm):
     assert np.min(tm.interior_mass) >= 0.99
     # detection table equals the closed form on a sample of pairs
     for i, k in [(0, 0), (120, 40), (120, 60), (240, 80), (60, 10)]:
-        e = tm.grid.points[i, 0]
-        a = tm.actions[k, 0]
+        e = tm.grid.points[i]
+        a = tm.actions[k]
         assert tm.detection[i, k] == pytest.approx(
             detection_prob(model, ss, 10.0, e, a), abs=1e-10)
 
@@ -322,9 +318,9 @@ def test_transition_model_zero_action_variance(bench, bench_tm):
     # from e=0 with a=0 the next error is X2 ~ N(0, W_K^2 Q + K^2 R)
     model, ss = bench
     tm = bench_tm
-    i0 = int(np.argmin(np.abs(tm.grid.points[:, 0])))
-    k0 = int(np.argmin(np.abs(tm.actions[:, 0])))
-    assert tm.actions[k0, 0] == 0.0
+    i0 = int(np.argmin(np.abs(tm.grid.points)))
+    k0 = int(np.argmin(np.abs(tm.actions)))
+    assert tm.actions[k0] == 0.0
     var_exact = ss.W_K ** 2 * 1.0 + ss.K ** 2 * 10.0
     assert expected_reward(tm, i0, k0) == pytest.approx(var_exact, abs=0.02)
 
@@ -333,8 +329,8 @@ def test_transition_model_matches_row_of_cell_transitions(bench, bench_tm):
     model, ss = bench
     tm = bench_tm
     i, k = 130, 55
-    e = tm.grid.points[i, 0]
-    a = tm.actions[k, 0]
+    e = tm.grid.points[i]
+    a = tm.actions[k]
     for j in (0, 60, 120, 180, 240):
         direct = cell_transition_prob(model, ss, 10.0, e, a, a,
                                       cell(tm.grid, j))
@@ -362,7 +358,7 @@ def test_row_build_independent_of_chunk_and_block_sizes(bench, monkeypatch):
     # one (525 = 131 * 4 + 1); 7 is less than one row, so every tile is 1
     # row.
     model, ss = bench
-    grid = build_grid([(-30.0, 30.0)], [2.5])
+    grid = build_grid(-30.0, 30.0, 2.5)
     actions = uniform_actions(20.0, 21)
     ref = build_transition_model(model, ss, eta=10.0, grid=grid,
                                  actions=actions)
@@ -378,7 +374,7 @@ def test_row_build_independent_of_chunk_and_block_sizes(bench, monkeypatch):
 def _coarse_build(model, ss):
     # the coarse benchmark-shaped build above: 25 states x 21 actions of 25
     # cells, so 525 rows of 26 edges, one tile at the default _TILE
-    grid = build_grid([(-30.0, 30.0)], [2.5])
+    grid = build_grid(-30.0, 30.0, 2.5)
     return build_transition_model(model, ss, eta=10.0, grid=grid,
                                   actions=uniform_actions(20.0, 21))
 
@@ -407,8 +403,8 @@ def test_row_build_independent_of_row_order(bench, monkeypatch, tile):
     model, ss = bench
     ref = _coarse_build(model, ss)
     grid, actions = ref.grid, ref.actions
-    e = np.repeat(grid.points[:, 0], actions.shape[0])
-    a = np.tile(actions[:, 0], grid.n_states)
+    e = np.repeat(grid.points, actions.shape[0])
+    a = np.tile(actions, grid.n_states)
     order = np.random.default_rng(7).permutation(e.size)
     monkeypatch.setattr(mdp, "_TILE", tile)
     rows, det, interior = mdp._scalar_rows(mdp._scalar_law(model, ss, 10.0),
@@ -436,7 +432,7 @@ def test_row_build_memory_beyond_its_outputs(bench, bench_tm):
 
 def test_truncation_warning_on_small_grid(bench):
     model, ss = bench
-    tiny = build_grid([(-2.0, 2.0)], [0.5])
+    tiny = build_grid(-2.0, 2.0, 0.5)
     with pytest.warns(TruncationWarning):
         build_transition_model(model, ss, eta=10.0, grid=tiny,
                                actions=uniform_actions(20.0, 5))
@@ -447,16 +443,16 @@ def test_sampled_path_matches_exact_path(bench):
     # whole exact rows and detection against the oracle's sampled one-step
     # draws, e' histogrammed into the 13 lattice cells (outer cells open)
     model, ss = bench
-    grid = build_grid([(-6.0, 6.0)], [1.0])
+    grid = build_grid(-6.0, 6.0, 1.0)
     acts = uniform_actions(10.0, 5)
     exact = build_transition_model(model, ss, eta=10.0, grid=grid, actions=acts)
     n = 200_000
-    inner_edges = grid.points[:-1, 0] + 0.5 * grid.step
+    inner_edges = grid.points[:-1] + 0.5 * grid.step
     n_actions = acts.shape[0]
     rows = np.empty_like(exact.rows)
     detection = np.empty_like(exact.detection)
-    for i, e in enumerate(grid.points[:, 0]):
-        for k, a in enumerate(acts[:, 0]):
+    for i, e in enumerate(grid.points):
+        for k, a in enumerate(acts):
             alarm, e_next = mc_one_step(model, ss, 10.0, e, a, a, n,
                                         seed=421 + i * n_actions + k)
             cells = np.searchsorted(inner_edges, e_next)
@@ -480,7 +476,8 @@ def test_value_iteration_contracts(bench_tm):
     assert np.all(np.diff(pol.values, axis=0) >= -1e-9)  # nondecreasing stages
     sym = pol.values[6] - pol.values[6][::-1]
     assert np.max(np.abs(sym)) < 1e-6  # even in the state
-    assert np.all(np.linalg.norm(pol.action_table, axis=2) <= pol.a_max + 1e-9)
+    assert pol.action_table.shape == (6, 241)
+    assert np.all(np.abs(pol.action_table) <= pol.a_max + 1e-9)
     assert pol.horizon == 6
 
 
@@ -491,9 +488,9 @@ def test_value_iteration_stage_one_is_immediate_argmax(bench_tm):
                         for k in range(bench_tm.actions.shape[0])])
     k_best = int(np.argmax(rewards))
     assert pol.values[1, i0] == pytest.approx(rewards[k_best], rel=1e-12)
-    assert pol.action_table[0, i0, 0] == bench_tm.actions[k_best, 0]
+    assert pol.action_table[0, i0] == bench_tm.actions[k_best]
     # symmetric problem: the +-10 tie resolves to the lower action index
-    assert pol.action_table[0, i0, 0] == -10.0
+    assert pol.action_table[0, i0] == -10.0
 
 
 def test_value_iteration_domain_checks(bench_tm):

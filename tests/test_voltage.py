@@ -74,7 +74,7 @@ def loop():
 def voltage_policy(loop):
     """Policy solved on the per-unit error lattice of the voltage preset."""
     model, ss, _ = loop
-    grid = build_grid([(-0.3, 0.3)], [0.0025])
+    grid = build_grid(-0.3, 0.3, 0.0025)
     tm = build_transition_model(model, ss, eta=5.0, grid=grid,
                                 actions=uniform_actions(0.2, 81))
     return value_iteration(tm, horizon=30)
@@ -215,7 +215,7 @@ def test_short_trace_is_refused_with_its_path(tmp_path):
 
 def test_error_process_is_controller_independent(loop):
     model, ss, controller = loop
-    plan = AttackPlan.constant([0.1], a_max=0.2)
+    plan = AttackPlan.constant(0.1, a_max=0.2)
     kwargs = dict(T=15, runs=64)
     on = rollout_batch(model, ss, plan, DetectorConfig(5.0),
                        MitigationStrategy.perfect(), stream=RngStream(90),
@@ -237,7 +237,7 @@ def test_curves_add_runs_in_order(loop):
     # numpy sums a contiguous axis pairwise, which from 8 runs up can differ
     # in the last bits from adding the runs one after another
     model, ss, controller = loop
-    plan = AttackPlan.ramp([0.01], a_max=0.2)
+    plan = AttackPlan.ramp(0.01, a_max=0.2)
     strategy = MitigationStrategy.noisy(0.05)
     runs, T = 257, 12
     run = voltage_attack_experiment(*loop, plan, eta=5.0, strategy=strategy,
@@ -272,8 +272,8 @@ def test_setpoint_offset_leaves_error_and_costs_bitwise(loop, voltage_policy,
     # rounding of the shifted x_hat: one ulp of the offset per step, with
     # the control law contracting the sum
     tol = 8 * np.spacing(offset)
-    plans = (AttackPlan.none(), AttackPlan.constant([0.1], a_max=0.2),
-             AttackPlan.ramp([0.01], a_max=0.2),
+    plans = (AttackPlan.none(), AttackPlan.constant(0.1, a_max=0.2),
+             AttackPlan.ramp(0.01, a_max=0.2),
              AttackPlan.from_policy(voltage_policy))
     for plan, strategy in zip(plans, (MitigationStrategy.perfect(),
                                       MitigationStrategy.noisy(0.05),
@@ -309,7 +309,7 @@ def test_no_attack_settles_at_setpoint(loop):
 
 
 def test_ramp_detection_frequency_increases(loop):
-    run = voltage_attack_experiment(*loop, AttackPlan.ramp([0.01], a_max=0.2),
+    run = voltage_attack_experiment(*loop, AttackPlan.ramp(0.01, a_max=0.2),
                                     eta=5.0,
                                     strategy=MitigationStrategy.perfect(),
                                     T=30, runs=2_000, stream=RngStream(92))
@@ -330,7 +330,7 @@ def test_policy_attack_hides_in_the_estimate(loop, voltage_policy):
     batch = rollout_batch(model, ss, plan, DetectorConfig(5.0),
                           MitigationStrategy.perfect(), 30, RngStream(93),
                           2_000, controller=controller)
-    est_dev = np.abs(batch.x_hat[:, -1] - controller.x0[0])
+    est_dev = np.abs(batch.x_hat[:, -1] - controller.x0)
     assert est_dev.mean() < run.mean_abs_deviation[-1]
     # the attack moved the plant: deviation well above the no-attack level
     clean = voltage_attack_experiment(*loop, AttackPlan.none(), eta=5.0,
