@@ -8,9 +8,9 @@ that order, into one temporary directory per preset, and prints one
 `<sha256>  <preset>/<file>` line per output file. A command that refuses a
 preset prints `exit <code>  <preset>/<command>` instead (voltage needs the
 controller that only the voltage preset has). Last comes
-`estimate-b/estimate_b.yaml`: estimate-b's fit of a trace with two buses
-and two inputs, which voltage.synthesize_traces draws at seed 0 and
-voltage.save_traces writes. The package is imported from the `src/` next
+`estimate-b/estimate_b.yaml`: estimate-b's fit of a one-bus, one-input
+trace of 500 samples, which voltage.synthesize_traces draws at seed 0
+and voltage.save_traces writes. The package is imported from the `src/` next
 to this script, so two checkouts give byte-identical outputs exactly when
 their listings `diff` clean.
 
@@ -50,8 +50,8 @@ from fdisim.numerics import RngStream  # noqa: E402
 from fdisim.voltage import save_traces, synthesize_traces  # noqa: E402
 
 COMMANDS = ("solve", "sweep-action", "evaluate", "fpmd", "voltage")
-# estimate-b's input: 500 samples of a two-bus, two-input gain at seed 0
-TRACE_B = [[1.2, 0.3], [-0.4, 0.9]]
+# estimate-b's input: 500 samples of a one-bus, one-input gain at seed 0
+TRACE_B = 1.2
 
 
 def digests(name: str, keep: Path | None = None) -> list[str]:
@@ -70,8 +70,7 @@ def digests(name: str, keep: Path | None = None) -> list[str]:
         if name == "estimate-b":
             traces = Path(stack.enter_context(tempfile.TemporaryDirectory()))
             save_traces(traces / "traces.csv", synthesize_traces(
-                TRACE_B, 500, RngStream(0), noise_cov=[[1e-4, 0.0],
-                                                       [0.0, 1e-4]]))
+                TRACE_B, 500, RngStream(0), noise_var=1e-4))
             runs = [[name, "--traces", str(traces / "traces.csv"),
                      "--out", str(out)]]
         lines = []

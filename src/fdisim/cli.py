@@ -3,9 +3,8 @@
 Commands (each accepts --config, --preset, --seed, --out, --policy; see
 `fdisim <command> --help`):
 
-  solve         solve the injection MDP (scalar systems only), write the
-                policy artifact
-  sweep-action  magnitude/stealthiness tradeoff at e = 0 (scalar only)
+  solve         solve the injection MDP, write the policy artifact
+  sweep-action  magnitude/stealthiness tradeoff at e = 0
                 -> sweep_action.csv: a,detection_prob,expected_reward
   evaluate      Monte-Carlo cost curves for the four plans
                 -> cost_policy.csv / cost_constant.csv / cost_ramp.csv /
@@ -233,17 +232,14 @@ def cmd_estimate_b(args) -> int:
     if traces_path is None:
         raise ConfigError("no trace file: pass --traces or set paths.traces")
     est = estimate_B(load_traces(traces_path))
-    print("B estimate:")
-    for row in est.B:
-        print("  " + "  ".join("%.17g" % v for v in row))
-    print("residual covariance (process-noise estimate):")
-    for row in est.residual_cov:
-        print("  " + "  ".join("%.17g" % v for v in row))
+    print("B estimate: %.17g" % est.B)
+    print("residual variance (process-noise estimate): %.17g"
+          % est.residual_var)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        fragment = {"model": {"B": est.B.tolist(),
-                              "Q": est.residual_cov.tolist()}}
+        # the presets' one-entry list spelling of a scalar leaf
+        fragment = {"model": {"B": [[est.B]], "Q": [[est.residual_var]]}}
         path = out / "estimate_b.yaml"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yaml.safe_dump(fragment, fh, default_flow_style=None,

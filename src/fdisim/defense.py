@@ -44,7 +44,7 @@ class DetectorConfig:
 @dataclass(frozen=True)
 class MitigationStrategy:
     """Reactive correction policy: 'perfect' (delta = a), 'noisy'
-    (delta = a + b with b ~ N(0, sigma_mit^2 I)), or 'off' (delta = 0)."""
+    (delta = a + b with b ~ N(0, sigma_mit^2)), or 'off' (delta = 0)."""
 
     kind: str
     sigma_mit: float = 0.0

@@ -1,7 +1,7 @@
 """Finite-horizon decision problem for the optimal sensor injection.
 
 The attacker observes the estimation error e[t] and injects a with
-||a|| <= a_max. Conditioned on e[t] = e and injection a, the alarm and the
+|a| <= a_max. Conditioned on e[t] = e and injection a, the alarm and the
 next error are coupled through the Gaussian pair
 
     X1 = C w + v        (the random part of the residual)

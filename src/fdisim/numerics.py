@@ -1,9 +1,8 @@
 """Shared numerical kernels.
 
 Seeded RNG streams, the saturating bivariate-normal orthant kernel behind
-the exact scalar transition rows, a PSD factor for sampling correlated
-noise of any dimension (voltage's trace synthesis), and the scalar
-fixed-point Riccati solver behind the steady-state filter, on floats.
+the exact scalar transition rows, and the scalar fixed-point Riccati
+solver behind the steady-state filter, on floats.
 Everything is deterministic given its inputs; routines that need
 randomness take an explicit :class:`RngStream` and never touch global RNG
 state.
@@ -41,18 +40,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=(self.stream,)))
-
-
-# ---------------------------------------------------------------------------
-# Covariances
-# ---------------------------------------------------------------------------
-
-
-def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Symmetric-eigendecomposition factor L with L L' = cov (PSD safe)."""
-    vals, vecs = np.linalg.eigh(cov)
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,24 @@
-"""Voltage-control instantiation: A = I, C = I, setpoint regulation.
+"""Voltage-control instantiation: A = 1, C = 1, setpoint regulation.
 
-The plant state is the vector of pilot-bus voltages in per-unit; the
-control input is the vector of generator setpoint increments.  Voltages
-respond through an unknown gain matrix B which is estimated from recorded
-traces of voltage increments x[t+1] - x[t] against the applied inputs by
-least squares, for any number of buses and inputs.  The experiment runs
-the scalar loop of evaluation.rollout_batch, one bus with one input.  The
+The plant state is one pilot-bus voltage in per-unit; the control input
+is one generator setpoint increment.  The voltage responds through an
+unknown gain B which is estimated from recorded traces of voltage
+increments x[t+1] - x[t] against the applied inputs by least squares.
+The experiment runs the scalar loop of evaluation.rollout_batch.  The
 `voltage` configuration preset regulates one bus from 1.0 pu to a
 setpoint of 0.835 pu; its noise covariances reuse the abstract benchmark
 values scaled into per-unit (0.01 pu per abstract unit), which keeps the
 chi-square detector's operating point identical because the g statistic
 is scale-invariant.
 
-Trace files are CSV with header ``t,x_1..x_n,u_1..u_p``, one row per time
-step; dimensions are inferred from the header.
+Trace files are CSV with header ``t,x_1,u_1``, one row per time step.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,7 +28,7 @@ from .attack import AttackPlan
 from .defense import DetectorConfig, MitigationStrategy
 from .evaluation import rollout_batch, std_err_over_runs
 from .lti import SetpointController, SteadyState, SystemModel
-from .numerics import RngStream, psd_factor
+from .numerics import RngStream
 
 __all__ = [
     "BEstimate",
@@ -49,91 +48,85 @@ class VoltageError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TraceSet:
-    """Recorded (x[t], u[t]) pairs; x (N, n) voltages, u (N, p) inputs."""
+    """Recorded (x[t], u[t]) pairs of one bus and one input, as (N,)
+    arrays of voltages x and inputs u."""
 
     x: np.ndarray
     u: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        u = np.atleast_2d(np.asarray(self.u, dtype=float))
-        if x.shape[0] != u.shape[0]:
+        x = np.asarray(self.x, dtype=float)
+        u = np.asarray(self.u, dtype=float)
+        if x.ndim != 1 or u.ndim != 1:
             raise VoltageError(
-                f"trace lengths disagree: {x.shape[0]} voltage rows vs "
-                f"{u.shape[0]} input rows")
-        n, p = x.shape[1], u.shape[1]
-        if x.shape[0] < n * p + 1:
+                f"traces must be (N,) arrays of one bus and one input, got "
+                f"shapes {x.shape} and {u.shape}")
+        if x.size != u.size:
             raise VoltageError(
-                f"need at least n*p + 1 = {n * p + 1} samples to identify "
-                f"an {n}x{p} gain, got {x.shape[0]}")
+                f"trace lengths disagree: {x.size} voltage rows vs "
+                f"{u.size} input rows")
+        if x.size < 2:
+            raise VoltageError(
+                f"need at least 2 samples to identify the gain, got {x.size}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
             raise VoltageError("traces contain non-finite values")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
 
     def __len__(self) -> int:
-        return self.x.shape[0]
+        return self.x.size
 
 
 class BEstimate(NamedTuple):
-    """Least-squares gain estimate with residual covariance."""
+    """Least-squares gain estimate with residual variance."""
 
-    B: np.ndarray
-    residual_cov: np.ndarray
+    B: float
+    residual_var: float
 
 
 def estimate_B(traces: TraceSet) -> BEstimate:
     """Least-squares fit of x[t+1] - x[t] = B u[t].
 
-    The residual covariance doubles as a process-noise estimate for
+    The residual variance doubles as a process-noise estimate for
     configuring the simulated plant.
     """
     d = traces.x[1:] - traces.x[:-1]
-    regressors = traces.u[:-1]
-    p = regressors.shape[1]
-    rank = np.linalg.matrix_rank(regressors)
-    if rank < p:
-        raise VoltageError(
-            f"input samples span only {rank} of {p} directions; the gain "
-            f"is unidentifiable from this trace")
-    coef, *_ = np.linalg.lstsq(regressors, d, rcond=None)
-    residuals = d - regressors @ coef
-    dof = max(residuals.shape[0] - p, 1)
-    residual_cov = residuals.T @ residuals / dof
-    return BEstimate(B=coef.T, residual_cov=residual_cov)
+    u = traces.u[:-1]
+    coef, _, rank, _ = np.linalg.lstsq(u[:, None], d, rcond=None)
+    if rank == 0:
+        raise VoltageError("the input is zero throughout; the gain is "
+                           "unidentifiable from this trace")
+    B = float(coef[0])
+    r = d - u * B
+    return BEstimate(B=B, residual_var=float(r @ r / max(len(traces) - 2, 1)))
 
 
-def synthesize_traces(B, length: int, stream: RngStream,
-                      noise_cov=None, u_scale: float = 0.05) -> TraceSet:
+def synthesize_traces(B: float, length: int, stream: RngStream,
+                      noise_var=None, u_scale: float = 0.05) -> TraceSet:
     """Generate an excitation trace from the incremental plant model.
 
-    Inputs are i.i.d. N(0, u_scale^2) per channel, which keeps the
-    regressor block full rank; noise_cov=None gives a noiseless trace.
-    TraceSet refuses a length below n*p + 1.
+    Inputs are i.i.d. N(0, u_scale^2), which keeps the regressor nonzero;
+    noise_var=None gives a noiseless trace. TraceSet refuses a length
+    below 2.
     """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n, p = B.shape
     gen = stream.generator()
-    u = u_scale * gen.standard_normal((length, p))
-    w = np.zeros((length, n))
-    if noise_cov is not None:
-        noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
-        w = gen.standard_normal((length, n)) @ psd_factor(noise_cov).T
-    x = np.zeros((length, n))
+    u = u_scale * gen.standard_normal(length)
+    w = np.zeros(length)
+    if noise_var is not None:
+        w = math.sqrt(noise_var) * gen.standard_normal(length)
+    x = np.zeros(length)
     for t in range(length - 1):
-        x[t + 1] = x[t] + B @ u[t] + w[t]
+        x[t + 1] = x[t] + B * u[t] + w[t]
     return TraceSet(x=x, u=u)
 
 
-def _trace_header(n: int, p: int) -> list[str]:
-    return (["t"] + [f"x_{j}" for j in range(1, n + 1)]
-            + [f"u_{j}" for j in range(1, p + 1)])
+_TRACE_HEADER = ["t", "x_1", "u_1"]
 
 
 def load_traces(path) -> TraceSet:
     """Parse a trace CSV; every complaint about a line carries its 1-based
     line number. TraceSet checks the whole trace (its length against the
-    n*p + 1 samples a gain needs), and its refusals carry the path."""
+    2 samples a gain needs), and its refusals carry the path."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
@@ -147,41 +140,32 @@ def load_traces(path) -> TraceSet:
     except StopIteration:
         raise VoltageError(f"{path}: empty file") from None
     header = [col.strip() for col in header]
-    if not header or header[0] != "t":
+    if header != _TRACE_HEADER:
         raise VoltageError(
-            f"{path}:1: header must start with 't', got {header[:1]}")
-    n = sum(1 for col in header if col.startswith("x_"))
-    p = sum(1 for col in header if col.startswith("u_"))
-    if n == 0 or p == 0 or header != _trace_header(n, p):
-        raise VoltageError(
-            f"{path}:1: header must be t,x_1..x_n,u_1..u_p, "
-            f"got {','.join(header)}")
+            f"{path}:1: header must be {','.join(_TRACE_HEADER)}, as the "
+            f"model is scalar (one bus, one input), got {','.join(header)}")
     xs, us = [], []
     for lineno, row in enumerate(reader, start=2):
-        if len(row) != 1 + n + p:
+        if len(row) != 3:
             raise VoltageError(
-                f"{path}:{lineno}: expected {1 + n + p} fields, "
-                f"got {len(row)}")
+                f"{path}:{lineno}: expected 3 fields, got {len(row)}")
         try:
-            values = [float(field) for field in row[1:]]
+            x, u = float(row[1]), float(row[2])
         except ValueError as exc:
             raise VoltageError(f"{path}:{lineno}: {exc}") from None
-        xs.append(values[:n])
-        us.append(values[n:])
+        xs.append(x)
+        us.append(u)
     try:
-        return TraceSet(x=np.reshape(xs, (-1, n)), u=np.reshape(us, (-1, p)))
+        return TraceSet(x=xs, u=us)
     except VoltageError as exc:
         raise VoltageError(f"{path}: {exc}") from None
 
 
 def save_traces(path, traces: TraceSet) -> None:
-    n, p = traces.x.shape[1], traces.u.shape[1]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_trace_header(n, p)) + "\n")
-        for t in range(len(traces)):
-            fields = [str(t)] + ["%.17g" % val for val in traces.x[t]] \
-                + ["%.17g" % val for val in traces.u[t]]
-            fh.write(",".join(fields) + "\n")
+        fh.write(",".join(_TRACE_HEADER) + "\n")
+        for t, (x, u) in enumerate(zip(traces.x, traces.u)):
+            fh.write("%d,%.17g,%.17g\n" % (t, x, u))
 
 
 @dataclass(frozen=True, eq=False)

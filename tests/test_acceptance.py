@@ -426,7 +426,7 @@ def test_criterion_8_determinism(tmp_path):
     volt_cfg = tmp_path / "volt.yaml"
     volt_cfg.write_text(VOLT_SMALL, encoding="utf-8")
     traces = tmp_path / "traces.csv"
-    save_traces(traces, synthesize_traces(np.eye(1), 40, RngStream(9, 1)))
+    save_traces(traces, synthesize_traces(1.0, 40, RngStream(9, 1)))
 
     def run_all(out):
         out.mkdir()

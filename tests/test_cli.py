@@ -57,8 +57,10 @@ What is proven here:
   * voltage refuses a config without a controller section, and a model
     other than A = I, C = I before it reads any policy; neither writes a
     CSV.
-  * estimate-b prints the gain and writes a loadable config fragment;
-    rank-deficient traces exit nonzero.
+  * estimate-b prints the gain and writes a config fragment that loads
+    through resolve_config to a model with the fitted B and Q as floats;
+    rank-deficient traces exit nonzero, and a two-bus, two-input trace is
+    one error line with exit code 2, no stdout and no output directory.
   * Identical invocations are byte-identical across every emitted file.
   * A CSV row written with one format string per row gives the bytes of
     formatting each value on its own (strings as they are, bools and
@@ -92,7 +94,12 @@ from fdisim.config import (
 from fdisim.lti import derive_steady_state
 from fdisim.mdp import build_grid, build_transition_model, uniform_actions, value_iteration
 from fdisim.numerics import RngStream
-from fdisim.voltage import synthesize_traces, save_traces
+from fdisim.voltage import (
+    estimate_B,
+    load_traces,
+    save_traces,
+    synthesize_traces,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -582,23 +589,46 @@ def test_degenerate_grid_solves_to_zero(tmp_path, capsys):
 
 
 def test_estimate_b_command(tmp_path, capsys):
-    traces = synthesize_traces([[1.2]], 500, RngStream(4),
-                               noise_cov=[[1e-6]])
+    traces = synthesize_traces(1.2, 500, RngStream(4), noise_var=1e-6)
     trace_path = tmp_path / "traces.csv"
     save_traces(trace_path, traces)
+    est = estimate_B(load_traces(trace_path))
     out = tmp_path / "out"
     assert _run(["estimate-b", "--traces", trace_path, "--out", out]) == 0
-    printed = capsys.readouterr().out
-    assert "B estimate" in printed
-    fragment = (out / "estimate_b.yaml").read_text(encoding="utf-8")
-    loaded = yaml.safe_load(fragment)
-    assert abs(loaded["model"]["B"][0][0] - 1.2) < 0.05
+    path = out / "estimate_b.yaml"
+    assert capsys.readouterr().out.splitlines() == [
+        "B estimate: %.17g" % est.B,
+        "residual variance (process-noise estimate): %.17g" % est.residual_var,
+        f"config fragment written to {path}",
+    ]
+    assert abs(est.B - 1.2) < 0.05
+    # the fragment loads as a config, and its model is the fit
+    model = resolve_config(path=path).system_model()
+    assert isinstance(model.B, float) and isinstance(model.Q, float)
+    assert (model.B, model.Q) == (est.B, est.residual_var)
 
     zero_u = tmp_path / "zero.csv"
-    save_traces(zero_u, synthesize_traces([[1.0]], 50, RngStream(5),
-                                          u_scale=0.0))
+    save_traces(zero_u, synthesize_traces(1.0, 50, RngStream(5), u_scale=0.0))
     assert _run(["estimate-b", "--traces", zero_u]) == 2
     assert "unidentifiable" in capsys.readouterr().err
+
+
+def test_estimate_b_refuses_a_multi_bus_trace(tmp_path, capsys):
+    # every command needs a scalar model, so a two-bus, two-input fit would
+    # write a fragment that no config can take
+    trace_path = tmp_path / "traces.csv"
+    rng = np.random.default_rng(0)
+    rows = [",".join([str(t)] + ["%.17g" % v for v in row])
+            for t, row in enumerate(rng.normal(size=(20, 4)))]
+    trace_path.write_text("t,x_1,x_2,u_1,u_2\n" + "\n".join(rows) + "\n",
+                          encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run(["estimate-b", "--traces", trace_path, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{trace_path}:1:" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("body, message", [

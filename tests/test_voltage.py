@@ -7,12 +7,15 @@ What is proven here:
   * A controller section is refused with a ConfigError when controller.x0
     or controller.init has the wrong length; over a zero model.B it loads,
     and the model it builds is refused as uncontrollable.
-  * estimate_B recovers a known gain exactly from noiseless traces, to
-    < 1% relative error from 10^4 noisy samples, with error shrinking as
-    the sample count grows; zero excitation raises a rank error.
+  * A trace is one bus and one input: TraceSet takes (N,) arrays and
+    refuses a (N, 2) block, and a trace file with a multi-bus header is
+    refused at its line 1.
+  * estimate_B recovers a known scalar gain exactly from noiseless traces,
+    to < 1% relative error from 10^4 noisy samples, with error shrinking
+    as the sample count grows; zero excitation raises a rank error.
   * Trace CSVs round-trip exactly; malformed files are rejected with line
     numbers; a trace too short to identify the gain, a header-only file
-    included, is refused by TraceSet's n*p + 1 rule with the file's path.
+    included, is refused by TraceSet's 2-sample rule with the file's path.
   * The estimation-error process does not depend on the controller:
     rollouts with the controller on and off from the same stream produce
     bit-identical error paths, alarms and cost sums; x and x_hat exist
@@ -122,39 +125,49 @@ def test_voltage_config_validation():
 
 
 def test_estimate_b_exact_on_noiseless_traces():
-    B_true = np.array([[0.8, 0.1], [-0.2, 1.3]])
-    traces = synthesize_traces(B_true, 400, RngStream(5))
-    est = estimate_B(traces)
-    assert np.max(np.abs(est.B - B_true)) < 1e-8
-    assert np.max(np.abs(est.residual_cov)) < 1e-16
+    for B_true in (0.8, -0.2, 1.3):
+        traces = synthesize_traces(B_true, 400, RngStream(5))
+        est = estimate_B(traces)
+        assert isinstance(est.B, float) and isinstance(est.residual_var, float)
+        assert abs(est.B - B_true) < 1e-8
+        assert abs(est.residual_var) < 1e-16
 
 
 def test_estimate_b_noisy_within_one_percent():
-    B_true = np.array([[1.2]])
-    traces = synthesize_traces(B_true, 10_000, RngStream(6),
-                               noise_cov=[[1e-4]])
+    B_true = 1.2
+    traces = synthesize_traces(B_true, 10_000, RngStream(6), noise_var=1e-4)
     est = estimate_B(traces)
-    rel = np.linalg.norm(est.B - B_true) / np.linalg.norm(B_true)
-    assert rel < 0.01
-    # the residual covariance estimates the process noise
-    assert est.residual_cov[0, 0] == pytest.approx(1e-4, rel=0.1)
+    assert abs(est.B - B_true) / abs(B_true) < 0.01
+    # the residual variance estimates the process noise
+    assert est.residual_var == pytest.approx(1e-4, rel=0.1)
 
 
 def test_estimate_b_error_shrinks_with_samples():
-    B_true = np.array([[0.9]])
+    B_true = 0.9
     errs = []
     for length in (200, 20_000):
         traces = synthesize_traces(B_true, length, RngStream(7),
-                                   noise_cov=[[1e-4]])
-        errs.append(float(np.linalg.norm(estimate_B(traces).B - B_true)))
+                                   noise_var=1e-4)
+        errs.append(abs(estimate_B(traces).B - B_true))
     assert errs[1] < errs[0]
 
 
 def test_estimate_b_rank_error_on_zero_input():
-    traces = TraceSet(x=np.random.default_rng(0).normal(size=(50, 1)),
-                      u=np.zeros((50, 1)))
-    with pytest.raises(VoltageError):
+    traces = TraceSet(x=np.random.default_rng(0).normal(size=50),
+                      u=np.zeros(50))
+    with pytest.raises(VoltageError, match="unidentifiable"):
         estimate_B(traces)
+
+
+def test_trace_set_is_one_bus_and_one_input():
+    # (N,) arrays are N samples, not one sample of N buses
+    traces = TraceSet(x=np.arange(50.0), u=np.ones(50))
+    assert len(traces) == 50
+    assert traces.x.shape == traces.u.shape == (50,)
+    for x, u in ((np.zeros((50, 2)), np.ones(50)),
+                 (np.zeros(50), np.ones((50, 2)))):
+        with pytest.raises(VoltageError, match=re.escape("(N,) arrays")):
+            TraceSet(x=x, u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +176,7 @@ def test_estimate_b_rank_error_on_zero_input():
 
 
 def test_trace_round_trip(tmp_path):
-    traces = synthesize_traces([[0.7, 0.0], [0.3, 1.1]], 37, RngStream(8),
-                               noise_cov=np.eye(2) * 1e-5)
+    traces = synthesize_traces(1.1, 37, RngStream(8), noise_var=1e-5)
     path = tmp_path / "traces.csv"
     save_traces(path, traces)
     loaded = load_traces(path)
@@ -198,12 +210,21 @@ def test_trace_minimal_and_malformed(tmp_path):
     with pytest.raises(VoltageError):
         load_traces(short)
 
+    # the model is scalar: a second bus or input is refused at the header
+    for header in ("t,x_1,x_2,u_1,u_2", "t,x_1,u_1,u_2", "t,u_1,x_1"):
+        wide = tmp_path / "wide.csv"
+        wide.write_text(header + "\n0,1.0,0.5,0.0,0.0\n1,1.5,0.0,0.0,0.0\n",
+                        encoding="utf-8")
+        with pytest.raises(VoltageError, match=":1: .*scalar"):
+            load_traces(wide)
+
 
 def test_short_trace_is_refused_with_its_path(tmp_path):
-    for rows in ("", "0,1.0,0.5\n"):
+    for count, rows in enumerate(("", "0,1.0,0.5\n")):
         short = tmp_path / "short.csv"
         short.write_text("t,x_1,u_1\n" + rows, encoding="utf-8")
-        message = f"{short}: need at least n*p + 1 = 2 samples"
+        message = (f"{short}: need at least 2 samples to identify the gain, "
+                   f"got {count}")
         with pytest.raises(VoltageError, match="^" + re.escape(message)):
             load_traces(short)
 
