@@ -18,9 +18,12 @@ from `WORKLOADS` in `perfbench/workload.py`, so they are the benchmark's:
 
 For each command of each pass it prints the wall time, the user and
 system CPU time and the minor page faults, all as differences of
-`getrusage(RUSAGE_SELF)` (and a wall clock) around the command, then the
-pass's totals. A fault count depends on the heap state that earlier work
-left in the process, so compare two checkouts with the same arguments.
+`getrusage(RUSAGE_SELF)` (and a wall clock) around the command, and the
+process's peak RSS in MB after it (`ru_maxrss` / 1024, as `perfbench`
+reports `peak_rss_mb`), then the pass's totals. The peak only grows, so
+a command that raises it is the one that sets the process's high-water
+mark. A fault count depends on the heap state that earlier work left in
+the process, so compare two checkouts with the same arguments.
 The package is imported from the `src/` next to this script, with BLAS
 pinned to one thread as `perfbench/run.py` pins it: the script sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
@@ -52,13 +55,19 @@ from workload import WORKLOADS  # noqa: E402
 sys.dont_write_bytecode = False
 from fdisim.cli import main  # noqa: E402
 
-ROW = "{:>4}  {:<{width}}  {:>7}  {:>7}  {:>7}  {:>8}"
+ROW = "{:>4}  {:<{width}}  {:>7}  {:>7}  {:>7}  {:>8}  {:>9}"
 
 
 def usage() -> tuple[float, float, float, int]:
     """(wall s, user s, system s, minor faults) so far."""
     ru = resource.getrusage(resource.RUSAGE_SELF)
     return time.perf_counter(), ru.ru_utime, ru.ru_stime, ru.ru_minflt
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB (Linux: ru_maxrss is
+    in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def run(op, seed: int, out: Path) -> None:
@@ -76,7 +85,8 @@ def run(op, seed: int, out: Path) -> None:
 def row(label, command: str, delta, width: int) -> str:
     wall, user, system, faults = delta
     return ROW.format(label, command, f"{wall:.3f}", f"{user:.3f}",
-                      f"{system:.3f}", faults, width=width)
+                      f"{system:.3f}", faults, f"{peak_rss_mb():.1f}",
+                      width=width)
 
 
 if __name__ == "__main__":
@@ -104,7 +114,7 @@ if __name__ == "__main__":
         for op in setup:
             run(op, args.seed, out)
         print(ROW.format("pass", "command", "wall_s", "user_s", "sys_s",
-                         "minflt", width=width))
+                         "minflt", "maxrss_mb", width=width))
         for k in range(1, args.passes + 1):
             total = [0.0, 0.0, 0.0, 0]
             for op, label in zip(commands, labels):

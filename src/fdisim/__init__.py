@@ -26,6 +26,7 @@ from .evaluation import (
     EvaluationError,
     PairedCost,
     compare_attacks,
+    draw_noise,
     empirical_cost,
     fp_cost,
     md_cost,
@@ -93,6 +94,7 @@ __all__ = [
     "derive_steady_state",
     "detect",
     "detection_prob",
+    "draw_noise",
     "empirical_cost",
     "estimate_B",
     "fp_cost",

@@ -44,7 +44,8 @@ from .artifact import ArtifactError, load_policy, save_policy
 from .attack import AttackError, AttackPlan
 from .config import ConfigError, RunConfig, preset_names, resolve_config
 from .defense import DefenseError, MitigationStrategy
-from .evaluation import EvaluationError, compare_attacks, fp_cost, md_cost
+from .evaluation import (EvaluationError, compare_attacks, draw_noise,
+                         fp_cost, md_cost)
 from .lti import ModelError, SystemModel, derive_steady_state
 from .mdp import build_transition_model, immediate_reward_curve, value_iteration
 from .numerics import NumericsError, RngStream
@@ -149,10 +150,12 @@ def cmd_evaluate(args) -> int:
     cfg = _load(args)
     model = cfg.system_model()
     ss, out, policy = _solved(args, cfg, model)
-    plans = cfg.plans(policy)
+    plans, strategy = cfg.plans(policy), cfg.mitigation()
+    noise = draw_noise(model, ss, cfg.eval_horizon, cfg.runs,
+                       RngStream(cfg.seed, _STREAM_EVALUATE),
+                       strategy.kind == "noisy")
     reports = compare_attacks(model, ss, list(plans.values()), cfg.detector(),
-                              cfg.mitigation(), cfg.eval_horizon, cfg.runs,
-                              RngStream(cfg.seed, _STREAM_EVALUATE))
+                              strategy, cfg.eval_horizon, cfg.runs, noise)
     for kind, report in zip(plans, reports):
         path = out / f"cost_{kind}.csv"
         rows = zip(range(1, report.horizon + 1), report.cost_per_t,
@@ -170,15 +173,16 @@ def cmd_fpmd(args) -> int:
     # detector, so replaying it closed-loop would let each cell's detector
     # and mitigation noise change the attack being measured
     plan = AttackPlan.nominal(policy, cfg.eval_horizon)
-    stream = RngStream(cfg.seed, _STREAM_FPMD)
+    noise = draw_noise(model, ss, cfg.eval_horizon, cfg.runs,
+                       RngStream(cfg.seed, _STREAM_FPMD), noisy=True)
     rows = []
     for sigma in cfg.fpmd_sigmas:
         strategy = MitigationStrategy.noisy(sigma)
         for eta in cfg.fpmd_etas:
             fp = fp_cost(model, ss, eta, strategy, cfg.eval_horizon,
-                         cfg.runs, stream)
+                         cfg.runs, noise)
             md = md_cost(model, ss, eta, strategy, plan, cfg.eval_horizon,
-                         cfg.runs, stream)
+                         cfg.runs, noise)
             rows.append((eta, sigma, fp.value, md.value, fp.std_error,
                          md.std_error))
     _write_csv(out / "fpmd.csv", cfg, ("eta", "sigma_mit", "fp_cost",
@@ -195,12 +199,15 @@ def cmd_voltage(args) -> int:
         raise ConfigError("the voltage loop assumes A = I and C = I; fix "
                           "the model section")
     ss, out, policy = _solved(args, cfg, model)
-    stream = RngStream(cfg.seed, _STREAM_VOLTAGE)
+    strategy = cfg.mitigation()
+    noise = draw_noise(model, ss, cfg.eval_horizon, cfg.runs,
+                       RngStream(cfg.seed, _STREAM_VOLTAGE),
+                       strategy.kind == "noisy")
     mean_rows, freq_rows = [], []
     for kind, plan in cfg.plans(policy).items():
         run = voltage_attack_experiment(model, ss, controller, plan, cfg.eta,
-                                        cfg.mitigation(), cfg.eval_horizon,
-                                        cfg.runs, stream)
+                                        strategy, cfg.eval_horizon, cfg.runs,
+                                        noise)
         for t in range(run.mean_voltage.shape[0]):
             mean_rows.append((t, kind, run.mean_voltage[t],
                               run.voltage_std_err[t],

@@ -115,7 +115,8 @@ def check_leaf(value, path: str, kind: str, rng: str | None) -> None:
     elif kind == "str" and not isinstance(value, str):
         _fail(path, "a string", value)
     elif kind == "choice" and value not in rng.split("|"):
-        _fail(path, rng, value)
+        _fail(path, rng + (" in quotes (YAML 1.1 reads a bare off as a bool)"
+                           if isinstance(value, bool) else ""), value)
     elif kind == "vector":
         if not isinstance(value, (list, tuple)):
             _fail(path, "a list", value)

@@ -13,17 +13,12 @@ offset costs it digits.  With a controller the loop also advances the
 estimate, x_hat[t] = A x_hat[t-1] + alpha (x0 - x_hat[t-1])
 + K (r - i[t] delta[t]), since the setpoint law makes B u = alpha (x0 -
 x_hat) and so no control is solved for; it then forms x = x_hat + e.  The
-injection and the test statistic are per-step temporaries.  All noise for
-a batch of runs is pre-drawn from a single stream in a fixed order (e[0]
-block, process block, measurement block, mitigation block), so two
-batches built from the same stream share every random input no matter
-which plan, detector or mitigation they use.  That makes cost comparisons
-and the paired false-positive / misdetection differences
-common-random-number estimates rather than differences of independent
-estimates.  The blocks are drawn once per stream (and run count, horizon
-and noise variances) and shared read-only by every batch on it, so a
-batch's w and v cannot be written; the mitigation block is drawn only for
-noisy mitigation, and only the latest stream's blocks are kept.
+injection and the test statistic are per-step temporaries.  A rollout
+command draws its noise once (draw_noise: one stream, read-only blocks)
+and hands that Noise to every batch it runs, so they share every random
+input whatever their plan, detector or mitigation: cost comparisons and
+the paired false-positive / misdetection differences are
+common-random-number estimates, not differences of independent ones.
 
 The misdetection and false-positive costs compare the chi-square system
 against a reference system whose detector is an oracle: it alarms exactly
@@ -60,8 +55,10 @@ __all__ = [
     "BatchRollout",
     "CostReport",
     "EvaluationError",
+    "Noise",
     "PairedCost",
     "compare_attacks",
+    "draw_noise",
     "empirical_cost",
     "fp_cost",
     "md_cost",
@@ -76,34 +73,25 @@ class EvaluationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BatchRollout:
-    """W simulated runs; e, i, w, v and x_hat are (W, T + 1) [run, t]
-    views of step-major (T + 1, W) buffers for t = 0..T, so runs are their
+    """W simulated runs; e, i and x_hat are (W, T + 1) [run, t] views of
+    step-major (T + 1, W) buffers for t = 0..T, so runs are their
     contiguous axis: reduce over runs on a C-ordered copy where the result
     must add the runs in order.  sums is the step-major (T, W) buffer of
     the per-run cost sums, sums[t-1] = sum_{tau=1..t} e[:, tau]^2 added
     step by step; cost_sums is its C-ordered (W, T) copy.
 
-    The alarms i (bool) and the arrival-indexed noises (w, v) are zero at
-    t = 0: no measurement is processed there, the filter starts at its
-    steady state.  x_hat exists only for a rollout with a controller and
-    is None without one; so is the plant x = x_hat + e, which is formed
-    on each access.  The injection, statistic and
-    control of step t are not kept: a = attack_at(plan, t, e[:, t-1],
-    stage_remaining=T-t+1), g = g_statistic of the innovation
-    CA e[:, t-1] + C w[:, t] + v[:, t] + a, and u = setpoint_control of
-    x_hat[:, t-1], which the loop does not call: it adds
-    B u = alpha (x0 - x_hat[:, t-1]) directly.
-
-    w and v are read-only views of the stream's pre-drawn noise, shared
-    with every other batch drawn from the same stream, run count and
-    horizon under the same noise variances; the other arrays belong to
-    this batch.
+    The alarms i (bool) are zero at t = 0, where the filter starts at its
+    steady state.  x_hat, and the plant x = x_hat + e formed on each
+    access, are None without a controller.  Not kept: the noises (the
+    batch's Noise holds them), and the injection, statistic and control of
+    step t: a = attack_at(plan, t, e[:, t-1], stage_remaining=T-t+1),
+    g = g_statistic of CA e[:, t-1] + C w[t] + v[t] + a, and
+    u = setpoint_control of x_hat[:, t-1], which the loop does not call:
+    it adds B u = alpha (x0 - x_hat[:, t-1]) directly.
     """
 
     e: np.ndarray
     i: np.ndarray
-    w: np.ndarray
-    v: np.ndarray
     sums: np.ndarray
     x_hat: np.ndarray | None = None
 
@@ -166,8 +154,16 @@ def _check_plan_horizon(plan: AttackPlan, horizon: int) -> None:
             f"horizon is {horizon}")
 
 
-# at most one stream's noise: key -> [generator, e0, w, v, b or None]
-_noise_cache: dict = {}
+class Noise(NamedTuple):
+    """The pre-drawn noise of W runs of T steps: e0 is (W,), and w, v and
+    b are step-major (T + 1, W) buffers that are zero at t = 0.  All are
+    read-only, so every batch handed one Noise shares them.  b is the
+    unscaled mitigation block, None unless drawn for noisy mitigation."""
+
+    e0: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    b: np.ndarray | None
 
 
 def _step_major(gen: np.random.Generator, W: int, T: int,
@@ -183,70 +179,63 @@ def _step_major(gen: np.random.Generator, W: int, T: int,
     return buf
 
 
-def _noise(stream: RngStream, W: int, T: int, P_e: float, Q: float,
-           R: float, noisy: bool) -> tuple:
-    """(e0, w, v, b) of a batch: the stream's blocks drawn in a fixed order
-    (e0 block, process block, measurement block, mitigation block), each
-    scaled by its standard deviation, so streams stay aligned across
-    compared systems.
-
-    The blocks are drawn once, with the variances' square roots taken
-    only then, and shared read-only by every later batch with the same key
-    (stream, W, T and the variances P_e, Q, R); the entry is cleared before
-    another key is drawn.  b is None unless `noisy`.  Being the last
-    block, it is drawn from the kept generator when a noisy batch first
-    asks, so e0, w and v do not depend on the strategy.
+def draw_noise(model: SystemModel, ss: SteadyState, T: int, runs: int,
+               stream: RngStream, noisy: bool) -> Noise:
+    """The stream's blocks for `runs` loops of length T, drawn in a fixed
+    order (e0 block, process block, measurement block, mitigation block):
+    e0, w and v scaled by sqrt(P_e), sqrt(Q) and sqrt(R), and the
+    mitigation block b unscaled, drawn last and only when `noisy`, so e0,
+    w and v do not depend on the strategy.
     """
-    key = (stream, W, T, P_e, Q, R)
-    if key not in _noise_cache:
-        _noise_cache.clear()
-        gen = stream.generator()
-        # P_e rounds to a tiny negative when R is negligible against
-        # C^2 P_inf; it scales by 0 then
-        l_e, l_q, l_r = (math.sqrt(max(var, 0.0)) for var in (P_e, Q, R))
-        e0 = gen.standard_normal(W) * l_e
-        e0.flags.writeable = False
-        w = _step_major(gen, W, T, l_q)
-        v = _step_major(gen, W, T, l_r)
-        _noise_cache[key] = [gen, e0, w, v, None]
-    entry = _noise_cache[key]
-    if noisy and entry[4] is None:
-        entry[4] = _step_major(entry[0], W, T)
-    _, e0, w, v, b = entry
-    return e0, w, v, b if noisy else None
+    if T < 1:
+        raise EvaluationError(f"horizon must be >= 1, got {T}")
+    if runs < 1:
+        raise EvaluationError(f"runs must be >= 1, got {runs}")
+    gen = stream.generator()
+    # P_e rounds to a tiny negative when R is negligible against
+    # C^2 P_inf; it scales by 0 then
+    l_e, l_q, l_r = (math.sqrt(max(var, 0.0))
+                     for var in (ss.P_e, model.Q, model.R))
+    e0 = gen.standard_normal(runs) * l_e
+    e0.flags.writeable = False
+    w = _step_major(gen, runs, T, l_q)
+    v = _step_major(gen, runs, T, l_r)
+    return Noise(e0, w, v, _step_major(gen, runs, T) if noisy else None)
 
 
 def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
                   detector: DetectorConfig, strategy: MitigationStrategy,
-                  T: int, stream: RngStream, runs: int,
+                  T: int, noise: Noise, runs: int,
                   controller: SetpointController | None = None,
                   oracle: bool = False) -> BatchRollout:
-    """Simulate `runs` independent loops of length T on the stream's
-    shared pre-drawn noise.
+    """Simulate `runs` independent loops of length T on `noise`, which
+    must have been drawn for that T and run count (and with its
+    mitigation block, for a noisy strategy).
 
     The loop advances e and the cost sums; with a controller it also
     advances x_hat from the controller's init (None without one).  With
     `oracle=True` the detector is replaced by the reference oracle (alarm
     exactly when a[t] != 0), and the test statistic is not computed.
     """
-    if T < 1:
-        raise EvaluationError(f"horizon must be >= 1, got {T}")
-    if runs < 1:
-        raise EvaluationError(f"runs must be >= 1, got {runs}")
+    e0, w, v, b = noise
+    if w.shape != (T + 1, runs):
+        raise EvaluationError(
+            f"the noise was drawn for T = {w.shape[0] - 1} and "
+            f"{w.shape[1]} runs, but the batch has T = {T} and {runs} runs")
+    if strategy.kind == "noisy" and b is None:
+        raise EvaluationError("noisy mitigation needs a noise drawn with "
+                              "its mitigation block (noisy=True)")
     _check_plan_horizon(plan, T)
-    W = runs
 
-    e0, w, v, b = _noise(stream, W, T, ss.P_e, model.Q, model.R,
-                         strategy.kind == "noisy")
     # buffers are step-major, (T + 1, W), so each step reads and writes
     # contiguous (W,) rows; the cost sums too, as (T, W)
-    e = np.empty((T + 1, W))
-    i = np.zeros((T + 1, W), dtype=bool)
-    sums = np.empty((T, W))
+    e = np.empty((T + 1, runs))
+    i = np.zeros((T + 1, runs), dtype=bool)
+    sums = np.empty((T, runs))
     e[0] = e0
     if controller is not None:
         alpha, x0 = controller.alpha, controller.x0
-        x_hat = np.empty((T + 1, W))
+        x_hat = np.empty((T + 1, runs))
         x_hat[0] = controller.init
     A, C, K = model.A, model.C, ss.K
     CA = C * A
@@ -269,7 +258,7 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
             # enters without solving for u
             x_hat[t] = x_hat[t - 1] * A + alpha * (x0 - x_hat[t - 1]) + corr
 
-    return BatchRollout(e=e.T, i=i.T, w=w.T, v=v.T, sums=sums,
+    return BatchRollout(e=e.T, i=i.T, sums=sums,
                         x_hat=None if controller is None else x_hat.T)
 
 
@@ -293,24 +282,24 @@ def empirical_cost(batch: BatchRollout) -> CostReport:
 def compare_attacks(model: SystemModel, ss: SteadyState,
                     plans: Sequence[AttackPlan], detector: DetectorConfig,
                     strategy: MitigationStrategy, T: int, runs: int,
-                    stream: RngStream) -> list[CostReport]:
-    """One CostReport per plan, all plans sharing the same noise draws."""
+                    noise: Noise) -> list[CostReport]:
+    """One CostReport per plan, all plans run on the same noise."""
     if len(plans) == 0:
         raise EvaluationError("need at least one plan to compare")
     return [empirical_cost(rollout_batch(model, ss, plan, detector, strategy,
-                                         T, stream, runs))
+                                         T, noise, runs))
             for plan in plans]
 
 
 def _paired_terminal_difference(model: SystemModel, ss: SteadyState,
                                 plan: AttackPlan, detector: DetectorConfig,
                                 strategy: MitigationStrategy, T: int,
-                                runs: int, stream: RngStream) -> PairedCost:
+                                runs: int, noise: Noise) -> PairedCost:
     """Cost[T] difference: chi-square system minus oracle reference, with
     common random numbers, so the difference is computed run by run."""
-    tested = rollout_batch(model, ss, plan, detector, strategy, T, stream,
+    tested = rollout_batch(model, ss, plan, detector, strategy, T, noise,
                            runs)
-    reference = rollout_batch(model, ss, plan, detector, strategy, T, stream,
+    reference = rollout_batch(model, ss, plan, detector, strategy, T, noise,
                               runs, oracle=True)
     diff = tested.sums[-1] - reference.sums[-1]
     return PairedCost(float(diff.mean()), float(std_err_over_runs(diff)))
@@ -318,18 +307,18 @@ def _paired_terminal_difference(model: SystemModel, ss: SteadyState,
 
 def fp_cost(model: SystemModel, ss: SteadyState, eta: float,
             strategy: MitigationStrategy, T: int, runs: int,
-            stream: RngStream) -> PairedCost:
+            noise: Noise) -> PairedCost:
     """Extra cost from false alarms: no attack is injected, so every
     chi-square alarm triggers mitigation against nothing while the oracle
     reference never fires."""
     plan = AttackPlan.none()
     return _paired_terminal_difference(model, ss, plan, DetectorConfig(eta),
-                                       strategy, T, runs, stream)
+                                       strategy, T, runs, noise)
 
 
 def md_cost(model: SystemModel, ss: SteadyState, eta: float,
             strategy: MitigationStrategy, plan: AttackPlan, T: int,
-            runs: int, stream: RngStream) -> PairedCost:
+            runs: int, noise: Noise) -> PairedCost:
     """Extra cost from missed detections under an attack plan: the oracle
     reference alarms on every injected step, so only the injections the
     chi-square detector misses separate the two systems.  A non-adaptive
@@ -338,4 +327,4 @@ def md_cost(model: SystemModel, ss: SteadyState, eta: float,
     if plan.kind == "none":
         raise EvaluationError("misdetection cost needs an attacking plan")
     return _paired_terminal_difference(model, ss, plan, DetectorConfig(eta),
-                                       strategy, T, runs, stream)
+                                       strategy, T, runs, noise)

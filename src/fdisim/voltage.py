@@ -26,7 +26,7 @@ import numpy as np
 
 from .attack import AttackPlan
 from .defense import DetectorConfig, MitigationStrategy
-from .evaluation import rollout_batch, std_err_over_runs
+from .evaluation import Noise, rollout_batch, std_err_over_runs
 from .lti import SetpointController, SteadyState, SystemModel
 from .numerics import RngStream
 
@@ -189,11 +189,11 @@ def voltage_attack_experiment(model: SystemModel, ss: SteadyState,
                               controller: SetpointController,
                               plan: AttackPlan, eta: float,
                               strategy: MitigationStrategy, T: int, runs: int,
-                              stream: RngStream) -> VoltageRun:
+                              noise: Noise) -> VoltageRun:
     """Roll out the voltage loop from the controller's init under one plan
     and aggregate the curves; deviations are measured from its x0."""
     batch = rollout_batch(model, ss, plan, DetectorConfig(eta), strategy, T,
-                          stream, runs, controller=controller)
+                          noise, runs, controller=controller)
     # the plant x = x_hat + e formed C-ordered, so the reductions over runs
     # add them in order (see BatchRollout), shifted by x0 in place for the
     # deviations

@@ -17,7 +17,7 @@ from scipy.special import ndtr
 from fdisim.attack import AttackPlan
 from fdisim.cli import main as cli_main
 from fdisim.defense import DetectorConfig, MitigationStrategy
-from fdisim.evaluation import rollout_batch
+from fdisim.evaluation import draw_noise, rollout_batch
 from fdisim.lti import SystemModel, derive_steady_state
 from fdisim.mdp import (
     TruncationWarning,
@@ -80,8 +80,10 @@ def bench_cli(tmp_path_factory):
 def _terminal_sums(model, ss, plan, strategy, eta, stream_id):
     """Per-run terminal cumulative squared error; a fixed stream id gives
     identical noise across calls, so differences are paired run by run."""
+    noise = draw_noise(model, ss, HORIZON, W_RUNS, RngStream(0, stream_id),
+                       True)
     batch = rollout_batch(model, ss, plan, DetectorConfig(eta), strategy,
-                          HORIZON, RngStream(0, stream_id), W_RUNS)
+                          HORIZON, noise, W_RUNS)
     return np.sum(batch.e[:, 1:] ** 2, axis=1)
 
 
@@ -323,7 +325,8 @@ def test_criterion_6_oracle_equivalence(bench, bench_solution):
     # (d) stationary no-attack squared error
     batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(10.0),
                           MitigationStrategy.off(), HORIZON,
-                          RngStream(0, 13), W_RUNS)
+                          draw_noise(model, ss, HORIZON, W_RUNS,
+                                     RngStream(0, 13), False), W_RUNS)
     mean_sq = float((batch.e[:, 1:] ** 2).mean())
     if abs(mean_sq - TRACE_PE) > 0.05 * TRACE_PE:
         problems.append(f"E||e||^2 = {mean_sq:.4f}, want {TRACE_PE:.4f} +- 5%")

@@ -53,7 +53,12 @@ What is proven here:
     detection probability ~0.3, and the detection column is nondecreasing.
   * evaluate writes the four cost curves; a mismatched artifact digest is
     refused with a nonzero exit code, and so is a sigma_mit set without
-    noisy mitigation (one error line naming it).
+    noisy mitigation (one error line naming it).  An unquoted
+    mitigation kind that YAML 1.1 reads as a bool (off, no, on) is one
+    error line asking for quotes, exit code 2 and no output; a quoted
+    "off" loads as off.
+  * fpmd with an empty sigma or eta sweep exits 0 and writes a
+    header-only fpmd.csv (0 sweep cells).
   * voltage refuses a config without a controller section, and a model
     other than A = I, C = I before it reads any policy; neither writes a
     CSV.
@@ -519,6 +524,41 @@ def test_sigma_mit_needs_noisy_mitigation(tmp_path, small_cfg, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "sigma_mit" in err
     assert not (out / "cost_policy.csv").exists()
+
+
+@pytest.mark.parametrize("word", ["off", "no", "on"])
+def test_unquoted_off_is_one_error_line(tmp_path, capsys, word):
+    # YAML 1.1 reads a bare off (and no, on) as a bool, never as "off"
+    cfg = tmp_path / "bare.yaml"
+    cfg.write_text(f"mitigation: {{kind: {word}}}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run(["evaluate", "--config", cfg, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        f"error: mitigation.kind must be perfect|noisy|off in quotes (YAML "
+        f"1.1 reads a bare off as a bool), got {word == 'on'}\n")
+    quoted = tmp_path / "quoted.yaml"
+    quoted.write_text('mitigation: {kind: "off"}\n', encoding="utf-8")
+    assert resolve_config("benchmark", path=quoted).mitigation().kind == "off"
+
+
+@pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")
+@pytest.mark.parametrize("key", ["sigmas", "etas"])
+def test_fpmd_with_an_empty_sweep_writes_a_header_only_csv(
+        tmp_path, small_cfg, capsys, key):
+    out = tmp_path / "out"
+    assert _run(["solve", "--config", small_cfg, "--out", out]) == 0
+    cfg = tmp_path / "empty.yaml"
+    cfg.write_text(small_cfg.read_text(encoding="utf-8")
+                   + f"fpmd: {{{key}: []}}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _run(["fpmd", "--config", cfg, "--out", out]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {out / 'fpmd.csv'} (0 sweep cells)\n")
+    lines = (out / "fpmd.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 and lines[0].startswith("# digest=")
+    assert lines[1] == "eta,sigma_mit,fp_cost,md_cost,fp_std_err,md_std_err"
 
 
 def test_voltage_needs_a_controller_section(tmp_path, capsys):

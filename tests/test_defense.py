@@ -38,7 +38,7 @@ from fdisim.defense import (
     mitigate,
     oracle_detect,
 )
-from fdisim.evaluation import rollout_batch
+from fdisim.evaluation import draw_noise, rollout_batch
 from fdisim.lti import (SetpointController, SystemModel, derive_steady_state,
                         setpoint_control)
 from fdisim.numerics import RngStream
@@ -57,20 +57,20 @@ def test_residual_formula(bench):
     # (A = B = C = 1), the innovation against the one-step prediction; the
     # attacked measurement is y_a = x + v + a, with the plant x = x_hat + e.
     # The loop forms r from the error as e[t-1] + w[t] + v[t] + a[t]; a and
-    # u are rebuilt from the kept e and x_hat.
+    # u are rebuilt from the kept e and x_hat, w and v read from the noise.
     model, ss = bench
     plan = AttackPlan.constant(4.0, a_max=20.0)
     ctrl = SetpointController(0.5, 0.5, init=2.0)
+    noise = draw_noise(model, ss, 5, 3, RngStream(9), False)
     batch = rollout_batch(model, ss, plan, DetectorConfig(10.0),
-                          MitigationStrategy.perfect(), T=5,
-                          stream=RngStream(9), runs=3, controller=ctrl)
+                          MitigationStrategy.perfect(), T=5, noise=noise,
+                          runs=3, controller=ctrl)
     for t in range(1, 6):
         a = attack_at(plan, t, batch.e[:, t - 1])
         u = setpoint_control(model, ctrl, batch.x_hat[:, t - 1])
-        g = g_statistic(ss, batch.e[:, t - 1] + batch.w[:, t]
-                        + batch.v[:, t] + a)
+        g = g_statistic(ss, batch.e[:, t - 1] + noise.w[t] + noise.v[t] + a)
         assert np.array_equal(batch.i[:, t], detect(DetectorConfig(10.0), g))
-        y_a = batch.x[:, t] + batch.v[:, t] + a
+        y_a = batch.x[:, t] + noise.v[t] + a
         r = y_a - (batch.x_hat[:, t - 1] + u)
         assert np.allclose(g, r ** 2 / (P_INF + 10.0), rtol=1e-12, atol=0)
         assert np.any(u != 0.0)  # the control term is exercised

@@ -1,8 +1,8 @@
 """Rollout and cost-report tests.
 
 What is proven here:
-  * Rollouts are bit-identical when replayed on the same stream and differ
-    on another stream.
+  * Rollouts are bit-identical when replayed on a new draw of the same
+    stream and differ on another stream.
   * Rollout invariants: x = x_hat + e exactly, and x and x_hat are None
     without a controller; each logged e[t] is reproduced by the tests'
     scalar reference step (reference.error_step) from the kept inputs,
@@ -45,22 +45,23 @@ What is proven here:
   * A batch allocates no full history beyond what it keeps: one
     W = 10,000, T = 10 batch peaks (tracemalloc) within the kept bytes
     plus 16 W-vectors.
-  * The noise variances' square roots are taken once per stream: four
-    batches on one stream take three (P_e, Q, R).  A P_e that rounds to a
-    tiny negative (R negligible against C^2 P_inf) scales e[0] by 0.
-  * A stream's noise is drawn once and shared read-only: two batches on
-    one stream share their w and v memory, writing to them raises, and
-    the blocks of an earlier stream are freed once another is drawn.  A
-    perfect and a noisy batch share e[0], w and v.  Batches run in an
-    interleaved order over streams, run counts, horizons, models and
-    strategies equal the same batches run each on a cleared cache.
+  * draw_noise takes the noise variances' square roots once: one draw
+    takes three (P_e, Q, R), and the batches run on it take none.  A P_e
+    that rounds to a tiny negative (R negligible against C^2 P_inf)
+    scales e[0] by 0.
+  * A Noise is read-only and shared by value: writing to any of its
+    arrays raises, and batches of several plans and strategies handed one
+    Noise leave it unchanged and equal the same batches each run on its
+    own draw of the stream.  A perfect and a noisy draw of one stream
+    give equal e0, w and v; only the noisy one has b, the stream's fourth
+    block.  draw_noise refuses a horizon or run count below 1, and
+    rollout_batch refuses a noise of another (T, runs) and a noisy
+    strategy on a noise without b, each with one EvaluationError.
 """
 
-import gc
 import math
 import tracemalloc
 import types
-import weakref
 
 import numpy as np
 import pytest
@@ -72,7 +73,9 @@ from fdisim.defense import (DetectorConfig, MitigationStrategy, detect,
                             g_statistic)
 from fdisim.evaluation import (
     EvaluationError,
+    Noise,
     compare_attacks,
+    draw_noise,
     empirical_cost,
     fp_cost,
     md_cost,
@@ -86,7 +89,7 @@ from reference import error_step, estimate_step
 P_INF = (1.0 + math.sqrt(41.0)) / 2.0
 K_GAIN = P_INF / (P_INF + 10.0)
 TRACE_P_E = P_INF * (1.0 - K_GAIN)  # = 2.7015621187164243
-FIELDS = ("e", "i", "w", "v", "cost_sums", "x", "x_hat")
+FIELDS = ("e", "i", "cost_sums", "x", "x_hat")
 
 
 @pytest.fixture(scope="module")
@@ -95,17 +98,17 @@ def bench():
     return model, derive_steady_state(model)
 
 
-def _mitigation_noise(model, ss, stream, runs, T):
-    """The stream's pre-drawn mitigation block b as a [run, t] view; a
-    noisy correction is delta = a + sigma_mit * b."""
-    *_, b = evaluation._noise(stream, runs, T, ss.P_e, model.Q, model.R,
-                              True)
-    return b.T
+def _draw(bench, T, runs, stream, noisy=True):
+    """The stream's noise for `runs` loops of length T on bench's model;
+    its w, v and b read [run, t] as .w.T, .v.T and .b.T, and a noisy
+    correction is delta = a + sigma_mit * b."""
+    return draw_noise(*bench, T, runs, stream, noisy)
 
 
-def _replay(batch, model, ss, plan):
+def _replay(batch, noise, model, ss, plan):
     """The injections a and test statistics g the loop used, as [run, t]
-    arrays that are zero at t = 0, rebuilt from the kept e, w and v."""
+    arrays that are zero at t = 0, rebuilt from the kept e and the noise's
+    w and v."""
     W, T = batch.runs, batch.horizon
     a = np.zeros((W, T + 1))
     g = np.zeros((W, T + 1))
@@ -113,8 +116,7 @@ def _replay(batch, model, ss, plan):
     for t in range(1, T + 1):
         a[:, t] = attack_at(plan, t, batch.e[:, t - 1],
                             stage_remaining=T - t + 1)
-        r = (batch.e[:, t - 1] * CA + batch.w[:, t] * C + batch.v[:, t]
-             + a[:, t])
+        r = batch.e[:, t - 1] * CA + noise.w[t] * C + noise.v[t] + a[:, t]
         g[:, t] = g_statistic(ss, r)
     return a, g
 
@@ -123,26 +125,30 @@ def test_rollout_reproducible_and_matches_batch(bench):
     model, ss = bench
     args = (model, ss, AttackPlan.constant(4.0, a_max=20.0),
             DetectorConfig(10.0), MitigationStrategy.noisy(5.0), 8)
-    tr1 = rollout_batch(*args, RngStream(7, 3), runs=1)
-    tr2 = rollout_batch(*args, RngStream(7, 3), runs=1)
+    noises = [_draw(bench, 8, 1, RngStream(7, 3)) for _ in range(2)]
+    for name, first, second in zip(Noise._fields, *noises):
+        assert np.array_equal(first, second), name
+    tr1 = rollout_batch(*args, noises[0], runs=1)
+    tr2 = rollout_batch(*args, noises[1], runs=1)
     for name in FIELDS:
         assert np.array_equal(getattr(tr1, name), getattr(tr2, name)), name
-    tr3 = rollout_batch(*args, RngStream(8, 3), runs=1)
+    tr3 = rollout_batch(*args, _draw(bench, 8, 1, RngStream(8, 3)), runs=1)
     assert not np.array_equal(tr1.e, tr3.e)
 
 
 def test_trajectory_invariants_and_error_recursion(bench):
     model, ss = bench
     plan = AttackPlan.ramp(1.0, a_max=20.0)
+    noise = _draw(bench, 12, 1, RngStream(42))
     batch = rollout_batch(model, ss, plan, DetectorConfig(2.0),
-                          MitigationStrategy.noisy(3.0), 12, RngStream(42),
-                          runs=1)
+                          MitigationStrategy.noisy(3.0), 12, noise, runs=1)
     assert batch.runs == 1 and batch.horizon == 12
     assert batch.x is None and batch.x_hat is None
-    a, g = _replay(batch, model, ss, plan)
+    a, g = _replay(batch, noise, model, ss, plan)
     assert np.array_equal(batch.i[:, 1:], detect(DetectorConfig(2.0), g[:, 1:]))
-    delta = a + 3.0 * _mitigation_noise(model, ss, RngStream(42), 1, 12)
-    tr = {name: getattr(batch, name)[0] for name in ("i", "e", "w", "v")}
+    delta = a + 3.0 * noise.b.T
+    tr = {"i": batch.i[0], "e": batch.e[0], "w": noise.w[:, 0],
+          "v": noise.v[:, 0]}
     tr["a"], tr["delta"] = a[0], delta[0]
     assert tr["i"][0] == 0
     assert 0 < tr["i"][1:].sum() < 12  # both recursion branches run
@@ -157,7 +163,8 @@ def test_no_attack_cost_slope_matches_stationary_error(bench):
     model, ss = bench
     batch = rollout_batch(model, ss, AttackPlan.none(),
                           DetectorConfig(np.inf), MitigationStrategy.off(),
-                          T=10, stream=RngStream(11), runs=10_000)
+                          T=10, noise=_draw(bench, 10, 10_000, RngStream(11),
+                                            noisy=False), runs=10_000)
     report = empirical_cost(batch)
     assert report.runs == 10_000
     slope = report.cost_per_t[-1] / 10.0
@@ -171,7 +178,7 @@ def test_empirical_cost_arithmetic(bench):
     model, ss = bench
     batch = rollout_batch(*(*bench, AttackPlan.constant(6.0, a_max=20.0),
                             DetectorConfig(5.0), MitigationStrategy.perfect()),
-                          T=5, stream=RngStream(3), runs=4)
+                          T=5, noise=_draw(bench, 5, 4, RngStream(3)), runs=4)
     report = empirical_cost(batch)
     sums = np.cumsum(batch.e[:, 1:] ** 2, axis=1)
     assert np.allclose(report.cost_per_t, sums.mean(axis=0), rtol=0, atol=0)
@@ -182,7 +189,7 @@ def test_empirical_cost_arithmetic(bench):
 
     one = rollout_batch(*(*bench, AttackPlan.constant(6.0, a_max=20.0),
                           DetectorConfig(5.0), MitigationStrategy.perfect()),
-                        T=5, stream=RngStream(3), runs=1)
+                        T=5, noise=_draw(bench, 5, 1, RngStream(3)), runs=1)
     single = empirical_cost(one)
     assert np.array_equal(single.cost_per_t,
                           np.cumsum(one.e[0, 1:] ** 2))
@@ -195,7 +202,8 @@ def test_empirical_cost_adds_runs_in_order(bench):
     runs = 257
     batch = rollout_batch(*bench, AttackPlan.ramp(1.0, a_max=20.0),
                           DetectorConfig(5.0), MitigationStrategy.noisy(3.0),
-                          T=12, stream=RngStream(13), runs=runs)
+                          T=12, noise=_draw(bench, 12, runs, RngStream(13)),
+                          runs=runs)
     assert batch.cost_sums.flags.c_contiguous
     report = empirical_cost(batch)
     e = np.ascontiguousarray(batch.e)
@@ -211,13 +219,13 @@ def test_compare_attacks_common_random_numbers(bench):
     plans = [AttackPlan.none(), AttackPlan.none()]
     r1, r2 = compare_attacks(model, ss, plans, DetectorConfig(5.0),
                              MitigationStrategy.perfect(), T=6, runs=50,
-                             stream=RngStream(19))
+                             noise=_draw(bench, 6, 50, RngStream(19)))
     assert np.array_equal(r1.cost_per_t, r2.cost_per_t)
     assert np.array_equal(r1.std_err_per_t, r2.std_err_per_t)
     with pytest.raises(EvaluationError):
         compare_attacks(model, ss, [], DetectorConfig(5.0),
                         MitigationStrategy.perfect(), T=6, runs=10,
-                        stream=RngStream(19))
+                        noise=_draw(bench, 6, 10, RngStream(19)))
 
 
 def test_perfect_mitigation_at_eta_zero_cancels_attack(bench):
@@ -225,7 +233,7 @@ def test_perfect_mitigation_at_eta_zero_cancels_attack(bench):
     # the filter sees it, so the attacked run matches the clean run up to
     # the rounding of (r + a) - a.
     model, ss = bench
-    kwargs = dict(T=10, stream=RngStream(23), runs=20,
+    kwargs = dict(T=10, noise=_draw(bench, 10, 20, RngStream(23)), runs=20,
                   controller=SetpointController(0.5, 0.5, init=2.0))
     attacked = rollout_batch(model, ss,
                              AttackPlan.constant(10.0, a_max=20.0),
@@ -239,39 +247,37 @@ def test_perfect_mitigation_at_eta_zero_cancels_attack(bench):
 
 
 def test_noisy_mitigation_draws_consumed_every_step(bench):
-    # the mitigation block is pre-drawn whether or not alarms fire, so the
-    # plant/measurement noise is identical across detector settings
+    # the mitigation block is pre-drawn whether or not alarms fire, so one
+    # noise serves every detector setting
     model, ss = bench
     plan = AttackPlan.constant(10.0, a_max=20.0)
-    kwargs = dict(T=6, runs=8)
+    noise = _draw(bench, 6, 8, RngStream(31))
+    kwargs = dict(T=6, noise=noise, runs=8)
     loose = rollout_batch(model, ss, plan, DetectorConfig(np.inf),
-                          MitigationStrategy.noisy(15.0),
-                          stream=RngStream(31), **kwargs)
+                          MitigationStrategy.noisy(15.0), **kwargs)
     tight = rollout_batch(model, ss, plan, DetectorConfig(0.0),
-                          MitigationStrategy.noisy(15.0),
-                          stream=RngStream(31), **kwargs)
-    assert np.array_equal(loose.w, tight.w)
-    assert np.array_equal(loose.v, tight.v)
+                          MitigationStrategy.noisy(15.0), **kwargs)
     assert np.array_equal(loose.e[:, 0], tight.e[:, 0])
     assert np.all(loose.i[:, 1:] == 0) and np.all(tight.i[:, 1:] == 1)
     # every alarmed step of the tight run subtracts delta = a + sigma * b
     # with b the block's own entry for that run and step
-    a, _ = _replay(tight, model, ss, plan)
-    delta = a + 15.0 * _mitigation_noise(model, ss, RngStream(31), 8, 6)
+    a, _ = _replay(tight, noise, model, ss, plan)
+    delta = a + 15.0 * noise.b.T
     for run in range(8):
         for t in range(1, 7):
             e_step, _ = error_step(model, ss, tight.e[run, t - 1],
-                                   tight.w[run, t], tight.v[run, t],
+                                   noise.w[t, run], noise.v[t, run],
                                    a[run, t], 1, delta[run, t])
             assert e_step == tight.e[run, t], (run, t)
     # the corrections are the injection plus N(0, sigma^2) noise: with
     # A = C = 1 and every step alarmed, e[t] = e[t-1] + w - K (r - delta)
     # and r = e[t-1] + w + v + a give delta back from the logged signals
+    noise = _draw(bench, 5, 4_000, RngStream(7))
     wide = rollout_batch(model, ss, plan, DetectorConfig(0.0),
                          MitigationStrategy.noisy(15.0), T=5, runs=4_000,
-                         stream=RngStream(7))
-    a, _ = _replay(wide, model, ss, plan)
-    e, w, v = wide.e, wide.w, wide.v
+                         noise=noise)
+    a, _ = _replay(wide, noise, model, ss, plan)
+    e, w, v = wide.e, noise.w.T, noise.v.T
     r = e[:, :-1] + w[:, 1:] + v[:, 1:] + a[:, 1:]
     delta = r + (e[:, 1:] - e[:, :-1] - w[:, 1:]) / ss.K
     noise = (delta - a[:, 1:]).ravel()  # 20,000 draws
@@ -281,16 +287,17 @@ def test_noisy_mitigation_draws_consumed_every_step(bench):
 
 def test_fp_cost_zero_cases(bench):
     model, ss = bench
+    noise = _draw(bench, 8, 200, RngStream(41))
     pc = fp_cost(model, ss, eta=1.0, strategy=MitigationStrategy.perfect(),
-                 T=8, runs=200, stream=RngStream(41))
+                 T=8, runs=200, noise=noise)
     assert pc.value == 0.0 and pc.std_error == 0.0
     pc_inf = fp_cost(model, ss, eta=np.inf,
                      strategy=MitigationStrategy.noisy(15.0), T=8, runs=200,
-                     stream=RngStream(41))
+                     noise=noise)
     assert pc_inf.value == 0.0
     pc_noisy = fp_cost(model, ss, eta=0.0,
                        strategy=MitigationStrategy.noisy(15.0), T=8,
-                       runs=500, stream=RngStream(41))
+                       runs=500, noise=_draw(bench, 8, 500, RngStream(41)))
     assert pc_noisy.value > 0.0  # constant false alarms inject noise
 
 
@@ -298,31 +305,51 @@ def test_md_cost_zero_at_eta_zero(bench, small_policy):
     model, ss = bench
     plan = AttackPlan.constant(10.0, a_max=20.0)
     pc = md_cost(model, ss, eta=0.0, strategy=MitigationStrategy.noisy(15.0),
-                 plan=plan, T=8, runs=200, stream=RngStream(43))
+                 plan=plan, T=8, runs=200,
+                 noise=_draw(bench, 8, 200, RngStream(43)))
     # both systems alarm on every (always-injecting) step and share noise
     assert pc.value == 0.0 and pc.std_error == 0.0
     pc_high = md_cost(model, ss, eta=20.0,
                       strategy=MitigationStrategy.perfect(), plan=plan, T=8,
-                      runs=500, stream=RngStream(43))
+                      runs=500, noise=_draw(bench, 8, 500, RngStream(43)))
     assert pc_high.value > 0.0  # missed detections leave injections active
     nominal = AttackPlan.nominal(small_policy, 4)
     assert np.all(nominal.values != 0.0)  # injects at every step
     pc_seq = md_cost(model, ss, eta=0.0,
                      strategy=MitigationStrategy.noisy(15.0), plan=nominal,
-                     T=4, runs=200, stream=RngStream(43))
+                     T=4, runs=200, noise=_draw(bench, 4, 200, RngStream(43)))
     assert pc_seq.value == 0.0 and pc_seq.std_error == 0.0
     with pytest.raises(EvaluationError):
         md_cost(model, ss, eta=1.0, strategy=MitigationStrategy.perfect(),
-                plan=AttackPlan.none(), T=8, runs=10, stream=RngStream(43))
+                plan=AttackPlan.none(), T=8, runs=10,
+                noise=_draw(bench, 8, 10, RngStream(43)))
 
 
 def test_rollout_contract_checks(bench):
+    with pytest.raises(EvaluationError, match="horizon must be >= 1"):
+        _draw(bench, 0, 5, RngStream(1))
+    with pytest.raises(EvaluationError, match="runs must be >= 1"):
+        _draw(bench, 5, 0, RngStream(1))
+
+
+def test_noise_of_another_shape_or_without_b_is_refused(bench):
     model, ss = bench
-    good = (AttackPlan.none(), DetectorConfig(1.0), MitigationStrategy.off())
-    with pytest.raises(EvaluationError):
-        rollout_batch(model, ss, *good, T=0, stream=RngStream(1), runs=5)
-    with pytest.raises(EvaluationError):
-        rollout_batch(model, ss, *good, T=5, stream=RngStream(1), runs=0)
+    plan, detector = AttackPlan.constant(4.0), DetectorConfig(1.0)
+    noise = _draw(bench, 5, 4, RngStream(1), noisy=False)
+    for T, runs in ((4, 4), (6, 4), (5, 3), (5, 5)):
+        with pytest.raises(EvaluationError) as info:
+            rollout_batch(model, ss, plan, detector,
+                          MitigationStrategy.off(), T, noise, runs)
+        assert str(info.value) == (
+            f"the noise was drawn for T = 5 and 4 runs, but the batch has "
+            f"T = {T} and {runs} runs")
+    with pytest.raises(EvaluationError) as info:
+        rollout_batch(model, ss, plan, detector,
+                      MitigationStrategy.noisy(5.0), 5, noise, 4)
+    assert "\n" not in str(info.value)
+    assert str(info.value).startswith("noisy mitigation needs a noise drawn")
+    for strategy in (MitigationStrategy.perfect(), MitigationStrategy.off()):
+        rollout_batch(model, ss, plan, detector, strategy, 5, noise, 4)
 
 
 def test_rollout_refuses_a_setpoint_of_another_shape(bench):
@@ -339,7 +366,7 @@ def test_rollout_refuses_a_setpoint_of_another_shape(bench):
         with pytest.raises(ConfigError, match=rf"{path} must be a scalar"):
             from_mapping({"controller": controller})
     batch = rollout_batch(model, ss, AttackPlan.none(), *good, T=3,
-                          stream=RngStream(1), runs=4,
+                          noise=_draw(bench, 3, 4, RngStream(1)), runs=4,
                           controller=SetpointController(0.5, 0.5))
     assert batch.x.shape == (4, 4)
 
@@ -347,17 +374,17 @@ def test_rollout_refuses_a_setpoint_of_another_shape(bench):
 def test_short_policy_plan_rejected(bench, small_policy):
     model, ss = bench
     plan = AttackPlan.from_policy(small_policy)  # 4 stages
+    noise = _draw(bench, 5, 3, RngStream(2))
     with pytest.raises(EvaluationError):
         rollout_batch(model, ss, plan, DetectorConfig(10.0),
-                      MitigationStrategy.perfect(), T=5,
-                      stream=RngStream(2), runs=3)
+                      MitigationStrategy.perfect(), T=5, noise=noise, runs=3)
     with pytest.raises(EvaluationError):
         rollout_batch(model, ss, AttackPlan.nominal(small_policy, 4),
                       DetectorConfig(10.0), MitigationStrategy.perfect(),
-                      T=5, stream=RngStream(2), runs=3)
+                      T=5, noise=noise, runs=3)
     batch = rollout_batch(model, ss, plan, DetectorConfig(10.0),
                           MitigationStrategy.perfect(), T=4,
-                          stream=RngStream(2), runs=3)
+                          noise=_draw(bench, 4, 3, RngStream(2)), runs=3)
     assert batch.horizon == 4
 
 
@@ -365,7 +392,7 @@ def test_controller_without_init_starts_the_estimate_at_x0(bench):
     model, ss = bench
     batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(5.0),
                           MitigationStrategy.perfect(), T=3,
-                          stream=RngStream(78), runs=4,
+                          noise=_draw(bench, 3, 4, RngStream(78)), runs=4,
                           controller=SetpointController(0.835, 0.5))
     assert np.array_equal(batch.x_hat[:, 0], np.full(4, 0.835))
     assert np.array_equal(batch.x[:, 0], batch.x_hat[:, 0] + batch.e[:, 0])
@@ -374,9 +401,10 @@ def test_controller_without_init_starts_the_estimate_at_x0(bench):
 def test_controller_batch_matches_scalar_path(bench):
     model, ss = bench
     ctrl = SetpointController(x0=0.835, alpha=0.5, init=1.0)
+    noise = _draw(bench, 4, 6, RngStream(77))
     batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(5.0),
-                          MitigationStrategy.perfect(), T=4,
-                          stream=RngStream(77), runs=6, controller=ctrl)
+                          MitigationStrategy.perfect(), T=4, noise=noise,
+                          runs=6, controller=ctrl)
     # u = alpha (x0 - x_hat) / B at every t = 0..T, the control law on
     # the (W,) row of estimates equal to the scalar formula
     for t in range(5):
@@ -385,7 +413,7 @@ def test_controller_batch_matches_scalar_path(bench):
             u_ref = 0.5 * (0.835 - batch.x_hat[run, t]) / model.B
             assert u[run] == pytest.approx(u_ref, rel=0, abs=1e-14)
             if t < 4:  # and the plant moved under it
-                x_step = batch.x[run, t] + u_ref + batch.w[run, t + 1]
+                x_step = batch.x[run, t] + u_ref + noise.w[t + 1, run]
                 assert batch.x[run, t + 1] == pytest.approx(x_step, rel=0,
                                                             abs=1e-14)
     # the mean estimate contracts towards the setpoint
@@ -394,27 +422,37 @@ def test_controller_batch_matches_scalar_path(bench):
     assert dT < d0
 
 
-def test_stream_noise_is_drawn_once_and_shared_read_only(bench):
+def test_batches_handed_one_noise_share_it_read_only(bench, small_policy):
     model, ss = bench
-    args = (model, ss, AttackPlan.constant(4.0, a_max=20.0),
-            DetectorConfig(3.0), MitigationStrategy.perfect(), 6)
-    first = rollout_batch(*args, RngStream(61), runs=5)
-    second = rollout_batch(*args, RngStream(61), runs=5)
-    assert np.shares_memory(first.w, second.w)
-    assert np.shares_memory(first.v, second.v)
-    with pytest.raises(ValueError):
-        first.w[0, 1] = 0.0
-    with pytest.raises(ValueError):
-        second.v[0, 1] = 0.0
-    # drawing another stream frees the blocks no batch still holds
-    buffers = [weakref.ref(first.w.base), weakref.ref(first.v.base)]
-    del first, second
-    rollout_batch(*args, RngStream(62), runs=5)
-    gc.collect()
-    assert [ref() for ref in buffers] == [None, None]
+    noise = _draw(bench, 4, 5, RngStream(61))
+    for name, block in zip(Noise._fields, noise):
+        assert not block.flags.writeable, name
+        with pytest.raises(ValueError):
+            block[-1] = 0.0
+    kept = [block.copy() for block in noise]
+    cases = [(AttackPlan.constant(4.0, a_max=20.0),
+              MitigationStrategy.perfect(), False),
+             (AttackPlan.ramp(0.4, a_max=20.0),
+              MitigationStrategy.noisy(5.0), False),
+             (AttackPlan.from_policy(small_policy),
+              MitigationStrategy.noisy(5.0), True),
+             (AttackPlan.none(), MitigationStrategy.off(), False)]
+    shared = [rollout_batch(model, ss, plan, DetectorConfig(3.0), strategy,
+                            4, noise, 5, oracle=oracle)
+              for plan, strategy, oracle in cases]
+    for block, copy in zip(noise, kept):
+        assert np.array_equal(block, copy)
+    for batch, (plan, strategy, oracle) in zip(shared, cases):
+        alone = rollout_batch(model, ss, plan, DetectorConfig(3.0), strategy,
+                              4, _draw(bench, 4, 5, RngStream(61)), 5,
+                              oracle=oracle)
+        assert np.array_equal(batch.e[:, 0], noise.e0)
+        for name in FIELDS:
+            assert np.array_equal(getattr(batch, name),
+                                  getattr(alone, name)), (plan.kind, name)
 
 
-def test_noise_factors_are_taken_once_per_stream(bench, monkeypatch):
+def test_draw_noise_takes_each_square_root_once(bench, monkeypatch):
     calls = []
 
     def counting(var):
@@ -423,8 +461,9 @@ def test_noise_factors_are_taken_once_per_stream(bench, monkeypatch):
 
     monkeypatch.setattr(evaluation, "math", types.SimpleNamespace(
         sqrt=counting))
-    evaluation._noise_cache.clear()
     model, ss = bench
+    noise = _draw(bench, 6, 5, RngStream(73))
+    assert calls == [ss.P_e, 1.0, 10.0]
     for plan, strategy in ((AttackPlan.none(), MitigationStrategy.perfect()),
                            (AttackPlan.none(), MitigationStrategy.noisy(5.0)),
                            (AttackPlan.constant(4.0),
@@ -432,8 +471,8 @@ def test_noise_factors_are_taken_once_per_stream(bench, monkeypatch):
                            (AttackPlan.ramp(1.0),
                             MitigationStrategy.noisy(5.0))):
         rollout_batch(model, ss, plan, DetectorConfig(3.0), strategy, 6,
-                      RngStream(73), runs=5)
-    assert calls == [ss.P_e, 1.0, 10.0]  # when the stream is drawn
+                      noise, runs=5)
+    assert calls == [ss.P_e, 1.0, 10.0]  # none when the batches run
 
 
 def test_a_variance_rounded_below_zero_scales_its_draws_by_zero():
@@ -444,64 +483,23 @@ def test_a_variance_rounded_below_zero_scales_its_draws_by_zero():
     ss = derive_steady_state(model)
     assert ss.P_e < 0.0
     batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(1.0),
-                          MitigationStrategy.off(), 3, RngStream(5), runs=4)
+                          MitigationStrategy.off(), 3,
+                          draw_noise(model, ss, 3, 4, RngStream(5), False),
+                          runs=4)
     assert np.all(batch.e[:, 0] == 0.0) and np.all(np.isfinite(batch.e))
 
 
-def test_perfect_and_noisy_batches_share_the_leading_blocks(bench):
-    model, ss = bench
-    plan = AttackPlan.constant(4.0, a_max=20.0)
-    for order in (("perfect", "noisy"), ("noisy", "perfect")):
-        evaluation._noise_cache.clear()
-        batches = [rollout_batch(model, ss, plan, DetectorConfig(3.0),
-                                 MitigationStrategy(kind, 5.0 * (
-                                     kind == "noisy")),
-                                 6, RngStream(67), runs=5)
-                   for kind in order]
-        for name in ("w", "v"):
-            assert np.shares_memory(getattr(batches[0], name),
-                                    getattr(batches[1], name)), name
-        assert np.array_equal(batches[0].e[:, 0], batches[1].e[:, 0])
-
-
-def test_interleaved_batches_equal_batches_on_a_cleared_cache(bench):
-    model, ss = bench
-    # each of these differs from bench in one noise factor only: the
-    # steady state is passed as is, so P_e moves alone in the first
-    other_ss = derive_steady_state(SystemModel(A=0.5, B=1.0, C=1.0, Q=1.0,
-                                               R=10.0))
-    other_q = SystemModel(A=1.0, B=1.0, C=1.0, Q=2.0, R=10.0)
-    other_r = SystemModel(A=1.0, B=1.0, C=1.0, Q=1.0, R=20.0)
-    other_c = SystemModel(A=1.0, B=1.0, C=2.0, Q=1.0, R=10.0)
-    one = AttackPlan.constant(4.0, a_max=20.0)
-    ramp = AttackPlan.ramp(0.4, a_max=20.0)
-    perfect, noisy = MitigationStrategy.perfect(), MitigationStrategy.noisy(5.0)
-    cases = [  # (model, steady state, plan, strategy, T, stream, runs)
-        (model, ss, one, perfect, 6, RngStream(71), 5),
-        (model, ss, one, noisy, 6, RngStream(71), 5),
-        (model, ss, one, noisy, 6, RngStream(71), 7),
-        (model, ss, one, perfect, 4, RngStream(71), 5),
-        (model, ss, one, noisy, 6, RngStream(71, 1), 5),
-        (model, other_ss, one, noisy, 6, RngStream(71), 5),
-        (other_q, ss, one, perfect, 6, RngStream(71), 5),
-        (other_r, ss, one, noisy, 6, RngStream(71), 5),
-        (other_c, derive_steady_state(other_c), ramp, noisy, 6,
-         RngStream(71), 5),
-    ]
-
-    def run(case):
-        m, s, plan, strategy, T, stream, runs = case
-        return rollout_batch(m, s, plan, DetectorConfig(3.0), strategy, T,
-                             stream, runs)
-
-    order = [0, 1, 2, 0, 3, 1, 4, 0, 5, 0, 6, 0, 7, 0, 8, 1, 8, 3]
-    interleaved = [run(cases[k]) for k in order]
-    for k, batch in zip(order, interleaved):
-        evaluation._noise_cache.clear()
-        alone = run(cases[k])
-        for name in FIELDS:
-            assert np.array_equal(getattr(batch, name),
-                                  getattr(alone, name)), (k, name)
+def test_perfect_and_noisy_draws_share_the_leading_blocks(bench):
+    perfect = _draw(bench, 6, 5, RngStream(67), noisy=False)
+    noisy = _draw(bench, 6, 5, RngStream(67), noisy=True)
+    for name in ("e0", "w", "v"):
+        assert np.array_equal(getattr(perfect, name), getattr(noisy, name))
+    assert perfect.b is None
+    # b is the stream's fourth block, unscaled
+    gen = RngStream(67).generator()
+    gen.standard_normal(5), gen.standard_normal((2, 5, 6))
+    assert np.array_equal(noisy.b[1:], gen.standard_normal((5, 6)).T)
+    assert np.all(noisy.b[0] == 0.0)
 
 
 def test_cost_sums_are_the_cumsum_and_bool_alarms_count_alike(bench):
@@ -512,8 +510,8 @@ def test_cost_sums_are_the_cumsum_and_bool_alarms_count_alike(bench):
         for oracle in (False, True):
             batch = rollout_batch(model, ss, plan, DetectorConfig(3.0),
                                   MitigationStrategy.noisy(2.0), 12,
-                                  RngStream(17), runs, controller=ctrl,
-                                  oracle=oracle)
+                                  _draw(bench, 12, runs, RngStream(17)), runs,
+                                  controller=ctrl, oracle=oracle)
             sums = np.cumsum(batch.e[:, 1:] ** 2, axis=1)
             assert batch.cost_sums.flags.c_contiguous
             assert np.array_equal(batch.cost_sums, sums), (ctrl, oracle)
@@ -530,8 +528,7 @@ def test_batch_memory_is_the_kept_fields(bench):
     W, T = 10_000, 10
     args = (model, ss, AttackPlan.constant(10.0, a_max=20.0),
             DetectorConfig(5.0), MitigationStrategy.noisy(5.0), T,
-            RngStream(3), W)
-    rollout_batch(*args)  # draws and keeps the stream's noise
+            _draw(bench, T, W, RngStream(3)), W)
     tracemalloc.start()
     try:
         batch = rollout_batch(*args)
@@ -562,17 +559,17 @@ def test_rollout_matches_the_scalar_reference_step_bitwise(
     detector = DetectorConfig(2.0)
     ctrl = SetpointController(0.835, 0.5, init=1.0) if controlled \
         else None
-    evaluation._noise_cache.clear()
-    batch = rollout_batch(model, ss, plan, detector, strategy, T,
-                          RngStream(83), W, controller=ctrl, oracle=oracle)
+    noise = _draw(bench, T, W, RngStream(83))
+    batch = rollout_batch(model, ss, plan, detector, strategy, T, noise, W,
+                          controller=ctrl, oracle=oracle)
     # the stream's blocks are (W, T) draws in [run, t] order
     gen = RngStream(83).generator()
     assert np.array_equal(batch.e[:, 0], gen.standard_normal(W)
                           * math.sqrt(ss.P_e))
-    assert np.array_equal(batch.w[:, 1:], gen.standard_normal((W, T)))
-    assert np.array_equal(batch.v[:, 1:], gen.standard_normal((W, T))
+    w, v, b = noise.w.T, noise.v.T, noise.b.T
+    assert np.array_equal(w[:, 1:], gen.standard_normal((W, T)))
+    assert np.array_equal(v[:, 1:], gen.standard_normal((W, T))
                           * math.sqrt(10.0))
-    b = _mitigation_noise(model, ss, RngStream(83), W, T)
     assert np.array_equal(b[:, 1:], gen.standard_normal((W, T)))
     C, CA, p_inv = model.C, model.C * model.A, ss.P_r_inv
     alarms = 0
@@ -580,13 +577,13 @@ def test_rollout_matches_the_scalar_reference_step_bitwise(
         e, total = float(batch.e[run, 0]), 0.0
         x_hat = 1.0
         for t in range(1, T + 1):
-            w, v = float(batch.w[run, t]), float(batch.v[run, t])
+            wt, vt = float(w[run, t]), float(v[run, t])
             a = float(attack_at(plan, t, e, stage_remaining=T - t + 1))
-            r = e * CA + w * C + v + a
+            r = e * CA + wt * C + vt + a
             alarm = a != 0.0 if oracle else r * p_inv * r > 2.0
             delta = {"perfect": a, "noisy": a + sigma * float(b[run, t]),
                      "off": 0.0}[kind]
-            e, corr = error_step(model, ss, e, w, v, a, alarm, delta)
+            e, corr = error_step(model, ss, e, wt, vt, a, alarm, delta)
             total += e * e
             assert batch.i[run, t] == alarm, (run, t)
             assert batch.e[run, t] == e, (run, t)

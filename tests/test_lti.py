@@ -18,8 +18,8 @@ What is proven here:
     estimates; a controller refuses alpha outside (0, 1) and starts the
     estimate at x0 without an init; a zero B, which the law divides by,
     is refused by the model as uncontrollable.
-  * rollout_batch's logged process and measurement noises have the
-    model's variances Q and R.
+  * draw_noise's process and measurement blocks have the model's
+    variances Q and R.
   * SystemModel is five floats; it refuses B = 0 (uncontrollable),
     C = 0 (unobservable), Q < 0, R <= 0 and non-finite entries (a NaN Q
     would otherwise spin the Riccati iteration). The config refuses any
@@ -34,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdisim.attack import AttackPlan
 from fdisim.defense import DetectorConfig, MitigationStrategy
-from fdisim.evaluation import rollout_batch
+from fdisim.evaluation import draw_noise, rollout_batch
 from fdisim.config import resolve_config
 from fdisim.lti import (
     ModelError,
@@ -217,14 +217,15 @@ def test_model_validation():
 def test_noise_covariances_respected():
     model = SystemModel(A=0.9, B=1.0, C=0.5, Q=0.3, R=2.0)
     ss = derive_steady_state(model)
+    noise = draw_noise(model, ss, 4, 10_000, RngStream(5), False)
     batch = rollout_batch(model, ss, AttackPlan.none(), DetectorConfig(1.0),
-                          MitigationStrategy.off(), T=4,
-                          stream=RngStream(5), runs=10_000)
-    w = batch.w[:, 1:].ravel()  # 40,000 draws; t = 0 carries none
+                          MitigationStrategy.off(), T=4, noise=noise,
+                          runs=10_000)
+    w = noise.w[1:].ravel()  # 40,000 draws; t = 0 carries none
     assert abs(np.var(w, ddof=1) - model.Q) < 0.01
-    v = batch.v[:, 1:].ravel()
+    v = noise.v[1:].ravel()
     assert abs(np.var(v, ddof=1) - model.R) < 0.05
     assert abs(np.corrcoef(w, v)[0, 1]) < 0.02  # drawn independently
     e0 = batch.e[:, 0]
     assert abs(np.var(e0, ddof=1) - ss.P_e) < 0.05 * ss.P_e
-    assert np.all(batch.w[:, 0] == 0.0) and np.all(batch.v[:, 0] == 0.0)
+    assert np.all(noise.w[0] == 0.0) and np.all(noise.v[0] == 0.0)

@@ -17,7 +17,7 @@ What is proven here:
     numbers; a trace too short to identify the gain, a header-only file
     included, is refused by TraceSet's 2-sample rule with the file's path.
   * The estimation-error process does not depend on the controller:
-    rollouts with the controller on and off from the same stream produce
+    rollouts with the controller on and off on the same noise produce
     bit-identical error paths, alarms and cost sums; x and x_hat exist
     only with the controller, x = x_hat + e, and the control rebuilt from
     x_hat is nonzero.
@@ -44,7 +44,7 @@ import pytest
 from fdisim.attack import AttackPlan
 from fdisim.config import ConfigError, from_mapping, resolve_config
 from fdisim.defense import DetectorConfig, MitigationStrategy
-from fdisim.evaluation import rollout_batch
+from fdisim.evaluation import draw_noise, rollout_batch
 from fdisim.lti import ModelError, derive_steady_state, setpoint_control
 from fdisim.mdp import (
     build_grid,
@@ -237,13 +237,14 @@ def test_short_trace_is_refused_with_its_path(tmp_path):
 def test_error_process_is_controller_independent(loop):
     model, ss, controller = loop
     plan = AttackPlan.constant(0.1, a_max=0.2)
-    kwargs = dict(T=15, runs=64)
+    kwargs = dict(T=15, runs=64,
+                  noise=draw_noise(model, ss, 15, 64, RngStream(90), False))
     on = rollout_batch(model, ss, plan, DetectorConfig(5.0),
-                       MitigationStrategy.perfect(), stream=RngStream(90),
-                       controller=controller, **kwargs)
+                       MitigationStrategy.perfect(), controller=controller,
+                       **kwargs)
     off = rollout_batch(model, ss, plan, DetectorConfig(5.0),
-                        MitigationStrategy.perfect(), stream=RngStream(90),
-                        controller=None, **kwargs)
+                        MitigationStrategy.perfect(), controller=None,
+                        **kwargs)
     assert np.array_equal(on.e, off.e)
     assert np.array_equal(on.i, off.i)
     assert np.array_equal(on.cost_sums, off.cost_sums)
@@ -261,10 +262,11 @@ def test_curves_add_runs_in_order(loop):
     plan = AttackPlan.ramp(0.01, a_max=0.2)
     strategy = MitigationStrategy.noisy(0.05)
     runs, T = 257, 12
+    noise = draw_noise(model, ss, T, runs, RngStream(94), True)
     run = voltage_attack_experiment(*loop, plan, eta=5.0, strategy=strategy,
-                                    T=T, runs=runs, stream=RngStream(94))
+                                    T=T, runs=runs, noise=noise)
     batch = rollout_batch(model, ss, plan, DetectorConfig(5.0), strategy, T,
-                          RngStream(94), runs, controller=controller)
+                          noise, runs, controller=controller)
     x = np.ascontiguousarray(batch.x)
     # |x - x0| with the bits of the norm of one-entry vectors
     dev = np.linalg.norm((x - controller.x0)[..., None], axis=2)
@@ -300,14 +302,15 @@ def test_setpoint_offset_leaves_error_and_costs_bitwise(loop, voltage_policy,
                                       MitigationStrategy.noisy(0.05),
                                       MitigationStrategy.perfect(),
                                       MitigationStrategy.perfect())):
+        noise = draw_noise(model, ss, 30, 500, RngStream(95), True)
         kwargs = dict(eta=5.0, strategy=strategy, T=30, runs=500,
-                      stream=RngStream(95))
+                      noise=noise)
         runs = [voltage_attack_experiment(*loop, plan, **kwargs),
                 voltage_attack_experiment(*shifted, plan, **kwargs)]
         assert np.array_equal(runs[0].detect_frequency,
                               runs[1].detect_frequency), plan
         base, moved = (rollout_batch(m, s, plan, DetectorConfig(5.0),
-                                     strategy, 30, RngStream(95), 500,
+                                     strategy, 30, noise, 500,
                                      controller=c)
                        for m, s, c in (loop, shifted))
         assert np.array_equal(base.e, moved.e), plan
@@ -320,9 +323,10 @@ def test_setpoint_offset_leaves_error_and_costs_bitwise(loop, voltage_policy,
 
 
 def test_no_attack_settles_at_setpoint(loop):
+    noise = draw_noise(*loop[:2], 30, 2_000, RngStream(91), False)
     run = voltage_attack_experiment(*loop, AttackPlan.none(), eta=5.0,
                                     strategy=MitigationStrategy.perfect(),
-                                    T=30, runs=2_000, stream=RngStream(91))
+                                    T=30, runs=2_000, noise=noise)
     final = run.mean_voltage[-1]
     se = run.voltage_std_err[-1]
     assert abs(final - 0.835) < 2.0 * se
@@ -330,10 +334,11 @@ def test_no_attack_settles_at_setpoint(loop):
 
 
 def test_ramp_detection_frequency_increases(loop):
+    noise = draw_noise(*loop[:2], 30, 2_000, RngStream(92), False)
     run = voltage_attack_experiment(*loop, AttackPlan.ramp(0.01, a_max=0.2),
                                     eta=5.0,
                                     strategy=MitigationStrategy.perfect(),
-                                    T=30, runs=2_000, stream=RngStream(92))
+                                    T=30, runs=2_000, noise=noise)
     freq = run.detect_frequency[1:]
     thirds = freq[:10].mean(), freq[10:20].mean(), freq[20:].mean()
     assert thirds[0] + 0.1 < thirds[1] < thirds[2] - 0.1
@@ -345,16 +350,17 @@ def test_ramp_detection_frequency_increases(loop):
 def test_policy_attack_hides_in_the_estimate(loop, voltage_policy):
     model, ss, controller = loop
     plan = AttackPlan.from_policy(voltage_policy)
+    noise = draw_noise(model, ss, 30, 2_000, RngStream(93), False)
     run = voltage_attack_experiment(*loop, plan, eta=5.0,
                                     strategy=MitigationStrategy.perfect(),
-                                    T=30, runs=2_000, stream=RngStream(93))
+                                    T=30, runs=2_000, noise=noise)
     batch = rollout_batch(model, ss, plan, DetectorConfig(5.0),
-                          MitigationStrategy.perfect(), 30, RngStream(93),
+                          MitigationStrategy.perfect(), 30, noise,
                           2_000, controller=controller)
     est_dev = np.abs(batch.x_hat[:, -1] - controller.x0)
     assert est_dev.mean() < run.mean_abs_deviation[-1]
     # the attack moved the plant: deviation well above the no-attack level
     clean = voltage_attack_experiment(*loop, AttackPlan.none(), eta=5.0,
                                       strategy=MitigationStrategy.perfect(),
-                                      T=30, runs=2_000, stream=RngStream(93))
+                                      T=30, runs=2_000, noise=noise)
     assert run.mean_abs_deviation[-1] > 3.0 * clean.mean_abs_deviation[-1]
