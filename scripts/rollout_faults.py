@@ -1,13 +1,13 @@
-"""Time a `perfbench` workload's commands in one process, with their minor
-page faults.
+"""Time a `perfbench` workload's commands, with their minor page faults.
 
     python3 scripts/rollout_faults.py
     python3 scripts/rollout_faults.py --passes 5 --seed 41
     python3 scripts/rollout_faults.py --workload solve
+    python3 scripts/rollout_faults.py --workload solve --cold
 
-Runs `--passes` in-process passes of one workload's commands, into a
-temporary directory. The commands, their presets and their order are read
-from `WORKLOADS` in `perfbench/workload.py`, so they are the benchmark's:
+Runs `--passes` passes of one workload's commands, into a temporary
+directory. The commands, their presets and their order are read from
+`WORKLOADS` in `perfbench/workload.py`, so they are the benchmark's:
 
 - `rollouts` (default): solves both presets first, then each pass runs
   evaluate (benchmark preset), fpmd (benchmark preset) and voltage
@@ -16,7 +16,8 @@ from `WORKLOADS` in `perfbench/workload.py`, so they are the benchmark's:
   and sweep-action (benchmark preset). The first pass also imports
   `scipy.special`.
 
-For each command of each pass it prints the wall time, the user and
+By default every command runs in this one process, as `perfbench` runs
+them. For each command of each pass it prints the wall time, the user and
 system CPU time and the minor page faults, all as differences of
 `getrusage(RUSAGE_SELF)` (and a wall clock) around the command, and the
 process's peak RSS in MB after it (`ru_maxrss` / 1024, as `perfbench`
@@ -24,11 +25,21 @@ reports `peak_rss_mb`), then the pass's totals. The peak only grows, so
 a command that raises it is the one that sets the process's high-water
 mark. A fault count depends on the heap state that earlier work left in
 the process, so compare two checkouts with the same arguments.
+
+With `--cold` every command, the set-up's included, runs as a fresh
+`python3 -m fdisim.cli` process, as a user runs it: the times and faults
+are differences of `getrusage(RUSAGE_CHILDREN)` around the command, so
+they include the interpreter's start and the imports, and the peak RSS is
+that of the largest command so far. This is the process-level measure
+that the in-process passes, and `perfbench`, cannot see: every CLI
+invocation pays for a cold heap.
+
 The package is imported from the `src/` next to this script, with BLAS
 pinned to one thread as `perfbench/run.py` pins it: the script sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
-either import, so its user times compare with `perfbench`'s `cpu_s`. The
-workload table is imported without writing bytecode into `perfbench/`.
+either import (the `--cold` commands inherit them), so its user times
+compare with `perfbench`'s `cpu_s`. The workload table is imported
+without writing bytecode into `perfbench/`.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ import contextlib
 import io
 import os
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -58,34 +70,47 @@ from fdisim.cli import main  # noqa: E402
 ROW = "{:>4}  {:<{width}}  {:>7}  {:>7}  {:>7}  {:>8}  {:>9}"
 
 
-def usage() -> tuple[float, float, float, int]:
-    """(wall s, user s, system s, minor faults) so far."""
-    ru = resource.getrusage(resource.RUSAGE_SELF)
+def usage(who: int) -> tuple[float, float, float, int]:
+    """(wall s, user s, system s, minor faults) so far, of this process
+    (RUSAGE_SELF) or of its finished children (RUSAGE_CHILDREN)."""
+    ru = resource.getrusage(who)
     return time.perf_counter(), ru.ru_utime, ru.ru_stime, ru.ru_minflt
 
 
-def peak_rss_mb() -> float:
-    """The process's peak resident set so far, in MB (Linux: ru_maxrss is
-    in KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def peak_rss_mb(who: int) -> float:
+    """The peak resident set so far, in MB (Linux: ru_maxrss is in KiB):
+    this process's, or its largest finished child's."""
+    return resource.getrusage(who).ru_maxrss / 1024.0
 
 
-def run(op, seed: int, out: Path) -> None:
-    argv = [op.command, "--preset", op.preset, "--seed", str(seed),
+def argv(op, seed: int, out: Path) -> list[str]:
+    args = [op.command, "--preset", op.preset, "--seed", str(seed),
             "--out", str(out / op.target)]
-    if op.config:
-        argv += ["--config", str(op.config)]
+    return args + (["--config", str(op.config)] if op.config else [])
+
+
+def run(args: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        code = main(args)
     if code:
-        sys.exit(f"fdisim {' '.join(argv)} exited with status {code}")
+        sys.exit(f"fdisim {' '.join(args)} exited with status {code}")
 
 
-def row(label, command: str, delta, width: int) -> str:
+def run_cold(args: list[str]) -> None:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "fdisim.cli", *args],
+                          env=env, capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(f"fdisim {' '.join(args)} exited with status "
+                 f"{done.returncode}: {done.stderr.strip()}")
+
+
+def row(label, command: str, delta, width: int, who: int) -> str:
     wall, user, system, faults = delta
     return ROW.format(label, command, f"{wall:.3f}", f"{user:.3f}",
-                      f"{system:.3f}", faults, f"{peak_rss_mb():.1f}",
+                      f"{system:.3f}", faults, f"{peak_rss_mb(who):.1f}",
                       width=width)
 
 
@@ -98,9 +123,13 @@ if __name__ == "__main__":
                         help="passes of the workload's commands (default 3)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of every command (default 0)")
+    parser.add_argument("--cold", action="store_true",
+                        help="run each command as a fresh CLI process")
     args = parser.parse_args()
     if args.passes < 1:
         parser.error("--passes must be >= 1")
+    who, runner = ((resource.RUSAGE_CHILDREN, run_cold) if args.cold
+                   else (resource.RUSAGE_SELF, run))
     setup, commands = WORKLOADS[args.workload]
     # a command that a pass runs on two targets is labelled with its target
     names = [op.command for op in commands]
@@ -112,15 +141,15 @@ if __name__ == "__main__":
         for target in {op.target for op in setup + commands}:
             (out / target).mkdir()
         for op in setup:
-            run(op, args.seed, out)
+            runner(argv(op, args.seed, out))
         print(ROW.format("pass", "command", "wall_s", "user_s", "sys_s",
                          "minflt", "maxrss_mb", width=width))
         for k in range(1, args.passes + 1):
             total = [0.0, 0.0, 0.0, 0]
             for op, label in zip(commands, labels):
-                before = usage()
-                run(op, args.seed, out)
-                delta = [b - a for a, b in zip(before, usage())]
+                before = usage(who)
+                runner(argv(op, args.seed, out))
+                delta = [b - a for a, b in zip(before, usage(who))]
                 total = [t + d for t, d in zip(total, delta)]
-                print(row(k, label, delta, width))
-            print(row(k, "total", total, width))
+                print(row(k, label, delta, width, who))
+            print(row(k, "total", total, width, who))

@@ -98,14 +98,14 @@ def load_policy(path, expected_digest: str | None = None) -> tuple[Policy, str]:
             f"the active configuration has {expected_digest[:12]}...; "
             f"re-solve or fix the configuration")
     try:
-        for leaf, kind, rng in _LEAVES:
-            check_leaf(functools.reduce(dict.__getitem__, leaf.split("."),
-                                        payload), leaf, kind, rng)
-        bounds = np.asarray(payload["grid"]["bounds"], dtype=float)
+        # each matrix as the float array its check builds
+        matrices = {leaf: check_leaf(functools.reduce(
+                        dict.__getitem__, leaf.split("."), payload),
+                        leaf, kind, rng) for leaf, kind, rng in _LEAVES}
+        bounds, actions, values, table = (
+            matrices[leaf] for leaf in ("grid.bounds", "actions", "values",
+                                        "action_table"))
         step = np.asarray(payload["grid"]["step"], dtype=float)
-        actions = np.asarray(payload["actions"], dtype=float)
-        values = np.asarray(payload["values"], dtype=float)
-        table = np.asarray(payload["action_table"], dtype=float)
         gamma = float(payload["gamma"])
         a_max = float(payload["a_max"])
         if bounds.shape != (1, 2) or step.shape != (1,):

@@ -44,10 +44,11 @@ from .artifact import ArtifactError, load_policy, save_policy
 from .attack import AttackError, AttackPlan
 from .config import ConfigError, RunConfig, preset_names, resolve_config
 from .defense import DefenseError, MitigationStrategy
-from .evaluation import (EvaluationError, compare_attacks, draw_noise,
-                         fp_cost, md_cost)
+from .evaluation import (Buffers, EvaluationError, compare_attacks,
+                         draw_noise, fp_cost, md_cost)
 from .lti import ModelError, SystemModel, derive_steady_state
-from .mdp import build_transition_model, immediate_reward_curve, value_iteration
+from .mdp import (Policy, build_transition_model, immediate_reward_curve,
+                  value_iteration)
 from .numerics import NumericsError, RngStream
 from .voltage import (VoltageError, estimate_B, load_traces,
                       voltage_attack_experiment)
@@ -72,12 +73,15 @@ def _spec(kind: type) -> str:
     return "%.17g"
 
 
+def _header(cfg: RunConfig, columns) -> str:
+    return f"# digest={cfg.digest()} seed={cfg.seed}\n" + ",".join(columns) + "\n"
+
+
 def _write_csv(path: Path, cfg: RunConfig, columns, rows) -> None:
     # one format string per row, built once per combination of value types
     formats: dict[tuple, str] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# digest={cfg.digest()} seed={cfg.seed}\n")
-        fh.write(",".join(columns) + "\n")
+        fh.write(_header(cfg, columns))
         for row in rows:
             row = tuple(row)
             kinds = tuple(map(type, row))
@@ -85,6 +89,23 @@ def _write_csv(path: Path, cfg: RunConfig, columns, rows) -> None:
             if fmt is None:
                 fmt = formats[kinds] = ",".join(map(_spec, kinds)) + "\n"
             fh.write(fmt % row)
+
+
+def _write_policy_table(path: Path, cfg: RunConfig, policy: Policy) -> None:
+    """policy_table.csv (stage, state_1, action_1), the bytes _write_csv
+    gives its rows, with each lattice point and each distinct action
+    formatted once instead of once per row.  Actions are told apart by
+    their bits, so +0.0 and -0.0 keep their own text."""
+    points = ["%.17g" % e for e in policy.grid.points.tolist()]
+    table = policy.action_table
+    bits, which = np.unique(table.ravel().view(np.int64), return_inverse=True)
+    actions = ["%.17g" % a for a in bits.view(np.float64).tolist()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_header(cfg, ("stage", "state_1", "action_1")))
+        fh.writelines(f"{stage},{e},{actions[k]}\n"
+                      for stage, row in enumerate(
+                          which.reshape(table.shape).tolist(), start=1)
+                      for e, k in zip(points, row))
 
 
 def _load(args) -> RunConfig:
@@ -175,14 +196,15 @@ def cmd_fpmd(args) -> int:
     plan = AttackPlan.nominal(policy, cfg.eval_horizon)
     noise = draw_noise(model, ss, cfg.eval_horizon, cfg.runs,
                        RngStream(cfg.seed, _STREAM_FPMD), noisy=True)
+    buffers = Buffers.allocate(cfg.eval_horizon, cfg.runs)
     rows = []
     for sigma in cfg.fpmd_sigmas:
         strategy = MitigationStrategy.noisy(sigma)
         for eta in cfg.fpmd_etas:
             fp = fp_cost(model, ss, eta, strategy, cfg.eval_horizon,
-                         cfg.runs, noise)
+                         cfg.runs, noise, buffers)
             md = md_cost(model, ss, eta, strategy, plan, cfg.eval_horizon,
-                         cfg.runs, noise)
+                         cfg.runs, noise, buffers)
             rows.append((eta, sigma, fp.value, md.value, fp.std_error,
                          md.std_error))
     _write_csv(out / "fpmd.csv", cfg, ("eta", "sigma_mit", "fp_cost",
@@ -203,11 +225,12 @@ def cmd_voltage(args) -> int:
     noise = draw_noise(model, ss, cfg.eval_horizon, cfg.runs,
                        RngStream(cfg.seed, _STREAM_VOLTAGE),
                        strategy.kind == "noisy")
+    buffers = Buffers.allocate(cfg.eval_horizon, cfg.runs, controlled=True)
     mean_rows, freq_rows = [], []
     for kind, plan in cfg.plans(policy).items():
         run = voltage_attack_experiment(model, ss, controller, plan, cfg.eta,
                                         strategy, cfg.eval_horizon, cfg.runs,
-                                        noise)
+                                        noise, buffers)
         for t in range(run.mean_voltage.shape[0]):
             mean_rows.append((t, kind, run.mean_voltage[t],
                               run.voltage_std_err[t],
@@ -221,13 +244,7 @@ def cmd_voltage(args) -> int:
                 "abs_dev_std_err"), mean_rows)
     _write_csv(out / "detection_frequency.csv", cfg,
                ("t", "plan", "frequency"), freq_rows)
-    # Python floats print the same text as numpy scalars, only faster
-    points = policy.grid.points.tolist()
-    actions = policy.action_table.tolist()
-    table_rows = [(stage, e, a) for stage, row in enumerate(actions, start=1)
-                  for e, a in zip(points, row)]
-    _write_csv(out / "policy_table.csv", cfg,
-               ("stage", "state_1", "action_1"), table_rows)
+    _write_policy_table(out / "policy_table.csv", cfg, policy)
     print(f"wrote {out / 'voltage_mean.csv'}, "
           f"{out / 'detection_frequency.csv'}, {out / 'policy_table.csv'}")
     return 0

@@ -104,9 +104,12 @@ def _number(value, path: str, rng: str | None) -> None:
         _fail(path, rule, value)
 
 
-def check_leaf(value, path: str, kind: str, rng: str | None) -> None:
+def check_leaf(value, path: str, kind: str, rng: str | None):
+    """Refuse a leaf that is not of its kind and range with ConfigError.
+    A matrix leaf is returned as the float array that checking it builds;
+    any other leaf returns None."""
     if kind.endswith("?") and value is None:
-        return
+        return None
     kind = kind.rstrip("?")
     if kind in ("real", "int"):
         _number(value, path, rng)  # type and range before integrality
@@ -132,16 +135,18 @@ def check_leaf(value, path: str, kind: str, rng: str | None) -> None:
         # at once when every entry is a finite int or float (the usual case)
         with contextlib.suppress(ValueError, OverflowError):
             leaves = np.asarray(value, dtype=object)
-            if (rng is None and set(map(type, leaves.flat)) <= {int, float}
-                    and np.isfinite(leaves.astype(float)).all()):
-                return
+            if rng is None and set(map(type, leaves.flat)) <= {int, float}:
+                floats = leaves.astype(float)
+                if np.isfinite(floats).all():
+                    return floats
         for i, item in enumerate(value):
             check_leaf(item, f"{path}[{i}]", kind, rng)
         try:
-            np.asarray(value, dtype=float)
+            return np.asarray(value, dtype=float)
         except ValueError as exc:
             raise ConfigError(f"{path} must be a rectangular array of "
                               f"numbers: {exc}") from None
+    return np.asarray(value, dtype=float) if kind == "matrix" else None
 
 
 def _check(data: dict) -> None:

@@ -19,6 +19,8 @@ and hands that Noise to every batch it runs, so they share every random
 input whatever their plan, detector or mitigation: cost comparisons and
 the paired false-positive / misdetection differences are
 common-random-number estimates, not differences of independent ones.
+It also takes one set of Buffers and runs every batch on it, so no batch
+faults in fresh pages for its histories.
 
 The misdetection and false-positive costs compare the chi-square system
 against a reference system whose detector is an oracle: it alarms exactly
@@ -53,6 +55,7 @@ from .numerics import RngStream
 
 __all__ = [
     "BatchRollout",
+    "Buffers",
     "CostReport",
     "EvaluationError",
     "Noise",
@@ -76,9 +79,11 @@ class BatchRollout:
     """W simulated runs; e, i and x_hat are (W, T + 1) [run, t] views of
     step-major (T + 1, W) buffers for t = 0..T, so runs are their
     contiguous axis: reduce over runs on a C-ordered copy where the result
-    must add the runs in order.  sums is the step-major (T, W) buffer of
-    the per-run cost sums, sums[t-1] = sum_{tau=1..t} e[:, tau]^2 added
-    step by step; cost_sums is its C-ordered (W, T) copy.
+    must add the runs in order.  A batch run on a command's Buffers views
+    them, so the next batch run on them overwrites it: read what it needs
+    first.  sums is the step-major (T, W) cumsum over t of e[:, 1:]^2,
+    sums[t-1] = sum_{tau=1..t} e[:, tau]^2 added in order of tau, formed
+    on each access; cost_sums is its C-ordered (W, T) copy.
 
     The alarms i (bool) are zero at t = 0, where the filter starts at its
     steady state.  x_hat, and the plant x = x_hat + e formed on each
@@ -92,7 +97,6 @@ class BatchRollout:
 
     e: np.ndarray
     i: np.ndarray
-    sums: np.ndarray
     x_hat: np.ndarray | None = None
 
     @property
@@ -107,6 +111,16 @@ class BatchRollout:
     def x(self) -> np.ndarray | None:
         """The plant x = x_hat + e, or None without a controller."""
         return None if self.x_hat is None else self.x_hat + self.e
+
+    @property
+    def sums(self) -> np.ndarray:
+        """The per-run cost sums, step-major (T, W), added row by row: in
+        order of t at any W, where a reduce over the step axis sums a
+        single run pairwise and np.add.accumulate walks it run by run."""
+        sums = np.square(self.e.T[1:])
+        for t in range(1, sums.shape[0]):
+            sums[t] += sums[t - 1]
+        return sums
 
     @property
     def cost_sums(self) -> np.ndarray:
@@ -166,6 +180,29 @@ class Noise(NamedTuple):
     b: np.ndarray | None
 
 
+class Buffers(NamedTuple):
+    """The buffers that batches write into: e, the bool alarms i and,
+    for a controlled loop, x_hat, all step-major (T + 1, W), and the
+    controlled loop's C-ordered (W, T + 1) plant x, which
+    voltage_attack_experiment forms.  A rollout command takes them once
+    and runs every batch on them, so no batch faults in fresh pages for
+    its histories; each batch overwrites the one before."""
+
+    e: np.ndarray
+    i: np.ndarray
+    x_hat: np.ndarray | None
+    x: np.ndarray | None
+
+    @classmethod
+    def allocate(cls, T: int, runs: int, controlled: bool = False) -> Buffers:
+        """Buffers for batches of `runs` loops of length T."""
+        e = np.empty((T + 1, runs))
+        i = np.empty((T + 1, runs), dtype=bool)
+        if not controlled:
+            return cls(e, i, None, None)
+        return cls(e, i, np.empty((T + 1, runs)), np.empty((runs, T + 1)))
+
+
 def _step_major(gen: np.random.Generator, W: int, T: int,
                 scale: float = 1.0) -> np.ndarray:
     """A (W, T) draw times `scale` as a read-only (T + 1, W) buffer that is
@@ -207,15 +244,18 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
                   detector: DetectorConfig, strategy: MitigationStrategy,
                   T: int, noise: Noise, runs: int,
                   controller: SetpointController | None = None,
-                  oracle: bool = False) -> BatchRollout:
+                  oracle: bool = False,
+                  buffers: Buffers | None = None) -> BatchRollout:
     """Simulate `runs` independent loops of length T on `noise`, which
     must have been drawn for that T and run count (and with its
     mitigation block, for a noisy strategy).
 
-    The loop advances e and the cost sums; with a controller it also
-    advances x_hat from the controller's init (None without one).  With
-    `oracle=True` the detector is replaced by the reference oracle (alarm
-    exactly when a[t] != 0), and the test statistic is not computed.
+    The loop advances e; with a controller it also advances x_hat from
+    the controller's init (None without one).  With `oracle=True` the
+    detector is replaced by the reference oracle (alarm exactly when
+    a[t] != 0), and the test statistic is not computed.  The batch is
+    written into `buffers` (taken for that T and run count, and
+    controlled if the batch is), or into fresh ones.
     """
     e0, w, v, b = noise
     if w.shape != (T + 1, runs):
@@ -226,16 +266,25 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
         raise EvaluationError("noisy mitigation needs a noise drawn with "
                               "its mitigation block (noisy=True)")
     _check_plan_horizon(plan, T)
+    if buffers is None:
+        buffers = Buffers.allocate(T, runs, controller is not None)
+    elif buffers.e.shape != (T + 1, runs) or (
+            controller is not None and buffers.x_hat is None):
+        raise EvaluationError(
+            f"the buffers were taken for T = {buffers.e.shape[0] - 1} and "
+            f"{buffers.e.shape[1]} runs"
+            f"{'' if buffers.x_hat is None else ' with a controller'}, but "
+            f"the batch has T = {T} and {runs} runs"
+            f"{'' if controller is None else ' with a controller'}")
 
     # buffers are step-major, (T + 1, W), so each step reads and writes
-    # contiguous (W,) rows; the cost sums too, as (T, W)
-    e = np.empty((T + 1, runs))
-    i = np.zeros((T + 1, runs), dtype=bool)
-    sums = np.empty((T, runs))
+    # contiguous (W,) rows
+    e, i = buffers.e, buffers.i
     e[0] = e0
+    i[0] = False
     if controller is not None:
         alpha, x0 = controller.alpha, controller.x0
-        x_hat = np.empty((T + 1, runs))
+        x_hat = buffers.x_hat
         x_hat[0] = controller.init
     A, C, K = model.A, model.C, ss.K
     CA = C * A
@@ -243,7 +292,6 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
     # T injections are taken at once
     if plan.kind != "policy":
         injections = attack_at(plan, np.arange(1, T + 1))
-    prev = 0.0
     for t in range(1, T + 1):
         a = (attack_at(plan, t, e[t - 1], stage_remaining=T - t + 1)
              if plan.kind == "policy" else injections[t - 1])
@@ -252,13 +300,12 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
             else detect(detector, g_statistic(ss, r))
         corr = mitigate(strategy, r, a, i[t], None if b is None else b[t]) * K
         e[t] = e[t - 1] * A + w[t] - corr
-        prev = np.add(prev, e[t] * e[t], out=sums[t - 1])
         if controller is not None:
             # B u = alpha (x0 - x_hat) by the setpoint law, so the control
             # enters without solving for u
             x_hat[t] = x_hat[t - 1] * A + alpha * (x0 - x_hat[t - 1]) + corr
 
-    return BatchRollout(e=e.T, i=i.T, sums=sums,
+    return BatchRollout(e=e.T, i=i.T,
                         x_hat=None if controller is None else x_hat.T)
 
 
@@ -283,48 +330,53 @@ def compare_attacks(model: SystemModel, ss: SteadyState,
                     plans: Sequence[AttackPlan], detector: DetectorConfig,
                     strategy: MitigationStrategy, T: int, runs: int,
                     noise: Noise) -> list[CostReport]:
-    """One CostReport per plan, all plans run on the same noise."""
+    """One CostReport per plan, all plans run on the same noise and the
+    same buffers."""
     if len(plans) == 0:
         raise EvaluationError("need at least one plan to compare")
+    buffers = Buffers.allocate(T, runs)
     return [empirical_cost(rollout_batch(model, ss, plan, detector, strategy,
-                                         T, noise, runs))
+                                         T, noise, runs, buffers=buffers))
             for plan in plans]
 
 
 def _paired_terminal_difference(model: SystemModel, ss: SteadyState,
                                 plan: AttackPlan, detector: DetectorConfig,
                                 strategy: MitigationStrategy, T: int,
-                                runs: int, noise: Noise) -> PairedCost:
+                                runs: int, noise: Noise,
+                                buffers: Buffers | None) -> PairedCost:
     """Cost[T] difference: chi-square system minus oracle reference, with
     common random numbers, so the difference is computed run by run."""
     tested = rollout_batch(model, ss, plan, detector, strategy, T, noise,
-                           runs)
+                           runs, buffers=buffers).sums[-1]
     reference = rollout_batch(model, ss, plan, detector, strategy, T, noise,
-                              runs, oracle=True)
-    diff = tested.sums[-1] - reference.sums[-1]
+                              runs, oracle=True, buffers=buffers).sums[-1]
+    diff = tested - reference
     return PairedCost(float(diff.mean()), float(std_err_over_runs(diff)))
 
 
 def fp_cost(model: SystemModel, ss: SteadyState, eta: float,
             strategy: MitigationStrategy, T: int, runs: int,
-            noise: Noise) -> PairedCost:
+            noise: Noise, buffers: Buffers | None = None) -> PairedCost:
     """Extra cost from false alarms: no attack is injected, so every
     chi-square alarm triggers mitigation against nothing while the oracle
-    reference never fires."""
+    reference never fires.  Both batches run on `buffers` if given."""
     plan = AttackPlan.none()
     return _paired_terminal_difference(model, ss, plan, DetectorConfig(eta),
-                                       strategy, T, runs, noise)
+                                       strategy, T, runs, noise, buffers)
 
 
 def md_cost(model: SystemModel, ss: SteadyState, eta: float,
             strategy: MitigationStrategy, plan: AttackPlan, T: int,
-            runs: int, noise: Noise) -> PairedCost:
+            runs: int, noise: Noise,
+            buffers: Buffers | None = None) -> PairedCost:
     """Extra cost from missed detections under an attack plan: the oracle
     reference alarms on every injected step, so only the injections the
     chi-square detector misses separate the two systems.  A non-adaptive
     plan (constant, ramp, sequence) gives the same injection in both
-    systems; a policy plan adapts to each system's own trajectory."""
+    systems; a policy plan adapts to each system's own trajectory.  Both
+    batches run on `buffers` if given."""
     if plan.kind == "none":
         raise EvaluationError("misdetection cost needs an attacking plan")
     return _paired_terminal_difference(model, ss, plan, DetectorConfig(eta),
-                                       strategy, T, runs, noise)
+                                       strategy, T, runs, noise, buffers)

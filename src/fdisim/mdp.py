@@ -32,7 +32,7 @@ import numpy as np
 
 from .defense import DetectorConfig
 from .lti import ModelError, SteadyState, SystemModel
-from .numerics import NumericsError, bvn_cdf, bvn_rect, ndtr
+from .numerics import BvnWorkspace, NumericsError, bvn_cdf, bvn_rect, ndtr
 
 # rows keeping less pre-fold mass than this inside the grid span warn
 _MASS_WARNING = 0.99
@@ -215,14 +215,16 @@ def _scalar_rows(law: _ScalarLaw, grid: Grid, e_arr: np.ndarray,
     rows = np.empty((n_rows, n_cells))
     interior = np.empty(n_rows)
     # At most _TILE entries per tile. Every stage writes into four
-    # buffers taken once (views for a ragged last tile): fresh temporaries,
-    # freed each tile, would fault their pages in again every tile. A tail
+    # buffers taken once (views for a ragged last tile), and every kernel
+    # call into one workspace: fresh temporaries, freed each tile, would
+    # fault their pages in again every tile. A tail
     # row's c2 and Phi(c2) depend on its tail mean alone, which repeats
     # across the actions of a state, so they are taken once per distinct
     # mean and gathered into the tile's rows. Equal means give equal c2
     # bits, +0 and -0 too, since no edge is -0.
     tile = max(1, min(_TILE // edges.size, n_rows))
     buffers = np.empty((4, tile, edges.size))
+    work = BvnWorkspace(buffers[0].size)
     for start in range(0, n_rows, tile):
         sl = slice(start, min(start + tile, n_rows))
         c1, c2, cum, spare = buffers[:, :sl.stop - start]
@@ -233,15 +235,16 @@ def _scalar_rows(law: _ScalarLaw, grid: Grid, e_arr: np.ndarray,
         # mode="clip" (indices are in range) writes out unbuffered
         np.take(c2_means, which, axis=0, out=c2, mode="clip")
         # the no-alarm band into its cells first, so the tails reuse cum
-        np.subtract(bvn_cdf(u1c, c1, rho, out=cum),
-                    bvn_cdf(l1c, c1, rho, out=spare), out=cum)
+        np.subtract(bvn_cdf(u1c, c1, rho, out=cum, work=work),
+                    bvn_cdf(l1c, c1, rho, out=spare, work=work), out=cum)
         chunk = rows[sl]
         _cells_from_cum(cum, band[sl], chunk)
         interior[sl] = cum[:, -1] - cum[:, 0]
         phi_c2 = c1  # c1 is spent; both c2 calls read Phi(c2) from it
         np.take(ndtr(c2_means), which, axis=0, out=phi_c2, mode="clip")
-        np.add(bvn_cdf(l1c, c2, rho, out=cum, phi_k=phi_c2), phi_c2, out=cum)
-        cum -= bvn_cdf(u1c, c2, rho, out=spare, phi_k=phi_c2)
+        np.add(bvn_cdf(l1c, c2, rho, out=cum, phi_k=phi_c2, work=work),
+               phi_c2, out=cum)
+        cum -= bvn_cdf(u1c, c2, rho, out=spare, phi_k=phi_c2, work=work)
         tail = c2[:, :n_cells]  # c2 is spent too
         _cells_from_cum(cum, det[sl], tail)
         interior[sl] += cum[:, -1] - cum[:, 0]

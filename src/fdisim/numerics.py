@@ -56,9 +56,11 @@ def _special():
     return scipy.special
 
 
-def ndtr(x):
-    """Standard normal CDF, elementwise (scipy.special.ndtr)."""
-    return _special().ndtr(x)
+def ndtr(x, out=None):
+    """Standard normal CDF, elementwise (scipy.special.ndtr), into `out`
+    if given.  Never pass `where=`: on scipy 1.17.1 with numpy 2.4.6 a
+    masked call can crash the process."""
+    return _special().ndtr(x, out=out)
 
 
 # Gauss-Legendre rules on [0, 2], mirrored from their half-rules: 12 nodes
@@ -83,24 +85,60 @@ _GL12, _GL20 = ((np.concatenate([w, w]), np.concatenate([1.0 - x, 1.0 + x]))
 _SAT = 10.0
 
 
+class BvnWorkspace:
+    """Buffers for the temporaries of bvn_upper calls of up to `size`
+    entries: four bool masks and nine float arrays.  A caller that makes
+    many calls takes one and hands it to each (the row build takes one
+    per build), so no call faults in fresh pages for its temporaries."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.masks = np.empty((4, size), dtype=bool)
+        self.floats = np.empty((9, size))
+
+
+def _gather(x: np.ndarray, at: np.ndarray, buf: np.ndarray,
+            spare: np.ndarray) -> np.ndarray:
+    """The entries of x at the flat indices `at` of the call's shape,
+    written into the head of `buf`.  x broadcasts to that shape, which is
+    spare's; x is copied out into `spare` first unless it already is a
+    C-ordered array of that shape."""
+    if x.shape != spare.shape or not x.flags.c_contiguous:
+        spare[...] = x
+        x = spare
+    return np.take(x.reshape(-1), at, out=buf[:at.size], mode="clip")
+
+
 def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float,
-                      phi_h: np.ndarray, phi_k=None) -> np.ndarray:
-    """P(X > h, Y > k) for standard bivariate normal, finite h, k arrays;
-    phi_h is Phi(-h) and phi_k, if given, Phi(-k), both for |rho| < 0.925."""
+                      phi_h: np.ndarray, phi_k, floats: np.ndarray
+                      ) -> np.ndarray:
+    """P(X > h, Y > k) for standard bivariate normal, finite (n,) h and k;
+    phi_h is Phi(-h) and phi_k, if given, Phi(-k), both for |rho| < 0.925.
+    Below |rho| = 0.925 the temporaries are rows of `floats` (a
+    workspace's, at least five rows of n), and so is the result; above it,
+    Genz's tail expansion allocates its own."""
     w, x = _GL12 if abs(rho) < 0.75 else _GL20
     tp = 2.0 * math.pi
     if abs(rho) < 0.925:
-        hk = h * k
-        hs = 0.5 * (h * h + k * k)
+        hk, hs, acc, t, nk = floats[:5, :h.size]
+        np.multiply(h, k, out=hk)
+        # hs = 0.5 * (h * h + k * k)
+        np.add(np.multiply(h, h, out=hs), np.multiply(k, k, out=t), out=hs)
+        hs *= 0.5
         asr = 0.5 * math.asin(rho)
-        acc, t = np.zeros_like(h), np.empty_like(h)
+        acc[...] = 0.0
         for wi, xi in zip(w, x):  # acc += wi * exp((sn*hk - hs) / (1 - sn^2))
             sn = math.sin(asr * xi)
             np.subtract(np.multiply(sn, hk, out=t), hs, out=t)
             t /= 1.0 - sn * sn
             acc += np.multiply(wi, np.exp(t, out=t), out=t)
-        phi_k = ndtr(-k) if phi_k is None else phi_k
-        return acc * asr / tp + phi_h * phi_k
+        if phi_k is None:
+            phi_k = ndtr(np.negative(k, out=t), out=nk)
+        # acc * asr / tp + phi_h * phi_k
+        acc *= asr
+        acc /= tp
+        acc += np.multiply(phi_h, phi_k, out=t)
+        return acc
 
     # |rho| close to 1: Genz's tail expansion around the singular direction.
     if rho < 0.0:
@@ -139,7 +177,8 @@ def _bvn_upper_finite(h: np.ndarray, k: np.ndarray, rho: float,
     return np.where(h >= k, 0.0, band) - bvn
 
 
-def bvn_upper(h, k, rho: float, out=None, phi_k=None) -> np.ndarray:
+def bvn_upper(h, k, rho: float, out=None, phi_k=None,
+              work: BvnWorkspace | None = None) -> np.ndarray:
     """P(X > h, Y > k) for a standard bivariate normal with correlation rho.
 
     h and k broadcast against each other; entries may be +-inf. rho is a
@@ -150,45 +189,73 @@ def bvn_upper(h, k, rho: float, out=None, phi_k=None) -> np.ndarray:
     Saturation is decided on h and k before broadcasting. Phi(-h) is taken
     once per entry of h as passed (once per row for an (R, 1) h), for the
     k <= -10 limits and the quadrature alike; Phi(-k) only on the h <= -10
-    entries and in the quadrature. The rest runs in one pass, its
-    temporaries as large as the call (the row build passes one tile), by
-    Gauss-Legendre quadrature (12 nodes below |rho| = 0.75, 20 to 0.925)
-    or Genz's tail expansion. None of this changes a bit of the result or
-    the error above, nor do `out`, an array of the broadcast shape that
-    takes the result (h or k itself: all input is read first), and `phi_k`,
-    Phi(-k) broadcastable to it, which stands in for every ndtr on k.
+    entries and in the quadrature. The rest runs in one pass, on the
+    entries left, by Gauss-Legendre quadrature (12 nodes below |rho| =
+    0.75, 20 to 0.925) or Genz's tail expansion. Its masks, the gathered
+    entries and the quadrature's temporaries are written into `work`, a
+    BvnWorkspace of at least the call's size that a caller making many
+    calls takes once (the row build passes one per build), or into one
+    taken for this call; the tail expansion allocates its own. None of
+    this changes a bit of the result or the error above, nor do `out`, an
+    array of the broadcast shape that takes the result (h or k itself, but
+    not phi_k: all of h and k is read first), and `phi_k`, Phi(-k)
+    broadcastable to it, which stands in for every ndtr on k.
     """
     if not -1.0 <= rho <= 1.0:
         raise NumericsError(f"correlation {rho} outside [-1, 1]")
     h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
-    live = ~((h >= _SAT) | (k >= _SAT))
-    shape = live.shape
+    shape = np.broadcast_shapes(h.shape, k.shape)
+    size = math.prod(shape)
+    if work is None:
+        work = BvnWorkspace(size)
+    elif work.size < size:
+        raise NumericsError(f"a workspace of {work.size} entries cannot "
+                            f"take a call of {size}")
+    live, low, h_low, k_low = (m[:size].reshape(shape) for m in work.masks)
+    # live: neither h >= 10 nor k >= 10
+    np.logical_or(np.greater_equal(h, _SAT, out=low),
+                  np.greater_equal(k, _SAT, out=live), out=live)
+    np.logical_not(live, out=live)
+    # the h <= -10 limits, then the k <= -10 ones, each off the live entries
+    for x, where in ((h, h_low), (k, k_low)):
+        np.less_equal(x, -_SAT, out=low)
+        np.logical_and(low, live, out=where)
+        live &= np.logical_not(low, out=low)
     # Phi(-h) once per entry of h as passed, for the k <= -10 limits and the
     # quadrature's Phi(-h)Phi(-k) term; Phi(-k), unless given, is taken on
-    # the h <= -10 entries here and on the live ones in the quadrature.
+    # the h <= -10 entries and on the live ones in the quadrature.
     nh = np.broadcast_to(ndtr(-h), shape)
     nk = None if phi_k is None else np.broadcast_to(phi_k, shape)
-    limits = []
-    for x, nx, low in ((k, nk, h <= -_SAT), (h, nh, k <= -_SAT)):
-        where = low & live
-        limits.append((where, ndtr(-np.broadcast_to(x, shape)[where])
-                       if nx is None else nx[where]))
-        live &= ~low
-    hb, kb, nhb = (np.broadcast_to(x, shape)[live] for x in (h, k, nh))
-    vals = _bvn_upper_finite(hb, kb, rho, nhb, None if nk is None else nk[live])
+    bufs = work.floats
+    spare = bufs[0, :size].reshape(shape)
+    at = np.flatnonzero(live)
+    hb, kb, nhb = (_gather(x, at, buf, spare)
+                   for x, buf in ((h, bufs[5]), (k, bufs[6]), (nh, bufs[7])))
+    nkb = None if nk is None else _gather(nk, at, bufs[8], spare)
+    vals = _bvn_upper_finite(hb, kb, rho, nhb, nkb, bufs)
+    if nk is None:  # read off k before out, which may be k, is written
+        k_limits = _gather(k, np.flatnonzero(h_low), bufs[0],
+                           bufs[1, :size].reshape(shape))
+        k_limits = ndtr(np.negative(k_limits, out=k_limits), out=k_limits)
     out = np.empty(shape) if out is None else out
     out[...] = 0.0
-    for where, limit in limits:
-        out[where] = limit
+    if nk is None:
+        out[h_low] = k_limits
+    else:
+        np.copyto(out, nk, where=h_low)
+    np.copyto(out, nh, where=k_low)
     out[live] = vals
     np.clip(out, 0.0, 1.0, out=out)
     return out if out.ndim else float(out)
 
 
-def bvn_cdf(h, k, rho: float, out=None, phi_k=None):
+def bvn_cdf(h, k, rho: float, out=None, phi_k=None,
+            work: BvnWorkspace | None = None):
     """P(X <= h, Y <= k), vectorized; saturates past +-10 like bvn_upper.
-    `out` as there, with -k written into it first; `phi_k` is Phi(k)."""
-    return bvn_upper(np.negative(h), np.negative(k, out=out), rho, out, phi_k)
+    `out` as there, with -k written into it first; `phi_k` is Phi(k);
+    `work` as there."""
+    return bvn_upper(np.negative(h), np.negative(k, out=out), rho, out, phi_k,
+                     work)
 
 
 def bvn_rect(xl, xu, yl, yu, rho: float):

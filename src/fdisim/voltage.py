@@ -26,7 +26,7 @@ import numpy as np
 
 from .attack import AttackPlan
 from .defense import DetectorConfig, MitigationStrategy
-from .evaluation import Noise, rollout_batch, std_err_over_runs
+from .evaluation import Buffers, Noise, rollout_batch, std_err_over_runs
 from .lti import SetpointController, SteadyState, SystemModel
 from .numerics import RngStream
 
@@ -189,15 +189,19 @@ def voltage_attack_experiment(model: SystemModel, ss: SteadyState,
                               controller: SetpointController,
                               plan: AttackPlan, eta: float,
                               strategy: MitigationStrategy, T: int, runs: int,
-                              noise: Noise) -> VoltageRun:
+                              noise: Noise,
+                              buffers: Buffers | None = None) -> VoltageRun:
     """Roll out the voltage loop from the controller's init under one plan
-    and aggregate the curves; deviations are measured from its x0."""
+    and aggregate the curves; deviations are measured from its x0.  The
+    batch and its plant run on `buffers` (controlled ones) if given."""
+    if buffers is None:
+        buffers = Buffers.allocate(T, runs, controlled=True)
     batch = rollout_batch(model, ss, plan, DetectorConfig(eta), strategy, T,
-                          noise, runs, controller=controller)
+                          noise, runs, controller=controller, buffers=buffers)
     # the plant x = x_hat + e formed C-ordered, so the reductions over runs
     # add them in order (see BatchRollout), shifted by x0 in place for the
     # deviations
-    x = np.add(batch.x_hat, batch.e, order="C")
+    x = np.add(batch.x_hat, batch.e, out=buffers.x)
     mean_voltage, voltage_std_err = x.mean(axis=0), std_err_over_runs(x)
     x -= controller.x0
     dev = np.abs(x, out=x)

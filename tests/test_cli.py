@@ -35,7 +35,10 @@ What is proven here:
     exit with code 2 and one error line naming Q, without running the
     Riccati loop.
   * The digest changes exactly when a policy-determining field changes.
-  * Policy artifacts round-trip bit-exactly, refuse wrong magic/version,
+  * Policy artifacts round-trip bit-exactly, and the check of a matrix
+    leaf returns the float array np.asarray gives, -0.0 included, which
+    load_policy reads instead of converting again.  Artifacts refuse
+    wrong magic/version,
     files that are not JSON or not UTF-8, digest mismatches, and a digest
     that is not a string (one error line and exit code 2).  A NaN
     is neither written nor read: a hand-edited artifact with a NaN or
@@ -71,7 +74,9 @@ What is proven here:
     formatting each value on its own (strings as they are, bools and
     integers as integers, everything else with 17 significant digits),
     -0.0, 1e-300, 0.1, nan and inf included, also when one column changes
-    type between rows.
+    type between rows.  policy_table.csv, which formats each lattice point
+    and each distinct action once, gives the bytes of that row writer on
+    a table holding 0.0 and -0.0 actions and lattice points at +-1e-16.
 """
 
 import copy
@@ -92,6 +97,7 @@ from fdisim.artifact import ArtifactError, load_policy, save_policy
 from fdisim.config import (
     ConfigError,
     RunConfig,
+    check_leaf,
     _load_yaml,
     preset_names,
     resolve_config,
@@ -241,6 +247,15 @@ def test_artifact_round_trip(tmp_path, tiny_policy):
     save_policy(path, tiny_policy, digest="d" * 64)
     loaded, digest = load_policy(path, expected_digest="d" * 64)
     assert digest == "d" * 64
+    # a matrix leaf comes back from its check as the array np.asarray
+    # gives, on the fast path (ints and floats), the entry-wise one (a
+    # numpy float among them) and for a bare number
+    for leaf in ([[1, -0.0], [2.5, 3]], [[np.float64(-0.0), 7]], 4):
+        got = check_leaf(leaf, "m", "matrix", None)
+        want = np.asarray(leaf, dtype=float)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert check_leaf(0.5, "g", "real", "(0, 1]") is None
     assert np.array_equal(loaded.action_table, tiny_policy.action_table)
     assert np.array_equal(loaded.values, tiny_policy.values)
     assert np.array_equal(loaded.actions, tiny_policy.actions)
@@ -451,6 +466,30 @@ def test_csv_rows_format_like_each_value(tmp_path):
     assert lines[3] == "none,0,0,4611686018427387904,1e-300,nan"
     assert lines[4] == "4,2.5,x,1,inf,-inf"
     assert lines[5] == "1,0.33333333333333331,1,255,7,z"
+
+
+def test_policy_table_writes_the_bytes_of_the_row_writer(tmp_path,
+                                                         tiny_policy):
+    # 0.0 == -0.0, so a writer that looked actions up by value would print
+    # one zero for both
+    grid = dataclasses.replace(tiny_policy.grid, points=np.array(
+        [-1.0, -1e-16, 1e-16, 0.1]))
+    table = np.array([[0.0, -0.0, 0.1, -0.0], [-0.0, 0.0, 0.0, 20.0],
+                      [1 / 3, -0.0, 0.1, 0.0]])
+    policy = dataclasses.replace(tiny_policy, grid=grid, action_table=table)
+    cfg = resolve_config("benchmark", seed=5)
+    columns = ("stage", "state_1", "action_1")
+    cli._write_policy_table(tmp_path / "table.csv", cfg, policy)
+    rows = [(stage, e, a) for stage, row in enumerate(table.tolist(), start=1)
+            for e, a in zip(grid.points.tolist(), row)]
+    cli._write_csv(tmp_path / "rows.csv", cfg, columns, rows)
+    text = (tmp_path / "table.csv").read_bytes()
+    assert text == (tmp_path / "rows.csv").read_bytes()
+    lines = text.decode("utf-8").splitlines()
+    assert lines[2:6] == ["1,-1,0", "1,-9.9999999999999998e-17,-0",
+                          "1,9.9999999999999998e-17,0.10000000000000001",
+                          "1,0.10000000000000001,-0"]
+    assert lines[6:8] == ["2,-1,-0", "2,-9.9999999999999998e-17,0"]
 
 
 @pytest.mark.filterwarnings("ignore::fdisim.mdp.TruncationWarning")

@@ -43,8 +43,14 @@ What is proven here:
     batches, 257 runs), and the bool alarms give the same detection
     frequency as int64 ones.
   * A batch allocates no full history beyond what it keeps: one
-    W = 10,000, T = 10 batch peaks (tracemalloc) within the kept bytes
-    plus 16 W-vectors.
+    W = 10,000, T = 10 batch peaks (tracemalloc) within its kept e and
+    alarms plus 8 W-vectors, and the same batch run on buffers taken
+    before it within the 8 W-vectors alone.
+  * A batch run on a command's reused buffers equals a fresh batch in e,
+    the alarms, x_hat and the cost sums, for policy, oracle and
+    controlled batches, each run right after a batch of another plan kind
+    on the same buffers; buffers taken for another T, or without the
+    controller a batch needs, are refused with one EvaluationError.
   * draw_noise takes the noise variances' square roots once: one draw
     takes three (P_e, Q, R), and the batches run on it take none.  A P_e
     that rounds to a tiny negative (R negligible against C^2 P_inf)
@@ -72,6 +78,7 @@ from fdisim.config import ConfigError, from_mapping
 from fdisim.defense import (DetectorConfig, MitigationStrategy, detect,
                             g_statistic)
 from fdisim.evaluation import (
+    Buffers,
     EvaluationError,
     Noise,
     compare_attacks,
@@ -522,22 +529,56 @@ def test_cost_sums_are_the_cumsum_and_bool_alarms_count_alike(bench):
 
 
 def test_batch_memory_is_the_kept_fields(bench):
-    # e, the bool alarms and the cost sums are all a batch keeps; a full
-    # (T + 1, W) history of anything else is 11 W-vectors, past the slack
+    # e and the bool alarms are all a batch keeps, and a batch run on
+    # buffers taken before it keeps nothing new; a full (T + 1, W) history
+    # of anything else is 11 W-vectors, past the slack
     model, ss = bench
     W, T = 10_000, 10
     args = (model, ss, AttackPlan.constant(10.0, a_max=20.0),
             DetectorConfig(5.0), MitigationStrategy.noisy(5.0), T,
             _draw(bench, T, W, RngStream(3)), W)
-    tracemalloc.start()
-    try:
-        batch = rollout_batch(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    kept = (T + 1) * W * (8 + 1) + W * T * 8
-    assert batch.e.nbytes + batch.i.nbytes + batch.sums.nbytes == kept
-    assert peak <= kept + 16 * W * 8, (peak - kept) / (8 * W)
+    buffers = Buffers.allocate(T, W)
+    kept = (T + 1) * W * (8 + 1)
+    for given, own in ((None, kept), (buffers, 0)):
+        tracemalloc.start()
+        try:
+            batch = rollout_batch(*args, buffers=given)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.e.nbytes + batch.i.nbytes == kept
+        assert peak <= own + 8 * W * 8, (peak - own) / (8 * W)
+
+
+def test_batches_on_reused_buffers_equal_fresh_ones(bench, small_policy):
+    model, ss = bench
+    W, T = 7, 4
+    noise = _draw(bench, T, W, RngStream(89))
+    ctrl = SetpointController(0.835, 0.5, init=1.0)
+    policy = AttackPlan.from_policy(small_policy)
+    ramp = AttackPlan.ramp(1.0, a_max=20.0)
+    # (plan, oracle, controller): each case runs right after a batch of
+    # another plan kind on the same buffers
+    cases = [(policy, False, None), (ramp, True, None),
+             (policy, True, None), (policy, False, ctrl), (ramp, False, ctrl),
+             (AttackPlan.none(), False, ctrl)]
+    buffers = Buffers.allocate(T, W, controlled=True)
+    for plan, oracle, controller in cases:
+        args = (model, ss, plan, DetectorConfig(2.0),
+                MitigationStrategy.noisy(3.0), T, noise, W, controller, oracle)
+        reused = rollout_batch(*args, buffers=buffers)
+        assert np.shares_memory(reused.e, buffers.e)
+        fresh = rollout_batch(*args)
+        for name in ("e", "i", "x_hat", "cost_sums"):
+            assert np.array_equal(getattr(reused, name),
+                                  getattr(fresh, name)), (plan.kind, name)
+    with pytest.raises(EvaluationError, match="buffers were taken for T = 4"):
+        rollout_batch(model, ss, ramp, DetectorConfig(2.0),
+                      MitigationStrategy.off(), 3,
+                      _draw(bench, 3, W, RngStream(89)), W, buffers=buffers)
+    with pytest.raises(EvaluationError, match="with a controller"):
+        rollout_batch(*args[:8], controller=ctrl,
+                      buffers=Buffers.allocate(T, W))
 
 
 @pytest.mark.parametrize("kind, oracle, policy, controlled", [

@@ -22,6 +22,9 @@ What is proven here:
     empty results. `out` and `phi_k` change no
     bit on any of the three branches (12-node, 20-node, Genz), and with
     `phi_k` given the kernel's only ndtr is one Phi(-h) on h as passed.
+    Nor does a BvnWorkspace handed to calls of several sizes in turn, with
+    and without `phi_k`, on all three branches; one smaller than the call
+    is refused.
   * solve_dare hits the scalar closed form (1+sqrt(41))/2 to 1e-9, agrees
     with an independent QZ solver (scipy's solve_discrete_are) to 1e-9 on
     200 seeded scalar systems, and refuses R <= 0, Q < 0 and non-finite
@@ -223,6 +226,27 @@ def test_bvn_out_and_phi_k_leave_every_bit(rho):
         assert type(value) is float and value == upper[i, j]
         value = bvn_cdf(h[i, 0], k[i, j], rho, phi_k=ndtr(k[i, j]))
         assert type(value) is float and value == cdf[i, j]
+
+
+@pytest.mark.parametrize("rho", [-0.53, 0.1, 0.8, 0.95])
+def test_bvn_workspace_reused_across_calls_leaves_every_bit(rho):
+    # one workspace for calls of several sizes and kinds in turn, as the
+    # row build hands it to each of its kernel calls: nothing a call
+    # leaves in it reaches the next call's result
+    h, k = _row_build_pair()
+    work = numerics.BvnWorkspace(2 * k.size)
+    calls = [(h, k, None), (h, k, ndtr(-k)), (h[:5], k[:5, :7], None),
+             (-h, np.flip(k), ndtr(-np.flip(k))), (h[:1], k[:1], None),
+             (h, k, None)]
+    for hx, kx, phi_k in calls:
+        fresh = bvn_upper(hx, kx, rho, phi_k=phi_k)
+        out = np.full(kx.shape, np.nan)
+        assert bvn_upper(hx, kx, rho, out=out, phi_k=phi_k, work=work) is out
+        assert np.array_equal(out, fresh)
+        cdf = bvn_cdf(hx, kx, rho, out=np.empty(kx.shape), work=work)
+        assert np.array_equal(cdf, bvn_cdf(hx, kx, rho))
+    with pytest.raises(NumericsError, match="workspace of 10 entries"):
+        bvn_upper(h, k, rho, work=numerics.BvnWorkspace(10))
 
 
 @pytest.mark.parametrize("rho", [-0.53, 0.1])
