@@ -8,7 +8,9 @@ filter. A perfect correction removes the injection exactly; a noisy one
 adds zero-mean Gaussian error on top; "off" leaves the measurement
 untouched. The oracle detector alarms exactly when an injection is present
 and is the reference point for false-positive and missed-detection
-costing. Every function here works elementwise on arrays.
+costing. Every function here works elementwise on arrays; detect and
+mitigate can write their result into a caller's buffer (out=), so a
+rollout step takes no temporary for them.
 """
 
 from __future__ import annotations
@@ -78,9 +80,11 @@ def g_statistic(ss: SteadyState, r) -> np.ndarray:
     return r * ss.P_r_inv * r
 
 
-def detect(detector: DetectorConfig, g) -> np.ndarray:
-    """Alarm indicator: True where g > eta (boundary does not alarm)."""
-    return np.asarray(g) > detector.eta
+def detect(detector: DetectorConfig, g,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Alarm indicator: True where g > eta (boundary does not alarm),
+    written into the bool `out` if given."""
+    return np.greater(g, detector.eta, out=out)
 
 
 def oracle_detect(a_true) -> np.ndarray:
@@ -88,7 +92,8 @@ def oracle_detect(a_true) -> np.ndarray:
     return np.asarray(a_true, dtype=float) != 0.0
 
 
-def mitigate(strategy: MitigationStrategy, y_a, a, alarm, b) -> np.ndarray:
+def mitigate(strategy: MitigationStrategy, y_a, a, alarm, b,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Defended signal y_f = y_a - alarm * delta, elementwise.
 
     The correction delta is computed from the true injection a: a itself
@@ -96,11 +101,18 @@ def mitigate(strategy: MitigationStrategy, y_a, a, alarm, b) -> np.ndarray:
     pre-drawn standard normal draw shaped like y_a. The noise block is an
     input, so it is consumed whether or not an alarm fires, which keeps
     paired experiments aligned on common random numbers.
+
+    With `out` the result is written there.  Unless out overlaps y_a,
+    delta and the product alarm * delta are formed in it on the way, so
+    no temporary is taken; out may alias y_a, and then they are
+    temporaries.  The same products and sums are taken either way, so the
+    bits do not depend on out.
     """
-    if strategy.kind == "perfect":
-        delta = a
-    elif strategy.kind == "noisy":
-        delta = a + strategy.sigma_mit * b
+    prod = None if out is None or np.may_share_memory(out, y_a) else out
+    if strategy.kind == "noisy":
+        delta = np.multiply(b, strategy.sigma_mit, out=prod)
+        delta = np.add(delta, a, out=prod)
     else:
-        delta = 0.0
-    return y_a - alarm * delta
+        delta = a if strategy.kind == "perfect" else 0.0
+    prod = np.multiply(delta, alarm, out=prod)
+    return np.subtract(y_a, prod, out=out)

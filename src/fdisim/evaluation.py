@@ -13,7 +13,12 @@ offset costs it digits.  With a controller the loop also advances the
 estimate, x_hat[t] = A x_hat[t-1] + alpha (x0 - x_hat[t-1])
 + K (r - i[t] delta[t]), since the setpoint law makes B u = alpha (x0 -
 x_hat) and so no control is solved for; it then forms x = x_hat + e.  The
-injection and the test statistic are per-step temporaries.  A rollout
+injection and the test statistic are per-step temporaries; r and the
+correction go into two rows taken once per batch, and each step writes
+them and e[t], i[t] and x_hat[t] in place with the operations of the
+expressions above in their order, so the bits are the expressions'.  An
+oracle batch of a non-adaptive plan alarms alike in every run, so only
+its alarmed steps call the mitigation.  A rollout
 command draws its noise once (draw_noise: one stream, read-only blocks)
 and hands that Noise to every batch it runs, so they share every random
 input whatever their plan, detector or mitigation: cost comparisons and
@@ -37,6 +42,9 @@ Cost[t] = (1/W) sum_w sum_{tau=1..t} e_w[tau]^2.  The costs and the
 paired differences read only these per-run sums, which no control input or
 initial estimate enters, so compare_attacks, fp_cost and md_cost run the
 loop without a controller; the voltage experiment is what reads x and x_hat.
+The paired differences read only the terminal sums, added into one (W,)
+accumulator.  The curves over runs (cost, voltage) come from
+mean_and_std_err, numpy's own steps for mean and std on a held scratch.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ __all__ = [
     "empirical_cost",
     "fp_cost",
     "md_cost",
+    "mean_and_std_err",
     "rollout_batch",
     "std_err_over_runs",
 ]
@@ -83,7 +92,8 @@ class BatchRollout:
     them, so the next batch run on them overwrites it: read what it needs
     first.  sums is the step-major (T, W) cumsum over t of e[:, 1:]^2,
     sums[t-1] = sum_{tau=1..t} e[:, tau]^2 added in order of tau, formed
-    on each access; cost_sums is its C-ordered (W, T) copy.
+    on each access; cost_sums is its C-ordered (W, T) copy, and
+    terminal_sums() its last row alone.
 
     The alarms i (bool) are zero at t = 0, where the filter starts at its
     steady state.  x_hat, and the plant x = x_hat + e formed on each
@@ -128,9 +138,23 @@ class BatchRollout:
         over runs add them in order."""
         return np.ascontiguousarray(self.sums.T)
 
+    def terminal_sums(self) -> np.ndarray:
+        """sums[-1], the (W,) per-run sum_{t=1..T} e[:, t]^2, added in
+        order of t into one accumulator without forming the (T, W)
+        cumsum: the same additions, so the same bits."""
+        e = self.e.T
+        total = np.square(e[1])
+        square = np.empty_like(total)
+        for t in range(2, e.shape[0]):
+            total += np.square(e[t], out=square)
+        return total
+
     def detection_frequency(self) -> np.ndarray:
-        """Fraction of runs alarming at each t (zero at t = 0)."""
-        return self.i.mean(axis=0)
+        """Fraction of runs alarming at each t (zero at t = 0): each step
+        row's alarm count over W, the bits of i.mean(axis=0), which adds
+        the same exact integers as floats."""
+        return np.array([np.count_nonzero(row) for row in self.i.T]) \
+            / self.runs
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,14 +208,17 @@ class Buffers(NamedTuple):
     """The buffers that batches write into: e, the bool alarms i and,
     for a controlled loop, x_hat, all step-major (T + 1, W), and the
     controlled loop's C-ordered (W, T + 1) plant x, which
-    voltage_attack_experiment forms.  A rollout command takes them once
-    and runs every batch on them, so no batch faults in fresh pages for
-    its histories; each batch overwrites the one before."""
+    voltage_attack_experiment forms, and scratch, of x's shape, on which
+    it aggregates the curves over runs (see mean_and_std_err).  A rollout
+    command takes them once and runs every batch on them, so no batch
+    faults in fresh pages for its histories or its aggregation; each
+    batch overwrites the one before."""
 
     e: np.ndarray
     i: np.ndarray
     x_hat: np.ndarray | None
     x: np.ndarray | None
+    scratch: np.ndarray | None
 
     @classmethod
     def allocate(cls, T: int, runs: int, controlled: bool = False) -> Buffers:
@@ -199,8 +226,9 @@ class Buffers(NamedTuple):
         e = np.empty((T + 1, runs))
         i = np.empty((T + 1, runs), dtype=bool)
         if not controlled:
-            return cls(e, i, None, None)
-        return cls(e, i, np.empty((T + 1, runs)), np.empty((runs, T + 1)))
+            return cls(e, i, None, None, None)
+        return cls(e, i, np.empty((T + 1, runs)), np.empty((runs, T + 1)),
+                   np.empty((runs, T + 1)))
 
 
 def _step_major(gen: np.random.Generator, W: int, T: int,
@@ -289,21 +317,44 @@ def rollout_batch(model: SystemModel, ss: SteadyState, plan: AttackPlan,
     A, C, K = model.A, model.C, ss.K
     CA = C * A
     # every plan but a policy injects the same value in every run, so its
-    # T injections are taken at once
+    # T injections are taken at once, and an oracle's alarm on one is a
+    # single bool
     if plan.kind != "policy":
         injections = attack_at(plan, np.arange(1, T + 1))
+    # r = CA e[t-1] + C w[t] + v[t] + a and the correction
+    # K mitigate(r) go into two rows taken once per batch, in the
+    # expressions' order of operations, so their bits
+    r, corr = np.empty(runs), np.empty(runs)
     for t in range(1, T + 1):
         a = (attack_at(plan, t, e[t - 1], stage_remaining=T - t + 1)
              if plan.kind == "policy" else injections[t - 1])
-        r = e[t - 1] * CA + w[t] * C + v[t] + a
-        i[t] = oracle_detect(a) if oracle \
-            else detect(detector, g_statistic(ss, r))
-        corr = mitigate(strategy, r, a, i[t], None if b is None else b[t]) * K
-        e[t] = e[t - 1] * A + w[t] - corr
+        np.multiply(e[t - 1], CA, out=r)
+        r += np.multiply(w[t], C, out=corr)
+        r += v[t]
+        r += a
+        if oracle:
+            i[t] = alarm = oracle_detect(a)
+        else:
+            alarm = detect(detector, g_statistic(ss, r), out=i[t])
+        if np.ndim(alarm) == 0 and not alarm:
+            # no run alarms, so the mitigation subtracts nothing: r - 0 delta
+            # is r
+            np.multiply(r, K, out=corr)
+        else:
+            mitigate(strategy, r, a, alarm, None if b is None else b[t],
+                     out=corr)
+            corr *= K
+        np.multiply(e[t - 1], A, out=e[t])
+        e[t] += w[t]
+        e[t] -= corr
         if controller is not None:
             # B u = alpha (x0 - x_hat) by the setpoint law, so the control
-            # enters without solving for u
-            x_hat[t] = x_hat[t - 1] * A + alpha * (x0 - x_hat[t - 1]) + corr
+            # enters without solving for u; r is free again
+            np.subtract(x0, x_hat[t - 1], out=r)
+            r *= alpha
+            np.multiply(x_hat[t - 1], A, out=x_hat[t])
+            x_hat[t] += r
+            x_hat[t] += corr
 
     return BatchRollout(e=e.T, i=i.T,
                         x_hat=None if controller is None else x_hat.T)
@@ -318,11 +369,36 @@ def std_err_over_runs(values: np.ndarray) -> np.ndarray:
     return np.zeros_like(values[0])
 
 
-def empirical_cost(batch: BatchRollout) -> CostReport:
-    """Average cumulative cost curve with across-run standard errors."""
+def mean_and_std_err(values: np.ndarray, scratch: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """values.mean(axis=0) and std_err_over_runs(values) of a C-ordered
+    (W, k) array, bit for bit: numpy's own steps for mean and
+    std(ddof=1) (sum over runs, divide by W, subtract, square, sum,
+    divide by W - 1, square root), then a divide by sqrt(W), with the
+    mean taken once for both.  The squared deviations are written into
+    `scratch`, a C-ordered array of values' shape, if given, in place of
+    a fresh (W, k) array."""
+    W = values.shape[0]
+    mean = np.add.reduce(values, axis=0)
+    mean /= W
+    if W == 1:
+        return mean, np.zeros_like(mean)
+    dev = np.subtract(values, mean, out=scratch)
+    np.square(dev, out=dev)
+    std_err = np.add.reduce(dev, axis=0)
+    std_err /= W - 1
+    np.sqrt(std_err, out=std_err)
+    std_err /= math.sqrt(W)
+    return mean, std_err
+
+
+def empirical_cost(batch: BatchRollout,
+                   scratch: np.ndarray | None = None) -> CostReport:
+    """Average cumulative cost curve with across-run standard errors,
+    aggregated on `scratch` (see mean_and_std_err) if given."""
     sums = batch.cost_sums
-    return CostReport(cost_per_t=sums.mean(axis=0),
-                      std_err_per_t=std_err_over_runs(sums),
+    mean, std_err = mean_and_std_err(sums, scratch)
+    return CostReport(cost_per_t=mean, std_err_per_t=std_err,
                       runs=sums.shape[0])
 
 
@@ -331,12 +407,13 @@ def compare_attacks(model: SystemModel, ss: SteadyState,
                     strategy: MitigationStrategy, T: int, runs: int,
                     noise: Noise) -> list[CostReport]:
     """One CostReport per plan, all plans run on the same noise and the
-    same buffers."""
+    same buffers, and aggregated on one scratch."""
     if len(plans) == 0:
         raise EvaluationError("need at least one plan to compare")
-    buffers = Buffers.allocate(T, runs)
+    buffers, scratch = Buffers.allocate(T, runs), np.empty((runs, T))
     return [empirical_cost(rollout_batch(model, ss, plan, detector, strategy,
-                                         T, noise, runs, buffers=buffers))
+                                         T, noise, runs, buffers=buffers),
+                           scratch)
             for plan in plans]
 
 
@@ -347,11 +424,10 @@ def _paired_terminal_difference(model: SystemModel, ss: SteadyState,
                                 buffers: Buffers | None) -> PairedCost:
     """Cost[T] difference: chi-square system minus oracle reference, with
     common random numbers, so the difference is computed run by run."""
-    tested = rollout_batch(model, ss, plan, detector, strategy, T, noise,
-                           runs, buffers=buffers).sums[-1]
-    reference = rollout_batch(model, ss, plan, detector, strategy, T, noise,
-                              runs, oracle=True, buffers=buffers).sums[-1]
-    diff = tested - reference
+    diff = rollout_batch(model, ss, plan, detector, strategy, T, noise,
+                         runs, buffers=buffers).terminal_sums()
+    diff -= rollout_batch(model, ss, plan, detector, strategy, T, noise,
+                          runs, oracle=True, buffers=buffers).terminal_sums()
     return PairedCost(float(diff.mean()), float(std_err_over_runs(diff)))
 
 

@@ -4,7 +4,9 @@ The plant state is one pilot-bus voltage in per-unit; the control input
 is one generator setpoint increment.  The voltage responds through an
 unknown gain B which is estimated from recorded traces of voltage
 increments x[t+1] - x[t] against the applied inputs by least squares.
-The experiment runs the scalar loop of evaluation.rollout_batch.  The
+The experiment runs the scalar loop of evaluation.rollout_batch and
+aggregates its curves over runs with evaluation.mean_and_std_err on the
+command's Buffers (the plant x and a scratch of its shape).  The
 `voltage` configuration preset regulates one bus from 1.0 pu to a
 setpoint of 0.835 pu; its noise covariances reuse the abstract benchmark
 values scaled into per-unit (0.01 pu per abstract unit), which keeps the
@@ -26,7 +28,7 @@ import numpy as np
 
 from .attack import AttackPlan
 from .defense import DetectorConfig, MitigationStrategy
-from .evaluation import Buffers, Noise, rollout_batch, std_err_over_runs
+from .evaluation import Buffers, Noise, mean_and_std_err, rollout_batch
 from .lti import SetpointController, SteadyState, SystemModel
 from .numerics import RngStream
 
@@ -193,7 +195,8 @@ def voltage_attack_experiment(model: SystemModel, ss: SteadyState,
                               buffers: Buffers | None = None) -> VoltageRun:
     """Roll out the voltage loop from the controller's init under one plan
     and aggregate the curves; deviations are measured from its x0.  The
-    batch and its plant run on `buffers` (controlled ones) if given."""
+    batch, its plant and the aggregation's scratch are `buffers`
+    (controlled ones) if given."""
     if buffers is None:
         buffers = Buffers.allocate(T, runs, controlled=True)
     batch = rollout_batch(model, ss, plan, DetectorConfig(eta), strategy, T,
@@ -202,13 +205,14 @@ def voltage_attack_experiment(model: SystemModel, ss: SteadyState,
     # add them in order (see BatchRollout), shifted by x0 in place for the
     # deviations
     x = np.add(batch.x_hat, batch.e, out=buffers.x)
-    mean_voltage, voltage_std_err = x.mean(axis=0), std_err_over_runs(x)
+    mean_voltage, voltage_std_err = mean_and_std_err(x, buffers.scratch)
     x -= controller.x0
     dev = np.abs(x, out=x)
+    mean_dev, dev_std_err = mean_and_std_err(dev, buffers.scratch)
     return VoltageRun(
         mean_voltage=mean_voltage,
         voltage_std_err=voltage_std_err,
-        mean_abs_deviation=dev.mean(axis=0),
-        abs_deviation_std_err=std_err_over_runs(dev),
+        mean_abs_deviation=mean_dev,
+        abs_deviation_std_err=dev_std_err,
         detect_frequency=batch.detection_frequency(),
     )

@@ -16,6 +16,10 @@ What is proven here:
     plus sigma times the pre-drawn noise block (perfect at sigma = 0);
     without an alarm every kind leaves the measurement as it is.  Arrays
     of alarms pair with the measurements entry by entry.
+  * mitigate(..., out=) writes the out-of-place result's bits into out
+    and returns it, for every kind, with scalar and array alarms and
+    injections, and with out aliasing y_a; detect(..., out=) does the same
+    into a bool row.
   * oracle_detect alarms exactly on nonzero injections, subnormal ones
     included.
   * Configuration contracts (negative eta, unknown kinds, stray sigma)
@@ -144,6 +148,31 @@ def test_apply_mitigation():
     alarms = np.array([False, True])
     assert np.array_equal(mitigate(perfect, y, d, alarms, b), [5.0, 4.0])
     assert np.array_equal(mitigate(perfect, y, 2.0, alarms, b), [5.0, 4.0])
+
+
+def test_mitigate_and_detect_into_out_equal_the_out_of_place_results():
+    rng = np.random.default_rng(5)
+    y_a = rng.standard_normal(6) * 10.0
+    b = rng.standard_normal(6)
+    alarms = (True, False, np.array([True, False, True, True, False, False]))
+    injections = (-7.5, 0.0, rng.standard_normal(6) * 5.0)
+    for strategy in (MitigationStrategy.perfect(), MitigationStrategy.off(),
+                     MitigationStrategy.noisy(15.0)):
+        for alarm in alarms:
+            for a in injections:
+                expected = mitigate(strategy, y_a, a, alarm, b)
+                out = np.full(6, np.nan)
+                assert mitigate(strategy, y_a, a, alarm, b, out=out) is out
+                assert np.array_equal(out, expected)
+                # out may be y_a itself
+                aliased = y_a.copy()
+                assert mitigate(strategy, aliased, a, alarm, b,
+                                out=aliased) is aliased
+                assert np.array_equal(aliased, expected)
+    g = np.array([0.0, 2.0, 2.5, 9.0])
+    row = np.ones(4, dtype=bool)
+    assert detect(DetectorConfig(2.0), g, out=row) is row
+    assert np.array_equal(row, detect(DetectorConfig(2.0), g))
 
 
 def test_oracle_detect():

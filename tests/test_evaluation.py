@@ -41,7 +41,18 @@ What is proven here:
   * The batch's cost sums equal the cumsum over t of the squared errors
     bit for bit (with and without a controller, tested and oracle
     batches, 257 runs), and the bool alarms give the same detection
-    frequency as int64 ones.
+    frequency as int64 ones and as their float mean over runs.  The
+    terminal sums, added into one accumulator, equal the last cumsum row
+    bit for bit at T = 1, 2 and 10.
+  * An oracle batch of a non-adaptive plan, whose alarm at each step is
+    one bool for every run, equals a per-run recursion written in the
+    test bit for bit, in e and the alarms, on a sequence with zero and
+    nonzero steps under perfect, noisy (sigma = 15) and off mitigation.
+  * mean_and_std_err gives the bits of values.mean(axis=0) and
+    std_err_over_runs(values) at W = 1, 2 and 10,000, with and without a
+    scratch, and on a scratch it allocates no (W, T + 1) array: its
+    tracemalloc peak stays within a few T-vectors and the buffer numpy's
+    reduction may take, where without one it passes the array's size.
   * A batch allocates no full history beyond what it keeps: one
     W = 10,000, T = 10 batch peaks (tracemalloc) within its kept e and
     alarms plus 8 W-vectors, and the same batch run on buffers taken
@@ -86,7 +97,9 @@ from fdisim.evaluation import (
     empirical_cost,
     fp_cost,
     md_cost,
+    mean_and_std_err,
     rollout_batch,
+    std_err_over_runs,
 )
 from fdisim.lti import (SetpointController, SystemModel,
                         derive_steady_state, setpoint_control)
@@ -526,6 +539,69 @@ def test_cost_sums_are_the_cumsum_and_bool_alarms_count_alike(bench):
             assert batch.i.dtype == bool
             assert np.array_equal(batch.detection_frequency(),
                                   batch.i.astype(np.int64).mean(axis=0))
+            assert np.array_equal(batch.detection_frequency(),
+                                  batch.i.mean(axis=0))
+
+
+@pytest.mark.parametrize("T", [1, 2, 10])
+def test_terminal_sums_equal_the_last_cumsum_row(bench, T):
+    runs = 257
+    batch = rollout_batch(*bench, AttackPlan.ramp(1.0, a_max=20.0),
+                          DetectorConfig(3.0), MitigationStrategy.noisy(2.0),
+                          T, _draw(bench, T, runs, RngStream(19)), runs)
+    assert np.array_equal(batch.terminal_sums(), batch.sums[-1])
+
+
+@pytest.mark.parametrize("kind", ["perfect", "noisy", "off"])
+def test_oracle_scalar_alarm_batch_matches_a_per_run_recursion(bench, kind):
+    model, ss = bench
+    W, T, sigma = 6, 6, 15.0
+    plan = AttackPlan.sequence([0.0, 7.0, 0.0, -25.0, 3.0, 0.0], a_max=20.0)
+    strategy = MitigationStrategy(kind, sigma * (kind == "noisy"))
+    noise = _draw(bench, T, W, RngStream(29))
+    batch = rollout_batch(model, ss, plan, DetectorConfig(2.0), strategy, T,
+                          noise, W, oracle=True)
+    A, C, K = model.A, model.C, ss.K
+    injections = [0.0, 7.0, 0.0, -20.0, 3.0, 0.0]  # -25 clipped to a_max
+    e_ref = np.empty((W, T + 1))
+    i_ref = np.zeros((W, T + 1), dtype=bool)
+    for run in range(W):
+        e = e_ref[run, 0] = float(noise.e0[run])
+        for t in range(1, T + 1):
+            a = injections[t - 1]
+            w, v, b = (float(x[t, run]) for x in (noise.w, noise.v, noise.b))
+            r = e * (C * A) + w * C + v + a
+            alarm = i_ref[run, t] = a != 0.0
+            delta = {"perfect": a, "noisy": a + sigma * b, "off": 0.0}[kind]
+            e = e_ref[run, t] = e * A + w - (r - alarm * delta) * K
+    assert np.array_equal(batch.i, i_ref)
+    assert np.array_equal(batch.e, e_ref)
+
+
+@pytest.mark.parametrize("W", [1, 2, 10_000])
+def test_mean_and_std_err_is_numpys_bit_for_bit(W):
+    T = 30
+    values = RngStream(31).generator().standard_normal((W, T + 1)) * 3.0 + 1.0
+    scratch = np.empty_like(values)
+    for given in (None, scratch):
+        mean, std_err = mean_and_std_err(values, given)
+        assert np.array_equal(mean, values.mean(axis=0))
+        assert np.array_equal(std_err, std_err_over_runs(values))
+    # on a held scratch the peak is the two curves, the reductions'
+    # results (a few (T + 1,) vectors) and the 8192-float buffer numpy's
+    # reduction iterator may take; without one, the deviations are a fresh
+    # (W, T + 1) array
+    for given in (scratch, None):
+        tracemalloc.start()
+        try:
+            mean_and_std_err(values, given)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if given is not None:
+            assert peak <= 16 * (T + 1) * 8 + 8192 * 8, peak
+        elif W > 1:
+            assert peak >= values.nbytes, peak
 
 
 def test_batch_memory_is_the_kept_fields(bench):
